@@ -1,12 +1,15 @@
-"""Sieved elementary arithmetic functions and parity/smoothness operators.
+"""Sieved elementary arithmetic functions and the one table type.
 
 Two building blocks everything else consumes:
 
 * ``PrimeTable`` -- an Eratosthenes sieve carrying a smallest-prime-factor
   table plus lazily built batch arrays (Mobius, Euler phi, von Mangoldt).
-* ``TabulatedFunction`` -- an arithmetic function materialised on [1..M],
-  either exact-integer valued (Python ints, never floats) or real valued
-  (float64).
+* ``TabulatedFunction`` -- a table of values on [1..limit].  Arithmetic
+  functions, truncated divisor-sum tables and Ramanujan coefficient
+  tables all use it.  Its ``values`` is a NumPy array whose dtype follows
+  the table's kind (``DTYPES``, the one place the split is made): an
+  object array of Python ints (or Fractions) for ExactInt, float64 for
+  Real.  Sweeps therefore run one body for both kinds.
 
 Naturals start at 1 throughout; slot 0 of every value table is unused and
 kept at zero.  Empty products are 1, so kappa(1) = 1 and odd_part(1) = 1.
@@ -17,9 +20,11 @@ input because huge shifts (products of many primes) exceed 64 bits.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt
+from operator import itemgetter
 
 import numpy as np
 
@@ -246,29 +251,55 @@ def divisors_int(n: int) -> tuple[int, ...]:
 
 
 # ----------------------------------------------------------------------
-# tabulated arithmetic functions
+# the table type
 # ----------------------------------------------------------------------
+
+# The one place where the exact/real split is expressed: the dtype of a
+# table's value array.  Exact tables hold Python ints (Fractions in exact
+# coefficient tables) in an object array, never floats.
+DTYPES = {EXACT: object, REAL: np.float64}
+
+
+def zeros(n: int, kind: str) -> np.ndarray:
+    """An all-zero value array of length n for tables of the given kind."""
+    return np.zeros(n, dtype=DTYPES[kind])
+
 
 @dataclass(eq=False)
 class TabulatedFunction:
-    """An arithmetic function materialised on [1..limit].
+    """A table of values on [1..limit]; slot 0 of ``values`` is unused.
 
-    ``kind`` is EXACT (values: list of Python ints) or REAL (values:
-    float64 ndarray).  Index 0 is unused and zero.
+    The one table type: a tabulated arithmetic function F, a truncated
+    divisor-sum table g' (``TruncatedDivisorSum``) and a Ramanujan
+    coefficient table (``RamanujanCoefficients``) all have this shape.
+    ``values`` is an ndarray whose dtype follows ``kind`` (see DTYPES).
+    Immutable after construction.
     """
 
     limit: int
     kind: str
-    values: list | np.ndarray
+    values: np.ndarray
     name: str = ""
 
     def __post_init__(self):
-        if self.kind not in (EXACT, REAL):
+        if self.kind not in DTYPES:
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind == REAL:
-            self.values = np.asarray(self.values, dtype=np.float64)
-        if len(self.values) != self.limit + 1:
+        self.values = np.asarray(self.values, dtype=DTYPES[self.kind])
+        if self.values.shape != (self.limit + 1,):
             raise ValueError("value table must have limit+1 entries")
+        self._support: list | None = None
+
+    @classmethod
+    def from_entries(cls, entries, limit: int, kind: str, name: str = ""):
+        """Build a table from a {n: value} mapping or a 0-indexed sequence."""
+        if not isinstance(entries, dict):
+            return cls(limit, kind, entries, name)
+        values = zeros(limit + 1, kind)
+        for n, v in entries.items():
+            if not 1 <= n <= limit:
+                raise ValueError(f"support point {n} outside [1, {limit}]")
+            values[n] = v
+        return cls(limit, kind, values, name)
 
     @property
     def is_exact(self) -> bool:
@@ -277,84 +308,71 @@ class TabulatedFunction:
     def __getitem__(self, n: int):
         if not 1 <= n <= self.limit:
             raise ValueError(f"argument {n} outside [1, {self.limit}]")
-        v = self.values[n]
-        return int(v) if self.kind == EXACT else float(v)
+        return self.values.item(n)
 
-    def support(self):
-        """Yield (n, value) for every nonzero entry, ascending n."""
-        yield from self.support_upto(self.limit)
+    def support(self, eps: float = 0.0) -> list:
+        """Nonzero (n, value) pairs, ascending n, as Python scalars.
 
-    def support_upto(self, N: int):
+        The full support is computed once and cached.  With eps > 0, real
+        entries with |value| <= eps are left out as well.
+        """
+        if self._support is None:
+            item = self.values.item  # a Python scalar for either dtype
+            idx = np.flatnonzero(self.values[1:]) + 1
+            self._support = [(n, item(n)) for n in idx.tolist()]
+        if eps and not self.is_exact:
+            return [(n, v) for n, v in self._support if abs(v) > eps]
+        return self._support
+
+    def support_upto(self, N: int) -> list:
+        """The support pairs with n <= N."""
         if N > self.limit:
             raise ValueError(f"tabulated only to {self.limit}, need {N}")
-        if self.kind == EXACT:
-            vals = self.values
-            for n in range(1, N + 1):
-                v = vals[n]
-                if v:
-                    yield n, v
-        else:
-            idx = np.flatnonzero(self.values[: N + 1])
-            vals = self.values
-            for n in idx:
-                yield int(n), float(vals[n])
+        sup = self.support()
+        return sup[: bisect_right(sup, N, key=itemgetter(0))]
+
+    def max_support(self, eps: float = SUPPORT_EPS) -> int:
+        """Largest n in support(eps) (0 for the zero table)."""
+        sup = self.support(eps)
+        return sup[-1][0] if sup else 0
+
+    def is_zero(self, eps: float = SUPPORT_EPS) -> bool:
+        """True when support(eps) is empty."""
+        return not self.support(eps)
 
 
-def from_values(values, kind: str, name: str = "") -> TabulatedFunction:
-    """Wrap a 0-indexed value table (slot 0 ignored) as a TabulatedFunction."""
-    vals = list(values) if kind == EXACT else np.asarray(values, dtype=np.float64)
-    if kind == EXACT:
-        vals[0] = 0
-    else:
-        vals = vals.copy()
-        vals[0] = 0.0
-    return TabulatedFunction(limit=len(vals) - 1, kind=kind, values=vals, name=name)
-
-
-def pointwise_product(F: TabulatedFunction, G: TabulatedFunction,
-                      name: str = "") -> TabulatedFunction:
-    """Pointwise product F(n)G(n) on the common range."""
-    M = min(F.limit, G.limit)
-    if F.is_exact and G.is_exact:
-        vals = [0] * (M + 1)
-        for n in range(1, M + 1):
-            vals[n] = F.values[n] * G.values[n]
-        return TabulatedFunction(M, EXACT, vals, name)
-    fv = np.asarray(F.values[: M + 1], dtype=np.float64)
-    gv = np.asarray(G.values[: M + 1], dtype=np.float64)
-    return TabulatedFunction(M, REAL, fv * gv, name)
-
+# ----------------------------------------------------------------------
+# tabulated arithmetic functions
+# ----------------------------------------------------------------------
 
 def tabulate_unit(M: int) -> TabulatedFunction:
-    return TabulatedFunction(M, EXACT, [0] + [1] * M, "unit")
+    vals = np.ones(M + 1, dtype=np.int64)
+    vals[0] = 0
+    return TabulatedFunction(M, EXACT, vals, "unit")
 
 
 def tabulate_identity(M: int) -> TabulatedFunction:
-    return TabulatedFunction(M, EXACT, list(range(M + 1)), "identity")
+    return TabulatedFunction(M, EXACT, np.arange(M + 1), "identity")
 
 
 def tabulate_mobius(M: int, table: PrimeTable) -> TabulatedFunction:
     _check_range(M, table)
-    vals = [int(v) for v in table.mobius_values[: M + 1]]
-    return TabulatedFunction(M, EXACT, vals, "mobius")
+    return TabulatedFunction(M, EXACT, table.mobius_values[: M + 1], "mobius")
 
 
 def tabulate_mu_squared(M: int, table: PrimeTable) -> TabulatedFunction:
     _check_range(M, table)
-    vals = [int(v) ** 2 for v in table.mobius_values[: M + 1]]
-    return TabulatedFunction(M, EXACT, vals, "mu_squared")
+    return TabulatedFunction(M, EXACT, table.mobius_values[: M + 1] ** 2,
+                             "mu_squared")
 
 
 def tabulate_phi(M: int, table: PrimeTable) -> TabulatedFunction:
     _check_range(M, table)
-    vals = [int(v) for v in table.phi_values[: M + 1]]
-    return TabulatedFunction(M, EXACT, vals, "phi")
+    return TabulatedFunction(M, EXACT, table.phi_values[: M + 1], "phi")
 
 
 def tabulate_kappa(M: int, table: PrimeTable) -> TabulatedFunction:
-    vals = [0] * (M + 1)
-    for n in range(1, M + 1):
-        vals[n] = kappa(n, table)
+    vals = [0] + [kappa(n, table) for n in range(1, M + 1)]
     return TabulatedFunction(M, EXACT, vals, "kappa")
 
 
@@ -365,27 +383,25 @@ def tabulate_von_mangoldt(M: int, table: PrimeTable) -> TabulatedFunction:
 
 
 def tabulate_odd_indicator(M: int) -> TabulatedFunction:
-    return TabulatedFunction(M, EXACT, [n % 2 for n in range(M + 1)], "odd")
+    return TabulatedFunction(M, EXACT, np.arange(M + 1) % 2, "odd")
 
 
 def tabulate_prime_indicator(M: int, table: PrimeTable) -> TabulatedFunction:
     _check_range(M, table)
-    vals = [int(b) for b in table.is_prime[: M + 1]]
+    vals = table.is_prime[: M + 1].astype(np.int64)
     return TabulatedFunction(M, EXACT, vals, "primes")
 
 
 def tabulate_odd_prime_indicator(M: int, table: PrimeTable) -> TabulatedFunction:
     _check_range(M, table)
-    vals = [int(table.is_prime[n]) if n % 2 else 0 for n in range(M + 1)]
+    vals = table.is_prime[: M + 1].astype(np.int64)
+    vals[2:3] = 0
     return TabulatedFunction(M, EXACT, vals, "odd_primes")
 
 
 def tabulate_square_indicator(M: int) -> TabulatedFunction:
-    vals = [0] * (M + 1)
-    k = 1
-    while k * k <= M:
-        vals[k * k] = 1
-        k += 1
+    vals = np.zeros(M + 1, dtype=np.int64)
+    vals[np.arange(1, isqrt(M) + 1) ** 2] = 1
     return TabulatedFunction(M, EXACT, vals, "squares")
 
 
@@ -399,16 +415,6 @@ def tabulate_odd_prime_log(M: int, table: PrimeTable) -> TabulatedFunction:
     pr = table.primes[(table.primes > 2) & (table.primes <= M)]
     vals[pr] = np.log(pr.astype(np.float64))
     return TabulatedFunction(M, REAL, vals, "odd_primes_log")
-
-
-def tabulate_indicator(members, M: int, name: str = "indicator") -> TabulatedFunction:
-    """Indicator of an explicit set or predicate, restricted to [1..M]."""
-    pred = (members.__contains__ if isinstance(members, (set, frozenset))
-            else members)
-    vals = [0] * (M + 1)
-    for n in range(1, M + 1):
-        vals[n] = 1 if pred(n) else 0
-    return TabulatedFunction(M, EXACT, vals, name)
 
 
 _NEEDS_TABLE = {"mobius", "mu_squared", "phi", "kappa", "lambda",

@@ -137,16 +137,12 @@ def _cmd_transform(args, cfg: RunConfig) -> int:
             table = _need_sieve(cfg, N)
             g = lambda_tds(N, table)
         else:
-            base = name
-            if name.startswith("indicator:"):
-                base = name.split(":", 1)[1]
-            if base not in tabulated_function_names():
+            if name not in tabulated_function_names():
                 raise UsageError(
                     f"unknown function name {name!r}; known: "
-                    f"{', '.join(tabulated_function_names())} "
-                    "(optionally prefixed indicator:)")
+                    f"{', '.join(tabulated_function_names())}")
             table = _need_sieve(cfg, N)
-            g = truncate(tabulate(base, N, table), N)
+            g = truncate(tabulate(name, N, table), N)
     else:
         try:
             g = retruncate(read_tds_path(args.infile), N)

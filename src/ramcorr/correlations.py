@@ -26,7 +26,7 @@ from .arith_core import TabulatedFunction
 from .ramanujan import (Period, UndefinedPeriodError, ramanujan_sum_table,
                         wintner_coefficients)
 from .transforms import (TruncatedDivisorSum, eratosthenes_transform,
-                         evaluate_tds, tds_is_zero)
+                         evaluate_tds)
 
 REAL_TOL = 1e-9
 
@@ -68,10 +68,10 @@ def correlate_expansion(f: TabulatedFunction, g: TruncatedDivisorSum,
     if f.limit < N:
         raise ValueError(f"f tabulated only to {f.limit}, need {N}")
     coeffs = wintner_coefficients(g)
-    f_support = list(f.support_upto(N))
+    f_support = f.support_upto(N)
     exact = _is_exact_pair(f, g)
     total = 0 if exact else 0.0
-    for q, ghat in coeffs.support(eps=0.0):
+    for q, ghat in coeffs.support():
         ctab = ramanujan_sum_table(q)
         r = a % q
         inner = 0 if f.is_exact else 0.0
@@ -144,7 +144,7 @@ def verify_periodicity(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
     P = period.value if isinstance(period, Period) else int(period)
     if P < 1:
         raise ValueError(f"period must be >= 1, got {P}")
-    if tds_is_zero(g):
+    if g.is_zero():
         raise UndefinedPeriodError("periodicity undefined for the zero TDS")
     exact = _is_exact_pair(f, g)
     for a in shifts:

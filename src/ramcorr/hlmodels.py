@@ -35,7 +35,8 @@ from .arith_core import (PrimeTable, TabulatedFunction, divisors_int,
                          tabulate_odd_prime_log)
 from .correlations import correlate_direct, format_value
 from .ramanujan import universal_period
-from .transforms import TruncatedDivisorSum, lambda_tds, odd_lift
+from .transforms import (TruncatedDivisorSum, evaluate_tds_range, lambda_tds,
+                         odd_lift)
 
 IDENTITY_TOL = 1e-9
 
@@ -97,19 +98,6 @@ def artifact(N: int, a: int, table: PrimeTable | None = None) -> float:
     return correlate_direct(f, g, N, a)
 
 
-def _lambda_trunc_table(N: int, M: int, mu: np.ndarray,
-                        odd_only: bool) -> np.ndarray:
-    """Values of the (odd-lifted) N-truncation of Lambda on [1..M],
-    by a divisor sieve over (odd) square-free d <= N."""
-    tab = np.zeros(M + 1, dtype=np.float64)
-    start, step = (3, 2) if odd_only else (2, 1)
-    for d in range(start, N + 1, step):
-        m = mu[d]
-        if m:
-            tab[d::d] += -float(m) * math.log(d)
-    return tab
-
-
 def artifact_batch(N: int, a_list, table: PrimeTable) -> list[float]:
     """artifact(N, a) for many small shifts at once (shared value table)."""
     a_list = [int(a) for a in a_list]
@@ -119,10 +107,8 @@ def artifact_batch(N: int, a_list, table: PrimeTable) -> list[float]:
         raise ValueError("shifts are naturals >= 1")
     M = N + max(a_list)
     _require_limit(table, M)
-    tab = _lambda_trunc_table(N, M, table.mobius_values, odd_only=True)
-    f = np.zeros(N + 1, dtype=np.float64)
-    pr = table.primes[(table.primes > 2) & (table.primes <= N)]
-    f[pr] = np.log(pr.astype(np.float64))
+    tab = evaluate_tds_range(odd_lift(lambda_tds(N, table)), M)
+    f = tabulate_odd_prime_log(N, table).values
     return [float(np.dot(f[1: N + 1], tab[1 + a: N + 1 + a])) for a in a_list]
 
 
@@ -180,9 +166,9 @@ def model_chain(N: int, a: int, table: PrimeTable) -> ModelRow:
     _require_limit(table, N + a)
     M = N + a
     lam = table.von_mangoldt_values
-    mu = table.mobius_values
-    lam_n = _lambda_trunc_table(N, M, mu, odd_only=False)
-    lam_n_odd = _lambda_trunc_table(N, M, mu, odd_only=True)
+    g = lambda_tds(N, table)
+    lam_n = evaluate_tds_range(g, M)
+    lam_n_odd = evaluate_tds_range(odd_lift(g), M)
 
     hl = float(np.dot(lam[1: N + 1], lam[1 + a: N + 1 + a]))
     m61 = float(np.dot(lam[1: N + 1], lam_n[1 + a: N + 1 + a]))
@@ -191,9 +177,7 @@ def model_chain(N: int, a: int, table: PrimeTable) -> ModelRow:
     m63 = float(np.dot(lam[1: N + 1: 2], lam_n_odd[1 + a: N + 1 + a: 2]))
     m64 = float(np.dot(lam[1: N + 1: 2], lam_n[1 + a: N + 1 + a: 2]))
 
-    f = np.zeros(N + 1, dtype=np.float64)
-    pr = table.primes[(table.primes > 2) & (table.primes <= N)]
-    f[pr] = np.log(pr.astype(np.float64))
+    f = tabulate_odd_prime_log(N, table).values
     art = float(np.dot(f[1: N + 1], lam_n_odd[1 + a: N + 1 + a]))
 
     if a % 2 == 0 and abs(m63 - m64) > IDENTITY_TOL * max(1.0, abs(m63)):

@@ -13,7 +13,9 @@ never by floating cosines, and ExactInt coefficient tables hold
     g'(d) = d * sum over K <= D/d of mu(K) ghat(dK)   (inversion)
 
 round-trip with no error at all.  Real-valued tables use float64 and the
-support threshold ``SUPPORT_EPS``.
+support threshold ``SUPPORT_EPS``.  Coefficient tables are the same table
+type as the divisor-sum tables they come from, and are written and read
+in the same text format.
 
 Periods are arbitrary-precision from the start: the product of the odd
 primes up to N grows like e^N and leaves 64 bits almost immediately.
@@ -29,9 +31,10 @@ from math import gcd
 
 import numpy as np
 
-from .arith_core import (EXACT, REAL, SUPPORT_EPS, TabulatedFunction,
-                         divisors_int, is_prime_int, mobius_int)
-from .transforms import TruncatedDivisorSum, tds_is_zero, truncate
+from .arith_core import (SUPPORT_EPS, TabulatedFunction, divisors_int,
+                         is_prime_int, mobius_int, zeros)
+from .transforms import (TruncatedDivisorSum, read_table, truncate,
+                         write_tds)
 
 
 class UndefinedPeriodError(ValueError):
@@ -46,34 +49,12 @@ class Period:
     kind: str  # "wintner" | "universal"
 
 
-@dataclass(eq=False)
-class RamanujanCoefficients:
-    """Coefficient table ghat(q), q in [1..cutoff].
+class RamanujanCoefficients(TabulatedFunction):
+    """Coefficient table ghat(q), q in [1..limit].
 
     ExactInt sources yield Fraction entries (exact rationals); Real
     sources yield floats.
     """
-
-    cutoff: int
-    kind: str
-    coeffs: list
-    name: str = ""
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == EXACT
-
-    def support(self, eps: float = SUPPORT_EPS) -> list[tuple[int, object]]:
-        out = []
-        for q in range(1, self.cutoff + 1):
-            v = self.coeffs[q]
-            if (v != 0) if self.kind == EXACT else (abs(v) > eps):
-                out.append((q, v))
-        return out
-
-    def max_support(self, eps: float = SUPPORT_EPS) -> int:
-        sup = self.support(eps)
-        return sup[-1][0] if sup else 0
 
 
 # ----------------------------------------------------------------------
@@ -127,26 +108,13 @@ def wintner_coefficients(g: TruncatedDivisorSum) -> RamanujanCoefficients:
     tables the top of the coefficient support coincides with the top of
     supp(g').
     """
-    D = g.cutoff
-    if g.kind == EXACT:
-        coeffs: list = [Fraction(0)] * (D + 1)
-        for d, v in g.support():
-            w = Fraction(v, d)
-            for q in divisors_int(d):
-                coeffs[q] += w
-    else:
-        acc = np.zeros(D + 1, dtype=np.float64)
-        for d, v in g.support():
-            w = v / d
-            for q in divisors_int(d):
-                acc[q] += w
-        coeffs = [float(x) for x in acc]
-    return RamanujanCoefficients(D, g.kind, coeffs,
+    coeffs = zeros(g.limit + 1, g.kind)
+    for d, v in g.support():
+        w = Fraction(v, d) if g.is_exact else v / d
+        for q in divisors_int(d):
+            coeffs[q] += w
+    return RamanujanCoefficients(g.limit, g.kind, coeffs,
                                  name=f"{g.name}^hat" if g.name else "")
-
-
-def _normalize_exact(v: Fraction):
-    return int(v) if v.denominator == 1 else v
 
 
 def ramanujan_expand(coeffs: RamanujanCoefficients, a: int):
@@ -157,15 +125,14 @@ def ramanujan_expand(coeffs: RamanujanCoefficients, a: int):
     """
     if a < 1:
         raise ValueError(f"naturals start at 1, got {a}")
-    if coeffs.is_exact:
-        total = Fraction(0)
-        for q, v in coeffs.support(eps=0.0):
-            total += v * ramanujan_sum(q, a)
-        return _normalize_exact(total)
-    total = 0.0
-    for q, v in coeffs.support(eps=0.0):
-        total += v * ramanujan_sum_table(q)[a % q]
-    return total
+    total = 0 if coeffs.is_exact else 0.0
+    for q, v in coeffs.support():
+        total += v * ramanujan_sum(q, a)
+    return _normalize_exact(total) if coeffs.is_exact else total
+
+
+def _normalize_exact(v):
+    return int(v) if v.denominator == 1 else v
 
 
 def ramanujan_expand_range(coeffs: RamanujanCoefficients, a_max: int):
@@ -177,7 +144,7 @@ def ramanujan_expand_range(coeffs: RamanujanCoefficients, a_max: int):
     """
     if a_max < 1:
         raise ValueError(f"naturals start at 1, got {a_max}")
-    support = coeffs.support(eps=0.0)
+    support = coeffs.support()
     if coeffs.is_exact:
         L = math.lcm(*(v.denominator for _, v in support)) if support else 1
         acc = [0] * (a_max + 1)
@@ -206,35 +173,26 @@ def lucht_invert(coeffs: RamanujanCoefficients) -> TruncatedDivisorSum:
     Exact for ExactInt tables (the recovered values must come out
     integral); within float error for Real.
     """
-    D = coeffs.cutoff
-    if coeffs.is_exact:
-        vals: list = [0] * (D + 1)
-        for d in range(1, D + 1):
-            total = Fraction(0)
-            for K in range(1, D // d + 1):
-                c = coeffs.coeffs[d * K]
-                if c:
-                    m = mobius_int(K)
-                    if m:
-                        total += m * c
-            total *= d
+    D = coeffs.limit
+    c = coeffs.values.tolist()
+    vals = zeros(D + 1, coeffs.kind)
+    for d in range(1, D + 1):
+        total = 0
+        for K in range(1, D // d + 1):
+            v = c[d * K]
+            if v:
+                m = mobius_int(K)
+                if m:
+                    total += m * v
+        total *= d
+        if coeffs.is_exact:
             if total.denominator != 1:
                 raise ValueError(
                     f"inversion produced non-integer g'({d}) = {total}; "
                     "coefficient table does not come from an ExactInt TDS")
-            vals[d] = int(total)
-        return TruncatedDivisorSum(D, EXACT, vals)
-    arr = np.zeros(D + 1, dtype=np.float64)
-    for d in range(1, D + 1):
-        total = 0.0
-        for K in range(1, D // d + 1):
-            c = coeffs.coeffs[d * K]
-            if c != 0.0:
-                m = mobius_int(K)
-                if m:
-                    total += m * c
-        arr[d] = d * total
-    return TruncatedDivisorSum(D, REAL, arr)
+            total = int(total)
+        vals[d] = total
+    return TruncatedDivisorSum(D, coeffs.kind, vals)
 
 
 # ----------------------------------------------------------------------
@@ -259,12 +217,10 @@ def support_closure_check(g: TruncatedDivisorSum, predicate) -> tuple[bool, bool
     """
     pred = (predicate.__contains__ if isinstance(predicate, (set, frozenset))
             else predicate)
-    _check_divisor_closed(pred, g.cutoff)
-    eps = SUPPORT_EPS
-    et_in = all(pred(d) for d, v in g.support()
-                if g.kind == EXACT or abs(v) > eps)
+    _check_divisor_closed(pred, g.limit)
+    et_in = all(pred(d) for d, _ in g.support(SUPPORT_EPS))
     coeffs = wintner_coefficients(g)
-    hat_in = all(pred(q) for q, _ in coeffs.support())
+    hat_in = all(pred(q) for q, _ in coeffs.support(SUPPORT_EPS))
     return et_in, hat_in
 
 
@@ -276,10 +232,10 @@ def wintner_period(g: TruncatedDivisorSum, Q: int) -> Period:
     """
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
-    if tds_is_zero(g):
+    if g.is_zero():
         raise UndefinedPeriodError("period undefined for the zero TDS")
     coeffs = wintner_coefficients(g)
-    qs = [q for q, _ in coeffs.support() if q <= Q]
+    qs = [q for q, _ in coeffs.support(SUPPORT_EPS) if q <= Q]
     return Period(math.lcm(*qs) if qs else 1, "wintner")
 
 
@@ -302,64 +258,21 @@ def half_range_identity_check(g_source: TabulatedFunction, N: int,
         raise ValueError(f"need N >= 2, got {N}")
     g = truncate(g_source, N)
     coeffs = wintner_coefficients(g)
+    tol = 0 if g.is_exact else rel_tol
     for q in range(N // 2 + 1, N + 1):
-        expected = (Fraction(g.et_values[q], q) if g.kind == EXACT
-                    else g.et_values[q] / q)
-        got = coeffs.coeffs[q]
-        if g.kind == EXACT:
-            if got != expected:
-                return False
-        else:
-            if abs(got - expected) > rel_tol * max(1.0, abs(expected)):
-                return False
+        expected = Fraction(g[q], q) if g.is_exact else g[q] / q
+        if abs(coeffs[q] - expected) > tol * max(1, abs(expected)):
+            return False
     return True
 
 
 # ----------------------------------------------------------------------
-# coefficient serialization (same shape as the TDS text format)
+# coefficient serialization (the TDS text format; exact values are
+# integers or p/q rationals)
 # ----------------------------------------------------------------------
 
-def write_coefficients(coeffs: RamanujanCoefficients, fh) -> None:
-    fh.write(f"cutoff={coeffs.cutoff} kind={coeffs.kind}\n")
-    for q, v in coeffs.support(eps=0.0):
-        if coeffs.kind == REAL:
-            fh.write(f"{q}\t{v!r}\n")
-        else:
-            f = Fraction(v)
-            fh.write(f"{q}\t{f.numerator}/{f.denominator}\n"
-                     if f.denominator != 1 else f"{q}\t{f.numerator}\n")
+write_coefficients = write_tds
 
 
 def read_coefficients(fh) -> RamanujanCoefficients:
-    header = fh.readline()
-    fields = {}
-    for part in header.split():
-        k, _, val = part.partition("=")
-        fields[k] = val
-    if set(fields) != {"cutoff", "kind"}:
-        raise ValueError(f"header must carry cutoff= and kind=, got {header!r}")
-    try:
-        cutoff = int(fields["cutoff"])
-    except ValueError:
-        raise ValueError(f"bad cutoff {fields['cutoff']!r}") from None
-    kind = fields["kind"]
-    if kind not in (EXACT, REAL) or cutoff < 1:
-        raise ValueError(f"malformed header {header!r}")
-    coeffs: list = ([Fraction(0)] * (cutoff + 1) if kind == EXACT
-                    else [0.0] * (cutoff + 1))
-    for lineno, line in enumerate(fh, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise ValueError(f"line {lineno}: expected 'q<TAB>value'")
-        try:
-            q = int(cols[0])
-            v = Fraction(cols[1]) if kind == EXACT else float(cols[1])
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"line {lineno}: bad entry {line!r}") from None
-        if not 1 <= q <= cutoff:
-            raise ValueError(f"line {lineno}: q={q} outside [1, {cutoff}]")
-        coeffs[q] = v
-    return RamanujanCoefficients(cutoff, kind, coeffs)
+    return read_table(fh, RamanujanCoefficients, Fraction)

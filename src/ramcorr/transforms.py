@@ -5,92 +5,41 @@ The Eratosthenes transform of F is F' = mu * F, the unique table with
 F = F' * 1 (Mobius inversion).  Both directions run as O(M log M)
 divisor-lattice sweeps, never per-element Mobius sums.
 
-A ``TruncatedDivisorSum`` stores g'(d) for d <= cutoff; the function it
-induces,
+A ``TruncatedDivisorSum`` is the table g'(d) for d <= cutoff (the
+table's limit); the function it induces,
 
     g(m) = sum of g'(d) over d | m with d <= cutoff,
 
 is evaluable at arbitrarily large (big-integer) m because only
 divisibility of m by small d is ever tested.
+
+Every table holds its values in one array whose dtype follows its kind
+(see ``arith_core.DTYPES``), so each sweep below has a single body for
+ExactInt and Real tables.  The text format written and read here serves
+TDS and coefficient files alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .arith_core import (EXACT, REAL, SUPPORT_EPS, PrimeTable,
-                         TabulatedFunction, odd_part, sieve_primes)
+from .arith_core import (DTYPES, EXACT, REAL, PrimeTable, TabulatedFunction,
+                         sieve_primes, zeros)
 
 
-@dataclass(eq=False)
-class TruncatedDivisorSum:
-    """Divisor-sum table g'(d), d in [1..cutoff], of either domain kind.
+class TruncatedDivisorSum(TabulatedFunction):
+    """Divisor-sum table g'(d), d in [1..limit], of either domain kind.
 
-    The cutoff may be loose: entries above max supp(g') are simply zero.
-    Immutable after construction.
+    The limit is the truncation cutoff and may be loose: entries above
+    max supp(g') are simply zero.  A table of its own type only so that
+    callers can tell the g' table of a function from the function itself.
     """
 
-    cutoff: int
-    kind: str
-    et_values: list | np.ndarray   # index 0..cutoff, slot 0 unused
-    name: str = ""
 
-    def __post_init__(self):
-        if self.kind not in (EXACT, REAL):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind == REAL:
-            self.et_values = np.asarray(self.et_values, dtype=np.float64)
-        if len(self.et_values) != self.cutoff + 1:
-            raise ValueError("et table must have cutoff+1 entries")
-        self._support: list[tuple[int, int | float]] | None = None
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == EXACT
-
-    def support(self) -> list[tuple[int, int | float]]:
-        """Nonzero (d, g'(d)) pairs, ascending d.  Cached."""
-        if self._support is None:
-            if self.kind == EXACT:
-                self._support = [(d, v) for d, v in enumerate(self.et_values)
-                                 if d >= 1 and v]
-            else:
-                idx = np.flatnonzero(self.et_values)
-                self._support = [(int(d), float(self.et_values[d]))
-                                 for d in idx if d >= 1]
-        return self._support
-
-    def max_support(self, eps: float = SUPPORT_EPS) -> int:
-        """Largest d with g'(d) nonzero (0 for the zero table)."""
-        best = 0
-        for d, v in self.support():
-            if self.kind == EXACT or abs(v) > eps:
-                best = d
-        return best
-
-
-def tds_is_zero(g: TruncatedDivisorSum, eps: float = SUPPORT_EPS) -> bool:
-    if g.kind == EXACT:
-        return not g.support()
-    return all(abs(v) <= eps for _, v in g.support())
-
-
-def tds_from_et(entries, cutoff: int, kind: str, name: str = "") -> TruncatedDivisorSum:
-    """Build a TDS from a {d: value} mapping or a 0-indexed sequence."""
-    if isinstance(entries, dict):
-        if kind == EXACT:
-            vals: list | np.ndarray = [0] * (cutoff + 1)
-        else:
-            vals = np.zeros(cutoff + 1, dtype=np.float64)
-        for d, v in entries.items():
-            if not 1 <= d <= cutoff:
-                raise ValueError(f"support point {d} outside [1, {cutoff}]")
-            vals[d] = v
-        return TruncatedDivisorSum(cutoff, kind, vals, name)
-    vals = list(entries) if kind == EXACT else np.asarray(entries, dtype=np.float64)
-    return TruncatedDivisorSum(cutoff, kind, vals, name)
+tds_from_et = TruncatedDivisorSum.from_entries
+tds_is_zero = TruncatedDivisorSum.is_zero
 
 
 # ----------------------------------------------------------------------
@@ -107,24 +56,15 @@ def dirichlet_convolve(F: TabulatedFunction, G: TabulatedFunction,
         M = min(F.limit, G.limit)
     if F.limit < M or G.limit < M:
         raise ValueError(f"inputs must be tabulated to at least {M}")
-    if F.is_exact and G.is_exact:
-        out = [0] * (M + 1)
-        gv = G.values
-        for d in range(1, M + 1):
-            fv = F.values[d]
-            if fv:
-                for k in range(1, M // d + 1):
-                    if gv[k]:
-                        out[d * k] += fv * gv[k]
-        return TabulatedFunction(M, EXACT, out, f"({F.name}*{G.name})")
-    fv_arr = np.asarray(F.values[: M + 1], dtype=np.float64)
-    gv_arr = np.asarray(G.values[: M + 1], dtype=np.float64)
-    out = np.zeros(M + 1, dtype=np.float64)
+    kind = EXACT if F.is_exact and G.is_exact else REAL
+    fv = F.values[: M + 1].astype(DTYPES[kind])
+    gv = G.values[: M + 1].astype(DTYPES[kind])
+    out = zeros(M + 1, kind)
     for d in range(1, M + 1):
-        fv = fv_arr[d]
-        if fv != 0.0:
-            out[d::d] += fv * gv_arr[1: M // d + 1]
-    return TabulatedFunction(M, REAL, out, f"({F.name}*{G.name})")
+        v = fv[d]
+        if v:
+            out[d::d] += v * gv[1: M // d + 1]
+    return TabulatedFunction(M, kind, out, f"({F.name}*{G.name})")
 
 
 def eratosthenes_transform(F: TabulatedFunction,
@@ -139,19 +79,11 @@ def eratosthenes_transform(F: TabulatedFunction,
         M = F.limit
     if F.limit < M:
         raise ValueError(f"tabulated only to {F.limit}, need {M}")
-    if F.is_exact:
-        et: list | np.ndarray = list(F.values[: M + 1])
-        for d in range(1, M // 2 + 1):
-            v = et[d]
-            if v:
-                for m in range(2 * d, M + 1, d):
-                    et[m] -= v
-    else:
-        et = np.array(F.values[: M + 1], dtype=np.float64)
-        for d in range(1, M // 2 + 1):
-            v = et[d]
-            if v != 0.0:
-                et[2 * d:: d] -= v
+    et = F.values[: M + 1].copy()
+    for d in range(1, M // 2 + 1):
+        v = et[d]
+        if v:
+            et[2 * d:: d] -= v
     return TabulatedFunction(M, F.kind, et, f"{F.name}'")
 
 
@@ -162,20 +94,11 @@ def divisor_sum_transform(F: TabulatedFunction,
         M = F.limit
     if F.limit < M:
         raise ValueError(f"tabulated only to {F.limit}, need {M}")
-    if F.is_exact:
-        out: list | np.ndarray = [0] * (M + 1)
-        for d in range(1, M + 1):
-            v = F.values[d]
-            if v:
-                for m in range(d, M + 1, d):
-                    out[m] += v
-    else:
-        out = np.zeros(M + 1, dtype=np.float64)
-        vals = F.values
-        for d in range(1, M + 1):
-            v = vals[d]
-            if v != 0.0:
-                out[d::d] += v
+    out = zeros(M + 1, F.kind)
+    for d in range(1, M + 1):
+        v = F.values[d]
+        if v:
+            out[d::d] += v
     return TabulatedFunction(M, F.kind, out, f"({F.name}*1)")
 
 
@@ -188,15 +111,9 @@ def truncate(F: TabulatedFunction, N: int) -> TruncatedDivisorSum:
 
 def retruncate(g: TruncatedDivisorSum, N: int) -> TruncatedDivisorSum:
     """Change the cutoff: drop entries above N, or pad with zeros up to N."""
-    if N >= g.cutoff:
-        if g.kind == EXACT:
-            vals: list | np.ndarray = list(g.et_values) + [0] * (N - g.cutoff)
-        else:
-            vals = np.concatenate([g.et_values,
-                                   np.zeros(N - g.cutoff, dtype=np.float64)])
-    else:
-        vals = (list(g.et_values[: N + 1]) if g.kind == EXACT
-                else g.et_values[: N + 1].copy())
+    vals = zeros(N + 1, g.kind)
+    top = min(N, g.limit) + 1
+    vals[:top] = g.values[:top]
     return TruncatedDivisorSum(N, g.kind, vals, g.name)
 
 
@@ -204,31 +121,24 @@ def evaluate_tds(g: TruncatedDivisorSum, m: int):
     """g(m) = sum of g'(d) over d <= cutoff dividing m; m may be huge."""
     if m < 1:
         raise ValueError(f"naturals start at 1, got {m}")
-    acc: int | float = 0 if g.kind == EXACT else 0.0
+    acc = 0 if g.is_exact else 0.0
     for d, v in g.support():
         if m % d == 0:
             acc += v
     return acc
 
 
-def evaluate_tds_range(g: TruncatedDivisorSum, m_max: int):
+def evaluate_tds_range(g: TruncatedDivisorSum, m_max: int) -> np.ndarray:
     """g(m) for all m in [1..m_max] at once, by a divisor sieve.
 
-    Returns a list (ExactInt) or float64 array (Real), index 0 unused.
+    Returns a value array of g's kind, index 0 unused.
     """
     if m_max < 1:
         raise ValueError(f"naturals start at 1, got {m_max}")
-    if g.kind == EXACT:
-        out: list | np.ndarray = [0] * (m_max + 1)
-        for d, v in g.support():
-            if d <= m_max:
-                for m in range(d, m_max + 1, d):
-                    out[m] += v
-    else:
-        out = np.zeros(m_max + 1, dtype=np.float64)
-        for d, v in g.support():
-            if d <= m_max:
-                out[d::d] += v
+    out = zeros(m_max + 1, g.kind)
+    vals = g.values[: m_max + 1]
+    for d in np.flatnonzero(vals[1:]) + 1:
+        out[d::d] += vals[d]
     return out
 
 
@@ -242,45 +152,21 @@ def odd_lift(x, method: str = "direct"):
     TruncatedDivisorSum the lift acts on the stored transform, zeroing
     even d and preserving the cutoff.
     """
-    if isinstance(x, TruncatedDivisorSum):
-        if x.kind == EXACT:
-            vals: list | np.ndarray = [v if d % 2 else 0
-                                       for d, v in enumerate(x.et_values)]
-        else:
-            vals = x.et_values.copy()
-            vals[0::2] = 0.0
-        return TruncatedDivisorSum(x.cutoff, x.kind, vals,
-                                   name=f"{x.name}^odd" if x.name else "")
     if not isinstance(x, TabulatedFunction):
         raise ValueError("odd_lift expects a TabulatedFunction or a TDS")
-    M = x.limit
+    name = f"{x.name}^odd" if x.name else ""
+    if isinstance(x, TruncatedDivisorSum):
+        vals = x.values.copy()
+        vals[0::2] = 0
+        return TruncatedDivisorSum(x.limit, x.kind, vals, name)
     if method == "direct":
-        if x.is_exact:
-            vals = [0] * (M + 1)
-            for n in range(1, M + 1):
-                vals[n] = x.values[odd_part(n)]
-        else:
-            half = np.arange(M + 1)
-            half[0] = 1
-            while True:
-                even = (half & 1) == 0
-                if not even.any():
-                    break
-                half[even] >>= 1
-            vals = np.asarray(x.values)[half].copy()
-            vals[0] = 0.0
-        return TabulatedFunction(M, x.kind, vals,
-                                 name=f"{x.name}^odd" if x.name else "")
+        n = np.arange(1, x.limit + 1)
+        vals = zeros(x.limit + 1, x.kind)
+        vals[1:] = x.values[n // (n & -n)]  # n & -n = 2^v2(n)
+        return TabulatedFunction(x.limit, x.kind, vals, name)
     if method == "et":
-        et = eratosthenes_transform(x)
-        if x.is_exact:
-            lifted = [v if d % 2 else 0 for d, v in enumerate(et.values)]
-        else:
-            lifted = et.values.copy()
-            lifted[0::2] = 0.0
-        masked = TabulatedFunction(M, x.kind, lifted, "")
-        out = divisor_sum_transform(masked)
-        out.name = f"{x.name}^odd" if x.name else ""
+        out = divisor_sum_transform(odd_lift(truncate(x, x.limit)))
+        out.name = name
         return out
     raise ValueError(f"unknown odd_lift method {method!r}")
 
@@ -299,34 +185,44 @@ def lambda_tds(N: int, table: PrimeTable | None = None) -> TruncatedDivisorSum:
 
 
 # ----------------------------------------------------------------------
-# text serialization: header line, then one "d <TAB> value" per nonzero d
+# text serialization of any table (TDS and coefficient files alike): a
+# header line "cutoff=D kind=K", then one "d <TAB> value" per nonzero d
 # ----------------------------------------------------------------------
 
-def write_tds(g: TruncatedDivisorSum, fh) -> None:
-    fh.write(f"cutoff={g.cutoff} kind={g.kind}\n")
+def write_tds(g: TabulatedFunction, fh) -> None:
+    """Write a table in the text format.
+
+    Values are Python scalars, so str() gives exact text for ints and
+    Fractions and the shortest round-trip text for floats.
+    """
+    fh.write(f"cutoff={g.limit} kind={g.kind}\n")
     for d, v in g.support():
-        fh.write(f"{d}\t{v!r}\n" if g.kind == REAL else f"{d}\t{v}\n")
+        fh.write(f"{d}\t{v}\n")
 
 
-def read_tds(fh) -> TruncatedDivisorSum:
+def read_table(fh, cls, parse_exact):
+    """Read the text format into a ``cls`` table.
+
+    ExactInt values are parsed by ``parse_exact``, Real values by float.
+    Every fault raises ValueError("line N: ...") locating it: a malformed
+    header, an entry that does not parse, an index outside [1, cutoff], a
+    second entry for the same index, or a NaN or infinite value.
+    """
     header = fh.readline()
     parts = header.split()
-    fields = {}
-    for part in parts:
-        if "=" not in part:
-            raise ValueError(f"malformed header {header!r}")
-        k, _, val = part.partition("=")
-        fields[k] = val
-    if set(fields) != {"cutoff", "kind"}:
-        raise ValueError(f"header must carry cutoff= and kind=, got {header!r}")
+    fields = dict(part.partition("=")[::2] for part in parts)
+    if len(parts) != 2 or set(fields) != {"cutoff", "kind"}:
+        raise ValueError(
+            f"line 1: header must be 'cutoff=D kind=K', got {header!r}")
     try:
         cutoff = int(fields["cutoff"])
     except ValueError:
-        raise ValueError(f"bad cutoff {fields['cutoff']!r}") from None
+        raise ValueError(f"line 1: bad cutoff {fields['cutoff']!r}") from None
     kind = fields["kind"]
-    if kind not in (EXACT, REAL) or cutoff < 1:
-        raise ValueError(f"malformed header {header!r}")
-    entries: dict[int, int | float] = {}
+    if kind not in DTYPES or cutoff < 1:
+        raise ValueError(f"line 1: malformed header {header!r}")
+    parse = parse_exact if kind == EXACT else float
+    entries = {}
     for lineno, line in enumerate(fh, start=2):
         line = line.strip()
         if not line:
@@ -335,16 +231,21 @@ def read_tds(fh) -> TruncatedDivisorSum:
         if len(cols) != 2:
             raise ValueError(f"line {lineno}: expected 'd<TAB>value'")
         try:
-            d = int(cols[0])
-            v = int(cols[1]) if kind == EXACT else float(cols[1])
-        except ValueError:
+            d, v = int(cols[0]), parse(cols[1])
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"line {lineno}: bad entry {line!r}") from None
         if not 1 <= d <= cutoff:
             raise ValueError(f"line {lineno}: d={d} outside [1, {cutoff}]")
         if d in entries:
             raise ValueError(f"line {lineno}: duplicate entry for d={d}")
+        if not abs(v) < math.inf:  # false for NaN too; exact for big ints
+            raise ValueError(f"line {lineno}: non-finite value {cols[1]!r}")
         entries[d] = v
-    return tds_from_et(entries, cutoff, kind)
+    return cls.from_entries(entries, cutoff, kind)
+
+
+def read_tds(fh) -> TruncatedDivisorSum:
+    return read_table(fh, TruncatedDivisorSum, int)
 
 
 def write_tds_path(g: TruncatedDivisorSum, path) -> None:

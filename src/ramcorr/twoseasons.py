@@ -24,12 +24,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .arith_core import (EXACT, SUPPORT_EPS, TabulatedFunction, is_prime_int,
-                         mobius_int, odd_part)
+from .arith_core import (EXACT, REAL, SUPPORT_EPS, TabulatedFunction,
+                         is_prime_int, mobius_int, odd_part, zeros)
 from .correlations import REAL_TOL, correlate_direct
 from .ramanujan import UndefinedPeriodError, universal_period
 from .transforms import (TruncatedDivisorSum, eratosthenes_transform,
-                         evaluate_tds, tds_is_zero, truncate)
+                         evaluate_tds, truncate)
 
 
 class AxiomError(ValueError):
@@ -71,22 +71,13 @@ class AxiomReport:
 def _et_support(g_source, eps: float = SUPPORT_EPS) -> list[int]:
     """Support of g' for a TabulatedFunction (transformed on its whole
     tabulated range) or a TDS (stored table)."""
-    if isinstance(g_source, TruncatedDivisorSum):
-        raw = g_source.support()
-        kind = g_source.kind
-    else:
-        et = eratosthenes_transform(g_source)
-        raw = [(d, et.values[d]) for d in range(1, et.limit + 1)]
-        kind = g_source.kind
-    if kind == EXACT:
-        return [d for d, v in raw if v]
-    return [d for d, v in raw if abs(v) > eps]
+    if not isinstance(g_source, TruncatedDivisorSum):
+        g_source = eratosthenes_transform(g_source)
+    return [d for d, _ in g_source.support(eps)]
 
 
 def _f_support(f: TabulatedFunction, N: int, eps: float = SUPPORT_EPS) -> list[int]:
-    if f.kind == EXACT:
-        return [n for n, v in f.support_upto(N) if v]
-    return [n for n, v in f.support_upto(N) if abs(v) > eps]
+    return [n for n, _ in f.support(eps) if n <= N]
 
 
 def check_axioms(f: TabulatedFunction, g_source, N: int, Q: int) -> AxiomReport:
@@ -170,7 +161,7 @@ def entangled_correlation(f: TabulatedFunction, g: TruncatedDivisorSum,
     """
     if a < 1:
         raise ValueError(f"shifts are naturals >= 1, got {a}")
-    report = check_axioms(f, g, N, g.cutoff)
+    report = check_axioms(f, g, N, g.limit)
     if not report.overall:
         failing = "; ".join(f"axiom {c.axiom_id}: {c.evidence}"
                             for c in report.failures())
@@ -238,7 +229,7 @@ def combinatorial_identity_check(f: TabulatedFunction, g_source, N: int,
         g = g_source
     else:
         g = truncate(g_source, N)
-    if tds_is_zero(g):
+    if g.is_zero():
         raise UndefinedPeriodError("identities undefined for the zero TDS")
     report = check_axioms(f, g, N, N)
     if not report.overall:
@@ -278,25 +269,22 @@ def random_ts_instance(N: int, rng, value_range: tuple[int, int] = (-5, 5),
                 return v
 
     if exact:
-        fvals: list | None = [0] * (N + 1)
-        for p in range(3, N + 1, 2):
-            if is_prime_int(p):
-                fvals[p] = draw()
-        f = TabulatedFunction(N, EXACT, fvals, "random_f")
-        et = [0] * (N + 1)
-        for d in range(1, N + 1, 2):
-            if mobius_int(d) != 0:
-                et[d] = draw()
-        g = TruncatedDivisorSum(N, EXACT, et, "random_g")
-        return f, g
-    fvals_r = [0.0] * (N + 1)
+        draw_f = draw_g = draw
+    else:
+        def draw_f():
+            return rng.uniform(0.5, 3.0)
+
+        def draw_g():
+            return rng.uniform(0.5, 3.0) * rng.choice((-1, 1))
+
+    kind = EXACT if exact else REAL
+    fvals = zeros(N + 1, kind)
     for p in range(3, N + 1, 2):
         if is_prime_int(p):
-            fvals_r[p] = rng.uniform(0.5, 3.0)
-    f = TabulatedFunction(N, "Real", fvals_r, "random_f")
-    et_r = [0.0] * (N + 1)
+            fvals[p] = draw_f()
+    et = zeros(N + 1, kind)
     for d in range(1, N + 1, 2):
         if mobius_int(d) != 0:
-            et_r[d] = rng.uniform(0.5, 3.0) * rng.choice((-1, 1))
-    g = TruncatedDivisorSum(N, "Real", et_r, "random_g")
-    return f, g
+            et[d] = draw_g()
+    return (TabulatedFunction(N, kind, fvals, "random_f"),
+            TruncatedDivisorSum(N, kind, et, "random_g"))

@@ -25,7 +25,7 @@ from .ramanujan import (RamanujanCoefficients, lucht_invert, ramanujan_expand,
                         support_closure_check, universal_period,
                         wintner_coefficients, wintner_period)
 from .transforms import (TruncatedDivisorSum, evaluate_tds,
-                         evaluate_tds_range, lambda_tds, odd_lift)
+                         evaluate_tds_range, lambda_tds, odd_lift, retruncate)
 from .twoseasons import (combinatorial_identity_check, diophantine_count_even,
                          diophantine_count_odd, random_ts_instance)
 
@@ -42,6 +42,16 @@ def _random_tds(rng: random.Random, D: int, n_points: int = 10,
             v = rng.randint(-9, 9)
         et[d] = v
     return TruncatedDivisorSum(D, EXACT, et)
+
+
+def _mismatch(got, want, exact: bool) -> bool:
+    return got != want if exact else abs(got - want) > TOL
+
+
+def _entries(t, top: int) -> list:
+    """The values of table t on [0..top] as Python scalars, zero past its
+    limit."""
+    return retruncate(t, top).values.tolist()
 
 
 def _verdict(name: str, checks: int, failures: list) -> dict:
@@ -74,12 +84,11 @@ def _pair_expansion_failures(g: TruncatedDivisorSum,
                              a_max: int = 500) -> list:
     failures = []
     derived = wintner_coefficients(g)
-    top = max(coeffs.cutoff, derived.cutoff)
+    top = max(coeffs.limit, derived.limit)
+    wants, gots = _entries(derived, top), _entries(coeffs, top)
     for q in range(1, top + 1):
-        want = derived.coeffs[q] if q <= derived.cutoff else 0
-        got = coeffs.coeffs[q] if q <= coeffs.cutoff else 0
-        bad = (want != got) if g.kind == EXACT else abs(want - got) > TOL
-        if bad:
+        want, got = wants[q], gots[q]
+        if _mismatch(got, want, g.is_exact):
             failures.append({"check": "coefficient", "q": q,
                              "got": str(got), "expected": str(want)})
             if len(failures) >= 5:
@@ -87,8 +96,7 @@ def _pair_expansion_failures(g: TruncatedDivisorSum,
     for a in range(1, a_max + 1):
         lhs = ramanujan_expand(coeffs, a)
         rhs = evaluate_tds(g, a)
-        bad = (lhs != rhs) if g.kind == EXACT else abs(lhs - rhs) > TOL
-        if bad:
+        if _mismatch(lhs, rhs, g.is_exact):
             failures.append({"check": "expansion", "a": a,
                              "got": str(lhs), "expected": str(rhs)})
             if len(failures) >= 5:
@@ -151,26 +159,22 @@ def suite_lucht(seed: int = 0, tds: TruncatedDivisorSum | None = None,
                                           "error": str(exc)}])
         if tds is not None:
             reference = tds
-            top = max(back.cutoff, reference.cutoff)
+            top = max(back.limit, reference.limit)
+            gots, wants = _entries(back, top), _entries(reference, top)
             for d in range(1, top + 1):
-                got = back.et_values[d] if d <= back.cutoff else 0
-                want = reference.et_values[d] if d <= reference.cutoff else 0
+                got, want = gots[d], wants[d]
                 checks += 1
-                bad = (got != want) if reference.kind == EXACT else \
-                    abs(got - want) > TOL
-                if bad:
+                if _mismatch(got, want, reference.is_exact):
                     failures.append({"check": "lucht", "d": d,
                                      "got": str(got), "expected": str(want)})
                     if len(failures) >= 5:
                         break
         else:
             rederived = wintner_coefficients(back)
-            for q in range(1, coeffs.cutoff + 1):
+            for q in range(1, coeffs.limit + 1):
                 checks += 1
-                got, want = rederived.coeffs[q], coeffs.coeffs[q]
-                bad = (got != want) if coeffs.kind == EXACT else \
-                    abs(got - want) > TOL
-                if bad:
+                got, want = rederived[q], coeffs[q]
+                if _mismatch(got, want, coeffs.is_exact):
                     failures.append({"check": "lucht-roundtrip", "q": q,
                                      "got": str(got), "expected": str(want)})
                     if len(failures) >= 5:
@@ -180,15 +184,15 @@ def suite_lucht(seed: int = 0, tds: TruncatedDivisorSum | None = None,
     for i in range(25):
         g = _random_tds(rng, rng.randint(5, 120))
         back = lucht_invert(wintner_coefficients(g))
-        checks += g.cutoff
-        if list(back.et_values) != list(g.et_values):
-            d = next(d for d in range(1, g.cutoff + 1)
-                     if back.et_values[d] != g.et_values[d])
+        checks += g.limit
+        if list(back.values) != list(g.values):
+            d = next(d for d in range(1, g.limit + 1)
+                     if back.values[d] != g.values[d])
             failures.append({"check": "lucht", "tds": i, "d": d})
     g_lam = lambda_tds(60)
     back = lucht_invert(wintner_coefficients(g_lam))
     checks += 60
-    diffs = np.abs(back.et_values - g_lam.et_values)
+    diffs = np.abs(back.values - g_lam.values)
     if diffs.max() > TOL:
         failures.append({"check": "lucht-real", "d": int(diffs.argmax())})
     return _verdict("lucht", checks, failures)

@@ -92,33 +92,33 @@ class TestOrthogonality:
 class TestWintnerCoefficients:
     def test_delta_one(self):
         c = wintner_coefficients(tds_from_et({1: 1}, 6, EXACT))
-        assert c.coeffs[1] == 1
-        assert all(c.coeffs[q] == 0 for q in range(2, 7))
+        assert c.values[1] == 1
+        assert all(c.values[q] == 0 for q in range(2, 7))
 
     def test_two_point_example(self):
         c = wintner_coefficients(tds_from_et({3: 1, 6: 2}, 6, EXACT))
-        assert c.coeffs[3] == Fraction(2, 3)
-        assert c.coeffs[6] == Fraction(1, 3)
-        assert c.coeffs[1] == Fraction(1, 3) + Fraction(1, 3)
+        assert c.values[3] == Fraction(2, 3)
+        assert c.values[6] == Fraction(1, 3)
+        assert c.values[1] == Fraction(1, 3) + Fraction(1, 3)
 
     def test_direct_sum_oracle(self, rng):
         g = random_tds(rng, 60)
         c = wintner_coefficients(g)
         for q in range(1, 61):
-            direct = sum(Fraction(g.et_values[d], d)
+            direct = sum(Fraction(g.values[d], d)
                          for d in range(q, 61, q))
-            assert c.coeffs[q] == direct
+            assert c.values[q] == direct
 
     def test_zero_tds(self):
         c = wintner_coefficients(tds_from_et({}, 8, EXACT))
-        assert all(v == 0 for v in c.coeffs)
+        assert all(v == 0 for v in c.values)
         assert c.max_support() == 0
 
     def test_lambda_half_range_values(self, table_200):
         g = lambda_tds(10, table_200)
         c = wintner_coefficients(g)
         for q in range(6, 11):
-            assert c.coeffs[q] == pytest.approx(
+            assert c.values[q] == pytest.approx(
                 -mobius_int(q) * math.log(q) / q, abs=1e-12)
 
     def test_max_support_equality(self, rng):
@@ -180,24 +180,24 @@ class TestLuchtInversion:
     def test_delta_one(self):
         g = tds_from_et({1: 1}, 5, EXACT)
         back = lucht_invert(wintner_coefficients(g))
-        assert list(back.et_values) == list(g.et_values)
+        assert list(back.values) == list(g.values)
 
     def test_lambda_round_trip(self, table_200):
         g = lambda_tds(10, table_200)
         back = lucht_invert(wintner_coefficients(g))
         for d in range(1, 11):
-            assert back.et_values[d] == pytest.approx(
+            assert back.values[d] == pytest.approx(
                 -mobius_int(d) * math.log(d), abs=1e-9)
 
     def test_zero_round_trip(self):
         back = lucht_invert(wintner_coefficients(tds_from_et({}, 7, EXACT)))
-        assert all(v == 0 for v in back.et_values)
+        assert all(v == 0 for v in back.values)
 
     def test_random_round_trips(self, rng):
         for _ in range(30):
             g = random_tds(rng, rng.randint(3, 120))
             back = lucht_invert(wintner_coefficients(g))
-            assert list(back.et_values) == list(g.et_values)
+            assert list(back.values) == list(g.values)
 
     def test_rejects_non_tds_coefficients(self):
         bad = RamanujanCoefficients(3, EXACT,
@@ -294,8 +294,8 @@ class TestHalfRangeIdentity:
     def test_zero_transform_entry_gives_zero_coefficient(self, table_200):
         g = truncate(tabulate("lambda", 16, table_200), 16)
         c = wintner_coefficients(g)
-        assert g.et_values[16] == pytest.approx(0.0)  # 16 is not square-free
-        assert c.coeffs[16] == pytest.approx(0.0)
+        assert g.values[16] == pytest.approx(0.0)  # 16 is not square-free
+        assert c.values[16] == pytest.approx(0.0)
 
 
 class TestCoefficientSerialization:
@@ -305,7 +305,7 @@ class TestCoefficientSerialization:
         buf = io.StringIO()
         write_coefficients(c, buf)
         back = read_coefficients(io.StringIO(buf.getvalue()))
-        assert back.coeffs == c.coeffs
+        assert list(back.values) == list(c.values)
 
     def test_round_trip_real(self, table_200):
         c = wintner_coefficients(lambda_tds(12, table_200))
@@ -313,7 +313,7 @@ class TestCoefficientSerialization:
         write_coefficients(c, buf)
         back = read_coefficients(io.StringIO(buf.getvalue()))
         for q in range(1, 13):
-            assert back.coeffs[q] == c.coeffs[q]
+            assert back.values[q] == c.values[q]
 
     def test_malformed(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ramcorr.arith_core import (EXACT, REAL, TabulatedFunction, mobius_int,
-                                tabulate)
+                                odd_part, tabulate)
 from ramcorr.transforms import (dirichlet_convolve,
                                 divisor_sum_transform, eratosthenes_transform,
                                 evaluate_tds, evaluate_tds_range, lambda_tds,
@@ -101,7 +101,7 @@ class TestTruncation:
     def test_lambda_truncation_values(self, table_200):
         g = truncate(tabulate("lambda", 10, table_200), 10)
         for d in range(1, 11):
-            assert g.et_values[d] == pytest.approx(
+            assert g.values[d] == pytest.approx(
                 -mobius_int(d) * math.log(d), abs=1e-9)
 
     def test_inactive_truncation_reproduces_function(self, rng):
@@ -122,14 +122,14 @@ class TestTruncation:
         materialised = TabulatedFunction(
             20, EXACT, evaluate_tds_range(g, 20))
         again = truncate(materialised, 20)
-        assert list(again.et_values) == list(g.et_values)
+        assert list(again.values) == list(g.values)
 
     def test_retruncate(self):
         g = tds_from_et({3: 4, 15: 1}, 20, EXACT)
         low = retruncate(g, 10)
-        assert low.cutoff == 10 and low.et_values[3] == 4
+        assert low.limit == 10 and low.values[3] == 4
         high = retruncate(g, 30)
-        assert high.cutoff == 30 and high.et_values[15] == 1
+        assert high.limit == 30 and high.values[15] == 1
 
 
 class TestEvaluateTds:
@@ -172,6 +172,7 @@ class TestOddLift:
         lifted = odd_lift(F)
         assert lifted[12] == F[3]
         assert lifted[40] == F[5]
+        assert all(lifted[n] == F[odd_part(n)] for n in range(1, 41))
 
     def test_lambda_at_powers_of_two(self, table_200):
         lam = tabulate("lambda", 64, table_200)
@@ -198,7 +199,7 @@ class TestOddLift:
     def test_odd_supported_tds_is_fixed_point(self):
         g = tds_from_et({1: 2, 3: -1, 15: 4}, 20, EXACT)
         lifted = odd_lift(g)
-        assert list(lifted.et_values) == list(g.et_values)
+        assert list(lifted.values) == list(g.values)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -211,15 +212,15 @@ class TestSerialization:
         buf = io.StringIO()
         write_tds(g, buf)
         back = read_tds(io.StringIO(buf.getvalue()))
-        assert back.cutoff == 12 and back.kind == EXACT
-        assert list(back.et_values) == list(g.et_values)
+        assert back.limit == 12 and back.kind == EXACT
+        assert list(back.values) == list(g.values)
 
     def test_round_trip_real(self, table_200):
         g = lambda_tds(20, table_200)
         buf = io.StringIO()
         write_tds(g, buf)
         back = read_tds(io.StringIO(buf.getvalue()))
-        assert np.max(np.abs(back.et_values - g.et_values)) == 0.0
+        assert np.max(np.abs(back.values - g.values)) == 0.0
 
     @pytest.mark.parametrize("text", [
         "",                                  # no header
