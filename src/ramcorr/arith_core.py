@@ -36,6 +36,10 @@ REAL = "Real"
 # exact cancellation at desk scale).
 SUPPORT_EPS = 1e-12
 
+# Default cap on sieve limits and on the cutoff of a table read from a
+# file (the CLI's ``sieve_limit``), so that no request allocates more.
+SIEVE_CAP = 2_000_000
+
 
 # ----------------------------------------------------------------------
 # prime sieve

@@ -28,13 +28,14 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .arith_core import sieve_primes, tabulate, tabulated_function_names
+from .arith_core import (SIEVE_CAP, sieve_primes, tabulate,
+                         tabulated_function_names)
 from .correlations import build_profile, profile_to_csv, profile_to_json
 from .hlmodels import (model_chain, model_rows_to_csv, singular_series,
                        singular_to_csv)
 from .ramanujan import read_coefficients, universal_period
-from .transforms import (lambda_tds, odd_lift, read_tds_path, retruncate,
-                         tds_from_et, truncate, write_tds)
+from .transforms import (lambda_tds, odd_lift, open_table, read_tds_path,
+                         retruncate, tds_from_et, truncate, write_tds)
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -44,7 +45,7 @@ EXIT_USAGE = 2
 
 @dataclass
 class RunConfig:
-    sieve_limit: int = 2_000_000
+    sieve_limit: int = SIEVE_CAP
     tolerance_real: float = 1e-9
     output_format: str = "csv"
     output_path: str | None = None
@@ -145,7 +146,7 @@ def _cmd_transform(args, cfg: RunConfig) -> int:
             g = truncate(tabulate(name, N, table), N)
     else:
         try:
-            g = retruncate(read_tds_path(args.infile), N)
+            g = retruncate(read_tds_path(args.infile, cfg.sieve_limit), N)
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load TDS file: {exc}") from None
     buf = io.StringIO()
@@ -208,7 +209,7 @@ def _resolve_g(name: str, N: int, cfg: RunConfig):
     if name == "delta1":
         return tds_from_et({1: 1}, N, "ExactInt", name="delta1")
     try:
-        return read_tds_path(name)
+        return read_tds_path(name, cfg.sieve_limit)
     except OSError:
         raise UsageError(
             f"--g {name!r} is neither a readable file nor one of "
@@ -252,13 +253,13 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     coeffs = None
     if args.tds is not None:
         try:
-            tds = read_tds_path(args.tds)
+            tds = read_tds_path(args.tds, cfg.sieve_limit)
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load TDS file: {exc}") from None
     if args.coeffs is not None:
         try:
-            with open(args.coeffs, "r", encoding="ascii") as fh:
-                coeffs = read_coefficients(fh)
+            with open_table(args.coeffs) as fh:
+                coeffs = read_coefficients(fh, cfg.sieve_limit)
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load coefficient file: {exc}") from None
     try:

@@ -12,8 +12,16 @@ divisibility by small d.  The expansion form rewrites the same sum as
     C(N, a) = sum over q of ghat(q) * sum over n <= N of f(n) c_q(n + a),
 
 a finite rearrangement, so the two routes agree identically (exactly in
-the ExactInt domain).  Each inner sum reduces a mod q once, so a huge
-shift costs a single big-integer reduction per modulus.
+the ExactInt domain).  Both routes cost a huge shift a single big-integer
+reduction per modulus.  The direct route for a truncated divisor sum
+swaps the order of summation into residue classes,
+
+    C(N, a) = sum over d in supp g' of g'(d) * sum over n <= N with
+              n = -a (mod d) of f(n),
+
+so each d pays one reduction (-a mod d) and one strided sum over f,
+never one divisibility test per (n, d) pair; the expansion route
+reduces a mod q once per coefficient q.
 """
 
 from __future__ import annotations
@@ -25,8 +33,7 @@ from fractions import Fraction
 from .arith_core import TabulatedFunction
 from .ramanujan import (Period, UndefinedPeriodError, ramanujan_sum_table,
                         wintner_coefficients)
-from .transforms import (TruncatedDivisorSum, eratosthenes_transform,
-                         evaluate_tds)
+from .transforms import TruncatedDivisorSum, eratosthenes_transform
 
 REAL_TOL = 1e-9
 
@@ -39,22 +46,40 @@ def correlate_direct(f: TabulatedFunction, g, N: int, a: int):
     """C(N, a) by the defining sum.
 
     g may be a TabulatedFunction (then it must reach N + a) or a
-    TruncatedDivisorSum (then a may be huge).
+    TruncatedDivisorSum (then a may be huge).  For a TDS the sum runs
+    over residue classes (see the module docstring): one reduction
+    -a mod d and one strided slice-sum of f per d in supp g', so the
+    cost is |supp g'| reductions plus about N * sum(1/d) additions,
+    whatever the size of a.  One body serves both domains; the value
+    arrays' dtypes (``arith_core.DTYPES``) decide the arithmetic.
+
+    The result is a Python int for an exact pair and a float otherwise.
+    In the Real domain each term g'(d) f(n) passes through at most
+    N + s - 1 roundings (s = |supp g'|), so the result differs from the
+    exact sum by at most
+
+        gamma(N + s) * N * max|f| * sum|g'|,   gamma(m) = m u / (1 - m u),
+
+    with u = 2**-53 and max|f| taken over [1..N].
     """
     if a < 1:
         raise ValueError(f"shifts are naturals >= 1, got {a}")
     if f.limit < N:
         raise ValueError(f"f tabulated only to {f.limit}, need {N}")
     exact = _is_exact_pair(f, g)
-    acc = 0 if exact else 0.0
     if isinstance(g, TruncatedDivisorSum):
-        for n, fv in f.support_upto(N):
-            acc += fv * evaluate_tds(g, n + a)
-        return acc
+        fvals = f.values[: N + 1]
+        acc = 0
+        for d, gd in g.support():
+            start = -a % d or d  # least n >= 1 with d | n + a
+            if start <= N:
+                acc += gd * fvals[start::d].sum()
+        return acc if exact else float(acc)
     if g.limit < N + a:
         raise ValueError(
             f"g tabulated only to {g.limit}, not evaluable at N+a={N + a}")
     gv = g.values
+    acc = 0 if exact else 0.0
     for n, fv in f.support_upto(N):
         acc += fv * gv[n + a]
     return int(acc) if exact else float(acc)

@@ -31,8 +31,8 @@ from math import gcd
 
 import numpy as np
 
-from .arith_core import (SUPPORT_EPS, TabulatedFunction, divisors_int,
-                         is_prime_int, mobius_int, zeros)
+from .arith_core import (SIEVE_CAP, SUPPORT_EPS, TabulatedFunction,
+                         divisors_int, is_prime_int, mobius_int, zeros)
 from .transforms import (TruncatedDivisorSum, read_table, truncate,
                          write_tds)
 
@@ -274,5 +274,5 @@ def half_range_identity_check(g_source: TabulatedFunction, N: int,
 write_coefficients = write_tds
 
 
-def read_coefficients(fh) -> RamanujanCoefficients:
-    return read_table(fh, RamanujanCoefficients, Fraction)
+def read_coefficients(fh, max_cutoff: int = SIEVE_CAP) -> RamanujanCoefficients:
+    return read_table(fh, RamanujanCoefficients, Fraction, max_cutoff)

@@ -22,11 +22,12 @@ TDS and coefficient files alike.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
-from .arith_core import (DTYPES, EXACT, REAL, PrimeTable, TabulatedFunction,
-                         sieve_primes, zeros)
+from .arith_core import (DTYPES, EXACT, REAL, SIEVE_CAP, PrimeTable,
+                         TabulatedFunction, sieve_primes, zeros)
 
 
 class TruncatedDivisorSum(TabulatedFunction):
@@ -200,15 +201,36 @@ def write_tds(g: TabulatedFunction, fh) -> None:
         fh.write(f"{d}\t{v}\n")
 
 
-def read_table(fh, cls, parse_exact):
+# the only exact value text write_tds emits: an int or a Fraction's p/q
+_EXACT_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _ascii(lineno: int, line: str) -> str:
+    """The line itself, or ValueError naming its first non-ASCII byte.
+
+    Files are opened by ``open_table``, which passes a raw byte b through
+    as the lone surrogate U+DC00 + b.
+    """
+    if line.isascii():
+        return line
+    c = ord(next(ch for ch in line if not ch.isascii()))
+    what = (f"byte {c - 0xDC00:#04x}" if 0xDC80 <= c <= 0xDCFF
+            else f"character U+{c:04X}")
+    raise ValueError(f"line {lineno}: non-ASCII {what}")
+
+
+def read_table(fh, cls, parse_exact, max_cutoff: int = SIEVE_CAP):
     """Read the text format into a ``cls`` table.
 
-    ExactInt values are parsed by ``parse_exact``, Real values by float.
-    Every fault raises ValueError("line N: ...") locating it: a malformed
-    header, an entry that does not parse, an index outside [1, cutoff], a
-    second entry for the same index, or a NaN or infinite value.
+    ExactInt values must read ``[-]digits`` or ``[-]digits/digits`` and
+    are then parsed by ``parse_exact``; Real values are parsed by float.
+    Every fault raises ValueError("line N: ...") locating it: a non-ASCII
+    byte, a malformed header, a cutoff above ``max_cutoff`` (checked
+    before the table is allocated), an entry that does not parse, an
+    index outside [1, cutoff], a second entry for the same index, or a
+    NaN or infinite value.
     """
-    header = fh.readline()
+    header = _ascii(1, fh.readline())
     parts = header.split()
     fields = dict(part.partition("=")[::2] for part in parts)
     if len(parts) != 2 or set(fields) != {"cutoff", "kind"}:
@@ -221,16 +243,23 @@ def read_table(fh, cls, parse_exact):
     kind = fields["kind"]
     if kind not in DTYPES or cutoff < 1:
         raise ValueError(f"line 1: malformed header {header!r}")
-    parse = parse_exact if kind == EXACT else float
+    if cutoff > max_cutoff:
+        raise ValueError(
+            f"line 1: cutoff {cutoff} exceeds the cap {max_cutoff} "
+            "(sieve_limit)")
+    exact = kind == EXACT
+    parse = parse_exact if exact else float
     entries = {}
     for lineno, line in enumerate(fh, start=2):
-        line = line.strip()
+        line = _ascii(lineno, line).strip()
         if not line:
             continue
         cols = line.split("\t")
         if len(cols) != 2:
             raise ValueError(f"line {lineno}: expected 'd<TAB>value'")
         try:
+            if exact and not _EXACT_TEXT.fullmatch(cols[1]):
+                raise ValueError(cols[1])
             d, v = int(cols[0]), parse(cols[1])
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"line {lineno}: bad entry {line!r}") from None
@@ -244,8 +273,8 @@ def read_table(fh, cls, parse_exact):
     return cls.from_entries(entries, cutoff, kind)
 
 
-def read_tds(fh) -> TruncatedDivisorSum:
-    return read_table(fh, TruncatedDivisorSum, int)
+def read_tds(fh, max_cutoff: int = SIEVE_CAP) -> TruncatedDivisorSum:
+    return read_table(fh, TruncatedDivisorSum, int, max_cutoff)
 
 
 def write_tds_path(g: TruncatedDivisorSum, path) -> None:
@@ -253,6 +282,12 @@ def write_tds_path(g: TruncatedDivisorSum, path) -> None:
         write_tds(g, fh)
 
 
-def read_tds_path(path) -> TruncatedDivisorSum:
-    with open(path, "r", encoding="ascii") as fh:
-        return read_tds(fh)
+def open_table(path):
+    """Open a table file for ``read_table``, which names the line of any
+    non-ASCII byte."""
+    return open(path, "r", encoding="ascii", errors="surrogateescape")
+
+
+def read_tds_path(path, max_cutoff: int = SIEVE_CAP) -> TruncatedDivisorSum:
+    with open_table(path) as fh:
+        return read_tds(fh, max_cutoff)

@@ -4,15 +4,18 @@ import math
 
 import pytest
 
-from ramcorr.arith_core import EXACT, TabulatedFunction, tabulate
+from ramcorr import correlations, transforms
+from ramcorr.arith_core import EXACT, REAL, TabulatedFunction, tabulate
 from ramcorr.correlations import (CorrelationProfile, build_profile,
                                   correlate_direct, correlate_expansion,
                                   profile_to_csv, profile_to_json,
                                   small_shift_difference,
                                   truncation_difference, verify_periodicity)
+from ramcorr.hlmodels import artifact_pair
 from ramcorr.ramanujan import (UndefinedPeriodError, universal_period,
                                wintner_period)
-from ramcorr.transforms import lambda_tds, odd_lift, tds_from_et, truncate
+from ramcorr.transforms import (evaluate_tds, lambda_tds, odd_lift,
+                                tds_from_et, truncate)
 
 
 def spf_von_mangoldt(n):
@@ -68,6 +71,130 @@ class TestCorrelateDirect:
         g = odd_lift(lambda_tds(20, table_200))
         value = correlate_direct(f, g, 20, 10 ** 27 + 5)
         assert math.isfinite(value)
+
+
+def per_n_direct(f, g, N, a):
+    """Oracle: the defining sum with g evaluated once per n in supp f,
+    i.e. |supp g'| reductions of n + a for every n."""
+    acc = 0 if f.is_exact and g.is_exact else 0.0
+    for n, fv in f.support_upto(N):
+        acc += fv * evaluate_tds(g, n + a)
+    return acc
+
+
+def direct_error_bound(f, g, N):
+    """The bound correlate_direct's docstring states for the Real domain:
+    gamma(N + s) * N * max|f| * sum|g'|, s = |supp g'|.  The per-n oracle
+    meets the same bound (each term passes through at most s - 1 + 1 +
+    N - 1 roundings there too)."""
+    u = 2.0 ** -53
+    m = N + len(g.support())
+    gamma = m * u / (1 - m * u)
+    max_f = max((abs(v) for _, v in f.support_upto(N)), default=0.0)
+    return gamma * N * max_f * sum(abs(v) for _, v in g.support())
+
+
+def random_tds(rng, cutoff, size, kind=EXACT):
+    draw = ((lambda: rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
+            if kind == EXACT else (lambda: rng.uniform(-3.0, 3.0)))
+    ds = rng.sample(range(1, cutoff + 1), min(size, cutoff))
+    return tds_from_et({d: draw() for d in ds}, cutoff, kind)
+
+
+def kernel_shifts(N):
+    U = universal_period(N).value
+    return [*range(1, 65), *(10 ** 27 + k for k in range(4)),
+            *(U + k for k in range(1, 5))]
+
+
+class TestResidueClassKernel:
+    """correlate_direct on a TDS sums f over residue classes mod each d;
+    the per-n route and the expansion route are its oracles."""
+
+    def test_matches_per_n_route_exact(self, rng):
+        for _ in range(25):
+            N = rng.randint(1, 60)
+            # f reaches past N, the cutoff may exceed N, supports may be empty
+            f = random_exact_table(rng, N + rng.randint(0, 20))
+            g = random_tds(rng, rng.randint(1, 3 * N), rng.randint(0, 12))
+            for a in kernel_shifts(N):
+                got = correlate_direct(f, g, N, a)
+                assert type(got) is int
+                assert got == per_n_direct(f, g, N, a)
+
+    def test_shift_divisible_by_modulus(self, rng):
+        f = random_exact_table(rng, 20)
+        g = tds_from_et({5: 3}, 20, EXACT)
+        want = 3 * (f[5] + f[10] + f[15] + f[20])
+        for a in (5, 10, 10 ** 27):  # -a % 5 == 0: the class starts at 5
+            assert correlate_direct(f, g, 20, a) == want
+            assert per_n_direct(f, g, 20, a) == want
+
+    def test_class_starting_past_n_contributes_nothing(self, rng):
+        f = random_exact_table(rng, 20)
+        g = tds_from_et({1: 2, 50: 7}, 60, EXACT)
+        # -7 % 50 = 43 > 20: d = 50 hits no n <= 20
+        want = 2 * sum(f[n] for n in range(1, 21))
+        assert correlate_direct(f, g, 20, 7) == want
+        assert per_n_direct(f, g, 20, 7) == want
+
+    def test_entries_of_f_past_n_are_ignored(self, rng):
+        f = random_exact_table(rng, 40)
+        f_n = TabulatedFunction(25, EXACT, f.values[:26])
+        g = tds_from_et({1: 1, 2: -3, 7: 5}, 9, EXACT)
+        for a in (1, 2, 6, 10 ** 27 + 1):
+            assert correlate_direct(f, g, 25, a) == correlate_direct(
+                f_n, g, 25, a) == per_n_direct(f, g, 25, a)
+
+    def test_empty_support(self, rng):
+        f = random_exact_table(rng, 10)
+        assert correlate_direct(f, tds_from_et({}, 10, EXACT), 10, 3) == 0
+        real = correlate_direct(f, tds_from_et({}, 10, REAL), 10, 3)
+        assert type(real) is float and real == 0.0
+
+    def test_matches_per_n_route_real_within_stated_bound(self, rng):
+        for _ in range(10):
+            N = rng.randint(5, 200)
+            f = TabulatedFunction(N, REAL, [0.0] + [
+                rng.uniform(-5.0, 5.0) if rng.random() < 0.6 else 0.0
+                for _ in range(N)])
+            g = random_tds(rng, rng.randint(1, 2 * N), rng.randint(0, 40),
+                           REAL)
+            # each route lies within the bound of the exact sum
+            bound = 2 * direct_error_bound(f, g, N)
+            for a in kernel_shifts(N)[::3]:
+                got = correlate_direct(f, g, N, a)
+                assert type(got) is float
+                assert abs(got - per_n_direct(f, g, N, a)) <= bound
+
+    def test_artifact_pair_within_stated_bound(self, table_2k):
+        N = 300
+        f, g = artifact_pair(N, table_2k)
+        bound = 2 * direct_error_bound(f, g, N)
+        for a in kernel_shifts(N)[::5]:
+            assert abs(correlate_direct(f, g, N, a)
+                       - per_n_direct(f, g, N, a)) <= bound
+
+    def test_tds_route_never_evaluates_g_per_n(self, monkeypatch, table_2k):
+        def per_n_evaluation(*args):
+            raise AssertionError("correlate_direct evaluated g per n")
+
+        monkeypatch.setattr(transforms, "evaluate_tds", per_n_evaluation)
+        monkeypatch.setattr(correlations, "evaluate_tds", per_n_evaluation,
+                            raising=False)
+        N = 500
+        f, g = artifact_pair(N, table_2k)
+        U = universal_period(N).value
+        assert correlate_direct(f, g, N, U + 2) == correlate_direct(f, g, N, 2)
+        assert verify_periodicity(f, g, N, U, [1, 2])
+
+    def test_huge_shift_identity_at_n_20000(self, table_20k):
+        # U has 28573 bits; the per-n route would need ~18 million
+        # reductions of it per shift
+        N = 20_000
+        f, g = artifact_pair(N, table_20k)
+        U = universal_period(N).value
+        assert correlate_direct(f, g, N, U + 2) == correlate_direct(f, g, N, 2)
 
 
 class TestCorrelateExpansion:

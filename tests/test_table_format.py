@@ -2,6 +2,7 @@
 and rejection of every malformed line with its line number."""
 
 import io
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,8 @@ from ramcorr.arith_core import EXACT, REAL
 from ramcorr.cli import main
 from ramcorr.ramanujan import (RamanujanCoefficients, read_coefficients,
                                write_coefficients)
-from ramcorr.transforms import TruncatedDivisorSum, read_tds, write_tds
+from ramcorr.transforms import (TruncatedDivisorSum, read_tds, read_tds_path,
+                                write_tds)
 
 READERS = {"tds": read_tds, "coefficients": read_coefficients}
 
@@ -121,6 +123,68 @@ def test_exact_tds_values_must_be_integers():
         read_tds(io.StringIO("cutoff=5 kind=ExactInt\n2\t1/2\n"))
 
 
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("kind", [EXACT, REAL])
+def test_cutoff_above_the_cap_rejected_before_allocation(reader, kind):
+    # a reader that allocates first would ask for 10**12 slots here
+    with pytest.raises(ValueError,
+                       match=r"^line 1: cutoff 1000000000000 exceeds"):
+        READERS[reader](io.StringIO(f"cutoff={10 ** 12} kind={kind}\n"))
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_cap_is_a_parameter(reader):
+    text = "cutoff=6 kind=ExactInt\n6\t1\n"
+    assert READERS[reader](io.StringIO(text), 6).limit == 6
+    with pytest.raises(ValueError, match=r"^line 1: cutoff 6 exceeds"):
+        READERS[reader](io.StringIO(text), 5)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("value", [
+    "1e999999999", "1E5", "1.5", "2.0", ".5", "+3", " 4", "1_000", "0x10",
+    "1/2/3", "-1/-2", "1 /2", "1/+2", "--1",
+])
+def test_exact_values_outside_the_written_grammar_rejected(reader, value):
+    with pytest.raises(ValueError, match=r"^line 3: bad entry"):
+        _read_with_line(reader, EXACT, f"5\t{value}")
+
+
+EXACT_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@settings(max_examples=200)
+@given(value=st.text("0123456789-+/.eE_x ", min_size=1, max_size=8))
+def test_exact_value_is_read_only_in_the_written_grammar(reader, value):
+    try:
+        _read_with_line(reader, EXACT, f"5\t{value}")
+    except ValueError as exc:
+        assert str(exc).startswith("line 3: "), str(exc)
+    else:
+        assert EXACT_TEXT.fullmatch(value.strip())
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("text, lineno, what", [
+    ("cutoff=10 kind=ExactInt\n3\t1\n5\t\u06632\n", 3, "character U+0663"),
+    ("cutoff=10 kind=ExactInt\n3\t1\n5\t\udcc3\n", 3, "byte 0xc3"),
+    ("cutoff=10\u00a0kind=ExactInt\n", 1, "character U+00A0"),
+])
+def test_non_ascii_text_rejected_with_its_line(reader, text, lineno, what):
+    # an Arabic-Indic digit used to be read as 3 by int()
+    with pytest.raises(ValueError,
+                       match=rf"^line {lineno}: non-ASCII {re.escape(what)}"):
+        READERS[reader](io.StringIO(text))
+
+
+def test_non_ascii_byte_in_a_file_names_its_line(tmp_path):
+    path = tmp_path / "g.tds"
+    path.write_bytes(b"cutoff=10 kind=ExactInt\n3\t1\n\n7\t\xe9\n")
+    with pytest.raises(ValueError, match=r"^line 4: non-ASCII byte 0xe9"):
+        read_tds_path(path)
+
+
 class TestCli:
     """Faulty input files exit 2 with the located message."""
 
@@ -163,3 +227,44 @@ class TestCli:
                               str(tds), "--coeffs", str(coeffs))
         assert code == 2
         assert "line 4: duplicate entry" in err
+
+    def test_oversized_cutoff_rejected(self, capsys, tmp_path):
+        path = tmp_path / "g.tds"
+        path.write_text(f"cutoff={10 ** 12} kind=ExactInt\n")
+        code, err = self._run(capsys, "correlate", "--f", "unit", "--g",
+                              str(path), "--N", "10", "--shifts", "1")
+        assert code == 2
+        assert "line 1: cutoff 1000000000000 exceeds the cap 2000000" in err
+
+    def test_cap_follows_the_sieve_limit(self, capsys, tmp_path):
+        path = tmp_path / "g.tds"
+        path.write_text("cutoff=30 kind=ExactInt\n1\t1\n")
+        argv = ["correlate", "--f", "unit", "--g", str(path), "--N", "10",
+                "--shifts", "1"]
+        code, err = self._run(capsys, "--sieve-limit", "20", *argv)
+        assert code == 2
+        assert "line 1: cutoff 30 exceeds the cap 20" in err
+        assert self._run(capsys, *argv)[0] == 0
+
+    NON_ASCII_TDS = b"cutoff=10 kind=ExactInt\n3\t1\n5\t\xc3\xa92\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("correlate", "--f", "unit", "--N", "10", "--shifts", "1", "--g"),
+        ("verify", "lucht", "--tds"),
+    ])
+    def test_non_ascii_tds_names_its_line(self, capsys, tmp_path, argv):
+        path = tmp_path / "g.tds"
+        path.write_bytes(self.NON_ASCII_TDS)
+        code, err = self._run(capsys, *argv, str(path))
+        assert code == 2
+        assert "line 3: non-ASCII byte 0xc3" in err
+
+    def test_non_ascii_coefficients_name_their_line(self, capsys, tmp_path):
+        tds = tmp_path / "g.tds"
+        tds.write_text("cutoff=4 kind=ExactInt\n2\t1\n")
+        coeffs = tmp_path / "g.coeffs"
+        coeffs.write_bytes(b"cutoff=4 kind=ExactInt\n1\t1/2\xff\n")
+        code, err = self._run(capsys, "verify", "expansion", "--tds",
+                              str(tds), "--coeffs", str(coeffs))
+        assert code == 2
+        assert "line 2: non-ASCII byte 0xff" in err
