@@ -38,6 +38,8 @@ SUPPORT_EPS = 1e-12
 
 # Default cap on sieve limits and on the cutoff of a table read from a
 # file (the CLI's ``sieve_limit``), so that no request allocates more.
+# Library calls that sieve for themselves refuse limits above it; a
+# caller that needs more builds the PrimeTable and passes it.
 SIEVE_CAP = 2_000_000
 
 
@@ -110,6 +112,16 @@ def sieve_primes(M: int) -> PrimeTable:
         spf[p::p] = p
     return PrimeTable(limit=M, is_prime=is_prime,
                       smallest_prime_factor=spf, primes=primes)
+
+
+def capped_sieve(M: int) -> PrimeTable:
+    """sieve_primes(max(M, 2)) for a call given no table; a limit above
+    SIEVE_CAP raises ValueError before anything is allocated."""
+    if M > SIEVE_CAP:
+        raise ValueError(
+            f"sieve limit {M} exceeds SIEVE_CAP = {SIEVE_CAP}; "
+            "pass a PrimeTable to go higher")
+    return sieve_primes(max(M, 2))
 
 
 def _check_range(n: int, table: PrimeTable) -> None:
@@ -445,11 +457,12 @@ def tabulated_function_names() -> list[str]:
 
 
 def tabulate(name: str, M: int, table: PrimeTable | None = None) -> TabulatedFunction:
-    """Build a named arithmetic function on [1..M]; sieves if required."""
+    """Build a named arithmetic function on [1..M]; sieves if required
+    (``capped_sieve``) and no table is passed."""
     if name not in _TABULATORS:
         raise ValueError(f"unknown function name {name!r}; "
                          f"known: {', '.join(tabulated_function_names())}")
     if table is None and name in _NEEDS_TABLE:
-        table = sieve_primes(max(M, 2))
+        table = capped_sieve(M)
     builder = _TABULATORS[name]
     return builder(M, table) if name in _NEEDS_TABLE else builder(M, None)

@@ -12,16 +12,23 @@ divisibility by small d.  The expansion form rewrites the same sum as
     C(N, a) = sum over q of ghat(q) * sum over n <= N of f(n) c_q(n + a),
 
 a finite rearrangement, so the two routes agree identically (exactly in
-the ExactInt domain).  Both routes cost a huge shift a single big-integer
-reduction per modulus.  The direct route for a truncated divisor sum
-swaps the order of summation into residue classes,
+the ExactInt domain).  Both routes run on one residue-class kernel: the
+sum of f over the n <= N in the class n = -a (mod d),
 
-    C(N, a) = sum over d in supp g' of g'(d) * sum over n <= N with
-              n = -a (mod d) of f(n),
+    S_d(a) = sum over n <= N with d | n + a of f(n),
 
-so each d pays one reduction (-a mod d) and one strided sum over f,
-never one divisibility test per (n, d) pair; the expansion route
-reduces a mod q once per coefficient q.
+which costs one reduction (-a mod d) and one strided sum over f, never
+one divisibility test per (n, d) pair.  The direct route for a truncated
+divisor sum swaps the order of summation into these classes,
+
+    C(N, a) = sum over d in supp g' of g'(d) S_d(a),
+
+and the expansion route reads the divisor form
+c_q(m) = sum over e | gcd(q, m) of e mu(q/e) the same way,
+
+    sum over n <= N of f(n) c_q(n + a) = sum over e | q of e mu(q/e) S_e(a),
+
+reducing a once per modulus e and building no c_q table.
 """
 
 from __future__ import annotations
@@ -30,9 +37,8 @@ import json
 import math
 from fractions import Fraction
 
-from .arith_core import TabulatedFunction
-from .ramanujan import (Period, UndefinedPeriodError, ramanujan_sum_table,
-                        wintner_coefficients)
+from .arith_core import TabulatedFunction, divisors_int, mobius_int
+from .ramanujan import Period, UndefinedPeriodError, wintner_coefficients
 from .transforms import TruncatedDivisorSum, eratosthenes_transform
 
 REAL_TOL = 1e-9
@@ -40,6 +46,16 @@ REAL_TOL = 1e-9
 
 def _is_exact_pair(f: TabulatedFunction, g) -> bool:
     return f.is_exact and g.is_exact
+
+
+def _class_sum(fvals, a: int, d: int):
+    """S_d(a): the sum of fvals[n] over 1 <= n < len(fvals) with d | n + a.
+
+    One reduction -a mod d (a may be huge) and one strided slice-sum;
+    0 when the class has no member in range.
+    """
+    start = -a % d or d  # least n >= 1 with d | n + a
+    return fvals[start::d].sum() if start < len(fvals) else 0
 
 
 def correlate_direct(f: TabulatedFunction, g, N: int, a: int):
@@ -71,9 +87,7 @@ def correlate_direct(f: TabulatedFunction, g, N: int, a: int):
         fvals = f.values[: N + 1]
         acc = 0
         for d, gd in g.support():
-            start = -a % d or d  # least n >= 1 with d | n + a
-            if start <= N:
-                acc += gd * fvals[start::d].sum()
+            acc += gd * _class_sum(fvals, a, d)
         return acc if exact else float(acc)
     if g.limit < N + a:
         raise ValueError(
@@ -87,23 +101,46 @@ def correlate_direct(f: TabulatedFunction, g, N: int, a: int):
 
 def correlate_expansion(f: TabulatedFunction, g: TruncatedDivisorSum,
                         N: int, a: int):
-    """C(N, a) through the coefficient table of g (dual route)."""
+    """C(N, a) through the coefficient table of g (dual route).
+
+    Sums ghat(q) * inner_q over supp ghat, with each inner sum
+    sum over n <= N of f(n) c_q(n + a) taken in divisor form as
+    sum over e | q of e mu(q/e) S_e(a) (see the module docstring).  Each
+    class sum S_e is computed once per call, so a huge shift costs one
+    reduction per modulus e.  The result is a Python int or Fraction for
+    an exact pair and a float otherwise.
+
+    In the Real domain each elementary term g'(d)/d * e mu(q/e) * f(n)
+    passes through at most N + 3D + 3 roundings (D = g.limit): one
+    division and at most D additions in ghat(q), at most N additions in
+    S_e, the product by e mu(q/e), at most D additions over e, the
+    product by ghat(q) and at most D additions over q.  So the result
+    differs from the exact sum by at most
+
+        gamma(N + 3D + 3) * (N + D) * max|f| * sum over d in supp g' of
+        tau(d)^2 |g'(d)| / d,
+
+    with gamma, u and max|f| as in ``correlate_direct`` and tau the
+    divisor count (e * #{n <= N : e | n + a} <= N + D, and the pairs
+    e | q | d with mu(q/e) != 0 number at most tau(d)^2).
+    """
     if a < 1:
         raise ValueError(f"shifts are naturals >= 1, got {a}")
     if f.limit < N:
         raise ValueError(f"f tabulated only to {f.limit}, need {N}")
-    coeffs = wintner_coefficients(g)
-    f_support = f.support_upto(N)
-    exact = _is_exact_pair(f, g)
-    total = 0 if exact else 0.0
-    for q, ghat in coeffs.support():
-        ctab = ramanujan_sum_table(q)
-        r = a % q
-        inner = 0 if f.is_exact else 0.0
-        for n, fv in f_support:
-            inner += fv * ctab[(n + r) % q]
+    fvals = f.values[: N + 1]
+    sums = {}  # e -> S_e(a), one reduction of a per modulus e
+    total = 0
+    for q, ghat in wintner_coefficients(g).support():
+        inner = 0
+        for e in divisors_int(q):
+            m = mobius_int(q // e)
+            if m:
+                if e not in sums:
+                    sums[e] = _class_sum(fvals, a, e)
+                inner += e * m * sums[e]
         total += ghat * inner
-    if exact:
+    if _is_exact_pair(f, g):
         # exact rational bookkeeping collapses back to an integer
         t = Fraction(total)
         return int(t) if t.denominator == 1 else t

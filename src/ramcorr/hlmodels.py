@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith_core import (PrimeTable, TabulatedFunction, divisors_int,
-                         mobius_int, odd_part, sieve_primes,
+from .arith_core import (PrimeTable, TabulatedFunction, capped_sieve,
+                         divisors_int, mobius_int, odd_part,
                          tabulate_odd_prime_log)
 from .correlations import correlate_direct, format_value
 from .ramanujan import universal_period
@@ -85,7 +85,7 @@ def artifact_pair(N: int, table: PrimeTable | None = None
     """The flagship two-seasons pair: f = log p on odd primes <= N,
     g = odd-lifted N-truncation of von Mangoldt."""
     if table is None:
-        table = sieve_primes(max(N, 2))
+        table = capped_sieve(N)
     _require_limit(table, N)
     f = tabulate_odd_prime_log(N, table)
     g = odd_lift(lambda_tds(N, table))
@@ -233,7 +233,7 @@ def singular_series(a: int, Q: int = 100_000,
     if a < 1 or Q < 2:
         raise ValueError("need a >= 1 and Q >= 2")
     if table is None:
-        table = sieve_primes(Q)
+        table = capped_sieve(Q)
     _require_limit(table, Q)
     mu = table.mobius_values[: Q + 1]
     phi = table.phi_values[: Q + 1].astype(np.float64)

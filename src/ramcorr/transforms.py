@@ -27,7 +27,7 @@ import re
 import numpy as np
 
 from .arith_core import (DTYPES, EXACT, REAL, SIEVE_CAP, PrimeTable,
-                         TabulatedFunction, sieve_primes, zeros)
+                         TabulatedFunction, capped_sieve, zeros)
 
 
 class TruncatedDivisorSum(TabulatedFunction):
@@ -173,9 +173,12 @@ def odd_lift(x, method: str = "direct"):
 
 
 def lambda_tds(N: int, table: PrimeTable | None = None) -> TruncatedDivisorSum:
-    """N-truncation of von Mangoldt: g'(d) = -mu(d) log d for d <= N."""
+    """N-truncation of von Mangoldt: g'(d) = -mu(d) log d for d <= N.
+
+    Without a table, sieves to N (at most ``SIEVE_CAP``).
+    """
     if table is None:
-        table = sieve_primes(max(N, 2))
+        table = capped_sieve(N)
     if table.limit < N:
         raise ValueError(f"sieve limit {table.limit} below {N}")
     mu = table.mobius_values[: N + 1].astype(np.float64)
@@ -203,6 +206,8 @@ def write_tds(g: TabulatedFunction, fh) -> None:
 
 # the only exact value text write_tds emits: an int or a Fraction's p/q
 _EXACT_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# the only index and cutoff text it emits (int() would also take +3, 1_0)
+_INDEX_TEXT = re.compile(r"[0-9]+")
 
 
 def _ascii(lineno: int, line: str) -> str:
@@ -222,8 +227,9 @@ def _ascii(lineno: int, line: str) -> str:
 def read_table(fh, cls, parse_exact, max_cutoff: int = SIEVE_CAP):
     """Read the text format into a ``cls`` table.
 
-    ExactInt values must read ``[-]digits`` or ``[-]digits/digits`` and
-    are then parsed by ``parse_exact``; Real values are parsed by float.
+    The cutoff and every index must read ``digits``.  ExactInt values
+    must read ``[-]digits`` or ``[-]digits/digits`` and are then parsed
+    by ``parse_exact``; Real values are parsed by float.
     Every fault raises ValueError("line N: ...") locating it: a non-ASCII
     byte, a malformed header, a cutoff above ``max_cutoff`` (checked
     before the table is allocated), an entry that does not parse, an
@@ -237,6 +243,8 @@ def read_table(fh, cls, parse_exact, max_cutoff: int = SIEVE_CAP):
         raise ValueError(
             f"line 1: header must be 'cutoff=D kind=K', got {header!r}")
     try:
+        if not _INDEX_TEXT.fullmatch(fields["cutoff"]):
+            raise ValueError(fields["cutoff"])
         cutoff = int(fields["cutoff"])
     except ValueError:
         raise ValueError(f"line 1: bad cutoff {fields['cutoff']!r}") from None
@@ -258,6 +266,8 @@ def read_table(fh, cls, parse_exact, max_cutoff: int = SIEVE_CAP):
         if len(cols) != 2:
             raise ValueError(f"line {lineno}: expected 'd<TAB>value'")
         try:
+            if not _INDEX_TEXT.fullmatch(cols[0]):
+                raise ValueError(cols[0])
             if exact and not _EXACT_TEXT.fullmatch(cols[1]):
                 raise ValueError(cols[1])
             d, v = int(cols[0]), parse(cols[1])

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramcorr import arith_core
 from ramcorr.arith_core import (EXACT, REAL, TabulatedFunction, divisors_int,
                                 euler_phi, factorize, is_prime_int, kappa,
                                 mobius, mobius_int, odd_part, sieve_primes,
                                 smooth_sifted_split, tabulate, v2,
                                 von_mangoldt)
+from ramcorr.hlmodels import artifact_pair, singular_series
+from ramcorr.transforms import lambda_tds
 
 
 def trial_division_is_prime(n):
@@ -48,6 +51,30 @@ class TestSieve:
             p = int(spf[n])
             assert n % p == 0
             assert trial_division_is_prime(p)
+
+    # library entry points that sieve for themselves when given no table
+    SIEVING = {
+        "tabulate": lambda M, table=None: tabulate("mobius", M, table),
+        "lambda_tds": lambda M, table=None: lambda_tds(M, table),
+        "artifact_pair": lambda M, table=None: artifact_pair(M, table),
+        "singular_series": lambda M, table=None: singular_series(2, M, table),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(SIEVING))
+    def test_entry_points_refuse_a_sieve_above_the_cap(self, entry):
+        # a 10**12 sieve would allocate terabytes; the refusal comes first
+        with pytest.raises(ValueError, match="exceeds SIEVE_CAP"):
+            self.SIEVING[entry](10 ** 12)
+
+    @pytest.mark.parametrize("entry", sorted(SIEVING))
+    def test_a_passed_table_may_exceed_the_cap(self, entry, monkeypatch,
+                                               table_200):
+        monkeypatch.setattr(arith_core, "SIEVE_CAP", 100)
+        call = self.SIEVING[entry]
+        call(100)
+        call(150, table_200)
+        with pytest.raises(ValueError, match="150 exceeds SIEVE_CAP = 100"):
+            call(150)
 
     def test_prime_count_at_one_million(self):
         # 78498 cross-checked once by an independent trial-division count

@@ -1,18 +1,21 @@
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from ramcorr import correlations, transforms
-from ramcorr.arith_core import EXACT, REAL, TabulatedFunction, tabulate
+from ramcorr import correlations, ramanujan, transforms
+from ramcorr.arith_core import (EXACT, REAL, TabulatedFunction, divisors_int,
+                                tabulate)
 from ramcorr.correlations import (CorrelationProfile, build_profile,
                                   correlate_direct, correlate_expansion,
                                   profile_to_csv, profile_to_json,
                                   small_shift_difference,
                                   truncation_difference, verify_periodicity)
 from ramcorr.hlmodels import artifact_pair
-from ramcorr.ramanujan import (UndefinedPeriodError, universal_period,
+from ramcorr.ramanujan import (UndefinedPeriodError, ramanujan_sum_table,
+                               universal_period, wintner_coefficients,
                                wintner_period)
 from ramcorr.transforms import (evaluate_tds, lambda_tds, odd_lift,
                                 tds_from_et, truncate)
@@ -82,16 +85,50 @@ def per_n_direct(f, g, N, a):
     return acc
 
 
+def per_nq_expansion(f, g, N, a):
+    """Oracle: the expansion route with one c_q table per coefficient q
+    and one term per (n, q) pair."""
+    exact = f.is_exact and g.is_exact
+    total = 0 if exact else 0.0
+    for q, ghat in wintner_coefficients(g).support():
+        ctab = ramanujan_sum_table(q)
+        r = a % q
+        inner = 0 if f.is_exact else 0.0
+        for n, fv in f.support_upto(N):
+            inner += fv * ctab[(n + r) % q]
+        total += ghat * inner
+    if exact:
+        t = Fraction(total)
+        return int(t) if t.denominator == 1 else t
+    return float(total)
+
+
+def _gamma(m):
+    u = 2.0 ** -53
+    return m * u / (1 - m * u)
+
+
+def _max_f(f, N):
+    return max((abs(v) for _, v in f.support_upto(N)), default=0.0)
+
+
 def direct_error_bound(f, g, N):
     """The bound correlate_direct's docstring states for the Real domain:
     gamma(N + s) * N * max|f| * sum|g'|, s = |supp g'|.  The per-n oracle
     meets the same bound (each term passes through at most s - 1 + 1 +
     N - 1 roundings there too)."""
-    u = 2.0 ** -53
-    m = N + len(g.support())
-    gamma = m * u / (1 - m * u)
-    max_f = max((abs(v) for _, v in f.support_upto(N)), default=0.0)
-    return gamma * N * max_f * sum(abs(v) for _, v in g.support())
+    return (_gamma(N + len(g.support())) * N * _max_f(f, N)
+            * sum(abs(v) for _, v in g.support()))
+
+
+def expansion_error_bound(f, g, N):
+    """The bound correlate_expansion's docstring states for the Real
+    domain: gamma(N + 3D + 3) * (N + D) * max|f| * sum tau(d)^2 |g'(d)|/d,
+    D = g.limit."""
+    D = g.limit
+    return (_gamma(N + 3 * D + 3) * (N + D) * _max_f(f, N)
+            * sum(len(divisors_int(d)) ** 2 * abs(v) / d
+                  for d, v in g.support()))
 
 
 def random_tds(rng, cutoff, size, kind=EXACT):
@@ -160,12 +197,15 @@ class TestResidueClassKernel:
                 for _ in range(N)])
             g = random_tds(rng, rng.randint(1, 2 * N), rng.randint(0, 40),
                            REAL)
-            # each route lies within the bound of the exact sum
+            # each route lies within its stated bound of the exact sum
             bound = 2 * direct_error_bound(f, g, N)
+            dual = direct_error_bound(f, g, N) + expansion_error_bound(
+                f, g, N)
             for a in kernel_shifts(N)[::3]:
                 got = correlate_direct(f, g, N, a)
                 assert type(got) is float
                 assert abs(got - per_n_direct(f, g, N, a)) <= bound
+                assert abs(got - correlate_expansion(f, g, N, a)) <= dual
 
     def test_artifact_pair_within_stated_bound(self, table_2k):
         N = 300
@@ -224,9 +264,52 @@ class TestCorrelateExpansion:
     def test_matches_direct_real(self, table_200):
         f = tabulate("odd_primes_log", 20, table_200)
         g = lambda_tds(20, table_200)
+        # each route lies within its stated bound of the exact sum
+        bound = direct_error_bound(f, g, 20) + expansion_error_bound(f, g, 20)
+        assert bound < 1e-9
         for a in (1, 2, 3, 17, 105):
-            assert correlate_expansion(f, g, 20, a) == pytest.approx(
-                correlate_direct(f, g, 20, a), abs=1e-9)
+            assert abs(correlate_expansion(f, g, 20, a)
+                       - correlate_direct(f, g, 20, a)) <= bound
+
+    def test_matches_per_nq_route_exact(self, rng):
+        for i in range(25):
+            N = rng.randint(1, 60)
+            # f reaches past N, the cutoff may exceed N, the first table
+            # is the zero TDS
+            f = random_exact_table(rng, N + rng.randint(0, 20))
+            g = random_tds(rng, rng.randint(1, 3 * N),
+                           rng.randint(0, 12) if i else 0)
+            for a in kernel_shifts(N):
+                got = correlate_expansion(f, g, N, a)
+                assert type(got) is int
+                assert got == per_nq_expansion(f, g, N, a)
+
+    def test_no_c_q_tables_and_no_per_n_walk(self, monkeypatch, table_2k):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("correlate_expansion walked a c_q table "
+                                 "or the support of f")
+
+        monkeypatch.setattr(ramanujan, "ramanujan_sum_table", forbidden)
+        monkeypatch.setattr(correlations, "ramanujan_sum_table", forbidden,
+                            raising=False)
+        N = 500
+        f, g = artifact_pair(N, table_2k)
+        monkeypatch.setattr(f, "support", forbidden)
+        monkeypatch.setattr(f, "support_upto", forbidden)
+        U = universal_period(N).value
+        assert (correlate_expansion(f, g, N, U + 2)
+                == correlate_expansion(f, g, N, 2))
+
+    def test_artifact_pair_at_n_5000(self, table_20k):
+        # U has 7086 bits; the expansion route reduces it once per modulus
+        N = 5000
+        f, g = artifact_pair(N, table_20k)
+        U = universal_period(N).value
+        bound = direct_error_bound(f, g, N) + expansion_error_bound(f, g, N)
+        for k in (1, 2):
+            got = correlate_expansion(f, g, N, k)
+            assert correlate_expansion(f, g, N, U + k) == got
+            assert abs(got - correlate_direct(f, g, N, k)) <= bound
 
 
 class TestTruncationDifference:

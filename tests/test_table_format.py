@@ -154,6 +154,37 @@ EXACT_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("kind", [EXACT, REAL])
+@pytest.mark.parametrize("index", ["+3", "3 ", "1_0", "0_3", "+0_3"])
+def test_index_outside_the_written_grammar_rejected(reader, kind, index):
+    # int() reads each of these as an index in [1, 20]
+    text = f"cutoff=20 kind={kind}\n{index}\t1\n"
+    with pytest.raises(ValueError, match=r"^line 2: bad entry"):
+        READERS[reader](io.StringIO(text))
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("cutoff", ["1_0", "+10", "0_10"])
+def test_cutoff_outside_the_written_grammar_rejected(reader, cutoff):
+    with pytest.raises(ValueError, match=r"^line 1: bad cutoff"):
+        READERS[reader](io.StringIO(f"cutoff={cutoff} kind=ExactInt\n"))
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@settings(max_examples=200)
+@given(index=st.text("0123456789+-_ ", min_size=1, max_size=5))
+def test_index_is_read_only_in_the_written_grammar(reader, index):
+    try:
+        table = READERS[reader](io.StringIO(
+            f"cutoff=9999 kind=ExactInt\n{index}\t1\n"))
+    except ValueError as exc:
+        assert str(exc).startswith("line 2: "), str(exc)
+    else:
+        assert re.fullmatch("[0-9]+", index.lstrip())
+        assert table.support() == [(int(index), 1)]
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
 @settings(max_examples=200)
 @given(value=st.text("0123456789-+/.eE_x ", min_size=1, max_size=8))
 def test_exact_value_is_read_only_in_the_written_grammar(reader, value):
@@ -245,6 +276,19 @@ class TestCli:
         assert code == 2
         assert "line 1: cutoff 30 exceeds the cap 20" in err
         assert self._run(capsys, *argv)[0] == 0
+
+    @pytest.mark.parametrize("text, message", [
+        ("cutoff=10 kind=ExactInt\n1_0\t1\n", "line 2: bad entry"),
+        ("cutoff=1_0 kind=ExactInt\n3\t1\n", "line 1: bad cutoff '1_0'"),
+    ])
+    def test_index_grammar_fault_exits_2(self, capsys, tmp_path, text,
+                                         message):
+        path = tmp_path / "g.tds"
+        path.write_text(text)
+        code, err = self._run(capsys, "transform", "--in", str(path),
+                              "--N", "10")
+        assert code == 2
+        assert message in err
 
     NON_ASCII_TDS = b"cutoff=10 kind=ExactInt\n3\t1\n5\t\xc3\xa92\n"
 
