@@ -11,6 +11,14 @@ Two building blocks everything else consumes:
   object array of Python ints (or Fractions) for ExactInt, float64 for
   Real.  Sweeps therefore run one body for both kinds.
 
+The prime- and divisor-indexed sweeps (the smallest-prime-factor fill,
+mu, phi, kappa, and the divisor sums in ``transforms``) are split at
+r = isqrt(M) by ``_sqrt_split``: one slice per point p <= r, then one
+vectorised scatter per cofactor j <= M // (r + 1) for all points above r
+at once.  A number n <= M has at most one prime factor above r, so the
+large primes enter mu, phi and kappa through n = j * p alone.  Each sweep
+takes O(sqrt(M)) Python steps instead of one per prime or support point.
+
 Naturals start at 1 throughout; slot 0 of every value table is unused and
 kept at zero.  Empty products are 1, so kappa(1) = 1 and odd_part(1) = 1.
 The 2-adic splitting (``v2``/``odd_part``) accepts arbitrary-precision
@@ -47,6 +55,25 @@ SIEVE_CAP = 2_000_000
 # prime sieve
 # ----------------------------------------------------------------------
 
+def _sqrt_split(points: np.ndarray, M: int) -> tuple[np.ndarray, list]:
+    """Split the ascending positive int64 ``points`` at r = isqrt(M).
+
+    Returns (small, blocks): ``small`` holds the points <= r, and
+    ``blocks`` lists (j, ps) for j = 1 .. M // (r + 1) in ascending j,
+    where ``ps`` is the prefix (a view) of the points above r that are
+    <= M // j; empty blocks are left out.  The products j * p over all
+    blocks are the multiples <= M of the points above r, each once, and
+    within one block they are distinct, so ``arr[j * ps]`` is a safe
+    scatter.  Both loops are O(sqrt(M)) long.
+    """
+    r = isqrt(M)
+    cut = int(np.searchsorted(points, r, side="right"))
+    large = points[cut:]
+    tops = M // np.arange(1, M // (r + 1) + 1)
+    ends = np.searchsorted(large, tops, side="right").tolist()
+    return points[:cut], [(j, large[:k]) for j, k in enumerate(ends, 1) if k]
+
+
 @dataclass(eq=False)
 class PrimeTable:
     """Primality and smallest-prime-factor tables up to ``limit``.
@@ -65,19 +92,24 @@ class PrimeTable:
         """mu(n) for n = 0..limit as int64 (mu[0] = 0)."""
         mu = np.ones(self.limit + 1, dtype=np.int64)
         mu[0] = 0
-        for p in self.primes:
+        small, blocks = _sqrt_split(self.primes, self.limit)
+        for p in small.tolist():
             mu[p::p] *= -1
-            sq = int(p) * int(p)
-            if sq <= self.limit:
-                mu[sq::sq] = 0
+            mu[p * p::p * p] = 0
+        for j, ps in blocks:
+            mu[j * ps] *= -1
         return mu
 
     @cached_property
     def phi_values(self) -> np.ndarray:
         """Euler phi(n) for n = 0..limit as int64 (phi[0] = 0)."""
         phi = np.arange(self.limit + 1, dtype=np.int64)
-        for p in self.primes:
+        small, blocks = _sqrt_split(self.primes, self.limit)
+        for p in small.tolist():
             phi[p::p] -= phi[p::p] // p
+        for j, ps in blocks:
+            idx = j * ps
+            phi[idx] -= phi[idx] // ps
         return phi
 
     @cached_property
@@ -107,20 +139,28 @@ def sieve_primes(M: int) -> PrimeTable:
     primes = np.flatnonzero(is_prime).astype(np.int64)
     spf = np.zeros(M + 1, dtype=np.int64)
     spf[1] = 1
+    small, _ = _sqrt_split(primes, M)
     # descending order: the last write at each index is the smallest prime
-    for p in primes[::-1]:
+    for p in small[::-1].tolist():
         spf[p::p] = p
+    # a slot still unset has no prime factor <= sqrt(M), so it is a prime
+    large = primes[small.size:]
+    spf[large] = large
     return PrimeTable(limit=M, is_prime=is_prime,
                       smallest_prime_factor=spf, primes=primes)
+
+
+def _check_cap(M: int) -> None:
+    if M > SIEVE_CAP:
+        raise ValueError(
+            f"sieve limit {M} exceeds SIEVE_CAP = {SIEVE_CAP}; "
+            "pass a PrimeTable to go higher")
 
 
 def capped_sieve(M: int) -> PrimeTable:
     """sieve_primes(max(M, 2)) for a call given no table; a limit above
     SIEVE_CAP raises ValueError before anything is allocated."""
-    if M > SIEVE_CAP:
-        raise ValueError(
-            f"sieve limit {M} exceeds SIEVE_CAP = {SIEVE_CAP}; "
-            "pass a PrimeTable to go higher")
+    _check_cap(M)
     return sieve_primes(max(M, 2))
 
 
@@ -388,8 +428,15 @@ def tabulate_phi(M: int, table: PrimeTable) -> TabulatedFunction:
 
 
 def tabulate_kappa(M: int, table: PrimeTable) -> TabulatedFunction:
-    vals = [0] + [kappa(n, table) for n in range(1, M + 1)]
-    return TabulatedFunction(M, EXACT, vals, "kappa")
+    _check_range(M, table)
+    kap = np.ones(M + 1, dtype=np.int64)
+    kap[0] = 0
+    small, blocks = _sqrt_split(table.primes, M)
+    for p in small.tolist():
+        kap[p::p] *= p
+    for j, ps in blocks:
+        kap[j * ps] *= ps
+    return TabulatedFunction(M, EXACT, kap, "kappa")
 
 
 def tabulate_von_mangoldt(M: int, table: PrimeTable) -> TabulatedFunction:
@@ -458,11 +505,17 @@ def tabulated_function_names() -> list[str]:
 
 def tabulate(name: str, M: int, table: PrimeTable | None = None) -> TabulatedFunction:
     """Build a named arithmetic function on [1..M]; sieves if required
-    (``capped_sieve``) and no table is passed."""
+    (``capped_sieve``) and no table is passed.
+
+    Without a table, M above SIEVE_CAP raises ValueError before anything
+    is allocated, for the names that need no sieve too.
+    """
     if name not in _TABULATORS:
         raise ValueError(f"unknown function name {name!r}; "
                          f"known: {', '.join(tabulated_function_names())}")
-    if table is None and name in _NEEDS_TABLE:
-        table = capped_sieve(M)
-    builder = _TABULATORS[name]
-    return builder(M, table) if name in _NEEDS_TABLE else builder(M, None)
+    if table is None:
+        if name in _NEEDS_TABLE:
+            table = capped_sieve(M)
+        else:
+            _check_cap(M)
+    return _TABULATORS[name](M, table)

@@ -80,12 +80,17 @@ def ramanujan_sum_table(q: int) -> tuple[int, ...]:
     """(c_q(0), c_q(1), ..., c_q(q-1)); one q-periodic block."""
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
-    tab = [0] * q
+    return _ramanujan_block(q, q)
+
+
+def _ramanujan_block(q: int, n: int) -> tuple[int, ...]:
+    """(c_q(0), ..., c_q(n-1)) for 1 <= n <= q."""
+    tab = [0] * n
     for d in divisors_int(q):
         m = mobius_int(q // d)
         if m:
             dm = d * m
-            for r in range(0, q, d):
+            for r in range(0, n, d):
                 tab[r] += dm
     return tuple(tab)
 
@@ -141,6 +146,8 @@ def ramanujan_expand_range(coeffs: RamanujanCoefficients, a_max: int):
     ExactInt tables are cleared to a common denominator so the hot loop
     is pure integer adds; the result list holds exact values (ints when
     integral).  Real tables accumulate in float64.  Index 0 is unused.
+    A modulus q > a_max needs only the block c_q(0..a_max), so only that
+    much of it is built in the exact branch.
     """
     if a_max < 1:
         raise ValueError(f"naturals start at 1, got {a_max}")
@@ -150,9 +157,11 @@ def ramanujan_expand_range(coeffs: RamanujanCoefficients, a_max: int):
         acc = [0] * (a_max + 1)
         for q, v in support:
             w = int(v * L)
-            block = [w * c for c in ramanujan_sum_table(q)]
-            ext = block * (a_max // q + 2)
-            acc = [x + y for x, y in zip(acc, ext[: a_max + 1])]
+            period = (ramanujan_sum_table(q) if q <= a_max
+                      else _ramanujan_block(q, a_max + 1))
+            block = [w * c for c in period]
+            ext = block * (a_max // q + 1)
+            acc = [x + y for x, y in zip(acc, ext)]
         out: list = [0] * (a_max + 1)
         for a in range(1, a_max + 1):
             x = acc[a]

@@ -11,7 +11,13 @@ table's limit); the function it induces,
     g(m) = sum of g'(d) over d | m with d <= cutoff,
 
 is evaluable at arbitrarily large (big-integer) m because only
-divisibility of m by small d is ever tested.
+divisibility of m by small d is ever tested.  Over a whole range it is
+one divisor sieve (``evaluate_tds_range``, also behind
+``divisor_sum_transform``), split at r = isqrt(m_max): a slice per
+support point d <= r, then a scatter over the larger d per cofactor
+j = m / d <= r, taken in descending j.  For a fixed slot m, descending j
+is ascending d, so each slot adds its terms in the order of the plain
+per-d sieve and Real sums are unchanged to the last bit.
 
 Every table holds its values in one array whose dtype follows its kind
 (see ``arith_core.DTYPES``), so each sweep below has a single body for
@@ -27,7 +33,7 @@ import re
 import numpy as np
 
 from .arith_core import (DTYPES, EXACT, REAL, SIEVE_CAP, PrimeTable,
-                         TabulatedFunction, capped_sieve, zeros)
+                         TabulatedFunction, _sqrt_split, capped_sieve, zeros)
 
 
 class TruncatedDivisorSum(TabulatedFunction):
@@ -95,12 +101,8 @@ def divisor_sum_transform(F: TabulatedFunction,
         M = F.limit
     if F.limit < M:
         raise ValueError(f"tabulated only to {F.limit}, need {M}")
-    out = zeros(M + 1, F.kind)
-    for d in range(1, M + 1):
-        v = F.values[d]
-        if v:
-            out[d::d] += v
-    return TabulatedFunction(M, F.kind, out, f"({F.name}*1)")
+    return TabulatedFunction(M, F.kind, evaluate_tds_range(F, M),
+                             f"({F.name}*1)")
 
 
 def truncate(F: TabulatedFunction, N: int) -> TruncatedDivisorSum:
@@ -129,17 +131,24 @@ def evaluate_tds(g: TruncatedDivisorSum, m: int):
     return acc
 
 
-def evaluate_tds_range(g: TruncatedDivisorSum, m_max: int) -> np.ndarray:
-    """g(m) for all m in [1..m_max] at once, by a divisor sieve.
+def evaluate_tds_range(g: TabulatedFunction, m_max: int) -> np.ndarray:
+    """g(m) for all m in [1..m_max] at once, by a divisor sieve: the sum
+    of the table's entries g'(d) over d | m (any table serves as g').
 
-    Returns a value array of g's kind, index 0 unused.
+    Returns a value array of g's kind, index 0 unused.  Small d go by
+    slices in ascending d, then the large d by one scatter per cofactor
+    j in descending j, so every slot adds its terms in ascending d (see
+    the module docstring).
     """
     if m_max < 1:
         raise ValueError(f"naturals start at 1, got {m_max}")
     out = zeros(m_max + 1, g.kind)
     vals = g.values[: m_max + 1]
-    for d in np.flatnonzero(vals[1:]) + 1:
+    small, blocks = _sqrt_split(np.flatnonzero(vals[1:]) + 1, m_max)
+    for d in small.tolist():
         out[d::d] += vals[d]
+    for j, ds in reversed(blocks):
+        out[j * ds] += vals[ds]
     return out
 
 

@@ -93,9 +93,13 @@ def _pair_expansion_failures(g: TruncatedDivisorSum,
                              "got": str(got), "expected": str(want)})
             if len(failures) >= 5:
                 return failures
+    # two independent batch routes: periodic c_q blocks, the divisor sieve
+    lhs_all = ramanujan_expand_range(coeffs, a_max)
+    if not coeffs.is_exact:
+        lhs_all = lhs_all.tolist()
+    rhs_all = evaluate_tds_range(g, a_max).tolist()
     for a in range(1, a_max + 1):
-        lhs = ramanujan_expand(coeffs, a)
-        rhs = evaluate_tds(g, a)
+        lhs, rhs = lhs_all[a], rhs_all[a]
         if _mismatch(lhs, rhs, g.is_exact):
             failures.append({"check": "expansion", "a": a,
                              "got": str(lhs), "expected": str(rhs)})

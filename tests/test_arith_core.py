@@ -76,6 +76,17 @@ class TestSieve:
         with pytest.raises(ValueError, match="150 exceeds SIEVE_CAP = 100"):
             call(150)
 
+    @pytest.mark.parametrize("name", ["unit", "identity", "odd", "squares"])
+    def test_table_free_names_refuse_above_the_cap(self, name, monkeypatch,
+                                                   table_200):
+        # these need no sieve, but would still allocate M + 1 slots
+        with pytest.raises(ValueError, match="exceeds SIEVE_CAP"):
+            tabulate(name, 10 ** 12)
+        monkeypatch.setattr(arith_core, "SIEVE_CAP", 100)
+        assert tabulate(name, 150, table_200).limit == 150
+        with pytest.raises(ValueError, match="150 exceeds SIEVE_CAP = 100"):
+            tabulate(name, 150)
+
     def test_prime_count_at_one_million(self):
         # 78498 cross-checked once by an independent trial-division count
         t = sieve_primes(10 ** 6)

@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from ramcorr.cli import main
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +201,19 @@ class TestHl:
                                "--Q", "50")
         assert code == 2
         assert "5002" in err
+
+    def test_csv_bytes_match_the_golden_files(self, capsys, tmp_path):
+        # written by the plain per-point sweeps: any change to a sweep
+        # behind the ladder or the singular series must keep these bytes
+        # (values print to 12 digits; tests/test_sweeps.py pins the bits)
+        out_path = tmp_path / "hl.csv"
+        code, _, _ = run_cli(capsys, "hl", "--N-list", "1000,10000",
+                             "--a-list", "1,2,3,8", "--Q", "20000",
+                             "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == (DATA / "hl_golden.csv").read_bytes()
+        assert (tmp_path / "hl.csv.singular.csv").read_bytes() == \
+            (DATA / "hl_golden.singular.csv").read_bytes()
 
     def test_output_files(self, capsys, tmp_path):
         out_path = tmp_path / "models.csv"

@@ -1,5 +1,6 @@
 import io
 import math
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramcorr.arith_core import EXACT, mobius_int, tabulate
+from ramcorr.arith_core import EXACT, mobius_int, sieve_primes, tabulate
 from ramcorr.ramanujan import (RamanujanCoefficients,
                                UndefinedPeriodError,
                                half_range_identity_check, lucht_invert,
@@ -169,6 +170,26 @@ class TestExpansion:
         batch = ramanujan_expand_range(c, 200)
         for a in range(1, 201):
             assert batch[a] == pytest.approx(ramanujan_expand(c, a), abs=1e-9)
+
+    @pytest.mark.parametrize("a_max", [1, 2, 7, 120])
+    def test_batch_equals_scalar_with_moduli_above_a_max(self, a_max):
+        # value and Python type for every a, on coefficient tables that
+        # reach far past a_max (only c_q(0..a_max) of those q is built)
+        rng = random.Random(a_max)
+        D = max(3 * a_max, 40)
+        g = random_tds(rng, D, n_points=40)
+        raw = [0] * (D + 1)
+        for q in rng.sample(range(1, D + 1), 40):
+            raw[q] = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 12))
+        lam = lambda_tds(D, sieve_primes(D))
+        for c in (wintner_coefficients(g),
+                  RamanujanCoefficients(D, EXACT, raw),
+                  wintner_coefficients(lam)):
+            batch = ramanujan_expand_range(c, a_max)
+            batch = batch if c.is_exact else batch.tolist()
+            for a in range(1, a_max + 1):
+                want = ramanujan_expand(c, a)
+                assert batch[a] == want and type(batch[a]) is type(want), a
 
     def test_rejects_zero_argument(self):
         c = wintner_coefficients(tds_from_et({1: 1}, 5, EXACT))

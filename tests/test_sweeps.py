@@ -1,0 +1,203 @@
+"""The sqrt(M)-split sweeps (sieve, mu, phi, kappa, divisor sums) against
+trial-division oracles and the plain per-point loops they replace, and a
+guard on the number of Python-level steps they take."""
+
+import random
+import sys
+from functools import cache
+from math import gcd, isqrt, prod
+
+import numpy as np
+import pytest
+
+from ramcorr import arith_core, transforms
+from ramcorr.arith_core import (EXACT, REAL, PrimeTable, TabulatedFunction,
+                                divisors_int, is_prime_int, mobius_int,
+                                sieve_primes, tabulate, tabulate_kappa, zeros)
+from ramcorr.cli import main
+from ramcorr.transforms import (TruncatedDivisorSum, divisor_sum_transform,
+                                eratosthenes_transform, evaluate_tds_range,
+                                lambda_tds, odd_lift)
+
+# just below, at and just above the squares of 2, 3, 5, 7, plus 1000, 1001
+# and one larger limit
+SPLIT_LIMITS = [2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 97, 1000, 1001,
+                20000]
+ORACLE_TOP = max(SPLIT_LIMITS)
+
+
+def smallest_divisor(n):
+    """Smallest prime factor of n >= 2, by trial division."""
+    return next((p for p in range(2, isqrt(n) + 1) if n % p == 0), n)
+
+
+def phi_by_gcd_count(n):
+    return sum(1 for j in range(1, n + 1) if gcd(j, n) == 1)
+
+
+@cache
+def oracles():
+    """Trial-division spf, mu, phi and kappa on [0..ORACLE_TOP].
+
+    phi is the gcd count up to 1001 and above that the Mobius divisor sum
+    n * sum over d | n of mu(d)/d, both free of any sieve; the gcd count
+    is also checked at a sample above 1001 (see the test)."""
+    n_all = range(ORACLE_TOP + 1)
+    spf = [0, 1] + [smallest_divisor(n) for n in n_all[2:]]
+    mu = [0] + [mobius_int(n) for n in n_all[1:]]
+    phi = [0] + [phi_by_gcd_count(n) if n <= 1001 else
+                 sum(mobius_int(d) * (n // d) for d in divisors_int(n))
+                 for n in n_all[1:]]
+    kap = [0] + [prod(p for p in divisors_int(n) if is_prime_int(p))
+                 for n in n_all[1:]]
+    return spf, mu, phi, kap
+
+
+@pytest.mark.parametrize("M", SPLIT_LIMITS)
+def test_sieve_arrays_match_trial_division(M, table_20k):
+    spf, mu, phi, kap = oracles()
+    t = sieve_primes(M)
+    assert t.is_prime.tolist() == [is_prime_int(n) for n in range(M + 1)]
+    assert t.smallest_prime_factor.tolist() == spf[: M + 1]
+    assert t.mobius_values.tolist() == mu[: M + 1]
+    assert t.phi_values.tolist() == phi[: M + 1]
+    for table in (t, table_20k):  # kappa sweeps to M below the table limit
+        got = tabulate_kappa(M, table).values
+        assert got.tolist() == kap[: M + 1]
+        assert all(type(v) is int for v in got)
+
+
+def test_phi_gcd_count_at_the_top():
+    phi = oracles()[2]
+    rng = random.Random(5)
+    sample = {*range(ORACLE_TOP - 40, ORACLE_TOP + 1),
+              *range(141 ** 2 - 3, 141 ** 2 + 4),
+              *rng.sample(range(1002, ORACLE_TOP), 60)}
+    for n in sorted(sample):
+        assert phi[n] == phi_by_gcd_count(n), n
+
+
+def per_d_range(g, m_max):
+    """The plain divisor sieve: one slice per support point, ascending d."""
+    out = zeros(m_max + 1, g.kind)
+    vals = g.values[: m_max + 1]
+    for d in np.flatnonzero(vals[1:]) + 1:
+        out[d::d] += vals[d]
+    return out
+
+
+# 1, 2, 3, and a perfect square with its neighbours, below and above the
+# cutoff 2000 of the Real tables
+RANGE_LIMITS = [1, 2, 3, 1935, 1936, 1937, 4095, 4096, 4097]
+
+
+@pytest.mark.parametrize("m_max", RANGE_LIMITS)
+def test_range_is_bitwise_the_per_d_sieve_real(m_max, table_20k):
+    lam = lambda_tds(2000, table_20k)
+    for g in (lam, odd_lift(lam)):
+        got = evaluate_tds_range(g, m_max)
+        assert got.dtype == np.float64
+        assert got.tobytes() == per_d_range(g, m_max).tobytes()
+
+
+def random_exact_tds(rng, cutoff, density):
+    vals = [0] + [rng.randint(-9, 9) if rng.random() < density else 0
+                  for _ in range(cutoff)]
+    vals[-1] = vals[-1] or 7  # keep the top of the table in the support
+    return TruncatedDivisorSum(cutoff, EXACT, vals)
+
+
+@pytest.mark.parametrize("m_max", RANGE_LIMITS + [400, 399, 401])
+def test_range_equals_the_per_d_sieve_exact(m_max):
+    rng = random.Random(m_max)
+    for cutoff, density in ((m_max + rng.randint(1, 50), 0.5),
+                            (m_max + 1, 1.0), (2 * m_max + 3, 0.05),
+                            (max(1, m_max // 3), 0.7)):
+        g = random_exact_tds(rng, cutoff, density)
+        got = evaluate_tds_range(g, m_max)
+        want = per_d_range(g, m_max)
+        assert got.dtype == object
+        assert got.tolist() == want.tolist()
+        assert all(type(v) is int for v in got)
+
+
+def test_divisor_sum_transform_is_the_range_kernel(rng, table_2k):
+    for F in (TabulatedFunction(300, EXACT,
+                                [0] + [rng.randint(-5, 5) for _ in range(300)]),
+              tabulate("lambda", 2000, table_2k)):
+        got = divisor_sum_transform(F).values
+        want = per_d_range(F, F.limit)
+        if F.kind == REAL:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got.tolist() == want.tolist()
+
+
+@pytest.fixture(scope="module")
+def table_200k():
+    return sieve_primes(200_000)
+
+
+@pytest.mark.parametrize("name", ["phi", "kappa", "mobius", "mu_squared"])
+def test_transform_round_trip_at_two_hundred_thousand(name, table_200k):
+    F = tabulate(name, 200_000, table_200k)
+    back = divisor_sum_transform(eratosthenes_transform(F))
+    assert back.values.tolist() == F.values.tolist()
+
+
+# ----------------------------------------------------------------------
+# step-count guard: each sweep executes O(sqrt(M)) lines of Python, not
+# one or more per prime or per support point
+# ----------------------------------------------------------------------
+
+SWEEPS = {
+    arith_core.sieve_primes.__code__: "sieve_primes",
+    PrimeTable.mobius_values.func.__code__: "mobius_values",
+    PrimeTable.phi_values.func.__code__: "phi_values",
+    arith_core.tabulate_kappa.__code__: "tabulate_kappa",
+    transforms.evaluate_tds_range.__code__: "evaluate_tds_range",
+}
+
+
+def sweep_line_counts(run):
+    """Run ``run()``; for every sweep call, (name, limit, lines executed
+    in the sweep's own frame)."""
+    records = []
+
+    def tracer(frame, event, arg):
+        name = SWEEPS.get(frame.f_code)
+        if name is None:
+            return None
+        loc = frame.f_locals
+        limit = loc["self"].limit if "self" in loc else \
+            loc.get("M", loc.get("m_max"))
+        record = [name, limit, 0]
+        records.append(record)
+
+        def count(frame, event, arg):
+            if event == "line":
+                record[2] += 1
+            return count
+        return count
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(old)
+    return records
+
+
+def test_hl_ladder_sweeps_take_sqrt_steps(tmp_path):
+    argv = ["hl", "--N-list", "10000,100000", "--a-list", "3,10,41",
+            "--Q", "2000000", "--out", str(tmp_path / "hl.csv")]
+    records = sweep_line_counts(lambda: main(argv))
+    records += sweep_line_counts(lambda: tabulate("kappa", 200_000))
+    assert {name for name, _, _ in records} == set(SWEEPS.values())
+    for name, limit, lines in records:
+        # the loops run over the points <= isqrt(limit) (at most isqrt of
+        # them) and the cofactors j <= isqrt(limit), a few lines each
+        # (3.3 * isqrt at most when written; the per-point loops took
+        # over 100 * isqrt at this size)
+        assert lines <= 6 * isqrt(limit) + 40, (name, limit, lines)

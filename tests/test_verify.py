@@ -1,7 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
-from ramcorr.ramanujan import wintner_coefficients
-from ramcorr.transforms import tds_from_et
+from ramcorr import verify
+from ramcorr.ramanujan import (RamanujanCoefficients, ramanujan_expand,
+                               wintner_coefficients)
+from ramcorr.transforms import evaluate_tds, lambda_tds, tds_from_et
 from ramcorr.verify import SUITES, run_suite
 
 
@@ -43,3 +47,59 @@ def test_lucht_roundtrip_mode_with_coefficients_only():
     g = tds_from_et({2: 3, 6: -2}, 8, "ExactInt")
     verdict = run_suite("lucht", coeffs=wintner_coefficients(g))
     assert verdict["pass"] is True
+
+
+def per_a_pair_failures(g, coeffs, a_max=500):
+    """The pair check with the expansion compared one shift at a time
+    (scalar expansion against scalar divisor sum), as a test oracle."""
+    failures = []
+    derived = wintner_coefficients(g)
+    top = max(coeffs.limit, derived.limit)
+    wants, gots = verify._entries(derived, top), verify._entries(coeffs, top)
+    for q in range(1, top + 1):
+        if verify._mismatch(gots[q], wants[q], g.is_exact):
+            failures.append({"check": "coefficient", "q": q,
+                             "got": str(gots[q]), "expected": str(wants[q])})
+            if len(failures) >= 5:
+                return failures
+    for a in range(1, a_max + 1):
+        lhs, rhs = ramanujan_expand(coeffs, a), evaluate_tds(g, a)
+        if verify._mismatch(lhs, rhs, g.is_exact):
+            failures.append({"check": "expansion", "a": a,
+                             "got": str(lhs), "expected": str(rhs)})
+            if len(failures) >= 5:
+                return failures
+    return failures
+
+
+def _with_entry(coeffs, q, delta):
+    values = coeffs.values.copy()
+    values[q] += delta
+    return RamanujanCoefficients(coeffs.limit, coeffs.kind, values)
+
+
+def pair_cases():
+    g = tds_from_et({3: 2, 15: -1, 35: 4, 105: 1, 400: 7}, 700, "ExactInt")
+    c = wintner_coefficients(g)
+    lam = lambda_tds(60)
+    c_lam = wintner_coefficients(lam)
+    many_wrong = c
+    for q in (2, 3, 5, 7, 11, 13):
+        many_wrong = _with_entry(many_wrong, q, Fraction(1, q))
+    return {
+        "clean exact": (g, c),
+        "clean real": (lam, c_lam),
+        # one coefficient off: one coefficient record, then four shifts
+        "one exact coefficient": (g, _with_entry(c, 600, Fraction(1, 3))),
+        "six exact coefficients": (g, many_wrong),
+        # below the coefficient tolerance, above it once multiplied by c_60(a)
+        "real coefficient drift": (lam, _with_entry(c_lam, 60, 2e-10)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(pair_cases()))
+def test_pair_failure_records_match_the_per_shift_route(case):
+    g, coeffs = pair_cases()[case]
+    got = verify._pair_expansion_failures(g, coeffs)
+    assert got == per_a_pair_failures(g, coeffs)
+    assert (got == []) == case.startswith("clean")
