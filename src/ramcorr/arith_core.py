@@ -321,6 +321,11 @@ def zeros(n: int, kind: str) -> np.ndarray:
     return np.zeros(n, dtype=DTYPES[kind])
 
 
+def empty_sum(*tables) -> int | float:
+    """The empty sum over ``tables``: int 0 if all are exact, else 0.0."""
+    return 0 if all(t.is_exact for t in tables) else 0.0
+
+
 @dataclass(eq=False)
 class TabulatedFunction:
     """A table of values on [1..limit]; slot 0 of ``values`` is unused.

@@ -46,9 +46,11 @@ EXIT_USAGE = 2
 @dataclass
 class RunConfig:
     sieve_limit: int = SIEVE_CAP
-    tolerance_real: float = 1e-9
     output_format: str = "csv"
     output_path: str | None = None
+
+
+CONFIG_KEYS = ("sieve_limit", "output_format")
 
 
 class UsageError(Exception):
@@ -66,8 +68,11 @@ def _load_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
                 key, _, val = line.partition("=")
-                out[key.strip()] = val.strip()
-    except OSError as exc:
+                key = key.strip()
+                if key not in CONFIG_KEYS:
+                    raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+                out[key] = val.strip()
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     return out
 
@@ -78,31 +83,25 @@ def _resolve_config(args) -> RunConfig:
     raw: dict = {}
     if path:
         raw.update(_load_config_file(path))
-    for key in ("sieve_limit", "tolerance_real", "output_format"):
+    for key in CONFIG_KEYS:
         env = os.environ.get(f"RAMCORR_{key.upper()}")
         if env is not None:
             raw[key] = env
     try:
         if "sieve_limit" in raw:
             cfg.sieve_limit = int(raw["sieve_limit"])
-        if "tolerance_real" in raw:
-            cfg.tolerance_real = float(raw["tolerance_real"])
         if "output_format" in raw:
             cfg.output_format = raw["output_format"]
     except ValueError as exc:
         raise UsageError(f"bad config value: {exc}") from None
     if getattr(args, "sieve_limit", None) is not None:
         cfg.sieve_limit = args.sieve_limit
-    if getattr(args, "tolerance_real", None) is not None:
-        cfg.tolerance_real = args.tolerance_real
     if getattr(args, "format", None) is not None:
         cfg.output_format = args.format
     if getattr(args, "out", None) is not None:
         cfg.output_path = args.out
     if cfg.output_format not in ("csv", "json"):
         raise UsageError(f"unknown output format {cfg.output_format!r}")
-    if cfg.tolerance_real <= 0:
-        raise UsageError("tolerance_real must be positive")
     return cfg
 
 
@@ -134,16 +133,16 @@ def _cmd_transform(args, cfg: RunConfig) -> int:
         raise UsageError("--N must be >= 1")
     if args.fn is not None:
         name = args.fn
+        if name not in tabulated_function_names():
+            raise UsageError(
+                f"unknown function name {name!r}; known: "
+                f"{', '.join(tabulated_function_names())}")
+        table = _need_sieve(cfg, N)
         if name == "lambda":
-            table = _need_sieve(cfg, N)
             g = lambda_tds(N, table)
         else:
-            if name not in tabulated_function_names():
-                raise UsageError(
-                    f"unknown function name {name!r}; known: "
-                    f"{', '.join(tabulated_function_names())}")
-            table = _need_sieve(cfg, N)
-            g = truncate(tabulate(name, N, table), N)
+            g = truncate(tabulate(name, N, table), N, table)
+        del table  # free the sieve's arrays before the text is built
     else:
         try:
             g = retruncate(read_tds_path(args.infile, cfg.sieve_limit), N)
@@ -325,7 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="key=value config file")
     common.add_argument("--sieve-limit", type=int, dest="sieve_limit")
-    common.add_argument("--tolerance-real", type=float, dest="tolerance_real")
     common.add_argument("--format", choices=("csv", "json"))
     common.add_argument("--out", help="output path (default stdout)")
 

@@ -37,15 +37,12 @@ import json
 import math
 from fractions import Fraction
 
-from .arith_core import TabulatedFunction, divisors_int, mobius_int
+from .arith_core import (TabulatedFunction, divisors_int, empty_sum,
+                         mobius_int)
 from .ramanujan import Period, UndefinedPeriodError, wintner_coefficients
 from .transforms import TruncatedDivisorSum, eratosthenes_transform
 
 REAL_TOL = 1e-9
-
-
-def _is_exact_pair(f: TabulatedFunction, g) -> bool:
-    return f.is_exact and g.is_exact
 
 
 def _class_sum(fvals, a: int, d: int):
@@ -82,7 +79,7 @@ def correlate_direct(f: TabulatedFunction, g, N: int, a: int):
         raise ValueError(f"shifts are naturals >= 1, got {a}")
     if f.limit < N:
         raise ValueError(f"f tabulated only to {f.limit}, need {N}")
-    exact = _is_exact_pair(f, g)
+    exact = f.is_exact and g.is_exact
     if isinstance(g, TruncatedDivisorSum):
         fvals = f.values[: N + 1]
         acc = 0
@@ -93,7 +90,7 @@ def correlate_direct(f: TabulatedFunction, g, N: int, a: int):
         raise ValueError(
             f"g tabulated only to {g.limit}, not evaluable at N+a={N + a}")
     gv = g.values
-    acc = 0 if exact else 0.0
+    acc = empty_sum(f, g)
     for n, fv in f.support_upto(N):
         acc += fv * gv[n + a]
     return int(acc) if exact else float(acc)
@@ -140,7 +137,7 @@ def correlate_expansion(f: TabulatedFunction, g: TruncatedDivisorSum,
                     sums[e] = _class_sum(fvals, a, e)
                 inner += e * m * sums[e]
         total += ghat * inner
-    if _is_exact_pair(f, g):
+    if f.is_exact and g.is_exact:
         # exact rational bookkeeping collapses back to an integer
         t = Fraction(total)
         return int(t) if t.denominator == 1 else t
@@ -161,21 +158,12 @@ def truncation_difference(f: TabulatedFunction, g_source: TabulatedFunction,
     if f.limit < N:
         raise ValueError(f"f tabulated only to {f.limit}, need {N}")
     et = eratosthenes_transform(g_source, N + a)
-    exact = _is_exact_pair(f, g_source)
-    acc = 0 if exact else 0.0
+    fvals = f.values[: N + 1]
+    acc = empty_sum(f, g_source)
     for d in range(N + 1, N + a + 1):
         gpd = et.values[d]
-        if not gpd:
-            continue
-        inner = 0 if f.is_exact else 0.0
-        # n = K d - a with 1 <= n <= N
-        K = (1 + a + d - 1) // d
-        n = K * d - a
-        while n <= N:
-            inner += f.values[n]
-            n += d
-        if inner:
-            acc += gpd * inner
+        if gpd:
+            acc += gpd * _class_sum(fvals, a, d)
     return acc
 
 
@@ -191,8 +179,7 @@ def small_shift_difference(f: TabulatedFunction, g_source: TabulatedFunction,
         raise ValueError(
             f"g tabulated only to {g_source.limit}, need N+a={N + a}")
     et = eratosthenes_transform(g_source, N + a)
-    exact = _is_exact_pair(f, g_source)
-    acc = 0 if exact else 0.0
+    acc = empty_sum(f, g_source)
     for d in range(N + 1, N + a + 1):
         gpd = et.values[d]
         if gpd:
@@ -208,7 +195,7 @@ def verify_periodicity(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
         raise ValueError(f"period must be >= 1, got {P}")
     if g.is_zero():
         raise UndefinedPeriodError("periodicity undefined for the zero TDS")
-    exact = _is_exact_pair(f, g)
+    exact = f.is_exact and g.is_exact
     for a in shifts:
         lhs = correlate_direct(f, g, N, a)
         rhs = correlate_direct(f, g, N, a + P)

@@ -32,7 +32,8 @@ from math import gcd
 import numpy as np
 
 from .arith_core import (SIEVE_CAP, SUPPORT_EPS, TabulatedFunction,
-                         divisors_int, is_prime_int, mobius_int, zeros)
+                         divisors_int, empty_sum, is_prime_int, mobius_int,
+                         zeros)
 from .transforms import (TruncatedDivisorSum, read_table, truncate,
                          write_tds)
 
@@ -130,7 +131,7 @@ def ramanujan_expand(coeffs: RamanujanCoefficients, a: int):
     """
     if a < 1:
         raise ValueError(f"naturals start at 1, got {a}")
-    total = 0 if coeffs.is_exact else 0.0
+    total = empty_sum(coeffs)
     for q, v in coeffs.support():
         total += v * ramanujan_sum(q, a)
     return _normalize_exact(total) if coeffs.is_exact else total

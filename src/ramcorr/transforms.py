@@ -2,8 +2,15 @@
 and the odd-lift operator.
 
 The Eratosthenes transform of F is F' = mu * F, the unique table with
-F = F' * 1 (Mobius inversion).  Both directions run as O(M log M)
-divisor-lattice sweeps, never per-element Mobius sums.
+F = F' * 1 (Mobius inversion).  Both directions and ``dirichlet_convolve``
+run on one divisor-lattice sweep, ``_convolve``, of (a * b)(n) for n <= M,
+split at r = isqrt(M) as in Dirichlet's hyperbola method: each support
+point d <= r of a adds one slice out[d::d] += a(d) b(1..M/d), and the
+points d > r enter by one scatter per cofactor k = n/d <= r, in
+descending k.  For a fixed slot n, descending k is ascending d, so each
+slot adds its terms in the order of the plain per-d loop and Real
+products and divisor sums are unchanged to the last bit.  The transform
+runs the kernel on (mu, F), the divisor sum on (g', 1).
 
 A ``TruncatedDivisorSum`` is the table g'(d) for d <= cutoff (the
 table's limit); the function it induces,
@@ -11,16 +18,10 @@ table's limit); the function it induces,
     g(m) = sum of g'(d) over d | m with d <= cutoff,
 
 is evaluable at arbitrarily large (big-integer) m because only
-divisibility of m by small d is ever tested.  Over a whole range it is
-one divisor sieve (``evaluate_tds_range``, also behind
-``divisor_sum_transform``), split at r = isqrt(m_max): a slice per
-support point d <= r, then a scatter over the larger d per cofactor
-j = m / d <= r, taken in descending j.  For a fixed slot m, descending j
-is ascending d, so each slot adds its terms in the order of the plain
-per-d sieve and Real sums are unchanged to the last bit.
+divisibility of m by small d is ever tested.
 
 Every table holds its values in one array whose dtype follows its kind
-(see ``arith_core.DTYPES``), so each sweep below has a single body for
+(see ``arith_core.DTYPES``), so the kernel has a single body for
 ExactInt and Real tables.  The text format written and read here serves
 TDS and coefficient files alike.
 """
@@ -33,7 +34,8 @@ import re
 import numpy as np
 
 from .arith_core import (DTYPES, EXACT, REAL, SIEVE_CAP, PrimeTable,
-                         TabulatedFunction, _sqrt_split, capped_sieve, zeros)
+                         TabulatedFunction, _sqrt_split, capped_sieve,
+                         empty_sum, zeros)
 
 
 class TruncatedDivisorSum(TabulatedFunction):
@@ -46,12 +48,38 @@ class TruncatedDivisorSum(TabulatedFunction):
 
 
 tds_from_et = TruncatedDivisorSum.from_entries
-tds_is_zero = TruncatedDivisorSum.is_zero
 
 
 # ----------------------------------------------------------------------
 # convolution and inversion sweeps
 # ----------------------------------------------------------------------
+
+def _convolve(a, b, M: int, kind: str) -> np.ndarray:
+    """out[n] = sum over d | n of a[d] b[n/d] for n in [1..M], index 0
+    unused; ``b`` None is the constant 1, added with no product.  Zero
+    terms are skipped: a Real slot never holds -0.0, so no bit changes.
+    """
+    out = zeros(M + 1, kind)
+    a = a[: M + 1]
+    small, blocks = _sqrt_split(np.flatnonzero(a[1:]) + 1, M)
+    for d in small.tolist():
+        out[d::d] += a[d] if b is None else a[d] * b[1: M // d + 1]
+    for k, ds in reversed(blocks):
+        if b is None:
+            out[k * ds] += a[ds]
+        elif b[k]:
+            out[k * ds] += a[ds] * b[k]
+    return out
+
+
+def _mobius(M: int, table: PrimeTable | None) -> np.ndarray:
+    """mu on [0..M] from ``table``, else from ``capped_sieve(M)``."""
+    if table is None:
+        table = capped_sieve(M)
+    if table.limit < M:
+        raise ValueError(f"sieve limit {table.limit} below {M}")
+    return table.mobius_values[: M + 1]
+
 
 def dirichlet_convolve(F: TabulatedFunction, G: TabulatedFunction,
                        M: int | None = None) -> TabulatedFunction:
@@ -64,34 +92,29 @@ def dirichlet_convolve(F: TabulatedFunction, G: TabulatedFunction,
     if F.limit < M or G.limit < M:
         raise ValueError(f"inputs must be tabulated to at least {M}")
     kind = EXACT if F.is_exact and G.is_exact else REAL
-    fv = F.values[: M + 1].astype(DTYPES[kind])
-    gv = G.values[: M + 1].astype(DTYPES[kind])
-    out = zeros(M + 1, kind)
-    for d in range(1, M + 1):
-        v = fv[d]
-        if v:
-            out[d::d] += v * gv[1: M // d + 1]
+    out = _convolve(F.values[: M + 1].astype(DTYPES[kind]),
+                    G.values[: M + 1].astype(DTYPES[kind]), M, kind)
     return TabulatedFunction(M, kind, out, f"({F.name}*{G.name})")
 
 
-def eratosthenes_transform(F: TabulatedFunction,
-                           M: int | None = None) -> TabulatedFunction:
-    """F' = mu * F on [1..M], by the in-place divisor-lattice sweep.
+def eratosthenes_transform(F: TabulatedFunction, M: int | None = None,
+                           table: PrimeTable | None = None
+                           ) -> TabulatedFunction:
+    """F' = mu * F on [1..M]; without a table, sieves to M (at most
+    ``SIEVE_CAP``).
 
-    Processing d in increasing order, once every proper divisor of d has
-    been subtracted the slot holds F'(d); it is then pushed off all
-    higher multiples.
+    Real: every term mu(d) F(n/d) is exact and slot n adds at most tau(n)
+    of them, so F'(n) is within gamma(tau(n)) * sum over d | n of |F(n/d)|
+    of the exact mu * F of the stored table (tau the divisor count, gamma
+    as in ``correlations.correlate_direct``).
     """
     if M is None:
         M = F.limit
     if F.limit < M:
         raise ValueError(f"tabulated only to {F.limit}, need {M}")
-    et = F.values[: M + 1].copy()
-    for d in range(1, M // 2 + 1):
-        v = et[d]
-        if v:
-            et[2 * d:: d] -= v
-    return TabulatedFunction(M, F.kind, et, f"{F.name}'")
+    mu = _mobius(M, table).astype(DTYPES[F.kind])
+    return TabulatedFunction(M, F.kind, _convolve(mu, F.values, M, F.kind),
+                             f"{F.name}'")
 
 
 def divisor_sum_transform(F: TabulatedFunction,
@@ -105,9 +128,10 @@ def divisor_sum_transform(F: TabulatedFunction,
                              f"({F.name}*1)")
 
 
-def truncate(F: TabulatedFunction, N: int) -> TruncatedDivisorSum:
+def truncate(F: TabulatedFunction, N: int,
+             table: PrimeTable | None = None) -> TruncatedDivisorSum:
     """N-truncation of F: keep the transform values F'(d) for d <= N only."""
-    et = eratosthenes_transform(F, N)
+    et = eratosthenes_transform(F, N, table)
     return TruncatedDivisorSum(N, F.kind, et.values,
                                name=f"{F.name}_{N}" if F.name else "")
 
@@ -124,7 +148,7 @@ def evaluate_tds(g: TruncatedDivisorSum, m: int):
     """g(m) = sum of g'(d) over d <= cutoff dividing m; m may be huge."""
     if m < 1:
         raise ValueError(f"naturals start at 1, got {m}")
-    acc = 0 if g.is_exact else 0.0
+    acc = empty_sum(g)
     for d, v in g.support():
         if m % d == 0:
             acc += v
@@ -132,24 +156,12 @@ def evaluate_tds(g: TruncatedDivisorSum, m: int):
 
 
 def evaluate_tds_range(g: TabulatedFunction, m_max: int) -> np.ndarray:
-    """g(m) for all m in [1..m_max] at once, by a divisor sieve: the sum
-    of the table's entries g'(d) over d | m (any table serves as g').
-
-    Returns a value array of g's kind, index 0 unused.  Small d go by
-    slices in ascending d, then the large d by one scatter per cofactor
-    j in descending j, so every slot adds its terms in ascending d (see
-    the module docstring).
-    """
+    """g(m) for all m in [1..m_max] at once, as a value array of g's kind
+    (index 0 unused): the sum of the table's entries g'(d) over d | m (any
+    table serves as g')."""
     if m_max < 1:
         raise ValueError(f"naturals start at 1, got {m_max}")
-    out = zeros(m_max + 1, g.kind)
-    vals = g.values[: m_max + 1]
-    small, blocks = _sqrt_split(np.flatnonzero(vals[1:]) + 1, m_max)
-    for d in small.tolist():
-        out[d::d] += vals[d]
-    for j, ds in reversed(blocks):
-        out[j * ds] += vals[ds]
-    return out
+    return _convolve(g.values, None, m_max, g.kind)
 
 
 def odd_lift(x, method: str = "direct"):
@@ -186,11 +198,7 @@ def lambda_tds(N: int, table: PrimeTable | None = None) -> TruncatedDivisorSum:
 
     Without a table, sieves to N (at most ``SIEVE_CAP``).
     """
-    if table is None:
-        table = capped_sieve(N)
-    if table.limit < N:
-        raise ValueError(f"sieve limit {table.limit} below {N}")
-    mu = table.mobius_values[: N + 1].astype(np.float64)
+    mu = _mobius(N, table).astype(np.float64)
     logs = np.zeros(N + 1, dtype=np.float64)
     if N >= 1:
         logs[1:] = np.log(np.arange(1, N + 1, dtype=np.float64))

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arith_core import (EXACT, REAL, SUPPORT_EPS, TabulatedFunction,
-                         is_prime_int, mobius_int, odd_part, zeros)
+                         empty_sum, is_prime_int, mobius_int, odd_part,
+                         zeros)
 from .correlations import REAL_TOL, correlate_direct
 from .ramanujan import UndefinedPeriodError, universal_period
 from .transforms import (TruncatedDivisorSum, eratosthenes_transform,
@@ -166,8 +167,7 @@ def entangled_correlation(f: TabulatedFunction, g: TruncatedDivisorSum,
         failing = "; ".join(f"axiom {c.axiom_id}: {c.evidence}"
                             for c in report.failures())
         raise AxiomError(failing)
-    exact = f.is_exact and g.is_exact
-    acc = 0 if exact else 0.0
+    acc = empty_sum(f, g)
     if a % 2 == 0:
         for p, fv in f.support_upto(N):
             acc += fv * evaluate_tds(g, p + a)

@@ -263,6 +263,33 @@ class TestConfigResolution:
                                "--fn", "unit", "--N", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["sieve_limt", "tolerance_real"])
+    def test_unknown_config_key(self, capsys, tmp_path, key):
+        cfg = tmp_path / "ramcorr.conf"
+        cfg.write_text(f"# cap\nsieve_limit=50\n{key}=60\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "transform",
+                                 "--fn", "unit", "--N", "3")
+        assert code == 2 and out == ""
+        assert f"{cfg}:3: unknown key '{key}'" in err
+
+    def test_non_ascii_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "ramcorr.conf"
+        cfg.write_bytes(b"sieve_limit=5\xe9\n")
+        code, _, err = run_cli(capsys, "--config", str(cfg), "transform",
+                               "--fn", "unit", "--N", "3")
+        assert code == 2
+        assert "cannot read config file" in err and "0xe9" in err
+
+    @pytest.mark.parametrize("before", [True, False])
+    def test_tolerance_flag_removed(self, capsys, before):
+        flag = ["--tolerance-real", "1e-6"]
+        cmd = ["transform", "--fn", "unit", "--N", "3"]
+        with pytest.raises(SystemExit) as exc:
+            main(flag + cmd if before else cmd + flag)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "ramcorr: error:" in out.err
+
 
 def test_console_script_entry():
     proc = subprocess.run(

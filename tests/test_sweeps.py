@@ -1,9 +1,12 @@
-"""The sqrt(M)-split sweeps (sieve, mu, phi, kappa, divisor sums) against
-trial-division oracles and the plain per-point loops they replace, and a
-guard on the number of Python-level steps they take."""
+"""The sqrt(M)-split sweeps (sieve, mu, phi, kappa, and the convolution
+kernel behind the Dirichlet product, the Eratosthenes transform and the
+divisor sums) against trial-division oracles and the plain per-point
+loops they replace, and a guard on the number of Python-level steps they
+take."""
 
 import random
 import sys
+import tracemalloc
 from functools import cache
 from math import gcd, isqrt, prod
 
@@ -11,13 +14,15 @@ import numpy as np
 import pytest
 
 from ramcorr import arith_core, transforms
-from ramcorr.arith_core import (EXACT, REAL, PrimeTable, TabulatedFunction,
-                                divisors_int, is_prime_int, mobius_int,
-                                sieve_primes, tabulate, tabulate_kappa, zeros)
+from ramcorr.arith_core import (EXACT, REAL, SIEVE_CAP, PrimeTable,
+                                TabulatedFunction, divisors_int, is_prime_int,
+                                mobius_int, sieve_primes, tabulate,
+                                tabulate_kappa, zeros)
 from ramcorr.cli import main
-from ramcorr.transforms import (TruncatedDivisorSum, divisor_sum_transform,
-                                eratosthenes_transform, evaluate_tds_range,
-                                lambda_tds, odd_lift)
+from ramcorr.transforms import (TruncatedDivisorSum, dirichlet_convolve,
+                                divisor_sum_transform, eratosthenes_transform,
+                                evaluate_tds_range, lambda_tds, odd_lift,
+                                read_tds, truncate)
 
 # just below, at and just above the squares of 2, 3, 5, 7, plus 1000, 1001
 # and one larger limit
@@ -100,8 +105,8 @@ def test_range_is_bitwise_the_per_d_sieve_real(m_max, table_20k):
         assert got.tobytes() == per_d_range(g, m_max).tobytes()
 
 
-def random_exact_tds(rng, cutoff, density):
-    vals = [0] + [rng.randint(-9, 9) if rng.random() < density else 0
+def random_exact_tds(rng, cutoff, density, top=9):
+    vals = [0] + [rng.randint(-top, top) if rng.random() < density else 0
                   for _ in range(cutoff)]
     vals[-1] = vals[-1] or 7  # keep the top of the table in the support
     return TruncatedDivisorSum(cutoff, EXACT, vals)
@@ -146,6 +151,127 @@ def test_transform_round_trip_at_two_hundred_thousand(name, table_200k):
 
 
 # ----------------------------------------------------------------------
+# the convolution kernel against the per-d loops it replaced
+# ----------------------------------------------------------------------
+
+def in_place_et(F, M):
+    """The in-place transform sweep: in ascending d, once every proper
+    divisor of d has been subtracted the slot holds F'(d); it is then
+    pushed off all higher multiples."""
+    et = F.values[: M + 1].copy()
+    for d in range(1, M // 2 + 1):
+        v = et[d]
+        if v:
+            et[2 * d:: d] -= v
+    return et
+
+
+def per_d_convolve(F, G, M):
+    """The plain Dirichlet product: one slice per d with F(d) != 0."""
+    kind = EXACT if F.is_exact and G.is_exact else REAL
+    fv = F.values[: M + 1].astype(object if kind == EXACT else np.float64)
+    gv = G.values[: M + 1].astype(fv.dtype)
+    out = zeros(M + 1, kind)
+    for d in range(1, M + 1):
+        if fv[d]:
+            out[d::d] += fv[d] * gv[1: M // d + 1]
+    return out
+
+
+def assert_exact_equal(got, want):
+    assert got.dtype == object
+    assert got.tolist() == want.tolist()
+    assert all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("M", SPLIT_LIMITS)
+def test_convolution_kernel_equals_the_per_d_loops_exact(M):
+    rng = random.Random(M)
+    # 10**30 is past int64, so only object arithmetic gets it right
+    for density, top in ((1.0, 9), (0.3, 10 ** 30), (0.02, 9)):
+        F = random_exact_tds(rng, M, density, top)
+        G = random_exact_tds(rng, M, 1.0 - density / 2, top)
+        assert_exact_equal(eratosthenes_transform(F).values,
+                           in_place_et(F, M))
+        assert_exact_equal(dirichlet_convolve(F, G).values,
+                           per_d_convolve(F, G, M))
+
+
+@pytest.mark.parametrize("M", SPLIT_LIMITS)
+def test_dirichlet_convolve_is_bitwise_the_per_d_loop_real(M, table_20k):
+    rng = random.Random(M)
+    lam = tabulate("lambda", M, table_20k)
+    noise = TabulatedFunction(M, REAL, [0.0] + [
+        rng.uniform(-1, 1) if rng.random() < 0.5 else 0.0 for _ in range(M)])
+    for F, G in ((lam, noise), (noise, lam), (noise, noise)):
+        got = dirichlet_convolve(F, G).values
+        assert got.dtype == np.float64
+        assert got.tobytes() == per_d_convolve(F, G, M).tobytes()
+
+
+@pytest.mark.parametrize("name", ["phi", "kappa", "mobius", "mu_squared"])
+def test_transform_equals_the_in_place_sweep_at_two_hundred_thousand(
+        name, table_200k):
+    F = tabulate(name, 200_000, table_200k)
+    assert_exact_equal(eratosthenes_transform(F, table=table_200k).values,
+                       in_place_et(F, F.limit))
+
+
+def test_real_transform_of_lambda_within_the_stated_bound(table_200k):
+    M = 200_000
+    F = tabulate("lambda", M, table_200k)
+    got = eratosthenes_transform(F, table=table_200k).values
+    mu = np.array(oracles()[1] + [mobius_int(n)
+                                  for n in range(ORACLE_TOP + 1, M + 1)])
+    want = np.zeros(M + 1)
+    want[1:] = -mu[1:] * np.log(np.arange(1, M + 1, dtype=np.float64))
+    ones = TabulatedFunction(M, REAL, np.ones(M + 1))
+    tau = per_d_range(ones, M)
+    mass = per_d_range(TabulatedFunction(M, REAL, np.abs(F.values)), M)
+    # the docstring's gamma(tau(n)) * sum |F(n/d)| covers the sum; the
+    # stored log p and the reference log n are each within one ulp
+    # (2u relative) and sum over d | n of Lambda(n/d) = log n, which adds
+    # at most 4u * mass: gamma(tau(n) + 4) * mass covers both
+    u, m = 2.0 ** -53, tau + 4
+    bound = m * u / (1 - m * u) * mass
+    err = np.abs(got - want)
+    assert (err[1:] <= bound[1:]).all(), int(np.argmax(err - bound))
+
+
+def test_transform_without_a_table_refuses_above_the_cap():
+    M = SIEVE_CAP + 1
+    F = TabulatedFunction(M, REAL, np.zeros(M + 1))  # pages never touched
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{M} exceeds SIEVE_CAP"):
+            eratosthenes_transform(F)
+        with pytest.raises(ValueError, match=f"{M} exceeds SIEVE_CAP"):
+            truncate(F, M)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_transform_with_a_table_goes_past_the_cap(monkeypatch, table_2k,
+                                                   tmp_path):
+    monkeypatch.setattr(arith_core, "SIEVE_CAP", 100)
+    F = tabulate("phi", 300, table_2k)
+    with pytest.raises(ValueError, match="300 exceeds SIEVE_CAP = 100"):
+        eratosthenes_transform(F)
+    with pytest.raises(ValueError, match="sieve limit 200 below 300"):
+        eratosthenes_transform(F, table=sieve_primes(200))
+    want = in_place_et(F, 300)
+    assert_exact_equal(eratosthenes_transform(F, table=table_2k).values, want)
+    assert_exact_equal(truncate(F, 300, table_2k).values, want)
+    # the CLI passes the table it sieved to --sieve-limit
+    out = tmp_path / "phi.tds"
+    assert main(["transform", "--fn", "phi", "--N", "300", "--sieve-limit",
+                 "300", "--out", str(out)]) == 0
+    with open(out) as fh:
+        assert read_tds(fh).values.tolist() == want.tolist()
+
+
+# ----------------------------------------------------------------------
 # step-count guard: each sweep executes O(sqrt(M)) lines of Python, not
 # one or more per prime or per support point
 # ----------------------------------------------------------------------
@@ -155,7 +281,7 @@ SWEEPS = {
     PrimeTable.mobius_values.func.__code__: "mobius_values",
     PrimeTable.phi_values.func.__code__: "phi_values",
     arith_core.tabulate_kappa.__code__: "tabulate_kappa",
-    transforms.evaluate_tds_range.__code__: "evaluate_tds_range",
+    transforms._convolve.__code__: "_convolve",
 }
 
 
@@ -194,6 +320,12 @@ def test_hl_ladder_sweeps_take_sqrt_steps(tmp_path):
             "--Q", "2000000", "--out", str(tmp_path / "hl.csv")]
     records = sweep_line_counts(lambda: main(argv))
     records += sweep_line_counts(lambda: tabulate("kappa", 200_000))
+    records += sweep_line_counts(lambda: main(
+        ["transform", "--fn", "phi", "--N", "200000",
+         "--out", str(tmp_path / "phi.tds")]))
+    # the transform at 2e5 (mu * phi) ran through the kernel
+    assert {limit for name, limit, _ in records
+            if name == "_convolve"} >= {200_000}
     assert {name for name, _, _ in records} == set(SWEEPS.values())
     for name, limit, lines in records:
         # the loops run over the points <= isqrt(limit) (at most isqrt of

@@ -10,7 +10,7 @@ from ramcorr.transforms import (dirichlet_convolve,
                                 divisor_sum_transform, eratosthenes_transform,
                                 evaluate_tds, evaluate_tds_range, lambda_tds,
                                 odd_lift, read_tds, retruncate, tds_from_et,
-                                tds_is_zero, truncate, write_tds)
+                                truncate, write_tds)
 
 
 def brute_divisor_convolution(fvals, gvals, n):
@@ -115,7 +115,7 @@ class TestTruncation:
         # F = h * 1 with h supported at 12 only
         h = divisor_sum_transform(F)
         g = truncate(h, 10)
-        assert tds_is_zero(g)
+        assert g.is_zero()
 
     def test_truncation_idempotent(self, rng):
         g = tds_from_et({3: 4, 10: -2, 15: 1}, 20, EXACT)
