@@ -148,19 +148,22 @@ def ramanujan_expand_range(coeffs: RamanujanCoefficients, a_max: int):
     is pure integer adds; the result list holds exact values (ints when
     integral).  Real tables accumulate in float64.  Index 0 is unused.
     A modulus q > a_max needs only the block c_q(0..a_max), so only that
-    much of it is built in the exact branch.
+    much of it is built.
     """
     if a_max < 1:
         raise ValueError(f"naturals start at 1, got {a_max}")
     support = coeffs.support()
+
+    def period(q):
+        return (ramanujan_sum_table(q) if q <= a_max
+                else _ramanujan_block(q, a_max + 1))
+
     if coeffs.is_exact:
         L = math.lcm(*(v.denominator for _, v in support)) if support else 1
         acc = [0] * (a_max + 1)
         for q, v in support:
             w = int(v * L)
-            period = (ramanujan_sum_table(q) if q <= a_max
-                      else _ramanujan_block(q, a_max + 1))
-            block = [w * c for c in period]
+            block = [w * c for c in period(q)]
             ext = block * (a_max // q + 1)
             acc = [x + y for x, y in zip(acc, ext)]
         out: list = [0] * (a_max + 1)
@@ -170,7 +173,7 @@ def ramanujan_expand_range(coeffs: RamanujanCoefficients, a_max: int):
         return out
     acc_f = np.zeros(a_max + 1, dtype=np.float64)
     for q, v in support:
-        block_f = np.asarray(ramanujan_sum_table(q), dtype=np.float64)
+        block_f = np.asarray(period(q), dtype=np.float64)
         ext_f = np.tile(block_f, a_max // q + 2)[: a_max + 1]
         acc_f += v * ext_f
     acc_f[0] = 0.0

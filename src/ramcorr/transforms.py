@@ -22,8 +22,12 @@ divisibility of m by small d is ever tested.
 
 Every table holds its values in one array whose dtype follows its kind
 (see ``arith_core.DTYPES``), so the kernel has a single body for
-ExactInt and Real tables.  The text format written and read here serves
-TDS and coefficient files alike.
+ExactInt and Real tables.  ExactInt inputs run that body on int64 when
+every entry is a Python int and max|a| max|b| 2 isqrt(M) < 2**63 (no
+slot has more than tau(n) <= 2 isqrt(M) terms, so no product or partial
+sum can overflow), and come back as Python ints; any other exact input,
+Fractions included, runs on Python ints.  The text format written and
+read here serves TDS and coefficient files alike.
 """
 
 from __future__ import annotations
@@ -54,13 +58,45 @@ tds_from_et = TruncatedDivisorSum.from_entries
 # convolution and inversion sweeps
 # ----------------------------------------------------------------------
 
+def _int64_lane(a: np.ndarray, b, M: int):
+    """(a, b) as int64 arrays when the exact kernel can run on them, else
+    None.  Every entry must be a Python int (``astype`` would truncate a
+    Fraction without a word) that fits in int64, and
+    max|a| max|b| 2 isqrt(M) < 2**63 (max|b| = 1 for ``b`` None): slot n
+    adds tau(n) <= 2 isqrt(M) terms, so no product or partial sum can
+    overflow.
+    """
+    ins = (a,) if b is None else (a, b)
+    if any(set(map(type, v.tolist())) != {int} for v in ins):
+        return None
+    try:
+        ins = [v.astype(np.int64) for v in ins]
+    except OverflowError:
+        return None
+    bound = 2 * math.isqrt(M)
+    for v in ins:
+        bound *= max(int(v.max()), -int(v.min()))
+    if bound >= 2 ** 63:
+        return None
+    return ins[0], (None if b is None else ins[1])
+
+
 def _convolve(a, b, M: int, kind: str) -> np.ndarray:
     """out[n] = sum over d | n of a[d] b[n/d] for n in [1..M], index 0
     unused; ``b`` None is the constant 1, added with no product.  Zero
     terms are skipped: a Real slot never holds -0.0, so no bit changes.
+
+    ExactInt inputs that ``_int64_lane`` admits run the same loops on
+    int64 and come back as Python ints (``astype(object)``); other exact
+    inputs run on the Python ints and Fractions of the object array.
     """
-    out = zeros(M + 1, kind)
     a = a[: M + 1]
+    if b is not None:
+        b = b[: M + 1]
+    lane = _int64_lane(a, b, M) if kind == EXACT else None
+    if lane:
+        a, b = lane
+    out = np.zeros(M + 1, dtype=np.int64) if lane else zeros(M + 1, kind)
     small, blocks = _sqrt_split(np.flatnonzero(a[1:]) + 1, M)
     for d in small.tolist():
         out[d::d] += a[d] if b is None else a[d] * b[1: M // d + 1]
@@ -69,7 +105,7 @@ def _convolve(a, b, M: int, kind: str) -> np.ndarray:
             out[k * ds] += a[ds]
         elif b[k]:
             out[k * ds] += a[ds] * b[k]
-    return out
+    return out.astype(object) if lane else out
 
 
 def _mobius(M: int, table: PrimeTable | None) -> np.ndarray:
@@ -213,12 +249,15 @@ def lambda_tds(N: int, table: PrimeTable | None = None) -> TruncatedDivisorSum:
 def write_tds(g: TabulatedFunction, fh) -> None:
     """Write a table in the text format.
 
-    Values are Python scalars, so str() gives exact text for ints and
-    Fractions and the shortest round-trip text for floats.
+    Values are Python scalars, so str() (``%s``) gives exact text for
+    ints and Fractions and the shortest round-trip text for floats.  The
+    lines are built straight from the value array, not from the cached
+    ``support()`` list of tuples.
     """
+    idx = np.flatnonzero(g.values[1:]) + 1
     fh.write(f"cutoff={g.limit} kind={g.kind}\n")
-    for d, v in g.support():
-        fh.write(f"{d}\t{v}\n")
+    fh.write("".join(map("%s\t%s\n".__mod__,
+                         zip(idx.tolist(), g.values[idx].tolist()))))
 
 
 # the only exact value text write_tds emits: an int or a Fraction's p/q

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,17 @@ def cosine_oracle(q, a):
     """The defining trigonometric sum over reduced residues (test oracle)."""
     return sum(math.cos(2 * math.pi * j * a / q)
                for j in range(1, q + 1) if gcd(j, q) == 1)
+
+
+def tiled_expand_real(coeffs, a_max):
+    """The Real batch expansion tiling the full period c_q(0..q-1) of
+    every modulus q, whatever a_max is."""
+    acc = np.zeros(a_max + 1)
+    for q, v in coeffs.support():
+        block = np.asarray(ramanujan_sum_table(q), dtype=np.float64)
+        acc += v * np.tile(block, a_max // q + 2)[: a_max + 1]
+    acc[0] = 0.0
+    return acc
 
 
 def random_tds(rng, D, n_points=8):
@@ -190,6 +202,14 @@ class TestExpansion:
             for a in range(1, a_max + 1):
                 want = ramanujan_expand(c, a)
                 assert batch[a] == want and type(batch[a]) is type(want), a
+
+    @pytest.mark.parametrize("a_max", [1, 2, 7, 120, 500])
+    def test_real_batch_is_bitwise_the_full_period_tiling(self, a_max,
+                                                          table_2k):
+        # moduli up to 2000, far past a_max: only c_q(0..a_max) is built
+        c = wintner_coefficients(lambda_tds(2000, table_2k))
+        got = ramanujan_expand_range(c, a_max)
+        assert got.tobytes() == tiled_expand_real(c, a_max).tobytes()
 
     def test_rejects_zero_argument(self):
         c = wintner_coefficients(tds_from_et({1: 1}, 5, EXACT))

@@ -7,6 +7,7 @@ take."""
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, prod
 
@@ -217,6 +218,109 @@ def test_transform_equals_the_in_place_sweep_at_two_hundred_thousand(
                        in_place_et(F, F.limit))
 
 
+# ----------------------------------------------------------------------
+# the int64 lane of the exact kernel: taken only for Python-int inputs
+# whose product bound stays below 2**63
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Record, for every kernel call on exact inputs, whether it took the
+    int64 lane."""
+    taken = []
+    admit = transforms._int64_lane
+
+    def spy(a, b, M):
+        got = admit(a, b, M)
+        taken.append(got is not None)
+        return got
+    monkeypatch.setattr(transforms, "_int64_lane", spy)
+    return taken
+
+
+def assert_exact_values(got, want):
+    """Equal exact values, none of them a float or a NumPy scalar."""
+    assert got.dtype == object
+    assert got.tolist() == want.tolist()
+    assert {type(v) for v in got} <= {int, Fraction}
+
+
+@pytest.mark.parametrize("M", [24, 1001])
+def test_fraction_tables_stay_exact(M, lanes):
+    # odd halves: int64 conversion would truncate every one of them
+    rng = random.Random(M)
+
+    def table(halves):
+        vals = [0] + [
+            Fraction(2 * rng.randint(-5, 4) + 1, 2) if rng.random() < halves
+            else rng.randint(-3, 3) for _ in range(M)]
+        if halves:
+            vals[M] = Fraction(-3, 2)  # at least one, at a scatter point
+        return TruncatedDivisorSum(M, EXACT, vals)
+    F, G, ints = table(0.3), table(0.02), table(0.0)
+    for a, b in ((F, G), (F, ints), (ints, F)):
+        assert_exact_values(dirichlet_convolve(a, b).values,
+                            per_d_convolve(a, b, M))
+    for g in (F, G):
+        assert_exact_values(evaluate_tds_range(g, M), per_d_range(g, M))
+    assert lanes == [False] * 5
+    assert_exact_equal(evaluate_tds_range(ints, M), per_d_range(ints, M))
+    assert lanes[-1]
+
+
+# M where some n <= M has tau(n) = 2 isqrt(M) divisors (n = 2, 2, 12, 24),
+# so the bound is reached: all-constant tables put tau(n) |a| |b| in slot n
+@pytest.mark.parametrize("M", [2, 3, 12, 24])
+def test_lane_bound_just_below_and_just_above_two_to_the_63(M, lanes):
+    terms = 2 * isqrt(M)
+    for b in (1, 3, None):
+        for above in (False, True):
+            top = (2 ** 63 - 1) // (terms * (b or 1)) + above
+            for sign in (1, -1):
+                F = TruncatedDivisorSum(M, EXACT, [0] + [sign * top] * M)
+                if b is None:
+                    got, want = evaluate_tds_range(F, M), per_d_range(F, M)
+                else:
+                    G = TabulatedFunction(M, EXACT, [0] + [b] * M)
+                    got = dirichlet_convolve(F, G).values
+                    want = per_d_convolve(F, G, M)
+                assert max(map(abs, want.tolist())) == terms * top * (b or 1)
+                assert_exact_equal(got, want)
+                assert lanes.pop() is not above, (b, top, sign)
+
+
+@pytest.mark.parametrize("big", [2 ** 63, 2 ** 64 + 5, -2 ** 63 - 1,
+                                 -2 ** 63])
+def test_one_entry_past_int64_takes_the_object_lane(big, lanes):
+    M = 1000
+    rng = random.Random(big)
+    for d in (6, 997):  # one slice point, one point of the scatter
+        vals = [0] + [rng.randint(-9, 9) for _ in range(M)]
+        vals[d] = big
+        F = TruncatedDivisorSum(M, EXACT, vals)
+        G = TabulatedFunction(M, EXACT, [0] + [1] * M)
+        assert_exact_equal(dirichlet_convolve(G, F).values,
+                           per_d_convolve(G, F, M))
+        assert_exact_equal(evaluate_tds_range(F, M), per_d_range(F, M))
+    assert lanes == [False] * 4
+
+
+@pytest.mark.parametrize("name", ["phi", "kappa", "mobius", "mu_squared"])
+def test_exact_transforms_at_two_hundred_thousand_take_the_int64_lane(
+        name, table_200k, lanes):
+    F = tabulate(name, 200_000, table_200k)
+    back = divisor_sum_transform(eratosthenes_transform(F, table=table_200k))
+    assert lanes == [True, True]
+    assert_exact_equal(back.values, F.values)
+
+
+def test_real_tables_never_ask_for_the_lane(table_2k, lanes):
+    F = tabulate("lambda", 2000, table_2k)
+    divisor_sum_transform(eratosthenes_transform(F, table=table_2k))
+    dirichlet_convolve(F, F)
+    assert lanes == []
+
+
 def test_real_transform_of_lambda_within_the_stated_bound(table_200k):
     M = 200_000
     F = tabulate("lambda", M, table_200k)
@@ -269,6 +373,22 @@ def test_transform_with_a_table_goes_past_the_cap(monkeypatch, table_2k,
                  "300", "--out", str(out)]) == 0
     with open(out) as fh:
         assert read_tds(fh).values.tolist() == want.tolist()
+
+
+def test_sieve_mu_phi_kappa_against_sympy_factorint(table_200k):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    sample = sorted({1, 2, 3 ** 11, 2 ** 17, 199_999, 200_000,
+                     *rng.sample(range(3, 200_000), 600)})
+    mu, phi = table_200k.mobius_values, table_200k.phi_values
+    kap = tabulate_kappa(200_000, table_200k).values
+    for n in sample:
+        fac = sympy.factorint(n)
+        square_free = all(e == 1 for e in fac.values())
+        assert mu[n] == ((-1) ** len(fac) if square_free else 0), n
+        assert phi[n] == prod(p ** (e - 1) * (p - 1)
+                              for p, e in fac.items()), n
+        assert kap[n] == prod(fac), n
 
 
 # ----------------------------------------------------------------------

@@ -51,6 +51,25 @@ def test_write_then_read_gives_an_equal_table(data, cls, kind, values,
     assert back.values.tolist() == table.values.tolist()
 
 
+def support_writer(g, fh):
+    """The text format written line by line from the cached support."""
+    fh.write(f"cutoff={g.limit} kind={g.kind}\n")
+    for d, v in g.support():
+        fh.write(f"{d}\t{v}\n")
+
+
+@pytest.mark.parametrize("kind, values", [
+    (EXACT, st.integers()), (EXACT, st.fractions()), (REAL, finite_floats)])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_writer_bytes_equal_the_support_line_writer(data, kind, values):
+    table = data.draw(_tables(RamanujanCoefficients, kind, values))
+    got, want = io.StringIO(), io.StringIO()
+    write_tds(table, got)
+    support_writer(table, want)
+    assert got.getvalue() == want.getvalue()
+
+
 def _read_with_line(reader, kind, line):
     """Read a file whose line 3 is ``line``, after a valid entry for d=3."""
     text = f"cutoff=20 kind={kind}\n3\t1\n{line}\n"
