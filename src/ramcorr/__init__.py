@@ -16,7 +16,8 @@ from .correlations import (CorrelationProfile, build_profile,
 from .hlmodels import (ModelRow, SingularSeriesValue, artifact,
                        artifact_batch, artifact_identity_check, artifact_pair,
                        chebyshev_theta, error_bound_check, hl_correlation,
-                       model_chain, pnt_sanity, singular_series)
+                       model_chain, pnt_sanity, singular_series,
+                       singular_series_batch)
 from .ramanujan import (Period, RamanujanCoefficients, UndefinedPeriodError,
                         half_range_identity_check, lucht_invert,
                         ramanujan_expand, ramanujan_expand_range,

@@ -2,8 +2,11 @@
 
 Two building blocks everything else consumes:
 
-* ``PrimeTable`` -- an Eratosthenes sieve carrying a smallest-prime-factor
-  table plus lazily built batch arrays (Mobius, Euler phi, von Mangoldt).
+* ``PrimeTable`` -- an Eratosthenes sieve plus lazily built arrays: the
+  smallest-prime-factor table (built on the first ``factorize``) and the
+  batch arrays (Mobius, Euler phi, von Mangoldt).  mu and phi are swept
+  on narrow working arrays (int8; int32 below 2**31) and handed out as
+  int64, like the spf table.
 * ``TabulatedFunction`` -- a table of values on [1..limit].  Arithmetic
   functions, truncated divisor-sum tables and Ramanujan coefficient
   tables all use it.  Its ``values`` is a NumPy array whose dtype follows
@@ -76,21 +79,37 @@ def _sqrt_split(points: np.ndarray, M: int) -> tuple[np.ndarray, list]:
 
 @dataclass(eq=False)
 class PrimeTable:
-    """Primality and smallest-prime-factor tables up to ``limit``.
+    """Primality up to ``limit`` plus lazily built tables derived from it.
 
-    Immutable after construction; concurrent reads are safe.  The derived
-    value arrays are built lazily, once, on first access.
+    Immutable after construction; concurrent reads are safe.  The
+    smallest-prime-factor table and the mu/phi/Lambda value arrays are
+    each built once, on first access, so a caller that never factorises
+    never pays for the spf table.  mu and phi are swept on narrow working
+    arrays (int8, and int32 while limit < 2**31) and returned as int64.
     """
 
     limit: int
     is_prime: np.ndarray               # bool, len limit+1
-    smallest_prime_factor: np.ndarray  # int64, len limit+1, spf[1] = 1
     primes: np.ndarray                 # int64, ascending
+
+    @cached_property
+    def smallest_prime_factor(self) -> np.ndarray:
+        """spf(n) for n = 0..limit as int64 (spf[0] = 0, spf[1] = 1)."""
+        spf = np.zeros(self.limit + 1, dtype=np.int64)
+        spf[1] = 1
+        small, _ = _sqrt_split(self.primes, self.limit)
+        # descending order: the last write at each index is the smallest prime
+        for p in small[::-1].tolist():
+            spf[p::p] = p
+        # a slot still unset has no prime factor <= sqrt(M), so it is a prime
+        large = self.primes[small.size:]
+        spf[large] = large
+        return spf
 
     @cached_property
     def mobius_values(self) -> np.ndarray:
         """mu(n) for n = 0..limit as int64 (mu[0] = 0)."""
-        mu = np.ones(self.limit + 1, dtype=np.int64)
+        mu = np.ones(self.limit + 1, dtype=np.int8)
         mu[0] = 0
         small, blocks = _sqrt_split(self.primes, self.limit)
         for p in small.tolist():
@@ -98,18 +117,26 @@ class PrimeTable:
             mu[p * p::p * p] = 0
         for j, ps in blocks:
             mu[j * ps] *= -1
-        return mu
+        return mu.astype(np.int64)
 
     @cached_property
     def phi_values(self) -> np.ndarray:
-        """Euler phi(n) for n = 0..limit as int64 (phi[0] = 0)."""
-        phi = np.arange(self.limit + 1, dtype=np.int64)
+        """Euler phi(n) for n = 0..limit as int64 (phi[0] = 0).
+
+        phi(n) <= n, so the slices run on int32 below 2**31.  A prime
+        p > r = isqrt(limit) divides n = j * p only with j <= r < p, so
+        phi(j) is final by then and phi(j * p) = phi(j) * (p - 1).
+        """
+        work = np.int32 if self.limit < 2 ** 31 else np.int64
+        phi = np.arange(self.limit + 1, dtype=work)
         small, blocks = _sqrt_split(self.primes, self.limit)
         for p in small.tolist():
-            phi[p::p] -= phi[p::p] // p
+            v = phi[p::p]
+            v //= p
+            v *= p - 1
+        phi = phi.astype(np.int64)
         for j, ps in blocks:
-            idx = j * ps
-            phi[idx] -= phi[idx] // ps
+            phi[j * ps] = phi[j] * (ps - 1)
         return phi
 
     @cached_property
@@ -128,7 +155,7 @@ class PrimeTable:
 
 
 def sieve_primes(M: int) -> PrimeTable:
-    """Eratosthenes sieve with smallest-prime-factor table up to M >= 2."""
+    """Eratosthenes sieve up to M >= 2 (the spf table is built lazily)."""
     if M < 2:
         raise ValueError(f"sieve limit must be >= 2, got {M}")
     is_prime = np.ones(M + 1, dtype=bool)
@@ -137,17 +164,7 @@ def sieve_primes(M: int) -> PrimeTable:
         if is_prime[i]:
             is_prime[i * i:: i] = False
     primes = np.flatnonzero(is_prime).astype(np.int64)
-    spf = np.zeros(M + 1, dtype=np.int64)
-    spf[1] = 1
-    small, _ = _sqrt_split(primes, M)
-    # descending order: the last write at each index is the smallest prime
-    for p in small[::-1].tolist():
-        spf[p::p] = p
-    # a slot still unset has no prime factor <= sqrt(M), so it is a prime
-    large = primes[small.size:]
-    spf[large] = large
-    return PrimeTable(limit=M, is_prime=is_prime,
-                      smallest_prime_factor=spf, primes=primes)
+    return PrimeTable(limit=M, is_prime=is_prime, primes=primes)
 
 
 def _check_cap(M: int) -> None:

@@ -31,7 +31,7 @@ from . import __version__
 from .arith_core import (SIEVE_CAP, sieve_primes, tabulate,
                          tabulated_function_names)
 from .correlations import build_profile, profile_to_csv, profile_to_json
-from .hlmodels import (model_chain, model_rows_to_csv, singular_series,
+from .hlmodels import (model_chain, model_rows_to_csv, singular_series_batch,
                        singular_to_csv)
 from .ramanujan import read_coefficients, universal_period
 from .transforms import (lambda_tds, odd_lift, open_table, read_tds_path,
@@ -292,8 +292,7 @@ def _cmd_hl(args, cfg: RunConfig) -> int:
     need = max(max(N_list) + max(a_list), args.Q)
     table = _need_sieve(cfg, need)
     rows = [model_chain(N, a, table) for N in N_list for a in a_list]
-    sing = [singular_series(a, Q=args.Q, table=table)
-            for a in sorted(set(a_list))]
+    sing = singular_series_batch(sorted(set(a_list)), Q=args.Q, table=table)
     buf = io.StringIO()
     model_rows_to_csv(rows, buf)
     models_csv = buf.getvalue()

@@ -222,33 +222,46 @@ def error_bound_check(N_list, a_list, table: PrimeTable
 # singular series
 # ----------------------------------------------------------------------
 
-def singular_series(a: int, Q: int = 100_000,
-                    table: PrimeTable | None = None) -> SingularSeriesValue:
+def singular_series_batch(a_list, Q: int = 100_000,
+                          table: PrimeTable | None = None
+                          ) -> list[SingularSeriesValue]:
     """Truncated sum over q <= Q of mu^2(q) c_q(a) / phi(q)^2, next to the
-    Euler-product oracle over primes p <= Q.
+    Euler-product oracle over primes p <= Q, for every shift in a_list.
+
+    The float mu, mu^2 and phi^2 arrays are built once per Q; each shift
+    adds only its c_q(a) table and the two sums.
 
     Odd a: the p = 2 factor is 1 + c_2(a) = 0, so the product vanishes
     and the truncated sum tends to 0.
     """
-    if a < 1 or Q < 2:
+    a_list = [int(a) for a in a_list]
+    if (a_list and min(a_list) < 1) or Q < 2:
         raise ValueError("need a >= 1 and Q >= 2")
     if table is None:
         table = capped_sieve(Q)
     _require_limit(table, Q)
-    mu = table.mobius_values[: Q + 1]
-    phi = table.phi_values[: Q + 1].astype(np.float64)
-    c = np.zeros(Q + 1, dtype=np.float64)
-    for d in divisors_int(a):
-        if d <= Q:
-            c[d::d] += d * mu[1: Q // d + 1].astype(np.float64)
-    sq = (mu[1:] * mu[1:]).astype(np.float64)
-    truncated = float(np.sum(sq * c[1:] / phi[1:] ** 2))
+    mu = table.mobius_values[: Q + 1].astype(np.float64)
+    phi2 = table.phi_values[1: Q + 1].astype(np.float64) ** 2
+    sq = mu[1:] * mu[1:]
+    primes = table.primes[table.primes <= Q]
+    p = primes.astype(np.float64)
+    out = []
+    for a in a_list:
+        c = np.zeros(Q + 1, dtype=np.float64)
+        for d in divisors_int(a):
+            if d <= Q:
+                c[d::d] += d * mu[1: Q // d + 1]
+        truncated = float(np.sum(sq * c[1:] / phi2))
+        cp = np.where(np.mod(a, primes) == 0, p - 1.0, -1.0)
+        euler = float(np.prod(1.0 + cp / (p - 1.0) ** 2))
+        out.append(SingularSeriesValue(a, truncated, euler, Q))
+    return out
 
-    p = table.primes[table.primes <= Q].astype(np.float64)
-    cp = np.where(np.mod(a, table.primes[table.primes <= Q]) == 0,
-                  p - 1.0, -1.0)
-    euler = float(np.prod(1.0 + cp / (p - 1.0) ** 2))
-    return SingularSeriesValue(a, truncated, euler, Q)
+
+def singular_series(a: int, Q: int = 100_000,
+                    table: PrimeTable | None = None) -> SingularSeriesValue:
+    """singular_series_batch for the one shift a."""
+    return singular_series_batch([a], Q, table)[0]
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .arith_core import (EXACT, TabulatedFunction, divisors_int,
 from .correlations import (correlate_direct, truncation_difference,
                            verify_periodicity)
 from .hlmodels import (artifact_identity_check, artifact_pair, model_chain,
-                       pnt_sanity, singular_series)
+                       pnt_sanity, singular_series_batch)
 from .ramanujan import (RamanujanCoefficients, lucht_invert, ramanujan_expand,
                         ramanujan_expand_range, ramanujan_sum_table,
                         support_closure_check, universal_period,
@@ -376,14 +376,13 @@ def suite_models(seed: int = 0) -> dict:
         checks += 1
         if abs((row.m63 - row.artifact) - pp) > TOL * scale:
             failures.append({"check": "prime-powers", "a": a})
-    for a in (2, 6):
-        s = singular_series(a, Q=20000)
+    s2, s6, s3 = singular_series_batch((2, 6, 3), Q=20000)
+    for s in (s2, s6):
         checks += 1
         if abs(s.truncated_sum - s.euler_product) > 0.01:
-            failures.append({"check": "singular-series", "a": a,
+            failures.append({"check": "singular-series", "a": s.a,
                              "truncated": s.truncated_sum,
                              "euler": s.euler_product})
-    s3 = singular_series(3, Q=20000)
     checks += 1
     if abs(s3.truncated_sum) > 0.01:
         failures.append({"check": "singular-series-odd", "a": 3})

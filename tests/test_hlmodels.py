@@ -1,14 +1,16 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
-from ramcorr.arith_core import kappa, sieve_primes
+from ramcorr.arith_core import divisors_int, kappa, sieve_primes
 from ramcorr.hlmodels import (MODEL_CSV_HEADER, artifact, artifact_batch,
                               artifact_identity_check, artifact_pair,
                               chebyshev_theta, error_bound_check,
                               hl_correlation, model_chain, model_rows_to_csv,
-                              pnt_sanity, singular_series, singular_to_csv)
+                              pnt_sanity, singular_series,
+                              singular_series_batch, singular_to_csv)
 from ramcorr.ramanujan import universal_period
 from ramcorr.transforms import evaluate_tds, lambda_tds
 
@@ -164,6 +166,60 @@ class TestSingularSeries:
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "a,truncated,euler_product,Q"
         assert lines[1].startswith("2,")
+
+
+def per_shift_singular_series(a, Q, table):
+    """The per-shift body the batch replaced: mu, mu^2 and phi^2 rebuilt
+    for every shift."""
+    mu = table.mobius_values[: Q + 1]
+    phi = table.phi_values[: Q + 1].astype(np.float64)
+    c = np.zeros(Q + 1, dtype=np.float64)
+    for d in divisors_int(a):
+        if d <= Q:
+            c[d::d] += d * mu[1: Q // d + 1].astype(np.float64)
+    sq = (mu[1:] * mu[1:]).astype(np.float64)
+    truncated = float(np.sum(sq * c[1:] / phi[1:] ** 2))
+    p = table.primes[table.primes <= Q].astype(np.float64)
+    cp = np.where(np.mod(a, table.primes[table.primes <= Q]) == 0,
+                  p - 1.0, -1.0)
+    euler = float(np.prod(1.0 + cp / (p - 1.0) ** 2))
+    return truncated, euler
+
+
+# 2 * 100_003 has a prime divisor above every Q below
+SERIES_SHIFTS = [1, 2, 3, 25, 58, 60, 64, 2 * 3 * 5 * 7 * 11 * 13,
+                 2 * 100_003]
+
+
+@pytest.fixture(scope="module")
+def table_above():
+    return sieve_primes(200_003)
+
+
+class TestSingularSeriesBatch:
+    @pytest.mark.parametrize("Q", [2, 97, 20_000, 100_000])
+    def test_bitwise_the_per_shift_body(self, Q, table_above):
+        for table in (sieve_primes(Q), table_above):
+            got = singular_series_batch(SERIES_SHIFTS, Q, table)
+            assert [s.a for s in got] == SERIES_SHIFTS
+            for s in got:
+                truncated, euler = per_shift_singular_series(s.a, Q, table)
+                assert s.truncation_q == Q
+                assert s.truncated_sum == truncated, (s.a, Q, table.limit)
+                assert s.euler_product == euler, (s.a, Q, table.limit)
+
+    def test_single_shift_is_the_batch(self, table_2k):
+        for a in (2, 3, 30):
+            assert singular_series(a, 2000, table_2k) == \
+                singular_series_batch([a], 2000, table_2k)[0]
+
+    def test_rejects_bad_arguments(self, table_2k):
+        assert singular_series_batch([], 2000, table_2k) == []
+        for a_list, Q in (([2, 0], 2000), ([2], 1)):
+            with pytest.raises(ValueError, match="need a >= 1 and Q >= 2"):
+                singular_series_batch(a_list, Q, table_2k)
+        with pytest.raises(ValueError, match="below required 2001"):
+            singular_series_batch([2], 2001, table_2k)
 
 
 class TestErrorBound:

@@ -1,9 +1,10 @@
-"""The sqrt(M)-split sweeps (sieve, mu, phi, kappa, and the convolution
+"""The sqrt(M)-split sweeps (sieve, spf, mu, phi, kappa, and the convolution
 kernel behind the Dirichlet product, the Eratosthenes transform and the
 divisor sums) against trial-division oracles and the plain per-point
 loops they replace, and a guard on the number of Python-level steps they
 take."""
 
+import math
 import random
 import sys
 import tracemalloc
@@ -14,11 +15,12 @@ from math import gcd, isqrt, prod
 import numpy as np
 import pytest
 
-from ramcorr import arith_core, transforms
+from ramcorr import arith_core, cli, transforms
 from ramcorr.arith_core import (EXACT, REAL, SIEVE_CAP, PrimeTable,
-                                TabulatedFunction, divisors_int, is_prime_int,
-                                mobius_int, sieve_primes, tabulate,
-                                tabulate_kappa, zeros)
+                                TabulatedFunction, divisors_int, euler_phi,
+                                factorize, is_prime_int, kappa, mobius,
+                                mobius_int, sieve_primes, smooth_sifted_split,
+                                tabulate, tabulate_kappa, von_mangoldt, zeros)
 from ramcorr.cli import main
 from ramcorr.transforms import (TruncatedDivisorSum, dirichlet_convolve,
                                 divisor_sum_transform, eratosthenes_transform,
@@ -67,6 +69,9 @@ def test_sieve_arrays_match_trial_division(M, table_20k):
     assert t.smallest_prime_factor.tolist() == spf[: M + 1]
     assert t.mobius_values.tolist() == mu[: M + 1]
     assert t.phi_values.tolist() == phi[: M + 1]
+    # the sweeps run on narrow working arrays; the API arrays are int64
+    for arr in (t.smallest_prime_factor, t.mobius_values, t.phi_values):
+        assert arr.dtype == np.int64
     for table in (t, table_20k):  # kappa sweeps to M below the table limit
         got = tabulate_kappa(M, table).values
         assert got.tolist() == kap[: M + 1]
@@ -391,6 +396,44 @@ def test_sieve_mu_phi_kappa_against_sympy_factorint(table_200k):
         assert kap[n] == prod(fac), n
 
 
+def test_factorization_helpers_against_sympy_factorint(table_200k):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(13)
+    sample = sorted({1, 2, 4, 3 ** 11, 2 ** 17, 443 * 449, 199_999, 200_000,
+                     *rng.sample(range(3, 200_001), 400)})
+    # 443 < isqrt(2e5) < 449: P on both sides of the split
+    bounds = (2, 3, 7, 443, 449, 199_999)
+    t = table_200k
+    for n in sample:
+        fac = sympy.factorint(n)
+        assert factorize(n, t) == sorted(fac.items()), n
+        square_free = all(e == 1 for e in fac.values())
+        assert mobius(n, t) == ((-1) ** len(fac) if square_free else 0), n
+        assert euler_phi(n, t) == prod(p ** (e - 1) * (p - 1)
+                                       for p, e in fac.items()), n
+        assert kappa(n, t) == prod(fac), n
+        want = math.log(next(iter(fac))) if len(fac) == 1 else 0.0
+        assert von_mangoldt(n, t) == want, n
+        P = rng.choice(bounds)
+        smooth = prod(p ** e for p, e in fac.items() if p <= P)
+        assert smooth_sifted_split(n, P, t) == (smooth, n // smooth), (n, P)
+
+
+def test_hl_leaves_the_spf_table_unbuilt(monkeypatch, tmp_path):
+    tables = []
+
+    def sieve(M):
+        tables.append(sieve_primes(M))
+        return tables[-1]
+    monkeypatch.setattr(cli, "sieve_primes", sieve)
+    assert main(["hl", "--N-list", "1000", "--a-list", "2,3", "--Q", "20000",
+                 "--out", str(tmp_path / "hl.csv")]) == 0
+    [table] = tables
+    built = vars(table)
+    assert {"mobius_values", "phi_values", "von_mangoldt_values"} <= set(built)
+    assert "smallest_prime_factor" not in built
+
+
 # ----------------------------------------------------------------------
 # step-count guard: each sweep executes O(sqrt(M)) lines of Python, not
 # one or more per prime or per support point
@@ -398,6 +441,7 @@ def test_sieve_mu_phi_kappa_against_sympy_factorint(table_200k):
 
 SWEEPS = {
     arith_core.sieve_primes.__code__: "sieve_primes",
+    PrimeTable.smallest_prime_factor.func.__code__: "smallest_prime_factor",
     PrimeTable.mobius_values.func.__code__: "mobius_values",
     PrimeTable.phi_values.func.__code__: "phi_values",
     arith_core.tabulate_kappa.__code__: "tabulate_kappa",
@@ -440,6 +484,8 @@ def test_hl_ladder_sweeps_take_sqrt_steps(tmp_path):
             "--Q", "2000000", "--out", str(tmp_path / "hl.csv")]
     records = sweep_line_counts(lambda: main(argv))
     records += sweep_line_counts(lambda: tabulate("kappa", 200_000))
+    records += sweep_line_counts(
+        lambda: factorize(199_999, sieve_primes(200_000)))
     records += sweep_line_counts(lambda: main(
         ["transform", "--fn", "phi", "--N", "200000",
          "--out", str(tmp_path / "phi.tds")]))
