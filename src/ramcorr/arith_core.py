@@ -174,9 +174,16 @@ def _check_cap(M: int) -> None:
             "pass a PrimeTable to go higher")
 
 
-def capped_sieve(M: int) -> PrimeTable:
-    """sieve_primes(max(M, 2)) for a call given no table; a limit above
-    SIEVE_CAP raises ValueError before anything is allocated."""
+def capped_sieve(M: int, table: PrimeTable | None = None) -> PrimeTable:
+    """A sieve reaching M: ``table`` itself when its limit is at least M
+    (ValueError otherwise), else sieve_primes(max(M, 2)) for a call given
+    no table, where a limit above SIEVE_CAP raises ValueError before
+    anything is allocated."""
+    if table is not None:
+        if table.limit < M:
+            raise ValueError(
+                f"sieve limit {table.limit} below required {M}")
+        return table
     _check_cap(M)
     return sieve_primes(max(M, 2))
 

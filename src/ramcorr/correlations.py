@@ -24,22 +24,23 @@ divisor sum swaps the order of summation into these classes,
     C(N, a) = sum over d in supp g' of g'(d) S_d(a),
 
 and the expansion route reads the divisor form
-c_q(m) = sum over e | gcd(q, m) of e mu(q/e) the same way,
+c_q(m) = sum over e | gcd(q, m) of e mu(q/e) (one helper,
+``ramanujan._divisor_form``) the same way,
 
     sum over n <= N of f(n) c_q(n + a) = sum over e | q of e mu(q/e) S_e(a),
 
-reducing a once per modulus e and building no c_q table.
+reducing a once per modulus e and building no c_q table.  The truncation
+tail is the direct route on the tail of g'.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 
-from .arith_core import (TabulatedFunction, divisors_int, empty_sum,
-                         mobius_int)
-from .ramanujan import Period, UndefinedPeriodError, wintner_coefficients
+from .arith_core import TabulatedFunction, empty_sum
+from .ramanujan import (Period, UndefinedPeriodError, _divisor_form,
+                        _normalize_exact, wintner_coefficients)
 from .transforms import TruncatedDivisorSum, eratosthenes_transform
 
 REAL_TOL = 1e-9
@@ -104,8 +105,9 @@ def correlate_expansion(f: TabulatedFunction, g: TruncatedDivisorSum,
     sum over n <= N of f(n) c_q(n + a) taken in divisor form as
     sum over e | q of e mu(q/e) S_e(a) (see the module docstring).  Each
     class sum S_e is computed once per call, so a huge shift costs one
-    reduction per modulus e.  The result is a Python int or Fraction for
-    an exact pair and a float otherwise.
+    reduction per modulus e.  The result is exact for an exact pair (a
+    Python int when integral, see ``ramanujan._normalize_exact``) and a
+    float otherwise.
 
     In the Real domain each elementary term g'(d)/d * e mu(q/e) * f(n)
     passes through at most N + 3D + 3 roundings (D = g.limit): one
@@ -130,17 +132,13 @@ def correlate_expansion(f: TabulatedFunction, g: TruncatedDivisorSum,
     total = 0
     for q, ghat in wintner_coefficients(g).support():
         inner = 0
-        for e in divisors_int(q):
-            m = mobius_int(q // e)
-            if m:
-                if e not in sums:
-                    sums[e] = _class_sum(fvals, a, e)
-                inner += e * m * sums[e]
+        for e, w in _divisor_form(q):
+            if e not in sums:
+                sums[e] = _class_sum(fvals, a, e)
+            inner += w * sums[e]
         total += ghat * inner
     if f.is_exact and g.is_exact:
-        # exact rational bookkeeping collapses back to an integer
-        t = Fraction(total)
-        return int(t) if t.denominator == 1 else t
+        return _normalize_exact(total)
     return float(total)
 
 
@@ -148,23 +146,20 @@ def truncation_difference(f: TabulatedFunction, g_source: TabulatedFunction,
                           N: int, a: int):
     """Exact difference C_{f,g}(N,a) - C_{f,g_N}(N,a) as a tail sum:
 
-        sum over N < d <= N+a of g'(d) * sum over n <= N, d | n+a of f(n).
+        sum over N < d <= N+a of g'(d) * sum over n <= N, d | n+a of f(n),
+
+    which is the direct route on the tail table (g' on (N, N+a], zero on
+    [1..N]).  A Python int for an exact pair, a float otherwise.
     """
     if a < 1:
         raise ValueError(f"shifts are naturals >= 1, got {a}")
     if g_source.limit < N + a:
         raise ValueError(
             f"g tabulated only to {g_source.limit}, need N+a={N + a}")
-    if f.limit < N:
-        raise ValueError(f"f tabulated only to {f.limit}, need {N}")
-    et = eratosthenes_transform(g_source, N + a)
-    fvals = f.values[: N + 1]
-    acc = empty_sum(f, g_source)
-    for d in range(N + 1, N + a + 1):
-        gpd = et.values[d]
-        if gpd:
-            acc += gpd * _class_sum(fvals, a, d)
-    return acc
+    tail = eratosthenes_transform(g_source, N + a).values
+    tail[: N + 1] = 0
+    return correlate_direct(
+        f, TruncatedDivisorSum(N + a, g_source.kind, tail), N, a)
 
 
 def small_shift_difference(f: TabulatedFunction, g_source: TabulatedFunction,

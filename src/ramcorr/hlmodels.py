@@ -66,16 +66,11 @@ class ModelRow:
     normalized: float | None  # residual scale factor; None on odd shifts
 
 
-def _require_limit(table: PrimeTable, need: int) -> None:
-    if table.limit < need:
-        raise ValueError(f"sieve limit {table.limit} below required {need}")
-
-
 def hl_correlation(N: int, a: int, table: PrimeTable) -> float:
     """Exact double-log sum over n <= N of Lambda(n) Lambda(n+a)."""
     if a < 1 or N < 1:
         raise ValueError("length and shift must be naturals")
-    _require_limit(table, N + a)
+    table = capped_sieve(N + a, table)
     lam = table.von_mangoldt_values
     return float(np.dot(lam[1: N + 1], lam[1 + a: N + 1 + a]))
 
@@ -84,9 +79,7 @@ def artifact_pair(N: int, table: PrimeTable | None = None
                   ) -> tuple[TabulatedFunction, TruncatedDivisorSum]:
     """The flagship two-seasons pair: f = log p on odd primes <= N,
     g = odd-lifted N-truncation of von Mangoldt."""
-    if table is None:
-        table = capped_sieve(N)
-    _require_limit(table, N)
+    table = capped_sieve(N, table)
     f = tabulate_odd_prime_log(N, table)
     g = odd_lift(lambda_tds(N, table))
     return f, g
@@ -106,7 +99,7 @@ def artifact_batch(N: int, a_list, table: PrimeTable) -> list[float]:
     if min(a_list) < 1:
         raise ValueError("shifts are naturals >= 1")
     M = N + max(a_list)
-    _require_limit(table, M)
+    table = capped_sieve(M, table)
     tab = evaluate_tds_range(odd_lift(lambda_tds(N, table)), M)
     f = tabulate_odd_prime_log(N, table).values
     return [float(np.dot(f[1: N + 1], tab[1 + a: N + 1 + a])) for a in a_list]
@@ -126,7 +119,7 @@ def artifact_identity_check(N: int, a: int, table: PrimeTable,
     """
     if a < 1:
         raise ValueError(f"shifts are naturals >= 1, got {a}")
-    _require_limit(table, N + a)
+    table = capped_sieve(N + a, table)
     lam = table.von_mangoldt_values
     primes = [int(p) for p in table.primes if 2 < p <= N]
     art = artifact(N, a, table)
@@ -163,7 +156,7 @@ def model_chain(N: int, a: int, table: PrimeTable) -> ModelRow:
     """
     if a < 1:
         raise ValueError(f"shifts are naturals >= 1, got {a}")
-    _require_limit(table, N + a)
+    table = capped_sieve(N + a, table)
     M = N + a
     lam = table.von_mangoldt_values
     g = lambda_tds(N, table)
@@ -204,7 +197,7 @@ def error_bound_check(N_list, a_list, table: PrimeTable
         raise ValueError("need at least one length and one shift")
     if any(a < 2 or a % 2 for a in a_list):
         raise ValueError("growth check is stated for even shifts only")
-    _require_limit(table, max(N_list) + max(a_list))
+    table = capped_sieve(max(N_list) + max(a_list), table)
     rows = []
     worst = 0.0
     for N in N_list:
@@ -237,9 +230,7 @@ def singular_series_batch(a_list, Q: int = 100_000,
     a_list = [int(a) for a in a_list]
     if (a_list and min(a_list) < 1) or Q < 2:
         raise ValueError("need a >= 1 and Q >= 2")
-    if table is None:
-        table = capped_sieve(Q)
-    _require_limit(table, Q)
+    table = capped_sieve(Q, table)
     mu = table.mobius_values[: Q + 1].astype(np.float64)
     phi2 = table.phi_values[1: Q + 1].astype(np.float64) ** 2
     sq = mu[1:] * mu[1:]
@@ -270,7 +261,7 @@ def singular_series(a: int, Q: int = 100_000,
 
 def chebyshev_theta(N: int, table: PrimeTable) -> float:
     """theta(N) = sum of log p over primes p <= N."""
-    _require_limit(table, max(N, 2))
+    table = capped_sieve(max(N, 2), table)
     pr = table.primes[table.primes <= N]
     return float(np.log(pr.astype(np.float64)).sum()) if len(pr) else 0.0
 

@@ -6,8 +6,11 @@ form
 
     c_q(a) = sum over d | gcd(q, a) of d * mu(q/d),
 
-never by floating cosines, and ExactInt coefficient tables hold
-``fractions.Fraction`` values so that
+never by floating cosines.  The form is written once, in ``_divisor_form``
+(the cached pairs (d, d mu(q/d)) over d | q with mu(q/d) != 0), and
+``ramanujan_sum``, the c_q blocks and ``correlations.correlate_expansion``
+all read it.  ExactInt coefficient tables hold ``fractions.Fraction``
+values so that
 
     g(a) = sum over q <= D of ghat(q) c_q(a)          (expansion)
     g'(d) = d * sum over K <= D/d of mu(K) ghat(dK)   (inversion)
@@ -27,7 +30,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
@@ -62,18 +64,21 @@ class RamanujanCoefficients(TabulatedFunction):
 # Ramanujan sums
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=1 << 16)
+def _divisor_form(q: int) -> tuple[tuple[int, int], ...]:
+    """The divisor form of c_q: the pairs (e, e mu(q/e)) over the divisors
+    e of q with mu(q/e) != 0, ascending e, so that c_q(m) is the sum of
+    the weights e mu(q/e) whose e divides m."""
+    return tuple((e, e * m) for e in divisors_int(q)
+                 if (m := mobius_int(q // e)))
+
+
 def ramanujan_sum(q: int, a: int) -> int:
     """c_q(a), exact; a may be any (big) integer and is reduced mod q first."""
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
     r = a % q
-    g0 = gcd(q, r)  # gcd(q, 0) = q covers the q | a case
-    total = 0
-    for d in divisors_int(g0):
-        m = mobius_int(q // d)
-        if m:
-            total += d * m
-    return total
+    return sum(w for e, w in _divisor_form(q) if r % e == 0)
 
 
 @lru_cache(maxsize=4096)
@@ -87,12 +92,9 @@ def ramanujan_sum_table(q: int) -> tuple[int, ...]:
 def _ramanujan_block(q: int, n: int) -> tuple[int, ...]:
     """(c_q(0), ..., c_q(n-1)) for 1 <= n <= q."""
     tab = [0] * n
-    for d in divisors_int(q):
-        m = mobius_int(q // d)
-        if m:
-            dm = d * m
-            for r in range(0, n, d):
-                tab[r] += dm
+    for e, w in _divisor_form(q):
+        for r in range(0, n, e):
+            tab[r] += w
     return tuple(tab)
 
 
@@ -138,46 +140,36 @@ def ramanujan_expand(coeffs: RamanujanCoefficients, a: int):
 
 
 def _normalize_exact(v):
+    """The one collapse of an exact value: a Python int when integral."""
     return int(v) if v.denominator == 1 else v
 
 
 def ramanujan_expand_range(coeffs: RamanujanCoefficients, a_max: int):
     """Expansion values for every a in [1..a_max] (batch form of the above).
 
-    ExactInt tables are cleared to a common denominator so the hot loop
-    is pure integer adds; the result list holds exact values (ints when
-    integral).  Real tables accumulate in float64.  Index 0 is unused.
-    A modulus q > a_max needs only the block c_q(0..a_max), so only that
-    much of it is built.
+    One body for both kinds: each modulus q adds its weight times the
+    block c_q(0..) repeated to length a_max + 1.  ExactInt weights are the
+    ints ghat(q) L, L the common denominator, so the adds are integer
+    adds; the result list holds exact values (ints when integral).  Real
+    tables accumulate in float64.  Index 0 is unused.  A modulus
+    q > a_max needs only the block c_q(0..a_max), so only that much of
+    it is built.
     """
     if a_max < 1:
         raise ValueError(f"naturals start at 1, got {a_max}")
     support = coeffs.support()
-
-    def period(q):
-        return (ramanujan_sum_table(q) if q <= a_max
-                else _ramanujan_block(q, a_max + 1))
-
-    if coeffs.is_exact:
-        L = math.lcm(*(v.denominator for _, v in support)) if support else 1
-        acc = [0] * (a_max + 1)
-        for q, v in support:
-            w = int(v * L)
-            block = [w * c for c in period(q)]
-            ext = block * (a_max // q + 1)
-            acc = [x + y for x, y in zip(acc, ext)]
-        out: list = [0] * (a_max + 1)
-        for a in range(1, a_max + 1):
-            x = acc[a]
-            out[a] = x // L if x % L == 0 else Fraction(x, L)
-        return out
-    acc_f = np.zeros(a_max + 1, dtype=np.float64)
+    exact = coeffs.is_exact
+    L = math.lcm(*(v.denominator for _, v in support)) if exact else 1
+    acc = zeros(a_max + 1, coeffs.kind)
     for q, v in support:
-        block_f = np.asarray(period(q), dtype=np.float64)
-        ext_f = np.tile(block_f, a_max // q + 2)[: a_max + 1]
-        acc_f += v * ext_f
-    acc_f[0] = 0.0
-    return acc_f
+        block = (ramanujan_sum_table(q) if q <= a_max
+                 else _ramanujan_block(q, a_max + 1))
+        w = int(v * L) if exact else v
+        acc += w * np.resize(np.asarray(block, dtype=acc.dtype), a_max + 1)
+    if not exact:
+        acc[0] = 0.0
+        return acc
+    return [0] + [_normalize_exact(Fraction(x, L)) for x in acc[1:].tolist()]
 
 
 def lucht_invert(coeffs: RamanujanCoefficients) -> TruncatedDivisorSum:
@@ -212,6 +204,15 @@ def lucht_invert(coeffs: RamanujanCoefficients) -> TruncatedDivisorSum:
 # support closure and periods
 # ----------------------------------------------------------------------
 
+def _as_predicate(members):
+    """A set's membership test, or the callable itself."""
+    if isinstance(members, (set, frozenset)):
+        return members.__contains__
+    if callable(members):
+        return members
+    raise ValueError("set predicate must be a set or a callable")
+
+
 def _check_divisor_closed(pred, D: int) -> None:
     for d in range(1, D + 1):
         if not pred(d):
@@ -228,8 +229,7 @@ def support_closure_check(g: TruncatedDivisorSum, predicate) -> tuple[bool, bool
     The two booleans agree for every TDS; the predicate is validated on
     [1..cutoff] first and rejected if not divisor-closed there.
     """
-    pred = (predicate.__contains__ if isinstance(predicate, (set, frozenset))
-            else predicate)
+    pred = _as_predicate(predicate)
     _check_divisor_closed(pred, g.limit)
     et_in = all(pred(d) for d, _ in g.support(SUPPORT_EPS))
     coeffs = wintner_coefficients(g)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 import numpy as np
 
@@ -108,15 +109,6 @@ def _convolve(a, b, M: int, kind: str) -> np.ndarray:
     return out.astype(object) if lane else out
 
 
-def _mobius(M: int, table: PrimeTable | None) -> np.ndarray:
-    """mu on [0..M] from ``table``, else from ``capped_sieve(M)``."""
-    if table is None:
-        table = capped_sieve(M)
-    if table.limit < M:
-        raise ValueError(f"sieve limit {table.limit} below {M}")
-    return table.mobius_values[: M + 1]
-
-
 def dirichlet_convolve(F: TabulatedFunction, G: TabulatedFunction,
                        M: int | None = None) -> TabulatedFunction:
     """(F * G)(n) = sum over d | n of F(d) G(n/d), for n <= M.
@@ -148,7 +140,8 @@ def eratosthenes_transform(F: TabulatedFunction, M: int | None = None,
         M = F.limit
     if F.limit < M:
         raise ValueError(f"tabulated only to {F.limit}, need {M}")
-    mu = _mobius(M, table).astype(DTYPES[F.kind])
+    mu = capped_sieve(M, table).mobius_values[: M + 1]
+    mu = mu.astype(DTYPES[F.kind])
     return TabulatedFunction(M, F.kind, _convolve(mu, F.values, M, F.kind),
                              f"{F.name}'")
 
@@ -234,7 +227,7 @@ def lambda_tds(N: int, table: PrimeTable | None = None) -> TruncatedDivisorSum:
 
     Without a table, sieves to N (at most ``SIEVE_CAP``).
     """
-    mu = _mobius(N, table).astype(np.float64)
+    mu = capped_sieve(N, table).mobius_values[: N + 1].astype(np.float64)
     logs = np.zeros(N + 1, dtype=np.float64)
     if N >= 1:
         logs[1:] = np.log(np.arange(1, N + 1, dtype=np.float64))
@@ -252,18 +245,35 @@ def write_tds(g: TabulatedFunction, fh) -> None:
     Values are Python scalars, so str() (``%s``) gives exact text for
     ints and Fractions and the shortest round-trip text for floats.  The
     lines are built straight from the value array, not from the cached
-    ``support()`` list of tuples.
+    ``support()`` list of tuples.  The whole text is formatted before
+    anything is written, so a value str() refuses (an int past Python's
+    int-to-str digit limit) leaves ``fh`` untouched, not holding a bare
+    header that would read back as the zero table.
     """
     idx = np.flatnonzero(g.values[1:]) + 1
+    body = "".join(map("%s\t%s\n".__mod__,
+                       zip(idx.tolist(), g.values[idx].tolist())))
     fh.write(f"cutoff={g.limit} kind={g.kind}\n")
-    fh.write("".join(map("%s\t%s\n".__mod__,
-                         zip(idx.tolist(), g.values[idx].tolist()))))
+    fh.write(body)
 
 
 # the only exact value text write_tds emits: an int or a Fraction's p/q
 _EXACT_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 # the only index and cutoff text it emits (int() would also take +3, 1_0)
 _INDEX_TEXT = re.compile(r"[0-9]+")
+
+
+def _bad_entry(lineno: int, line: str) -> ValueError:
+    """The error for an entry that does not parse: it names Python's
+    int-to-str digit limit when a digit run in ``line`` exceeds it (int()
+    and Fraction() refuse such text), else quotes the line."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    longest = max(map(len, _INDEX_TEXT.findall(line)), default=0)
+    if limit and longest > limit:
+        return ValueError(
+            f"line {lineno}: a {longest}-digit number exceeds Python's "
+            f"int-to-str limit of {limit} digits")
+    return ValueError(f"line {lineno}: bad entry {line!r}")
 
 
 def _ascii(lineno: int, line: str) -> str:
@@ -288,7 +298,8 @@ def read_table(fh, cls, parse_exact, max_cutoff: int = SIEVE_CAP):
     by ``parse_exact``; Real values are parsed by float.
     Every fault raises ValueError("line N: ...") locating it: a non-ASCII
     byte, a malformed header, a cutoff above ``max_cutoff`` (checked
-    before the table is allocated), an entry that does not parse, an
+    before the table is allocated), an entry that does not parse (or a
+    number past Python's int-to-str digit limit, named as such), an
     index outside [1, cutoff], a second entry for the same index, or a
     NaN or infinite value.
     """
@@ -328,7 +339,7 @@ def read_table(fh, cls, parse_exact, max_cutoff: int = SIEVE_CAP):
                 raise ValueError(cols[1])
             d, v = int(cols[0]), parse(cols[1])
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"line {lineno}: bad entry {line!r}") from None
+            raise _bad_entry(lineno, line) from None
         if not 1 <= d <= cutoff:
             raise ValueError(f"line {lineno}: d={d} outside [1, {cutoff}]")
         if d in entries:

@@ -28,7 +28,8 @@ from .arith_core import (EXACT, REAL, SUPPORT_EPS, TabulatedFunction,
                          empty_sum, is_prime_int, mobius_int, odd_part,
                          zeros)
 from .correlations import REAL_TOL, correlate_direct
-from .ramanujan import UndefinedPeriodError, universal_period
+from .ramanujan import (UndefinedPeriodError, _as_predicate,
+                        universal_period)
 from .transforms import (TruncatedDivisorSum, eratosthenes_transform,
                          evaluate_tds, truncate)
 
@@ -145,6 +146,14 @@ def check_axioms(f: TabulatedFunction, g_source, N: int, Q: int) -> AxiomReport:
     )
 
 
+def _require_axioms(f: TabulatedFunction, g, N: int, Q: int) -> None:
+    """AxiomError naming every failed axiom and its evidence, if any."""
+    report = check_axioms(f, g, N, Q)
+    if not report.overall:
+        raise AxiomError("; ".join(f"axiom {c.axiom_id}: {c.evidence}"
+                                   for c in report.failures()))
+
+
 class EntangledValue(NamedTuple):
     value: int | float
     branch: str  # "even" | "odd"
@@ -162,11 +171,7 @@ def entangled_correlation(f: TabulatedFunction, g: TruncatedDivisorSum,
     """
     if a < 1:
         raise ValueError(f"shifts are naturals >= 1, got {a}")
-    report = check_axioms(f, g, N, g.limit)
-    if not report.overall:
-        failing = "; ".join(f"axiom {c.axiom_id}: {c.evidence}"
-                            for c in report.failures())
-        raise AxiomError(failing)
+    _require_axioms(f, g, N, g.limit)
     acc = empty_sum(f, g)
     if a % 2 == 0:
         for p, fv in f.support_upto(N):
@@ -175,14 +180,6 @@ def entangled_correlation(f: TabulatedFunction, g: TruncatedDivisorSum,
     for p, fv in f.support_upto(N):
         acc += fv * evaluate_tds(g, odd_part(p + a))
     return EntangledValue(acc, "odd")
-
-
-def _as_predicate(members):
-    if isinstance(members, (set, frozenset)):
-        return members.__contains__
-    if callable(members):
-        return members
-    raise ValueError("set predicate must be a set or a callable")
 
 
 def diophantine_count_even(F, G, N: int, a: int) -> int:
@@ -231,11 +228,7 @@ def combinatorial_identity_check(f: TabulatedFunction, g_source, N: int,
         g = truncate(g_source, N)
     if g.is_zero():
         raise UndefinedPeriodError("identities undefined for the zero TDS")
-    report = check_axioms(f, g, N, N)
-    if not report.overall:
-        failing = "; ".join(f"axiom {c.axiom_id}: {c.evidence}"
-                            for c in report.failures())
-        raise AxiomError(failing)
+    _require_axioms(f, g, N, N)
     U = universal_period(N).value
     exact = f.is_exact and g.is_exact
 

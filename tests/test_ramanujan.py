@@ -267,6 +267,27 @@ class TestSupportClosure:
         with pytest.raises(ValueError):
             support_closure_check(g, lambda d: d in (1, 6))  # 2, 3 missing
 
+    def test_set_predicate(self):
+        g = tds_from_et({1: 1, 3: 2}, 9, EXACT)
+        assert support_closure_check(g, {1, 3, 9}) == (True, True)
+        assert support_closure_check(g, frozenset({1})) == (False, False)
+
+    @pytest.mark.parametrize("bad", [[1, 3], (1,), 7, "13", None])
+    def test_bad_predicate_is_the_counting_error(self, bad):
+        # support_closure_check and the Diophantine counts share one
+        # set-to-predicate step, so they reject a non-set, non-callable
+        # predicate with the same ValueError
+        from ramcorr.twoseasons import (diophantine_count_even,
+                                        diophantine_count_odd)
+        message = "set predicate must be a set or a callable"
+        g = tds_from_et({1: 1}, 5, EXACT)
+        with pytest.raises(ValueError, match=message):
+            support_closure_check(g, bad)
+        with pytest.raises(ValueError, match=message):
+            diophantine_count_even(bad, {3}, 9, 2)
+        with pytest.raises(ValueError, match=message):
+            diophantine_count_odd({3}, bad, 9, 1)
+
     def test_booleans_agree_random(self, rng):
         preds = [lambda d: d % 2 == 1,
                  lambda d: mobius_int(d) != 0,

@@ -17,11 +17,13 @@ import pytest
 
 from ramcorr import arith_core, cli, transforms
 from ramcorr.arith_core import (EXACT, REAL, SIEVE_CAP, PrimeTable,
-                                TabulatedFunction, divisors_int, euler_phi,
+                                TabulatedFunction, capped_sieve,
+                                divisors_int, euler_phi,
                                 factorize, is_prime_int, kappa, mobius,
                                 mobius_int, sieve_primes, smooth_sifted_split,
                                 tabulate, tabulate_kappa, von_mangoldt, zeros)
 from ramcorr.cli import main
+from ramcorr.hlmodels import artifact_pair, model_chain, singular_series_batch
 from ramcorr.transforms import (TruncatedDivisorSum, dirichlet_convolve,
                                 divisor_sum_transform, eratosthenes_transform,
                                 evaluate_tds_range, lambda_tds, odd_lift,
@@ -361,13 +363,38 @@ def test_transform_without_a_table_refuses_above_the_cap():
         tracemalloc.stop()
 
 
+def test_capped_sieve_is_the_one_sieve_size_check(monkeypatch, table_200):
+    # a passed table is returned as is when it reaches M, refused below M;
+    # without one, the cap holds
+    assert capped_sieve(200, table_200) is table_200
+    assert capped_sieve(7, table_200) is table_200
+    with pytest.raises(ValueError,
+                       match="^sieve limit 200 below required 201$"):
+        capped_sieve(201, table_200)
+    assert capped_sieve(1).limit == 2 and capped_sieve(50).limit == 50
+    monkeypatch.setattr(arith_core, "SIEVE_CAP", 100)
+    assert capped_sieve(300, sieve_primes(300)).limit == 300
+    with pytest.raises(ValueError, match="301 exceeds SIEVE_CAP = 100"):
+        capped_sieve(301)
+    # every entry point that takes a table reports a short one this way
+    short = sieve_primes(20)
+    for call in (lambda: lambda_tds(30, short),
+                 lambda: eratosthenes_transform(tabulate("unit", 30),
+                                                table=short),
+                 lambda: artifact_pair(30, short),
+                 lambda: singular_series_batch([2], 30, short),
+                 lambda: model_chain(25, 6, short)):
+        with pytest.raises(ValueError, match="sieve limit 20 below required"):
+            call()
+
+
 def test_transform_with_a_table_goes_past_the_cap(monkeypatch, table_2k,
                                                    tmp_path):
     monkeypatch.setattr(arith_core, "SIEVE_CAP", 100)
     F = tabulate("phi", 300, table_2k)
     with pytest.raises(ValueError, match="300 exceeds SIEVE_CAP = 100"):
         eratosthenes_transform(F)
-    with pytest.raises(ValueError, match="sieve limit 200 below 300"):
+    with pytest.raises(ValueError, match="sieve limit 200 below required 300"):
         eratosthenes_transform(F, table=sieve_primes(200))
     want = in_place_et(F, 300)
     assert_exact_equal(eratosthenes_transform(F, table=table_2k).values, want)

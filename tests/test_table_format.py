@@ -3,6 +3,8 @@ and rejection of every malformed line with its line number."""
 
 import io
 import re
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,8 @@ from ramcorr.arith_core import EXACT, REAL
 from ramcorr.cli import main
 from ramcorr.ramanujan import (RamanujanCoefficients, read_coefficients,
                                write_coefficients)
-from ramcorr.transforms import (TruncatedDivisorSum, read_tds, read_tds_path,
-                                write_tds)
+from ramcorr.transforms import (TruncatedDivisorSum, open_table, read_tds,
+                                read_tds_path, write_tds, write_tds_path)
 
 READERS = {"tds": read_tds, "coefficients": read_coefficients}
 
@@ -233,6 +235,63 @@ def test_non_ascii_byte_in_a_file_names_its_line(tmp_path):
     path.write_bytes(b"cutoff=10 kind=ExactInt\n3\t1\n\n7\t\xe9\n")
     with pytest.raises(ValueError, match=r"^line 4: non-ASCII byte 0xe9"):
         read_tds_path(path)
+
+
+# a rational whose denominator str() refuses: past Python's int-to-str
+# digit limit (4300 digits by default), not representable in the format
+HUGE_FRACTION = Fraction(1, 10 ** 5000 + 1)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit in this Python")
+class TestDigitLimit:
+    """Values past the int-to-str digit limit: a table holding one is
+    not written at all, and text holding one is rejected by name."""
+
+    def test_unwritable_table_writes_nothing(self):
+        c = RamanujanCoefficients.from_entries(
+            {1: Fraction(1, 2), 2: HUGE_FRACTION}, 3, EXACT)
+        buf = io.StringIO()
+        with pytest.raises(ValueError):
+            write_coefficients(c, buf)
+        assert buf.getvalue() == ""
+
+    def test_unwritable_table_leaves_no_zero_table(self, tmp_path):
+        path = tmp_path / "c.coeffs"
+        c = RamanujanCoefficients.from_entries({1: HUGE_FRACTION}, 3, EXACT)
+        with pytest.raises(ValueError):
+            write_tds_path(c, path)
+        with open_table(path) as fh, pytest.raises(ValueError,
+                                                   match="line 1: header"):
+            read_coefficients(fh)
+
+    @pytest.mark.parametrize("reader, value", [
+        (read_tds, "7" * 5000),
+        (read_coefficients, "1/" + "3" * 5000),
+        (read_coefficients, "-" + "9" * 4301 + "/2"),
+    ])
+    def test_reader_names_the_digit_limit(self, reader, value):
+        limit = sys.get_int_max_str_digits()
+        digits = max(len(part) for part in value.lstrip("-").split("/"))
+        text = f"cutoff=3 kind=ExactInt\n1\t1\n2\t{value}\n"
+        with pytest.raises(ValueError) as exc:
+            reader(io.StringIO(text))
+        assert str(exc.value) == (
+            f"line 3: a {digits}-digit number exceeds Python's int-to-str "
+            f"limit of {limit} digits")
+
+    def test_numbers_at_the_limit_still_read(self):
+        limit = sys.get_int_max_str_digits()
+        text = f"cutoff=3 kind=ExactInt\n2\t{'5' * limit}\n"
+        assert read_tds(io.StringIO(text))[2] == int("5" * limit)
+
+    def test_cli_exits_2_naming_the_limit(self, capsys, tmp_path):
+        path = tmp_path / "g.tds"
+        path.write_text("cutoff=4 kind=ExactInt\n3\t" + "1" * 5000 + "\n")
+        assert main(["verify", "lucht", "--tds", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert ("cannot load TDS file: line 2: a 5000-digit number exceeds "
+                "Python's int-to-str limit") in err
 
 
 class TestCli:
