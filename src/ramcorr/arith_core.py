@@ -350,6 +350,33 @@ def empty_sum(*tables) -> int | float:
     return 0 if all(t.is_exact for t in tables) else 0.0
 
 
+# The real-domain windows: REAL_TOL for correlation and model values
+# (absolute, or scaled by max(1, |x|)), COEFF_TOL relative for single
+# coefficients.  Values computed from exact tables are compared with ==.
+REAL_TOL = 1e-9
+COEFF_TOL = 1e-12
+
+
+def tolerance(*tables, tol: float = REAL_TOL, scale: float = 1.0):
+    """The comparison bound for values computed from ``tables``: 0 if all
+    are exact, else tol * scale."""
+    return 0 if all(t.is_exact for t in tables) else tol * scale
+
+
+def agree(got, want, bound) -> bool:
+    """The one comparison rule: got == want when bound is 0, else
+    |got - want| <= bound, so a NaN never agrees.  Elementwise on arrays."""
+    return got == want if bound == 0 else abs(got - want) <= bound
+
+
+def collapse(v, *tables):
+    """The one form of a result computed from ``tables``: if all are exact,
+    an int when v is integral and the Fraction otherwise; else float(v)."""
+    if not all(t.is_exact for t in tables):
+        return float(v)
+    return int(v) if v.denominator == 1 else v
+
+
 @dataclass(eq=False)
 class TabulatedFunction:
     """A table of values on [1..limit]; slot 0 of ``values`` is unused.

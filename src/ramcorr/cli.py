@@ -34,8 +34,9 @@ from .correlations import build_profile, profile_to_csv, profile_to_json
 from .hlmodels import (model_chain, model_rows_to_csv, singular_series_batch,
                        singular_to_csv)
 from .ramanujan import read_coefficients, universal_period
-from .transforms import (lambda_tds, odd_lift, open_table, read_tds_path,
-                         retruncate, tds_from_et, truncate, write_tds)
+from .transforms import (_ascii, lambda_tds, odd_lift, open_table,
+                         read_tds_path, retruncate, tds_from_et, truncate,
+                         write_tds)
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -60,9 +61,9 @@ class UsageError(Exception):
 def _load_config_file(path: str) -> dict:
     out = {}
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with open_table(path) as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
+                line = _ascii(lineno, line, f"{path}:").strip()
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
@@ -72,7 +73,7 @@ def _load_config_file(path: str) -> dict:
                 if key not in CONFIG_KEYS:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
                 out[key] = val.strip()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     return out
 

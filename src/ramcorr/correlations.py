@@ -38,12 +38,11 @@ from __future__ import annotations
 import json
 import math
 
-from .arith_core import TabulatedFunction, empty_sum
+from .arith_core import (TabulatedFunction, agree, collapse, empty_sum,
+                         tolerance)
 from .ramanujan import (Period, UndefinedPeriodError, _divisor_form,
-                        _normalize_exact, wintner_coefficients)
+                        universal_period, wintner_coefficients)
 from .transforms import TruncatedDivisorSum, eratosthenes_transform
-
-REAL_TOL = 1e-9
 
 
 def _class_sum(fvals, a: int, d: int):
@@ -67,7 +66,8 @@ def correlate_direct(f: TabulatedFunction, g, N: int, a: int):
     whatever the size of a.  One body serves both domains; the value
     arrays' dtypes (``arith_core.DTYPES``) decide the arithmetic.
 
-    The result is a Python int for an exact pair and a float otherwise.
+    The result is exact for an exact pair (see ``arith_core.collapse``)
+    and a float otherwise.
     In the Real domain each term g'(d) f(n) passes through at most
     N + s - 1 roundings (s = |supp g'|), so the result differs from the
     exact sum by at most
@@ -80,13 +80,12 @@ def correlate_direct(f: TabulatedFunction, g, N: int, a: int):
         raise ValueError(f"shifts are naturals >= 1, got {a}")
     if f.limit < N:
         raise ValueError(f"f tabulated only to {f.limit}, need {N}")
-    exact = f.is_exact and g.is_exact
     if isinstance(g, TruncatedDivisorSum):
         fvals = f.values[: N + 1]
         acc = 0
         for d, gd in g.support():
             acc += gd * _class_sum(fvals, a, d)
-        return acc if exact else float(acc)
+        return collapse(acc, f, g)
     if g.limit < N + a:
         raise ValueError(
             f"g tabulated only to {g.limit}, not evaluable at N+a={N + a}")
@@ -94,7 +93,7 @@ def correlate_direct(f: TabulatedFunction, g, N: int, a: int):
     acc = empty_sum(f, g)
     for n, fv in f.support_upto(N):
         acc += fv * gv[n + a]
-    return int(acc) if exact else float(acc)
+    return collapse(acc, f, g)
 
 
 def correlate_expansion(f: TabulatedFunction, g: TruncatedDivisorSum,
@@ -105,9 +104,8 @@ def correlate_expansion(f: TabulatedFunction, g: TruncatedDivisorSum,
     sum over n <= N of f(n) c_q(n + a) taken in divisor form as
     sum over e | q of e mu(q/e) S_e(a) (see the module docstring).  Each
     class sum S_e is computed once per call, so a huge shift costs one
-    reduction per modulus e.  The result is exact for an exact pair (a
-    Python int when integral, see ``ramanujan._normalize_exact``) and a
-    float otherwise.
+    reduction per modulus e.  The result is exact for an exact pair (see
+    ``arith_core.collapse``) and a float otherwise.
 
     In the Real domain each elementary term g'(d)/d * e mu(q/e) * f(n)
     passes through at most N + 3D + 3 roundings (D = g.limit): one
@@ -137,9 +135,7 @@ def correlate_expansion(f: TabulatedFunction, g: TruncatedDivisorSum,
                 sums[e] = _class_sum(fvals, a, e)
             inner += w * sums[e]
         total += ghat * inner
-    if f.is_exact and g.is_exact:
-        return _normalize_exact(total)
-    return float(total)
+    return collapse(total, f, g)
 
 
 def truncation_difference(f: TabulatedFunction, g_source: TabulatedFunction,
@@ -149,7 +145,7 @@ def truncation_difference(f: TabulatedFunction, g_source: TabulatedFunction,
         sum over N < d <= N+a of g'(d) * sum over n <= N, d | n+a of f(n),
 
     which is the direct route on the tail table (g' on (N, N+a], zero on
-    [1..N]).  A Python int for an exact pair, a float otherwise.
+    [1..N]); exact for an exact pair, a float otherwise.
     """
     if a < 1:
         raise ValueError(f"shifts are naturals >= 1, got {a}")
@@ -179,27 +175,22 @@ def small_shift_difference(f: TabulatedFunction, g_source: TabulatedFunction,
         gpd = et.values[d]
         if gpd:
             acc += gpd * f.values[d - a]
-    return acc
+    return collapse(acc, f, g_source)
 
 
 def verify_periodicity(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
-                       period, shifts, tol: float = REAL_TOL) -> bool:
-    """True iff C(N, a) == C(N, a + P) for every listed shift."""
+                       period, shifts) -> bool:
+    """True iff C(N, a) agrees with C(N, a + P) for every listed shift:
+    equal for an exact pair, within ``arith_core.tolerance`` otherwise."""
     P = period.value if isinstance(period, Period) else int(period)
     if P < 1:
         raise ValueError(f"period must be >= 1, got {P}")
     if g.is_zero():
         raise UndefinedPeriodError("periodicity undefined for the zero TDS")
-    exact = f.is_exact and g.is_exact
-    for a in shifts:
-        lhs = correlate_direct(f, g, N, a)
-        rhs = correlate_direct(f, g, N, a + P)
-        if exact:
-            if lhs != rhs:
-                return False
-        elif abs(lhs - rhs) > tol:
-            return False
-    return True
+    bound = tolerance(f, g)
+    return all(agree(correlate_direct(f, g, N, a),
+                     correlate_direct(f, g, N, a + P), bound)
+               for a in shifts)
 
 
 # ----------------------------------------------------------------------
@@ -247,10 +238,29 @@ def format_value(v) -> str:
     return str(v)
 
 
+def _text_rows(profile: CorrelationProfile) -> list[tuple[str, str]]:
+    """(shift, value) texts for both export formats.  A shift is written
+    in full decimal unless that text exceeds Python's int-to-str digit
+    limit; then it is written as its token U+k, U the product of the odd
+    primes up to the profile's length (only a U+k token can produce such
+    a shift)."""
+    rows = []
+    U = None
+    for a, v in profile.entries:
+        try:
+            shift = str(a)
+        except ValueError:
+            if U is None:
+                U = universal_period(profile.length).value
+            shift = f"U+{a - U}"
+        rows.append((shift, format_value(v)))
+    return rows
+
+
 def profile_to_csv(profile: CorrelationProfile, fh) -> None:
     fh.write("a,value\n")
-    for a, v in profile.entries:
-        fh.write(f"{a},{format_value(v)}\n")
+    for a, v in _text_rows(profile):
+        fh.write(f"{a},{v}\n")
 
 
 def profile_to_json(profile: CorrelationProfile) -> str:
@@ -258,7 +268,6 @@ def profile_to_json(profile: CorrelationProfile) -> str:
         "length": profile.length,
         "f": profile.f_id,
         "g": profile.g_id,
-        "entries": [{"a": str(a), "value": format_value(v)}
-                    for a, v in profile.entries],
+        "entries": [{"a": a, "value": v} for a, v in _text_rows(profile)],
     }
     return json.dumps(records, indent=2)

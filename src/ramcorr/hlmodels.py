@@ -30,15 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith_core import (PrimeTable, TabulatedFunction, capped_sieve,
-                         divisors_int, mobius_int, odd_part,
+from .arith_core import (REAL_TOL, PrimeTable, TabulatedFunction, agree,
+                         capped_sieve, divisors_int, mobius_int, odd_part,
                          tabulate_odd_prime_log)
 from .correlations import correlate_direct, format_value
 from .ramanujan import universal_period
 from .transforms import (TruncatedDivisorSum, evaluate_tds_range, lambda_tds,
                          odd_lift)
-
-IDENTITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,7 @@ def artifact_batch(N: int, a_list, table: PrimeTable) -> list[float]:
     return [float(np.dot(f[1: N + 1], tab[1 + a: N + 1 + a])) for a in a_list]
 
 
-def artifact_identity_check(N: int, a: int, table: PrimeTable,
-                            tol: float = IDENTITY_TOL) -> bool:
+def artifact_identity_check(N: int, a: int, table: PrimeTable) -> bool:
     """Check the closed parity form of the artifact against full Lambda.
 
     Even a:  sum over odd p <= N of (log p) Lambda(p + a).
@@ -115,7 +112,8 @@ def artifact_identity_check(N: int, a: int, table: PrimeTable,
 
     The closed forms read the untruncated Lambda, so they exceed the
     artifact by the exact tail sum over divisors above N; the check adds
-    that correction and then requires equality within tol.
+    that correction and then requires equality within
+    REAL_TOL * max(1, |closed form|).
     """
     if a < 1:
         raise ValueError(f"shifts are naturals >= 1, got {a}")
@@ -145,7 +143,7 @@ def artifact_identity_check(N: int, a: int, table: PrimeTable,
                 mu_d = mobius_int(d)
                 if mu_d:
                     correction += lp * (-mu_d * math.log(d))
-    return abs(closed - (art + correction)) <= tol * max(1.0, abs(closed))
+    return agree(closed, art + correction, REAL_TOL * max(1.0, abs(closed)))
 
 
 def model_chain(N: int, a: int, table: PrimeTable) -> ModelRow:
@@ -173,7 +171,7 @@ def model_chain(N: int, a: int, table: PrimeTable) -> ModelRow:
     f = tabulate_odd_prime_log(N, table).values
     art = float(np.dot(f[1: N + 1], lam_n_odd[1 + a: N + 1 + a]))
 
-    if a % 2 == 0 and abs(m63 - m64) > IDENTITY_TOL * max(1.0, abs(m63)):
+    if a % 2 == 0 and not agree(m63, m64, REAL_TOL * max(1.0, abs(m63))):
         raise RuntimeError(
             f"even-shift entanglement identity violated at N={N}, a={a}: "
             f"{m63} != {m64}")
@@ -270,7 +268,7 @@ def pnt_sanity(N: int, table: PrimeTable) -> bool:
     """Exact identity up to float rounding: log(2 * U_N) == theta(N),
     U_N the product of odd primes up to N."""
     U = universal_period(N).value
-    return abs(math.log(2 * U) - chebyshev_theta(N, table)) <= 1e-6
+    return agree(math.log(2 * U), chebyshev_theta(N, table), 1e-6)
 
 
 # ----------------------------------------------------------------------

@@ -33,9 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith_core import (SIEVE_CAP, SUPPORT_EPS, TabulatedFunction,
-                         divisors_int, empty_sum, is_prime_int, mobius_int,
-                         zeros)
+from .arith_core import (COEFF_TOL, SIEVE_CAP, SUPPORT_EPS, TabulatedFunction,
+                         agree, collapse, divisors_int, empty_sum,
+                         is_prime_int, mobius_int, tolerance, zeros)
 from .transforms import (TruncatedDivisorSum, read_table, truncate,
                          write_tds)
 
@@ -136,12 +136,7 @@ def ramanujan_expand(coeffs: RamanujanCoefficients, a: int):
     total = empty_sum(coeffs)
     for q, v in coeffs.support():
         total += v * ramanujan_sum(q, a)
-    return _normalize_exact(total) if coeffs.is_exact else total
-
-
-def _normalize_exact(v):
-    """The one collapse of an exact value: a Python int when integral."""
-    return int(v) if v.denominator == 1 else v
+    return collapse(total, coeffs)
 
 
 def ramanujan_expand_range(coeffs: RamanujanCoefficients, a_max: int):
@@ -169,7 +164,7 @@ def ramanujan_expand_range(coeffs: RamanujanCoefficients, a_max: int):
     if not exact:
         acc[0] = 0.0
         return acc
-    return [0] + [_normalize_exact(Fraction(x, L)) for x in acc[1:].tolist()]
+    return [0] + [collapse(Fraction(x, L), coeffs) for x in acc[1:].tolist()]
 
 
 def lucht_invert(coeffs: RamanujanCoefficients) -> TruncatedDivisorSum:
@@ -263,18 +258,18 @@ def universal_period(N: int) -> Period:
     return Period(value, "universal")
 
 
-def half_range_identity_check(g_source: TabulatedFunction, N: int,
-                              rel_tol: float = 1e-12) -> bool:
+def half_range_identity_check(g_source: TabulatedFunction, N: int) -> bool:
     """Above half the cutoff a coefficient sees one term only:
-    ghat(q) = g'(q)/q for all N/2 < q <= N."""
+    ghat(q) = g'(q)/q for all N/2 < q <= N (within COEFF_TOL relative for
+    Real tables)."""
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     g = truncate(g_source, N)
     coeffs = wintner_coefficients(g)
-    tol = 0 if g.is_exact else rel_tol
     for q in range(N // 2 + 1, N + 1):
         expected = Fraction(g[q], q) if g.is_exact else g[q] / q
-        if abs(coeffs[q] - expected) > tol * max(1, abs(expected)):
+        bound = tolerance(g, tol=COEFF_TOL, scale=max(1, abs(expected)))
+        if not agree(coeffs[q], expected, bound):
             return False
     return True
 

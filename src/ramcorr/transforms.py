@@ -32,6 +32,7 @@ read here serves TDS and coefficient files alike.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 import sys
@@ -276,8 +277,9 @@ def _bad_entry(lineno: int, line: str) -> ValueError:
     return ValueError(f"line {lineno}: bad entry {line!r}")
 
 
-def _ascii(lineno: int, line: str) -> str:
-    """The line itself, or ValueError naming its first non-ASCII byte.
+def _ascii(lineno: int, line: str, where: str = "line ") -> str:
+    """The line itself, or ValueError naming its first non-ASCII byte at
+    ``where`` + lineno.
 
     Files are opened by ``open_table``, which passes a raw byte b through
     as the lone surrogate U+DC00 + b.
@@ -287,7 +289,7 @@ def _ascii(lineno: int, line: str) -> str:
     c = ord(next(ch for ch in line if not ch.isascii()))
     what = (f"byte {c - 0xDC00:#04x}" if 0xDC80 <= c <= 0xDCFF
             else f"character U+{c:04X}")
-    raise ValueError(f"line {lineno}: non-ASCII {what}")
+    raise ValueError(f"{where}{lineno}: non-ASCII {what}")
 
 
 def read_table(fh, cls, parse_exact, max_cutoff: int = SIEVE_CAP):
@@ -355,13 +357,17 @@ def read_tds(fh, max_cutoff: int = SIEVE_CAP) -> TruncatedDivisorSum:
 
 
 def write_tds_path(g: TruncatedDivisorSum, path) -> None:
+    """``write_tds`` to a file.  The text is formatted before the file is
+    opened, so a table it refuses leaves any file at ``path`` intact."""
+    buf = io.StringIO()
+    write_tds(g, buf)
     with open(path, "w", encoding="ascii") as fh:
-        write_tds(g, fh)
+        fh.write(buf.getvalue())
 
 
 def open_table(path):
-    """Open a table file for ``read_table``, which names the line of any
-    non-ASCII byte."""
+    """Open a text file for ``read_table`` or the CLI's config reader,
+    which name the line of any non-ASCII byte (see ``_ascii``)."""
     return open(path, "r", encoding="ascii", errors="surrogateescape")
 
 

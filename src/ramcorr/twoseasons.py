@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .arith_core import (EXACT, REAL, SUPPORT_EPS, TabulatedFunction,
                          empty_sum, is_prime_int, mobius_int, odd_part,
                          zeros)
-from .correlations import REAL_TOL, correlate_direct
+from .correlations import verify_periodicity
 from .ramanujan import (UndefinedPeriodError, _as_predicate,
                         universal_period)
 from .transforms import (TruncatedDivisorSum, eratosthenes_transform,
@@ -212,15 +212,15 @@ def diophantine_count_odd(F, G, N: int, a: int) -> int:
     return count
 
 
-def combinatorial_identity_check(f: TabulatedFunction, g_source, N: int,
-                                 tol: float = REAL_TOL) -> tuple[bool, bool]:
+def combinatorial_identity_check(f: TabulatedFunction, g_source,
+                                 N: int) -> tuple[bool, bool]:
     """Huge-shift identities for a two-seasons pair with g nonzero:
 
         C(N, 1) == C(N, U + 1)  and  C(N, 2) == C(N, U + 2),
 
     U being the product of odd primes up to N.  Evaluates all four
     correlations (big-integer shifts on the right) and returns the two
-    equality booleans.
+    ``verify_periodicity`` verdicts.
     """
     if isinstance(g_source, TruncatedDivisorSum):
         g = g_source
@@ -229,17 +229,9 @@ def combinatorial_identity_check(f: TabulatedFunction, g_source, N: int,
     if g.is_zero():
         raise UndefinedPeriodError("identities undefined for the zero TDS")
     _require_axioms(f, g, N, N)
-    U = universal_period(N).value
-    exact = f.is_exact and g.is_exact
-
-    def close(x, y):
-        return x == y if exact else abs(x - y) <= tol
-
-    eq1 = close(correlate_direct(f, g, N, 1),
-                correlate_direct(f, g, N, U + 1))
-    eq2 = close(correlate_direct(f, g, N, 2),
-                correlate_direct(f, g, N, U + 2))
-    return eq1, eq2
+    U = universal_period(N)
+    return (verify_periodicity(f, g, N, U, [1]),
+            verify_periodicity(f, g, N, U, [2]))
 
 
 def random_ts_instance(N: int, rng, value_range: tuple[int, int] = (-5, 5),

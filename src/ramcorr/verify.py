@@ -13,9 +13,9 @@ import random
 
 import numpy as np
 
-from .arith_core import (EXACT, TabulatedFunction, divisors_int,
+from .arith_core import (EXACT, TabulatedFunction, agree, divisors_int,
                          is_prime_int, mobius_int, odd_part, sieve_primes,
-                         tabulate_von_mangoldt)
+                         tabulate_von_mangoldt, tolerance)
 from .correlations import (correlate_direct, truncation_difference,
                            verify_periodicity)
 from .hlmodels import (artifact_identity_check, artifact_pair, model_chain,
@@ -29,8 +29,6 @@ from .transforms import (TruncatedDivisorSum, evaluate_tds,
 from .twoseasons import (combinatorial_identity_check, diophantine_count_even,
                          diophantine_count_odd, random_ts_instance)
 
-TOL = 1e-9
-
 
 def _random_tds(rng: random.Random, D: int, n_points: int = 10,
                 points=None) -> TruncatedDivisorSum:
@@ -42,10 +40,6 @@ def _random_tds(rng: random.Random, D: int, n_points: int = 10,
             v = rng.randint(-9, 9)
         et[d] = v
     return TruncatedDivisorSum(D, EXACT, et)
-
-
-def _mismatch(got, want, exact: bool) -> bool:
-    return got != want if exact else abs(got - want) > TOL
 
 
 def _entries(t, top: int) -> list:
@@ -83,12 +77,13 @@ def _pair_expansion_failures(g: TruncatedDivisorSum,
                              coeffs: RamanujanCoefficients,
                              a_max: int = 500) -> list:
     failures = []
+    bound = tolerance(g)
     derived = wintner_coefficients(g)
     top = max(coeffs.limit, derived.limit)
     wants, gots = _entries(derived, top), _entries(coeffs, top)
     for q in range(1, top + 1):
         want, got = wants[q], gots[q]
-        if _mismatch(got, want, g.is_exact):
+        if not agree(got, want, bound):
             failures.append({"check": "coefficient", "q": q,
                              "got": str(got), "expected": str(want)})
             if len(failures) >= 5:
@@ -100,7 +95,7 @@ def _pair_expansion_failures(g: TruncatedDivisorSum,
     rhs_all = evaluate_tds_range(g, a_max).tolist()
     for a in range(1, a_max + 1):
         lhs, rhs = lhs_all[a], rhs_all[a]
-        if _mismatch(lhs, rhs, g.is_exact):
+        if not agree(lhs, rhs, bound):
             failures.append({"check": "expansion", "a": a,
                              "got": str(lhs), "expected": str(rhs)})
             if len(failures) >= 5:
@@ -140,7 +135,7 @@ def suite_expansion(seed: int = 0, tds: TruncatedDivisorSum | None = None,
     got_f = ramanujan_expand_range(c_lam, a_max)
     want_f = evaluate_tds_range(g_lam, a_max)
     checks += a_max
-    bad = np.flatnonzero(np.abs(np.asarray(got_f)[1:] - want_f[1:]) > TOL)
+    bad = np.flatnonzero(~agree(got_f[1:], want_f[1:], tolerance(g_lam)))
     if bad.size:
         a = int(bad[0]) + 1
         failures.append({"check": "expansion-real", "a": a,
@@ -163,22 +158,24 @@ def suite_lucht(seed: int = 0, tds: TruncatedDivisorSum | None = None,
                                           "error": str(exc)}])
         if tds is not None:
             reference = tds
+            bound = tolerance(reference)
             top = max(back.limit, reference.limit)
             gots, wants = _entries(back, top), _entries(reference, top)
             for d in range(1, top + 1):
                 got, want = gots[d], wants[d]
                 checks += 1
-                if _mismatch(got, want, reference.is_exact):
+                if not agree(got, want, bound):
                     failures.append({"check": "lucht", "d": d,
                                      "got": str(got), "expected": str(want)})
                     if len(failures) >= 5:
                         break
         else:
+            bound = tolerance(coeffs)
             rederived = wintner_coefficients(back)
             for q in range(1, coeffs.limit + 1):
                 checks += 1
                 got, want = rederived[q], coeffs[q]
-                if _mismatch(got, want, coeffs.is_exact):
+                if not agree(got, want, bound):
                     failures.append({"check": "lucht-roundtrip", "q": q,
                                      "got": str(got), "expected": str(want)})
                     if len(failures) >= 5:
@@ -196,8 +193,8 @@ def suite_lucht(seed: int = 0, tds: TruncatedDivisorSum | None = None,
     g_lam = lambda_tds(60)
     back = lucht_invert(wintner_coefficients(g_lam))
     checks += 60
-    diffs = np.abs(back.values - g_lam.values)
-    if diffs.max() > TOL:
+    if not agree(back.values, g_lam.values, tolerance(g_lam)).all():
+        diffs = np.abs(back.values - g_lam.values)
         failures.append({"check": "lucht-real", "d": int(diffs.argmax())})
     return _verdict("lucht", checks, failures)
 
@@ -335,11 +332,11 @@ def suite_models(seed: int = 0) -> dict:
     lam = table.von_mangoldt_values
     for a in (2, 3, 4, 10):
         row = model_chain(N, a, table)
-        scale = max(1.0, abs(row.hl))
+        bound = tolerance(lam_tab, scale=max(1.0, abs(row.hl)))
         # full sum vs truncation: the explicit tail formula
         tail = truncation_difference(lam_tab, lam_tab, N, a)
         checks += 1
-        if abs((row.hl - row.m61) - tail) > TOL * scale:
+        if not agree(row.hl - row.m61, tail, bound):
             failures.append({"check": "tail", "a": a,
                              "gap": row.hl - row.m61, "tail": tail})
         # plain vs odd-lifted truncation: even square-free divisors
@@ -352,7 +349,7 @@ def suite_models(seed: int = 0) -> dict:
                 even_part += lam[n] * (evaluate_tds(g_plain, m)
                                        - evaluate_tds(g_odd, m))
         checks += 1
-        if abs((row.m61 - row.m62) - even_part) > TOL * scale:
+        if not agree(row.m61 - row.m62, even_part, bound):
             failures.append({"check": "even-divisors", "a": a})
         # all n vs odd n: the even n are powers of two
         pow2 = 0.0
@@ -361,7 +358,7 @@ def suite_models(seed: int = 0) -> dict:
             pow2 += math.log(2) * evaluate_tds(g_odd, k + a)
             k *= 2
         checks += 1
-        if abs((row.m62 - row.m63) - pow2) > TOL * scale:
+        if not agree(row.m62 - row.m63, pow2, bound):
             failures.append({"check": "power-of-two", "a": a})
         # odd prime powers p^k, k >= 2, drop between m63 and the artifact
         pp = 0.0
@@ -374,17 +371,17 @@ def suite_models(seed: int = 0) -> dict:
                 pp += math.log(p) * evaluate_tds(g_odd, pk + a)
                 pk *= p
         checks += 1
-        if abs((row.m63 - row.artifact) - pp) > TOL * scale:
+        if not agree(row.m63 - row.artifact, pp, bound):
             failures.append({"check": "prime-powers", "a": a})
     s2, s6, s3 = singular_series_batch((2, 6, 3), Q=20000)
     for s in (s2, s6):
         checks += 1
-        if abs(s.truncated_sum - s.euler_product) > 0.01:
+        if not agree(s.truncated_sum, s.euler_product, 0.01):
             failures.append({"check": "singular-series", "a": s.a,
                              "truncated": s.truncated_sum,
                              "euler": s.euler_product})
     checks += 1
-    if abs(s3.truncated_sum) > 0.01:
+    if not agree(s3.truncated_sum, 0.0, 0.01):
         failures.append({"check": "singular-series-odd", "a": 3})
     checks += 1
     if not pnt_sanity(N, table):

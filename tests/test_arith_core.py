@@ -1,16 +1,19 @@
 import math
+from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramcorr import arith_core
-from ramcorr.arith_core import (EXACT, REAL, TabulatedFunction, divisors_int,
-                                euler_phi, factorize, is_prime_int, kappa,
-                                mobius, mobius_int, odd_part, sieve_primes,
-                                smooth_sifted_split, tabulate, v2,
-                                von_mangoldt)
+from ramcorr.arith_core import (COEFF_TOL, EXACT, REAL, REAL_TOL,
+                                TabulatedFunction, agree, collapse,
+                                divisors_int, euler_phi, factorize,
+                                is_prime_int, kappa, mobius, mobius_int,
+                                odd_part, sieve_primes, smooth_sifted_split,
+                                tabulate, tolerance, v2, von_mangoldt)
 from ramcorr.hlmodels import artifact_pair, singular_series
 from ramcorr.transforms import lambda_tds
 
@@ -242,3 +245,51 @@ class TestTabulatedFunction:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             TabulatedFunction(3, "Complex", [0, 1, 2, 3])
+
+
+class TestExactRealSplit:
+    """agree / tolerance / collapse: the one comparison rule and the one
+    result form for exact and real tables."""
+
+    EXACT_T = TabulatedFunction(1, EXACT, [0, 1])
+    REAL_T = TabulatedFunction(1, REAL, [0, 1.0])
+
+    def test_tolerance_follows_the_tables(self):
+        assert tolerance(self.EXACT_T) == 0
+        assert tolerance(self.EXACT_T, self.EXACT_T, scale=5.0) == 0
+        assert tolerance(self.REAL_T) == REAL_TOL == 1e-9
+        assert tolerance(self.EXACT_T, self.REAL_T) == REAL_TOL
+        assert tolerance(self.REAL_T, tol=COEFF_TOL, scale=3.0) == 3e-12
+
+    def test_agree_is_equality_at_bound_zero(self):
+        assert agree(Fraction(1, 3), Fraction(2, 6), 0)
+        assert not agree(10 ** 30, 10 ** 30 + 1, 0)
+        assert not agree(1.0, 1.0 + 2 ** -52, 0)
+
+    def test_agree_window_is_closed(self):
+        assert agree(1.0, 1.5, 0.5)
+        assert agree(1.5, 1.0, 0.5)
+        assert not agree(1.0, 1.5 + 2 ** -50, 0.5)
+
+    @pytest.mark.parametrize("got, want", [
+        (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_agree_rejects_nan(self, got, want):
+        assert not agree(got, want, REAL_TOL)
+        assert not agree(got, want, 0)
+
+    def test_agree_is_elementwise_on_arrays(self):
+        got = np.array([1.0, 2.0, math.nan])
+        assert agree(got, np.array([1.0, 2.5, math.nan]), 0.1).tolist() == [
+            True, False, False]
+
+    def test_collapse(self):
+        two = collapse(Fraction(4, 2), self.EXACT_T)
+        assert two == 2 and type(two) is int
+        half = collapse(Fraction(1, 2), self.EXACT_T, self.EXACT_T)
+        assert half == Fraction(1, 2) and type(half) is Fraction
+        big = collapse(10 ** 40, self.EXACT_T)
+        assert big == 10 ** 40 and type(big) is int
+        x = collapse(Fraction(1, 2), self.EXACT_T, self.REAL_T)
+        assert x == 0.5 and type(x) is float
+        y = collapse(np.float64(0.25), self.REAL_T)
+        assert y == 0.25 and type(y) is float

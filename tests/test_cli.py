@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from ramcorr.cli import main
+from ramcorr.ramanujan import universal_period
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -71,6 +72,29 @@ class TestCorrelate:
         assert [r[0] for r in rows] == ["1", "2", "106", "107"]
         assert rows[0][1] == rows[2][1]
         assert rows[1][1] == rows[3][1]
+
+    @pytest.mark.parametrize("mode", ["direct", "expansion"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_shift_past_the_digit_limit(self, capsys, mode, fmt):
+        # U has about 5200 decimal digits at N = 12000; a shift whose text
+        # exceeds Python's int-to-str limit is written as its U+k token
+        N = 12000
+        code, out, err = run_cli(capsys, "correlate", "--f", "odd_primes_log",
+                                 "--g", "lambdaN", "--N", str(N),
+                                 "--shifts", "1,U+1", "--mode", mode,
+                                 "--format", fmt)
+        assert code == 0 and err == ""
+        if fmt == "json":
+            rows = [(e["a"], e["value"]) for e in json.loads(out)["entries"]]
+        else:
+            lines = out.strip().split("\n")
+            assert lines[0] == "a,value"
+            rows = [tuple(line.split(",")) for line in lines[1:]]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        big = universal_period(N).value + 1
+        want = "U+1" if limit and big >= 10 ** limit else str(big)
+        assert [a for a, _ in rows] == ["1", want]
+        assert rows[0][1] == rows[1][1]
 
     def test_range_spec(self, capsys):
         code, out, _ = run_cli(capsys, "correlate", "--f", "unit",
@@ -274,11 +298,12 @@ class TestConfigResolution:
 
     def test_non_ascii_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "ramcorr.conf"
-        cfg.write_bytes(b"sieve_limit=5\xe9\n")
+        cfg.write_bytes(b"# cap\nsieve_limit=5\xe9\n")
         code, _, err = run_cli(capsys, "--config", str(cfg), "transform",
                                "--fn", "unit", "--N", "3")
         assert code == 2
         assert "cannot read config file" in err and "0xe9" in err
+        assert f"cannot read config file: {cfg}:2: non-ASCII byte 0xe9" in err
 
     @pytest.mark.parametrize("before", [True, False])
     def test_tolerance_flag_removed(self, capsys, before):

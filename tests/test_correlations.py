@@ -64,6 +64,16 @@ class TestCorrelateDirect:
         with pytest.raises(ValueError):
             correlate_direct(lam, lam, 50, 1)
 
+    def test_exact_fraction_values_stay_exact(self):
+        # the tabulated route used to truncate the sum with int()
+        f = TabulatedFunction(3, EXACT, [0, 1, 0, 0])
+        g = TabulatedFunction(4, EXACT, [0, 0, Fraction(1, 2), 0, 0])
+        got = correlate_direct(f, g, 3, 1)
+        assert got == Fraction(1, 2) and type(got) is Fraction
+        g2 = TabulatedFunction(4, EXACT, [0, 0, Fraction(4, 2), 0, 0])
+        got2 = correlate_direct(f, g2, 3, 1)
+        assert got2 == 2 and type(got2) is int
+
     def test_rejects_zero_shift(self):
         one = tabulate("unit", 10)
         with pytest.raises(ValueError):
@@ -369,6 +379,13 @@ class TestSmallShiftDifference:
         assert small_shift_difference(f, g, 9, 1) == et[10] * f[9]
         assert (small_shift_difference(f, g, 9, 2)
                 == et[10] * f[8] + et[11] * f[9])
+
+    def test_real_result_is_a_python_float(self, table_200):
+        lam = tabulate("lambda", 60, table_200)
+        got = small_shift_difference(lam, lam, 40, 3)
+        assert type(got) is float
+        assert got == pytest.approx(truncation_difference(lam, lam, 40, 3),
+                                    abs=1e-9)
 
     def test_rejects_large_shift(self, rng):
         f = random_exact_table(rng, 10)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ramcorr import verify
+from ramcorr.arith_core import agree, tolerance
 from ramcorr.ramanujan import (RamanujanCoefficients, ramanujan_expand,
                                wintner_coefficients)
 from ramcorr.transforms import evaluate_tds, lambda_tds, tds_from_et
@@ -57,14 +58,14 @@ def per_a_pair_failures(g, coeffs, a_max=500):
     top = max(coeffs.limit, derived.limit)
     wants, gots = verify._entries(derived, top), verify._entries(coeffs, top)
     for q in range(1, top + 1):
-        if verify._mismatch(gots[q], wants[q], g.is_exact):
+        if not agree(gots[q], wants[q], tolerance(g)):
             failures.append({"check": "coefficient", "q": q,
                              "got": str(gots[q]), "expected": str(wants[q])})
             if len(failures) >= 5:
                 return failures
     for a in range(1, a_max + 1):
         lhs, rhs = ramanujan_expand(coeffs, a), evaluate_tds(g, a)
-        if verify._mismatch(lhs, rhs, g.is_exact):
+        if not agree(lhs, rhs, tolerance(g)):
             failures.append({"check": "expansion", "a": a,
                              "got": str(lhs), "expected": str(rhs)})
             if len(failures) >= 5:
