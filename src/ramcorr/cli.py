@@ -12,7 +12,13 @@ Commands
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 Real numbers are serialized with 12 significant digits, big integers in
-full decimal, so identical inputs give byte-identical output.
+full decimal, so identical inputs give byte-identical output, whatever
+the host's BLAS thread count: no value goes through a BLAS call.
+
+The module imports only the standard library; each command imports what
+it uses when it runs.  ``main`` defaults OPENBLAS_NUM_THREADS to 1 before
+numpy's first import (a value already set wins), because BLAS worker
+threads would only spin; importing the module changes no setting.
 
 Configuration: defaults < config file (--config or RAMCORR_CONFIG,
 key=value lines) < RAMCORR_* environment variables < flags.
@@ -28,16 +34,6 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .arith_core import (SIEVE_CAP, sieve_primes, tabulate,
-                         tabulated_function_names)
-from .correlations import build_profile, profile_to_csv, profile_to_json
-from .hlmodels import (model_chain, model_rows_to_csv, singular_series_batch,
-                       singular_to_csv)
-from .ramanujan import read_coefficients, universal_period
-from .transforms import (_ascii, lambda_tds, odd_lift, open_table,
-                         read_tds_path, retruncate, tds_from_et, truncate,
-                         write_tds)
-from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -46,7 +42,7 @@ EXIT_USAGE = 2
 
 @dataclass
 class RunConfig:
-    sieve_limit: int = SIEVE_CAP
+    sieve_limit: int
     output_format: str = "csv"
     output_path: str | None = None
 
@@ -59,6 +55,7 @@ class UsageError(Exception):
 
 
 def _load_config_file(path: str) -> dict:
+    from .transforms import _ascii, open_table
     out = {}
     try:
         with open_table(path) as fh:
@@ -79,7 +76,8 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve_config(args) -> RunConfig:
-    cfg = RunConfig()
+    from .arith_core import SIEVE_CAP
+    cfg = RunConfig(SIEVE_CAP)
     path = getattr(args, "config", None) or os.environ.get("RAMCORR_CONFIG")
     raw: dict = {}
     if path:
@@ -107,6 +105,7 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _need_sieve(cfg: RunConfig, need: int):
+    from .arith_core import sieve_primes
     if need > cfg.sieve_limit:
         raise UsageError(
             f"request needs sieve limit {need}, configured cap is "
@@ -127,6 +126,9 @@ def _write_out(text: str, path: str | None) -> None:
 # ----------------------------------------------------------------------
 
 def _cmd_transform(args, cfg: RunConfig) -> int:
+    from .arith_core import tabulate, tabulated_function_names
+    from .transforms import (lambda_tds, read_tds_path, retruncate, truncate,
+                             write_tds)
     if (args.fn is None) == (args.infile is None):
         raise UsageError("exactly one of --fn and --in is required")
     N = args.N
@@ -168,6 +170,7 @@ def _parse_shifts(text: str, N: int):
             continue
         if token.startswith("U+"):
             if u_cache is None:
+                from .ramanujan import universal_period
                 u_cache = universal_period(N).value
             try:
                 k = int(token[2:])
@@ -202,6 +205,7 @@ def _resolve_g(name: str, N: int, cfg: RunConfig):
     the huge-shift identities hold for); ``lambdaN_raw`` is the plain
     truncation; ``delta1`` the constant-1 divisor table.
     """
+    from .transforms import lambda_tds, odd_lift, read_tds_path, tds_from_et
     if name == "lambdaN":
         return odd_lift(lambda_tds(N, _need_sieve(cfg, N)))
     if name == "lambdaN_raw":
@@ -219,6 +223,8 @@ def _resolve_g(name: str, N: int, cfg: RunConfig):
 
 
 def _cmd_correlate(args, cfg: RunConfig) -> int:
+    from .arith_core import tabulate, tabulated_function_names
+    from .correlations import build_profile, profile_to_csv, profile_to_json
     N = args.N
     if N < 1:
         raise UsageError("--N must be >= 1")
@@ -233,14 +239,15 @@ def _cmd_correlate(args, cfg: RunConfig) -> int:
     try:
         profile = build_profile(f, g, N, shifts, f_id=fname, g_id=args.g,
                                 method=args.mode)
+        if cfg.output_format == "json":
+            text = profile_to_json(profile) + "\n"
+        else:
+            buf = io.StringIO()
+            profile_to_csv(profile, buf)
+            text = buf.getvalue()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if cfg.output_format == "json":
-        _write_out(profile_to_json(profile) + "\n", cfg.output_path)
-    else:
-        buf = io.StringIO()
-        profile_to_csv(profile, buf)
-        _write_out(buf.getvalue(), cfg.output_path)
+    _write_out(text, cfg.output_path)
     return EXIT_OK
 
 
@@ -249,6 +256,9 @@ def _cmd_correlate(args, cfg: RunConfig) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
+    from .ramanujan import read_coefficients
+    from .transforms import open_table, read_tds_path
+    from .verify import run_suite
     tds = None
     coeffs = None
     if args.tds is not None:
@@ -286,6 +296,8 @@ def _parse_int_list(text: str, flag: str):
 
 
 def _cmd_hl(args, cfg: RunConfig) -> int:
+    from .hlmodels import (model_chain, model_rows_to_csv,
+                           singular_series_batch, singular_to_csv)
     N_list = _parse_int_list(args.N_list, "--N-list")
     a_list = _parse_int_list(args.a_list, "--a-list")
     if min(N_list) < 3 or min(a_list) < 1:
@@ -316,6 +328,17 @@ def _cmd_hl(args, cfg: RunConfig) -> int:
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
+
+class _SuiteHelp(argparse.HelpFormatter):
+    """Lists the verify suites only when the help is printed, so that
+    building the parser does not import the verify module."""
+
+    def _get_help_string(self, action):
+        if action.dest == "suite":
+            from .verify import SUITES
+            return f"one of: {', '.join(sorted(SUITES))}"
+        return super()._get_help_string(action)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     # SUPPRESS defaults: a subparser must not clobber values the main
@@ -354,9 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="direct")
     p.set_defaults(func=_cmd_correlate)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common], formatter_class=_SuiteHelp,
                        help="run an identity suite")
-    p.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
+    p.add_argument("suite", help="a verify suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tds", help="TDS file to check (expansion/lucht)")
     p.add_argument("--coeffs", help="coefficient file to check against")
@@ -375,6 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # before anything imports numpy (see the module docstring)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

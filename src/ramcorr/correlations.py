@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 from .arith_core import (TabulatedFunction, agree, collapse, empty_sum,
                          tolerance)
@@ -243,7 +244,8 @@ def _text_rows(profile: CorrelationProfile) -> list[tuple[str, str]]:
     in full decimal unless that text exceeds Python's int-to-str digit
     limit; then it is written as its token U+k, U the product of the odd
     primes up to the profile's length (only a U+k token can produce such
-    a shift)."""
+    a shift).  An exact value past that limit has no token: ValueError
+    names the shift and the limit."""
     rows = []
     U = None
     for a, v in profile.entries:
@@ -253,7 +255,14 @@ def _text_rows(profile: CorrelationProfile) -> list[tuple[str, str]]:
             if U is None:
                 U = universal_period(profile.length).value
             shift = f"U+{a - U}"
-        rows.append((shift, format_value(v)))
+        try:
+            value = format_value(v)
+        except ValueError:
+            raise ValueError(
+                f"the exact value at shift {shift} has more decimal digits "
+                f"than Python's int-to-str limit of "
+                f"{sys.get_int_max_str_digits()}") from None
+        rows.append((shift, value))
     return rows
 
 

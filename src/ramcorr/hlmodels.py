@@ -64,13 +64,30 @@ class ModelRow:
     normalized: float | None  # residual scale factor; None on odd shifts
 
 
+def _dot(x, y) -> float:
+    """Sum of x * y by numpy's pairwise summation, which makes no BLAS
+    call: the value does not depend on the host's BLAS thread count.
+
+    The products form one contiguous float64 array, which ``add.reduce``
+    sums in leaves of at most 128 terms (eight running sums) joined
+    pairwise.  Each product is rounded once and passes through at most
+    ceil(log2 n) + 26 additions: at most 25 inside its leaf, one per
+    pairwise level, and on some numpy versions one for the first term.
+    So with k = ceil(log2 n) + 27 and gamma_k = k u / (1 - k u),
+    u = 2**-53, the computed value is within gamma_k * sum |x_i y_i| of
+    the exact one (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 4.2).
+    """
+    return float(np.add.reduce(x * y))
+
+
 def hl_correlation(N: int, a: int, table: PrimeTable) -> float:
     """Exact double-log sum over n <= N of Lambda(n) Lambda(n+a)."""
     if a < 1 or N < 1:
         raise ValueError("length and shift must be naturals")
     table = capped_sieve(N + a, table)
     lam = table.von_mangoldt_values
-    return float(np.dot(lam[1: N + 1], lam[1 + a: N + 1 + a]))
+    return _dot(lam[1: N + 1], lam[1 + a: N + 1 + a])
 
 
 def artifact_pair(N: int, table: PrimeTable | None = None
@@ -100,7 +117,7 @@ def artifact_batch(N: int, a_list, table: PrimeTable) -> list[float]:
     table = capped_sieve(M, table)
     tab = evaluate_tds_range(odd_lift(lambda_tds(N, table)), M)
     f = tabulate_odd_prime_log(N, table).values
-    return [float(np.dot(f[1: N + 1], tab[1 + a: N + 1 + a])) for a in a_list]
+    return [_dot(f[1: N + 1], tab[1 + a: N + 1 + a]) for a in a_list]
 
 
 def artifact_identity_check(N: int, a: int, table: PrimeTable) -> bool:
@@ -161,15 +178,15 @@ def model_chain(N: int, a: int, table: PrimeTable) -> ModelRow:
     lam_n = evaluate_tds_range(g, M)
     lam_n_odd = evaluate_tds_range(odd_lift(g), M)
 
-    hl = float(np.dot(lam[1: N + 1], lam[1 + a: N + 1 + a]))
-    m61 = float(np.dot(lam[1: N + 1], lam_n[1 + a: N + 1 + a]))
-    m62 = float(np.dot(lam[1: N + 1], lam_n_odd[1 + a: N + 1 + a]))
+    hl = _dot(lam[1: N + 1], lam[1 + a: N + 1 + a])
+    m61 = _dot(lam[1: N + 1], lam_n[1 + a: N + 1 + a])
+    m62 = _dot(lam[1: N + 1], lam_n_odd[1 + a: N + 1 + a])
     # odd n slices: n = 1, 3, 5, ...
-    m63 = float(np.dot(lam[1: N + 1: 2], lam_n_odd[1 + a: N + 1 + a: 2]))
-    m64 = float(np.dot(lam[1: N + 1: 2], lam_n[1 + a: N + 1 + a: 2]))
+    m63 = _dot(lam[1: N + 1: 2], lam_n_odd[1 + a: N + 1 + a: 2])
+    m64 = _dot(lam[1: N + 1: 2], lam_n[1 + a: N + 1 + a: 2])
 
     f = tabulate_odd_prime_log(N, table).values
-    art = float(np.dot(f[1: N + 1], lam_n_odd[1 + a: N + 1 + a]))
+    art = _dot(f[1: N + 1], lam_n_odd[1 + a: N + 1 + a])
 
     if a % 2 == 0 and not agree(m63, m64, REAL_TOL * max(1.0, abs(m63))):
         raise RuntimeError(

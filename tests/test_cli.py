@@ -96,6 +96,26 @@ class TestCorrelate:
         assert [a for a, _ in rows] == ["1", want]
         assert rows[0][1] == rows[1][1]
 
+    @pytest.mark.parametrize("mode", ["direct", "expansion"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_value_past_the_digit_limit(self, capsys, tmp_path, mode, fmt):
+        # the reader accepts a value of exactly `limit` digits; the
+        # correlation of identity against it has more, and no token
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python has no int-to-str digit limit")
+        big = tmp_path / "big.tds"
+        big.write_text(f"cutoff=3 kind=ExactInt\n1\t{'9' * limit}\n")
+        out = tmp_path / "out.txt"
+        code, stdout, err = run_cli(capsys, "correlate", "--f", "identity",
+                                    "--g", str(big), "--N", "100",
+                                    "--shifts", "1", "--mode", mode,
+                                    "--format", fmt, "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err == ("ramcorr: error: the exact value at shift 1 has more "
+                       "decimal digits than Python's int-to-str limit of "
+                       f"{limit}\n")
+
     def test_range_spec(self, capsys):
         code, out, _ = run_cli(capsys, "correlate", "--f", "unit",
                                "--g", "delta1", "--N", "10",

@@ -15,7 +15,7 @@ from math import gcd, isqrt, prod
 import numpy as np
 import pytest
 
-from ramcorr import arith_core, cli, transforms
+from ramcorr import arith_core, transforms
 from ramcorr.arith_core import (EXACT, REAL, SIEVE_CAP, PrimeTable,
                                 TabulatedFunction, capped_sieve,
                                 divisors_int, euler_phi,
@@ -452,7 +452,7 @@ def test_hl_leaves_the_spf_table_unbuilt(monkeypatch, tmp_path):
     def sieve(M):
         tables.append(sieve_primes(M))
         return tables[-1]
-    monkeypatch.setattr(cli, "sieve_primes", sieve)
+    monkeypatch.setattr(arith_core, "sieve_primes", sieve)
     assert main(["hl", "--N-list", "1000", "--a-list", "2,3", "--Q", "20000",
                  "--out", str(tmp_path / "hl.csv")]) == 0
     [table] = tables
