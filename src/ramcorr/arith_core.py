@@ -12,7 +12,11 @@ Two building blocks everything else consumes:
   tables all use it.  Its ``values`` is a NumPy array whose dtype follows
   the table's kind (``DTYPES``, the one place the split is made): an
   object array of Python ints (or Fractions) for ExactInt, float64 for
-  Real.  Sweeps therefore run one body for both kinds.
+  Real.  Sweeps therefore run one body for both kinds.  An exact table
+  built from an int64 array (every tabulated arithmetic function is)
+  keeps that array as a private store, which the kernels and the writer
+  in ``transforms`` read; the object array is built only when someone
+  reads ``values``.
 
 The prime- and divisor-indexed sweeps (the smallest-prime-factor fill,
 mu, phi, kappa, and the divisor sums in ``transforms``) are split at
@@ -377,7 +381,19 @@ def collapse(v, *tables):
     return int(v) if v.denominator == 1 else v
 
 
-@dataclass(eq=False)
+def _python_scalars(values: np.ndarray) -> np.ndarray:
+    """An exact object array with every NumPy integer or bool entry
+    replaced by the Python int: a NumPy scalar would compute in wrapping
+    64-bit arithmetic.  ``values`` itself when it holds none."""
+    entries = values.tolist()
+    numpy_types = (np.integer, np.bool_)
+    if not any(issubclass(t, numpy_types) for t in set(map(type, entries))):
+        return values
+    out = np.empty(len(entries), dtype=object)
+    out[:] = [int(v) if isinstance(v, numpy_types) else v for v in entries]
+    return out
+
+
 class TabulatedFunction:
     """A table of values on [1..limit]; slot 0 of ``values`` is unused.
 
@@ -386,20 +402,48 @@ class TabulatedFunction:
     coefficient table (``RamanujanCoefficients``) all have this shape.
     ``values`` is an ndarray whose dtype follows ``kind`` (see DTYPES).
     Immutable after construction.
+
+    An ExactInt table built from an int64 array keeps that array as a
+    private store, which is never written: ``[]``, ``support()`` and the
+    kernels and writer in ``transforms`` read it (``_data``), and
+    ``values`` builds the object array of Python ints on its first read
+    and then drops the store, so only one copy exists to trust.  Exact
+    entries given as NumPy integers become Python ints.  A table keeps
+    the array it is given and does not copy it, for either kind.
     """
 
-    limit: int
-    kind: str
-    values: np.ndarray
-    name: str = ""
-
-    def __post_init__(self):
-        if self.kind not in DTYPES:
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        self.values = np.asarray(self.values, dtype=DTYPES[self.kind])
-        if self.values.shape != (self.limit + 1,):
+    def __init__(self, limit: int, kind: str, values, name: str = ""):
+        if kind not in DTYPES:
+            raise ValueError(f"unknown domain kind {kind!r}")
+        self.limit, self.kind, self.name = limit, kind, name
+        self._store = self._values = None
+        if (kind == EXACT and isinstance(values, np.ndarray)
+                and values.dtype == np.int64):
+            self._store = values
+        else:
+            self._values = np.asarray(values, dtype=DTYPES[kind])
+        if self._data.shape != (limit + 1,):
             raise ValueError("value table must have limit+1 entries")
+        if kind == EXACT and self._store is None:
+            self._values = _python_scalars(self._values)
         self._support: list | None = None
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(limit={self.limit}, "
+                f"kind={self.kind!r}, name={self.name!r})")
+
+    @property
+    def values(self) -> np.ndarray:
+        """The public value array; built from the store on first read."""
+        if self._values is None:
+            self._values = self._store.astype(object)
+            self._store = None
+        return self._values
+
+    @property
+    def _data(self) -> np.ndarray:
+        """The int64 store when there is one, else ``values``; read only."""
+        return self._values if self._store is None else self._store
 
     @classmethod
     def from_entries(cls, entries, limit: int, kind: str, name: str = ""):
@@ -420,7 +464,7 @@ class TabulatedFunction:
     def __getitem__(self, n: int):
         if not 1 <= n <= self.limit:
             raise ValueError(f"argument {n} outside [1, {self.limit}]")
-        return self.values.item(n)
+        return self._data.item(n)  # a Python scalar for every dtype
 
     def support(self, eps: float = 0.0) -> list:
         """Nonzero (n, value) pairs, ascending n, as Python scalars.
@@ -429,9 +473,9 @@ class TabulatedFunction:
         entries with |value| <= eps are left out as well.
         """
         if self._support is None:
-            item = self.values.item  # a Python scalar for either dtype
-            idx = np.flatnonzero(self.values[1:]) + 1
-            self._support = [(n, item(n)) for n in idx.tolist()]
+            data = self._data
+            idx = np.flatnonzero(data[1:]) + 1
+            self._support = list(zip(idx.tolist(), data[idx].tolist()))
         if eps and not self.is_exact:
             return [(n, v) for n, v in self._support if abs(v) > eps]
         return self._support

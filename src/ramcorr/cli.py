@@ -104,12 +104,16 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _need_sieve(cfg: RunConfig, need: int):
-    from .arith_core import sieve_primes
+def _check_limit(cfg: RunConfig, need: int) -> None:
     if need > cfg.sieve_limit:
         raise UsageError(
             f"request needs sieve limit {need}, configured cap is "
             f"{cfg.sieve_limit}; raise sieve_limit")
+
+
+def _need_sieve(cfg: RunConfig, need: int):
+    from .arith_core import sieve_primes
+    _check_limit(cfg, need)
     return sieve_primes(max(need, 2))
 
 
@@ -147,6 +151,7 @@ def _cmd_transform(args, cfg: RunConfig) -> int:
             g = truncate(tabulate(name, N, table), N, table)
         del table  # free the sieve's arrays before the text is built
     else:
+        _check_limit(cfg, N)  # read_tds would refuse the file written
         try:
             g = retruncate(read_tds_path(args.infile, cfg.sieve_limit), N)
         except (OSError, ValueError) as exc:

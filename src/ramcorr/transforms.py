@@ -23,11 +23,14 @@ divisibility of m by small d is ever tested.
 Every table holds its values in one array whose dtype follows its kind
 (see ``arith_core.DTYPES``), so the kernel has a single body for
 ExactInt and Real tables.  ExactInt inputs run that body on int64 when
-every entry is a Python int and max|a| max|b| 2 isqrt(M) < 2**63 (no
-slot has more than tau(n) <= 2 isqrt(M) terms, so no product or partial
-sum can overflow), and come back as Python ints; any other exact input,
-Fractions included, runs on Python ints.  The text format written and
-read here serves TDS and coefficient files alike.
+each is an int64 store (``TabulatedFunction._data``) or holds only Python
+ints, and max|a| max|b| 2 isqrt(M) < 2**63 (no slot has more than
+tau(n) <= 2 isqrt(M) terms, so no product or partial sum can overflow);
+the int64 result becomes the store of the table returned.  Any other
+exact input, Fractions included, runs on Python ints.  So an exact
+``transform --fn`` stays on int64 from the sieve to the written text.
+The text format written and read here serves TDS and coefficient files
+alike.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 
 from .arith_core import (DTYPES, EXACT, REAL, SIEVE_CAP, PrimeTable,
                          TabulatedFunction, _sqrt_split, capped_sieve,
-                         empty_sum, zeros)
+                         empty_sum)
 
 
 class TruncatedDivisorSum(TabulatedFunction):
@@ -62,19 +65,23 @@ tds_from_et = TruncatedDivisorSum.from_entries
 
 def _int64_lane(a: np.ndarray, b, M: int):
     """(a, b) as int64 arrays when the exact kernel can run on them, else
-    None.  Every entry must be a Python int (``astype`` would truncate a
-    Fraction without a word) that fits in int64, and
+    None.  An int64 operand (a table's store) is taken as it is; every
+    entry of an object operand must be a Python int (``astype`` would
+    truncate a Fraction without a word) that fits in int64.  Then
     max|a| max|b| 2 isqrt(M) < 2**63 (max|b| = 1 for ``b`` None): slot n
     adds tau(n) <= 2 isqrt(M) terms, so no product or partial sum can
     overflow.
     """
-    ins = (a,) if b is None else (a, b)
-    if any(set(map(type, v.tolist())) != {int} for v in ins):
-        return None
-    try:
-        ins = [v.astype(np.int64) for v in ins]
-    except OverflowError:
-        return None
+    ins = []
+    for v in (a,) if b is None else (a, b):
+        if v.dtype != np.int64:
+            if set(map(type, v.tolist())) != {int}:
+                return None
+            try:
+                v = v.astype(np.int64)
+            except OverflowError:
+                return None
+        ins.append(v)
     bound = 2 * math.isqrt(M)
     for v in ins:
         bound *= max(int(v.max()), -int(v.min()))
@@ -88,9 +95,10 @@ def _convolve(a, b, M: int, kind: str) -> np.ndarray:
     unused; ``b`` None is the constant 1, added with no product.  Zero
     terms are skipped: a Real slot never holds -0.0, so no bit changes.
 
-    ExactInt inputs that ``_int64_lane`` admits run the same loops on
-    int64 and come back as Python ints (``astype(object)``); other exact
-    inputs run on the Python ints and Fractions of the object array.
+    Real inputs are float64.  ExactInt inputs (int64 stores or object
+    arrays) that ``_int64_lane`` admits run the same loops on int64 and
+    come back as int64, for a table to keep as its store; other exact
+    inputs run on Python ints and Fractions, both cast to object.
     """
     a = a[: M + 1]
     if b is not None:
@@ -98,7 +106,10 @@ def _convolve(a, b, M: int, kind: str) -> np.ndarray:
     lane = _int64_lane(a, b, M) if kind == EXACT else None
     if lane:
         a, b = lane
-    out = np.zeros(M + 1, dtype=np.int64) if lane else zeros(M + 1, kind)
+    elif kind == EXACT:
+        a = a.astype(object, copy=False)
+        b = None if b is None else b.astype(object, copy=False)
+    out = np.zeros(M + 1, dtype=a.dtype)
     small, blocks = _sqrt_split(np.flatnonzero(a[1:]) + 1, M)
     for d in small.tolist():
         out[d::d] += a[d] if b is None else a[d] * b[1: M // d + 1]
@@ -107,7 +118,7 @@ def _convolve(a, b, M: int, kind: str) -> np.ndarray:
             out[k * ds] += a[ds]
         elif b[k]:
             out[k * ds] += a[ds] * b[k]
-    return out.astype(object) if lane else out
+    return out
 
 
 def dirichlet_convolve(F: TabulatedFunction, G: TabulatedFunction,
@@ -121,9 +132,11 @@ def dirichlet_convolve(F: TabulatedFunction, G: TabulatedFunction,
     if F.limit < M or G.limit < M:
         raise ValueError(f"inputs must be tabulated to at least {M}")
     kind = EXACT if F.is_exact and G.is_exact else REAL
-    out = _convolve(F.values[: M + 1].astype(DTYPES[kind]),
-                    G.values[: M + 1].astype(DTYPES[kind]), M, kind)
-    return TabulatedFunction(M, kind, out, f"({F.name}*{G.name})")
+    a, b = F._data[: M + 1], G._data[: M + 1]
+    if kind == REAL:
+        a, b = a.astype(np.float64), b.astype(np.float64)
+    return TabulatedFunction(M, kind, _convolve(a, b, M, kind),
+                             f"({F.name}*{G.name})")
 
 
 def eratosthenes_transform(F: TabulatedFunction, M: int | None = None,
@@ -142,8 +155,9 @@ def eratosthenes_transform(F: TabulatedFunction, M: int | None = None,
     if F.limit < M:
         raise ValueError(f"tabulated only to {F.limit}, need {M}")
     mu = capped_sieve(M, table).mobius_values[: M + 1]
-    mu = mu.astype(DTYPES[F.kind])
-    return TabulatedFunction(M, F.kind, _convolve(mu, F.values, M, F.kind),
+    if not F.is_exact:
+        mu = mu.astype(np.float64)
+    return TabulatedFunction(M, F.kind, _convolve(mu, F._data, M, F.kind),
                              f"{F.name}'")
 
 
@@ -154,7 +168,7 @@ def divisor_sum_transform(F: TabulatedFunction,
         M = F.limit
     if F.limit < M:
         raise ValueError(f"tabulated only to {F.limit}, need {M}")
-    return TabulatedFunction(M, F.kind, evaluate_tds_range(F, M),
+    return TabulatedFunction(M, F.kind, _divisor_sums(F, M),
                              f"({F.name}*1)")
 
 
@@ -162,15 +176,16 @@ def truncate(F: TabulatedFunction, N: int,
              table: PrimeTable | None = None) -> TruncatedDivisorSum:
     """N-truncation of F: keep the transform values F'(d) for d <= N only."""
     et = eratosthenes_transform(F, N, table)
-    return TruncatedDivisorSum(N, F.kind, et.values,
+    return TruncatedDivisorSum(N, F.kind, et._data,
                                name=f"{F.name}_{N}" if F.name else "")
 
 
 def retruncate(g: TruncatedDivisorSum, N: int) -> TruncatedDivisorSum:
     """Change the cutoff: drop entries above N, or pad with zeros up to N."""
-    vals = zeros(N + 1, g.kind)
+    src = g._data
+    vals = np.zeros(N + 1, dtype=src.dtype)
     top = min(N, g.limit) + 1
-    vals[:top] = g.values[:top]
+    vals[:top] = src[:top]
     return TruncatedDivisorSum(N, g.kind, vals, g.name)
 
 
@@ -185,13 +200,20 @@ def evaluate_tds(g: TruncatedDivisorSum, m: int):
     return acc
 
 
-def evaluate_tds_range(g: TabulatedFunction, m_max: int) -> np.ndarray:
-    """g(m) for all m in [1..m_max] at once, as a value array of g's kind
-    (index 0 unused): the sum of the table's entries g'(d) over d | m (any
-    table serves as g')."""
+def _divisor_sums(g: TabulatedFunction, m_max: int) -> np.ndarray:
+    """``evaluate_tds_range`` as the kernel returns it: int64 when an
+    exact table took the lane."""
     if m_max < 1:
         raise ValueError(f"naturals start at 1, got {m_max}")
-    return _convolve(g.values, None, m_max, g.kind)
+    return _convolve(g._data, None, m_max, g.kind)
+
+
+def evaluate_tds_range(g: TabulatedFunction, m_max: int) -> np.ndarray:
+    """g(m) for all m in [1..m_max] at once, as a value array of g's kind
+    (index 0 unused; Python ints for an exact table): the sum of the
+    table's entries g'(d) over d | m (any table serves as g')."""
+    out = _divisor_sums(g, m_max)
+    return out.astype(object) if out.dtype == np.int64 else out
 
 
 def odd_lift(x, method: str = "direct"):
@@ -208,13 +230,13 @@ def odd_lift(x, method: str = "direct"):
         raise ValueError("odd_lift expects a TabulatedFunction or a TDS")
     name = f"{x.name}^odd" if x.name else ""
     if isinstance(x, TruncatedDivisorSum):
-        vals = x.values.copy()
+        vals = x._data.copy()
         vals[0::2] = 0
         return TruncatedDivisorSum(x.limit, x.kind, vals, name)
     if method == "direct":
         n = np.arange(1, x.limit + 1)
-        vals = zeros(x.limit + 1, x.kind)
-        vals[1:] = x.values[n // (n & -n)]  # n & -n = 2^v2(n)
+        vals = np.zeros(x.limit + 1, dtype=x._data.dtype)
+        vals[1:] = x._data[n // (n & -n)]  # n & -n = 2^v2(n)
         return TabulatedFunction(x.limit, x.kind, vals, name)
     if method == "et":
         out = divisor_sum_transform(odd_lift(truncate(x, x.limit)))
@@ -240,22 +262,35 @@ def lambda_tds(N: int, table: PrimeTable | None = None) -> TruncatedDivisorSum:
 # header line "cutoff=D kind=K", then one "d <TAB> value" per nonzero d
 # ----------------------------------------------------------------------
 
+# lines per ``%`` in write_tds: few enough that one block's temporary
+# lists stay small, many enough that the per-block cost vanishes
+_WRITE_BLOCK = 1 << 14
+
+
 def write_tds(g: TabulatedFunction, fh) -> None:
     """Write a table in the text format.
 
-    Values are Python scalars, so str() (``%s``) gives exact text for
-    ints and Fractions and the shortest round-trip text for floats.  The
-    lines are built straight from the value array, not from the cached
-    ``support()`` list of tuples.  The whole text is formatted before
-    anything is written, so a value str() refuses (an int past Python's
-    int-to-str digit limit) leaves ``fh`` untouched, not holding a bare
-    header that would read back as the zero table.
+    The lines come straight from the table's int64 store, or else its
+    value array, never from the cached ``support()`` list of tuples.
+    They are formatted a block at a time, with one ``%`` of
+    ``"%s\t%s\n"`` repeated over a flat tuple of the block's index/value
+    pairs.  The values are Python scalars (``tolist``), so ``%s`` is
+    str(): exact text for ints and Fractions, the shortest round-trip
+    text for floats.  The whole text is formatted before anything is
+    written, so a value str() refuses (an int past Python's int-to-str
+    digit limit) leaves ``fh`` untouched, not holding a bare header that
+    would read back as the zero table.
     """
-    idx = np.flatnonzero(g.values[1:]) + 1
-    body = "".join(map("%s\t%s\n".__mod__,
-                       zip(idx.tolist(), g.values[idx].tolist())))
-    fh.write(f"cutoff={g.limit} kind={g.kind}\n")
-    fh.write(body)
+    data = g._data
+    idx = np.flatnonzero(data[1:]) + 1
+    blocks = [f"cutoff={g.limit} kind={g.kind}\n"]
+    for start in range(0, idx.size, _WRITE_BLOCK):
+        block = idx[start: start + _WRITE_BLOCK]
+        pairs = [None] * (2 * block.size)
+        pairs[0::2] = block.tolist()
+        pairs[1::2] = data[block].tolist()
+        blocks.append("%s\t%s\n" * block.size % tuple(pairs))
+    fh.write("".join(blocks))
 
 
 # the only exact value text write_tds emits: an int or a Fraction's p/q

@@ -14,8 +14,9 @@ from ramcorr.arith_core import (COEFF_TOL, EXACT, REAL, REAL_TOL,
                                 is_prime_int, kappa, mobius, mobius_int,
                                 odd_part, sieve_primes, smooth_sifted_split,
                                 tabulate, tolerance, v2, von_mangoldt)
+from ramcorr.correlations import correlate_direct
 from ramcorr.hlmodels import artifact_pair, singular_series
-from ramcorr.transforms import lambda_tds
+from ramcorr.transforms import dirichlet_convolve, lambda_tds
 
 
 def trial_division_is_prime(n):
@@ -231,6 +232,37 @@ class TestTabulatedFunction:
     def test_support_iteration(self, table_200):
         f = tabulate("odd_primes", 20, table_200)
         assert [n for n, _ in f.support()] == [3, 5, 7, 11, 13, 17, 19]
+
+    def test_int64_store_reads_as_python_ints(self):
+        store = np.array([0, 5, 0, -7, 2 ** 63 - 1, 0, -2 ** 63, 1],
+                         dtype=np.int64)
+        f = TabulatedFunction(7, EXACT, store)
+        before = (f.support(), [f[n] for n in range(1, 8)])
+        vals = f.values
+        assert vals.dtype == object and vals.tolist() == store.tolist()
+        assert all(type(v) is int for v in vals)
+        assert f.values is vals and f._data is vals  # the store is dropped
+        late = TabulatedFunction(7, EXACT, store)
+        late.values
+        for g in (f, late):  # support cached before the read, built after
+            assert (g.support(), [g[n] for n in range(1, 8)]) == before
+        assert before[0] == [(1, 5), (3, -7), (4, 2 ** 63 - 1),
+                             (6, -2 ** 63), (7, 1)]
+        assert all(type(v) is int for _, v in before[0] + late.support())
+        assert all(type(v) is int for v in before[1])
+
+    def test_numpy_integer_entries_become_python_ints(self):
+        # numpy scalars would compute in wrapping 64-bit arithmetic
+        f = TabulatedFunction(4, EXACT, [0] + [np.int64(3_000_000_000)] * 4)
+        assert all(type(v) is int for v in f.values)
+        assert dirichlet_convolve(f, f).values[4] == 27 * 10 ** 18
+        assert correlate_direct(f, f, 2, 1) == 18 * 10 ** 18
+        g = TabulatedFunction.from_entries(
+            {1: np.uint64(2 ** 64 - 1), 2: 2 ** 70, 3: Fraction(1, 3),
+             4: np.True_}, 4, EXACT)
+        assert g.values.tolist() == [0, 2 ** 64 - 1, 2 ** 70,
+                                     Fraction(1, 3), 1]
+        assert [type(v) for v in g.values] == [int, int, int, Fraction, int]
 
     def test_odd_prime_log_drops_prime_powers(self, table_200):
         f = tabulate("odd_primes_log", 100, table_200)

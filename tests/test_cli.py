@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -54,6 +55,40 @@ class TestTransform:
                                "--N", "10")
         assert code == 0
         assert out == "cutoff=10 kind=ExactInt\n3\t4\n"
+
+    @pytest.mark.parametrize("N", ["3000000", "1000000000000"])
+    def test_retruncate_refuses_a_cutoff_above_the_cap(self, capsys,
+                                                       tmp_path, N):
+        # a cutoff above sieve_limit would write a file read_tds refuses
+        path, out = tmp_path / "g.tds", tmp_path / "out.tds"
+        path.write_text("cutoff=20 kind=ExactInt\n3\t4\n")
+        code, _, err = run_cli(capsys, "transform", "--in", str(path),
+                               "--N", N, "--out", str(out))
+        assert code == 2
+        assert f"needs sieve limit {N}" in err and "cap is 2000000" in err
+        assert not out.exists()
+
+    # sha256 of the text each name gave before the int64 store and the
+    # block writer: the exact transform path is pinned byte for byte
+    TRANSFORM_SHA256 = {
+        "phi": "18b53754c7b82fe30b5fa91ce5d31890"
+               "5150284622487c14d877c30557a39c3a",
+        "kappa": "75a6bf12e3edc1ca3e5f37d0cfd21c1b"
+                 "8abcb47dd40aa111e102a1d2bbcf88fe",
+        "mobius": "028e0ce562acf8abb982ec896be2a7c5"
+                  "a3e73b4f5a2afb9a98f70007ef57475b",
+        "mu_squared": "1f46a838df3eef42ef80fc7220c9f530"
+                      "7ecf556a43ff1068f17f783824258819",
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRANSFORM_SHA256))
+    def test_exact_transform_bytes_at_two_hundred_thousand(self, tmp_path,
+                                                           name):
+        out = tmp_path / f"{name}.tds"
+        assert main(["transform", "--fn", name, "--N", "200000",
+                     "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.TRANSFORM_SHA256[name]
 
     def test_requires_exactly_one_source(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "transform", "--N", "5")

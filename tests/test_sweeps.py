@@ -4,6 +4,7 @@ divisor sums) against trial-division oracles and the plain per-point
 loops they replace, and a guard on the number of Python-level steps they
 take."""
 
+import io
 import math
 import random
 import sys
@@ -21,7 +22,8 @@ from ramcorr.arith_core import (EXACT, REAL, SIEVE_CAP, PrimeTable,
                                 divisors_int, euler_phi,
                                 factorize, is_prime_int, kappa, mobius,
                                 mobius_int, sieve_primes, smooth_sifted_split,
-                                tabulate, tabulate_kappa, von_mangoldt, zeros)
+                                tabulate, tabulate_kappa, v2,
+                                von_mangoldt, zeros)
 from ramcorr.cli import main
 from ramcorr.hlmodels import artifact_pair, model_chain, singular_series_batch
 from ramcorr.transforms import (TruncatedDivisorSum, dirichlet_convolve,
@@ -319,6 +321,62 @@ def test_exact_transforms_at_two_hundred_thousand_take_the_int64_lane(
     back = divisor_sum_transform(eratosthenes_transform(F, table=table_200k))
     assert lanes == [True, True]
     assert_exact_equal(back.values, F.values)
+
+
+@pytest.mark.parametrize("M", [24, 1001])
+def test_int64_store_against_python_ints_past_int64(M, lanes):
+    # the lane refuses the pair, so both operands run on Python ints: an
+    # int64 operand left uncast would overflow against the bigints
+    rng = random.Random(M)
+    F = TabulatedFunction(M, EXACT, np.array(
+        [0] + [rng.randint(-9, 9) for _ in range(M)], dtype=np.int64))
+    G = random_exact_tds(rng, M, 0.5, 10 ** 30)
+    got = [dirichlet_convolve(a, b) for a, b in ((F, G), (G, F))]
+    assert F._data.dtype == np.int64 and lanes == [False, False]
+    assert_exact_equal(got[0].values, per_d_convolve(F, G, M))
+    assert_exact_equal(got[1].values, per_d_convolve(G, F, M))
+
+
+def test_stored_tables_go_through_the_kernels_on_their_store(table_2k,
+                                                             lanes):
+    # transform, truncate, divisor sum, retruncate and odd lift of an
+    # int64-stored table keep int64 stores, never building the object
+    # array, and give the values of the object path
+    M = 2000
+    F = tabulate("phi", M, table_2k)
+    g = truncate(F, M, table_2k)
+    outs = [g, eratosthenes_transform(F, table=table_2k),
+            divisor_sum_transform(g), dirichlet_convolve(F, g),
+            transforms.retruncate(g, 3000), transforms.retruncate(g, 500),
+            odd_lift(g), odd_lift(F)]
+    assert lanes == [True] * 4
+    assert all(t._data.dtype == np.int64 for t in [F, *outs])
+    assert_exact_equal(outs[0].values, in_place_et(F, M))
+    assert_exact_equal(outs[1].values, outs[0].values)
+    assert_exact_equal(outs[2].values, F.values)
+    assert_exact_equal(outs[3].values, per_d_convolve(F, g, M))
+    assert outs[4].values.tolist() == g.values.tolist() + [0] * 1000
+    assert outs[5].values.tolist() == g.values.tolist()[:501]
+    odd = [v if n % 2 else 0 for n, v in enumerate(g.values.tolist())]
+    assert outs[6].values.tolist() == odd
+    assert outs[7].values.tolist() == [0] + [
+        F[n >> v2(n)] for n in range(1, M + 1)]
+
+
+def test_exact_transform_and_write_stay_small_at_two_hundred_thousand(
+        table_200k):
+    # the int64 store from the sieve to the text: 24.1 MB traced at the
+    # object-array tables, about 7 MB on the store
+    table_200k.mobius_values, table_200k.phi_values  # built beforehand
+    tracemalloc.start()
+    try:
+        g = truncate(tabulate("phi", 200_000, table_200k), 200_000,
+                     table_200k)
+        transforms.write_tds(g, io.StringIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20
 
 
 def test_real_tables_never_ask_for_the_lane(table_2k, lanes):

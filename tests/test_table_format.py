@@ -2,14 +2,17 @@
 and rejection of every malformed line with its line number."""
 
 import io
+import random
 import re
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramcorr import transforms
 from ramcorr.arith_core import EXACT, REAL
 from ramcorr.cli import main
 from ramcorr.ramanujan import (RamanujanCoefficients, read_coefficients,
@@ -70,6 +73,58 @@ def test_writer_bytes_equal_the_support_line_writer(data, kind, values):
     write_tds(table, got)
     support_writer(table, want)
     assert got.getvalue() == want.getvalue()
+
+
+def per_line_writer(g, fh):
+    """The writer as it was before the int64 store and the blocks: one
+    ``%`` per line, over the public value array."""
+    idx = np.flatnonzero(g.values[1:]) + 1
+    body = "".join(map("%s\t%s\n".__mod__,
+                       zip(idx.tolist(), g.values[idx].tolist())))
+    fh.write(f"cutoff={g.limit} kind={g.kind}\n")
+    fh.write(body)
+
+
+BLOCK = transforms._WRITE_BLOCK
+
+
+def _block_table(form, lines):
+    """A table of ``form`` with ``lines`` nonzero entries in 2 blocks' room."""
+    rng = random.Random(lines)
+    limit = 2 * BLOCK + 5
+    idx = rng.sample(range(1, limit + 1), lines)
+    draw = {
+        "int64 store": lambda: rng.randint(-2 ** 63, 2 ** 63 - 1) or 1,
+        "Python ints": lambda: rng.randint(-99, 99) or 1,
+        "past int64": lambda: rng.choice([-1, 1]) * rng.randint(
+            2 ** 63, 2 ** 200),
+        "Fractions": lambda: Fraction(rng.randint(1, 10 ** 20),
+                                      rng.randint(1, 10 ** 20)),
+        "Real": lambda: rng.uniform(-1e3, 1e3) or 1.0,
+    }[form]
+    kind = REAL if form == "Real" else EXACT
+    if form == "int64 store":
+        vals = np.zeros(limit + 1, dtype=np.int64)
+    else:
+        vals = np.zeros(limit + 1, dtype=object if kind == EXACT else float)
+    for n in idx:
+        vals[n] = draw()
+    return TruncatedDivisorSum(limit, kind, vals)
+
+
+@pytest.mark.parametrize("lines", [0, 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("form", ["int64 store", "Python ints", "past int64",
+                                  "Fractions", "Real"])
+def test_block_writer_bytes_equal_the_per_line_writer(form, lines):
+    table = _block_table(form, lines)
+    stored = table._data.dtype == np.int64
+    assert stored == (form == "int64 store")
+    got, want = io.StringIO(), io.StringIO()
+    write_tds(table, got)
+    assert (table._data.dtype == np.int64) == stored  # values left unbuilt
+    per_line_writer(table, want)
+    assert got.getvalue() == want.getvalue()
+    assert got.getvalue().count("\n") == lines + 1
 
 
 def _read_with_line(reader, kind, line):
