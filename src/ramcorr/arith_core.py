@@ -501,34 +501,19 @@ class TabulatedFunction:
 # tabulated arithmetic functions
 # ----------------------------------------------------------------------
 
-def tabulate_unit(M: int) -> TabulatedFunction:
-    vals = np.ones(M + 1, dtype=np.int64)
-    vals[0] = 0
-    return TabulatedFunction(M, EXACT, vals, "unit")
+def _indicator(M: int, points) -> np.ndarray:
+    """1 at ``points`` (indices or a slice) of [0..M], else 0, as int64."""
+    vals = np.zeros(M + 1, dtype=np.int64)
+    vals[points] = 1
+    return vals
 
 
-def tabulate_identity(M: int) -> TabulatedFunction:
-    return TabulatedFunction(M, EXACT, np.arange(M + 1), "identity")
+def _odd_primes(M: int, table: PrimeTable) -> np.ndarray:
+    return table.primes[(table.primes > 2) & (table.primes <= M)]
 
 
-def tabulate_mobius(M: int, table: PrimeTable) -> TabulatedFunction:
-    _check_range(M, table)
-    return TabulatedFunction(M, EXACT, table.mobius_values[: M + 1], "mobius")
-
-
-def tabulate_mu_squared(M: int, table: PrimeTable) -> TabulatedFunction:
-    _check_range(M, table)
-    return TabulatedFunction(M, EXACT, table.mobius_values[: M + 1] ** 2,
-                             "mu_squared")
-
-
-def tabulate_phi(M: int, table: PrimeTable) -> TabulatedFunction:
-    _check_range(M, table)
-    return TabulatedFunction(M, EXACT, table.phi_values[: M + 1], "phi")
-
-
-def tabulate_kappa(M: int, table: PrimeTable) -> TabulatedFunction:
-    _check_range(M, table)
+def _kappa_values(M: int, table: PrimeTable) -> np.ndarray:
+    """The kappa sweep on [0..M]: each prime multiplies into its multiples."""
     kap = np.ones(M + 1, dtype=np.int64)
     kap[0] = 0
     small, blocks = _sqrt_split(table.primes, M)
@@ -536,66 +521,37 @@ def tabulate_kappa(M: int, table: PrimeTable) -> TabulatedFunction:
         kap[p::p] *= p
     for j, ps in blocks:
         kap[j * ps] *= ps
-    return TabulatedFunction(M, EXACT, kap, "kappa")
+    return kap
 
 
-def tabulate_von_mangoldt(M: int, table: PrimeTable) -> TabulatedFunction:
-    _check_range(M, table)
-    return TabulatedFunction(M, REAL, table.von_mangoldt_values[: M + 1].copy(),
-                             "lambda")
-
-
-def tabulate_odd_indicator(M: int) -> TabulatedFunction:
-    return TabulatedFunction(M, EXACT, np.arange(M + 1) % 2, "odd")
-
-
-def tabulate_prime_indicator(M: int, table: PrimeTable) -> TabulatedFunction:
-    _check_range(M, table)
-    vals = table.is_prime[: M + 1].astype(np.int64)
-    return TabulatedFunction(M, EXACT, vals, "primes")
-
-
-def tabulate_odd_prime_indicator(M: int, table: PrimeTable) -> TabulatedFunction:
-    _check_range(M, table)
-    vals = table.is_prime[: M + 1].astype(np.int64)
-    vals[2:3] = 0
-    return TabulatedFunction(M, EXACT, vals, "odd_primes")
-
-
-def tabulate_square_indicator(M: int) -> TabulatedFunction:
-    vals = np.zeros(M + 1, dtype=np.int64)
-    vals[np.arange(1, isqrt(M) + 1) ** 2] = 1
-    return TabulatedFunction(M, EXACT, vals, "squares")
-
-
-def tabulate_odd_prime_log(M: int, table: PrimeTable) -> TabulatedFunction:
-    """mu^2 * 1_odd * Lambda: log p at odd primes p <= M, zero elsewhere.
-
-    Prime powers p^k (k >= 2) drop out through the square-free factor.
-    """
-    _check_range(M, table)
+def _odd_prime_logs(M: int, table: PrimeTable) -> np.ndarray:
+    """mu^2 * 1_odd * Lambda: log p at odd primes p <= M, zero elsewhere
+    (prime powers p^k, k >= 2, drop out through the square-free factor)."""
     vals = np.zeros(M + 1, dtype=np.float64)
-    pr = table.primes[(table.primes > 2) & (table.primes <= M)]
+    pr = _odd_primes(M, table)
     vals[pr] = np.log(pr.astype(np.float64))
-    return TabulatedFunction(M, REAL, vals, "odd_primes_log")
+    return vals
 
 
-_NEEDS_TABLE = {"mobius", "mu_squared", "phi", "kappa", "lambda",
-                "primes", "odd_primes", "odd_primes_log"}
-
+# name -> (kind, whether it needs a sieve, builder of its value array on
+# [0..M]); a builder is called as builder(M, table), with table None when
+# no sieve is needed
 _TABULATORS = {
-    "unit": lambda M, t: tabulate_unit(M),
-    "identity": lambda M, t: tabulate_identity(M),
-    "mobius": tabulate_mobius,
-    "mu_squared": tabulate_mu_squared,
-    "phi": tabulate_phi,
-    "kappa": tabulate_kappa,
-    "lambda": tabulate_von_mangoldt,
-    "odd": lambda M, t: tabulate_odd_indicator(M),
-    "primes": tabulate_prime_indicator,
-    "odd_primes": tabulate_odd_prime_indicator,
-    "squares": lambda M, t: tabulate_square_indicator(M),
-    "odd_primes_log": tabulate_odd_prime_log,
+    "unit": (EXACT, False, lambda M, t: _indicator(M, slice(1, None))),
+    "identity": (EXACT, False, lambda M, t: np.arange(M + 1)),
+    "mobius": (EXACT, True, lambda M, t: t.mobius_values[: M + 1]),
+    "mu_squared": (EXACT, True, lambda M, t: t.mobius_values[: M + 1] ** 2),
+    "phi": (EXACT, True, lambda M, t: t.phi_values[: M + 1]),
+    "kappa": (EXACT, True, _kappa_values),
+    "lambda": (REAL, True,
+               lambda M, t: t.von_mangoldt_values[: M + 1].copy()),
+    "odd": (EXACT, False, lambda M, t: np.arange(M + 1) % 2),
+    "primes": (EXACT, True,
+               lambda M, t: t.is_prime[: M + 1].astype(np.int64)),
+    "odd_primes": (EXACT, True, lambda M, t: _indicator(M, _odd_primes(M, t))),
+    "squares": (EXACT, False,
+                lambda M, t: _indicator(M, np.arange(1, isqrt(M) + 1) ** 2)),
+    "odd_primes_log": (REAL, True, _odd_prime_logs),
 }
 
 
@@ -604,8 +560,9 @@ def tabulated_function_names() -> list[str]:
 
 
 def tabulate(name: str, M: int, table: PrimeTable | None = None) -> TabulatedFunction:
-    """Build a named arithmetic function on [1..M]; sieves if required
-    (``capped_sieve``) and no table is passed.
+    """Build a named arithmetic function on [1..M] from ``_TABULATORS``;
+    a name that needs a sieve uses ``capped_sieve(M, table)``, so it
+    sieves when no table is passed and refuses a table short of M.
 
     Without a table, M above SIEVE_CAP raises ValueError before anything
     is allocated, for the names that need no sieve too.
@@ -613,9 +570,10 @@ def tabulate(name: str, M: int, table: PrimeTable | None = None) -> TabulatedFun
     if name not in _TABULATORS:
         raise ValueError(f"unknown function name {name!r}; "
                          f"known: {', '.join(tabulated_function_names())}")
-    if table is None:
-        if name in _NEEDS_TABLE:
-            table = capped_sieve(M)
-        else:
-            _check_cap(M)
-    return _TABULATORS[name](M, table)
+    kind, sieved, values = _TABULATORS[name]
+    if sieved:
+        table = capped_sieve(M, table)
+        _check_range(M, table)  # M >= 1; capped_sieve checked the top
+    elif table is None:
+        _check_cap(M)
+    return TabulatedFunction(M, kind, values(M, table), name)

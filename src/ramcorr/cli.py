@@ -117,6 +117,30 @@ def _need_sieve(cfg: RunConfig, need: int):
     return sieve_primes(max(need, 2))
 
 
+def _read_table(path: str, cfg: RunConfig, read, what: str,
+                unreadable: str | None = None):
+    """``read(fh, cfg.sieve_limit)`` on the table file at ``path``.  A file
+    that does not parse is a UsageError naming the ``what`` file and the
+    fault; one that cannot be read is one too, with the ``unreadable``
+    message when given."""
+    from .transforms import open_table
+    try:
+        with open_table(path) as fh:
+            return read(fh, cfg.sieve_limit)
+    except OSError as exc:
+        raise UsageError(unreadable or f"cannot load {what} file: {exc}"
+                         ) from None
+    except ValueError as exc:
+        raise UsageError(f"cannot load {what} file: {exc}") from None
+
+
+def _text(write, *args) -> str:
+    """What ``write(*args, fh)`` writes to a text stream, as one string."""
+    buf = io.StringIO()
+    write(*args, buf)
+    return buf.getvalue()
+
+
 def _write_out(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -131,8 +155,7 @@ def _write_out(text: str, path: str | None) -> None:
 
 def _cmd_transform(args, cfg: RunConfig) -> int:
     from .arith_core import tabulate, tabulated_function_names
-    from .transforms import (lambda_tds, read_tds_path, retruncate, truncate,
-                             write_tds)
+    from .transforms import lambda_tds, read_tds, retruncate, truncate, write_tds
     if (args.fn is None) == (args.infile is None):
         raise UsageError("exactly one of --fn and --in is required")
     N = args.N
@@ -152,13 +175,8 @@ def _cmd_transform(args, cfg: RunConfig) -> int:
         del table  # free the sieve's arrays before the text is built
     else:
         _check_limit(cfg, N)  # read_tds would refuse the file written
-        try:
-            g = retruncate(read_tds_path(args.infile, cfg.sieve_limit), N)
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot load TDS file: {exc}") from None
-    buf = io.StringIO()
-    write_tds(g, buf)
-    _write_out(buf.getvalue(), cfg.output_path)
+        g = retruncate(_read_table(args.infile, cfg, read_tds, "TDS"), N)
+    _write_out(_text(write_tds, g), cfg.output_path)
     return EXIT_OK
 
 
@@ -203,28 +221,24 @@ def _parse_shifts(text: str, N: int):
     return shifts
 
 
-def _resolve_g(name: str, N: int, cfg: RunConfig):
-    """Named shift-carrying factors, or a TDS file path.
+def _resolve_g(name: str, N: int, cfg: RunConfig, table):
+    """Named shift-carrying factors, built on the sieve ``table`` (limit
+    at least N), or a TDS file path.
 
     ``lambdaN`` is the odd-lifted truncation of von Mangoldt (the factor
     the huge-shift identities hold for); ``lambdaN_raw`` is the plain
     truncation; ``delta1`` the constant-1 divisor table.
     """
-    from .transforms import lambda_tds, odd_lift, read_tds_path, tds_from_et
+    from .transforms import lambda_tds, odd_lift, read_tds, tds_from_et
     if name == "lambdaN":
-        return odd_lift(lambda_tds(N, _need_sieve(cfg, N)))
+        return odd_lift(lambda_tds(N, table))
     if name == "lambdaN_raw":
-        return lambda_tds(N, _need_sieve(cfg, N))
+        return lambda_tds(N, table)
     if name == "delta1":
         return tds_from_et({1: 1}, N, "ExactInt", name="delta1")
-    try:
-        return read_tds_path(name, cfg.sieve_limit)
-    except OSError:
-        raise UsageError(
-            f"--g {name!r} is neither a readable file nor one of "
-            "lambdaN, lambdaN_raw, delta1") from None
-    except ValueError as exc:
-        raise UsageError(f"cannot load TDS file: {exc}") from None
+    return _read_table(name, cfg, read_tds, "TDS", unreadable=(
+        f"--g {name!r} is neither a readable file nor one of "
+        "lambdaN, lambdaN_raw, delta1"))
 
 
 def _cmd_correlate(args, cfg: RunConfig) -> int:
@@ -240,16 +254,14 @@ def _cmd_correlate(args, cfg: RunConfig) -> int:
                          f"{', '.join(tabulated_function_names())}")
     table = _need_sieve(cfg, N)
     f = tabulate(fname, N, table)
-    g = _resolve_g(args.g, N, cfg)
+    g = _resolve_g(args.g, N, cfg, table)
     try:
         profile = build_profile(f, g, N, shifts, f_id=fname, g_id=args.g,
                                 method=args.mode)
         if cfg.output_format == "json":
             text = profile_to_json(profile) + "\n"
         else:
-            buf = io.StringIO()
-            profile_to_csv(profile, buf)
-            text = buf.getvalue()
+            text = _text(profile_to_csv, profile)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _write_out(text, cfg.output_path)
@@ -262,21 +274,14 @@ def _cmd_correlate(args, cfg: RunConfig) -> int:
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
     from .ramanujan import read_coefficients
-    from .transforms import open_table, read_tds_path
+    from .transforms import read_tds
     from .verify import run_suite
-    tds = None
-    coeffs = None
+    tds = coeffs = None
     if args.tds is not None:
-        try:
-            tds = read_tds_path(args.tds, cfg.sieve_limit)
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot load TDS file: {exc}") from None
+        tds = _read_table(args.tds, cfg, read_tds, "TDS")
     if args.coeffs is not None:
-        try:
-            with open_table(args.coeffs) as fh:
-                coeffs = read_coefficients(fh, cfg.sieve_limit)
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot load coefficient file: {exc}") from None
+        coeffs = _read_table(args.coeffs, cfg, read_coefficients,
+                             "coefficient")
     try:
         verdict = run_suite(args.suite, seed=args.seed, tds=tds, coeffs=coeffs)
     except ValueError as exc:
@@ -307,26 +312,20 @@ def _cmd_hl(args, cfg: RunConfig) -> int:
     a_list = _parse_int_list(args.a_list, "--a-list")
     if min(N_list) < 3 or min(a_list) < 1:
         raise UsageError("need N >= 3 and a >= 1")
+    if args.Q < 2:
+        raise UsageError("--Q must be >= 2")
     need = max(max(N_list) + max(a_list), args.Q)
     table = _need_sieve(cfg, need)
     rows = [model_chain(N, a, table) for N in N_list for a in a_list]
     sing = singular_series_batch(sorted(set(a_list)), Q=args.Q, table=table)
-    buf = io.StringIO()
-    model_rows_to_csv(rows, buf)
-    models_csv = buf.getvalue()
-    buf = io.StringIO()
-    singular_to_csv(sing, buf)
-    singular_csv = buf.getvalue()
+    models_csv = _text(model_rows_to_csv, rows)
+    singular_csv = _text(singular_to_csv, sing)
     if cfg.output_path is None:
-        sys.stdout.write(models_csv)
-        sys.stdout.write("\n")
-        sys.stdout.write(singular_csv)
+        _write_out(f"{models_csv}\n{singular_csv}", None)
     else:
-        with open(cfg.output_path, "w", encoding="ascii") as fh:
-            fh.write(models_csv)
-        spath = args.singular_out or cfg.output_path + ".singular.csv"
-        with open(spath, "w", encoding="ascii") as fh:
-            fh.write(singular_csv)
+        _write_out(models_csv, cfg.output_path)
+        _write_out(singular_csv,
+                   args.singular_out or cfg.output_path + ".singular.csv")
     return EXIT_OK
 
 

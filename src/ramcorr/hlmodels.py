@@ -32,7 +32,7 @@ import numpy as np
 
 from .arith_core import (REAL_TOL, PrimeTable, TabulatedFunction, agree,
                          capped_sieve, divisors_int, mobius_int, odd_part,
-                         tabulate_odd_prime_log)
+                         tabulate)
 from .correlations import correlate_direct, format_value
 from .ramanujan import universal_period
 from .transforms import (TruncatedDivisorSum, evaluate_tds_range, lambda_tds,
@@ -95,7 +95,7 @@ def artifact_pair(N: int, table: PrimeTable | None = None
     """The flagship two-seasons pair: f = log p on odd primes <= N,
     g = odd-lifted N-truncation of von Mangoldt."""
     table = capped_sieve(N, table)
-    f = tabulate_odd_prime_log(N, table)
+    f = tabulate("odd_primes_log", N, table)
     g = odd_lift(lambda_tds(N, table))
     return f, g
 
@@ -116,7 +116,7 @@ def artifact_batch(N: int, a_list, table: PrimeTable) -> list[float]:
     M = N + max(a_list)
     table = capped_sieve(M, table)
     tab = evaluate_tds_range(odd_lift(lambda_tds(N, table)), M)
-    f = tabulate_odd_prime_log(N, table).values
+    f = tabulate("odd_primes_log", N, table).values
     return [_dot(f[1: N + 1], tab[1 + a: N + 1 + a]) for a in a_list]
 
 
@@ -185,7 +185,7 @@ def model_chain(N: int, a: int, table: PrimeTable) -> ModelRow:
     m63 = _dot(lam[1: N + 1: 2], lam_n_odd[1 + a: N + 1 + a: 2])
     m64 = _dot(lam[1: N + 1: 2], lam_n[1 + a: N + 1 + a: 2])
 
-    f = tabulate_odd_prime_log(N, table).values
+    f = tabulate("odd_primes_log", N, table).values
     art = _dot(f[1: N + 1], lam_n_odd[1 + a: N + 1 + a])
 
     if a % 2 == 0 and not agree(m63, m64, REAL_TOL * max(1.0, abs(m63))):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ramcorr.arith_core import (EXACT, REAL, TabulatedFunction, divisors_int,
-                                empty_sum, mobius_int, tabulate_von_mangoldt)
+                                empty_sum, mobius_int, tabulate)
 from ramcorr.cli import main
 from ramcorr.correlations import (_class_sum, correlate_expansion,
                                   truncation_difference)
@@ -256,7 +256,7 @@ def test_truncation_difference_matches_the_loop(seed, fkind, gkind):
 
 
 def test_truncation_difference_of_von_mangoldt(table_2k):
-    lam = tabulate_von_mangoldt(1100, table_2k)
+    lam = tabulate("lambda", 1100, table_2k)
     for N, a in ((1000, 2), (1000, 3), (1000, 10), (900, 97), (500, 600)):
         got = truncation_difference(lam, lam, N, a)
         want = loop_truncation_difference(lam, lam, N, a)
@@ -290,6 +290,13 @@ GOLDEN_CALLS = [
      ["verify", "lucht", "--coeffs",
       "golden_seeded_exact_perturbed.coeffs"]),
     ("golden_verify_models.json", 0, ["verify", "models", "--seed", "0"]),
+] + [
+    # every suite's passing verdict, written before verify's ledger
+    (f"golden_verify_{suite}_seed{seed}.json", 0,
+     ["verify", suite, "--seed", str(seed)])
+    for suite in ("orthogonality", "expansion", "lucht", "closure", "periods",
+                  "identities", "entanglement", "models")
+    for seed in (0, 1) if (suite, seed) != ("models", 0)
 ]
 
 

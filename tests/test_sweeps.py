@@ -22,7 +22,7 @@ from ramcorr.arith_core import (EXACT, REAL, SIEVE_CAP, PrimeTable,
                                 divisors_int, euler_phi,
                                 factorize, is_prime_int, kappa, mobius,
                                 mobius_int, sieve_primes, smooth_sifted_split,
-                                tabulate, tabulate_kappa, v2,
+                                tabulate, v2,
                                 von_mangoldt, zeros)
 from ramcorr.cli import main
 from ramcorr.hlmodels import artifact_pair, model_chain, singular_series_batch
@@ -77,7 +77,7 @@ def test_sieve_arrays_match_trial_division(M, table_20k):
     for arr in (t.smallest_prime_factor, t.mobius_values, t.phi_values):
         assert arr.dtype == np.int64
     for table in (t, table_20k):  # kappa sweeps to M below the table limit
-        got = tabulate_kappa(M, table).values
+        got = tabulate("kappa", M, table).values
         assert got.tolist() == kap[: M + 1]
         assert all(type(v) is int for v in got)
 
@@ -437,6 +437,7 @@ def test_capped_sieve_is_the_one_sieve_size_check(monkeypatch, table_200):
     # every entry point that takes a table reports a short one this way
     short = sieve_primes(20)
     for call in (lambda: lambda_tds(30, short),
+                 lambda: tabulate("phi", 30, short),
                  lambda: eratosthenes_transform(tabulate("unit", 30),
                                                 table=short),
                  lambda: artifact_pair(30, short),
@@ -471,7 +472,7 @@ def test_sieve_mu_phi_kappa_against_sympy_factorint(table_200k):
     sample = sorted({1, 2, 3 ** 11, 2 ** 17, 199_999, 200_000,
                      *rng.sample(range(3, 200_000), 600)})
     mu, phi = table_200k.mobius_values, table_200k.phi_values
-    kap = tabulate_kappa(200_000, table_200k).values
+    kap = tabulate("kappa", 200_000, table_200k).values
     for n in sample:
         fac = sympy.factorint(n)
         square_free = all(e == 1 for e in fac.values())
@@ -529,7 +530,7 @@ SWEEPS = {
     PrimeTable.smallest_prime_factor.func.__code__: "smallest_prime_factor",
     PrimeTable.mobius_values.func.__code__: "mobius_values",
     PrimeTable.phi_values.func.__code__: "phi_values",
-    arith_core.tabulate_kappa.__code__: "tabulate_kappa",
+    arith_core._kappa_values.__code__: "_kappa_values",
     transforms._convolve.__code__: "_convolve",
 }
 

@@ -35,6 +35,12 @@ def test_pair_flags_only_for_expansion_and_lucht():
         run_suite("periods", tds=g)
 
 
+def test_expansion_coefficients_without_a_tds_rejected():
+    g = tds_from_et({2: 3, 6: -2}, 8, "ExactInt")
+    with pytest.raises(ValueError, match="--coeffs needs --tds"):
+        run_suite("expansion", coeffs=wintner_coefficients(g))
+
+
 def test_corrupted_pair_fails_with_location():
     g = tds_from_et({2: 3, 7: 1}, 8, "ExactInt")
     wrong = tds_from_et({2: 3, 7: 4}, 8, "ExactInt")
@@ -101,6 +107,6 @@ def pair_cases():
 @pytest.mark.parametrize("case", sorted(pair_cases()))
 def test_pair_failure_records_match_the_per_shift_route(case):
     g, coeffs = pair_cases()[case]
-    got = verify._pair_expansion_failures(g, coeffs)
+    got = run_suite("expansion", tds=g, coeffs=coeffs)["failures"]
     assert got == per_a_pair_failures(g, coeffs)
     assert (got == []) == case.startswith("clean")
