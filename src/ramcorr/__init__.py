@@ -22,10 +22,10 @@ _EXPORTS = {
         "correlate_expansion", "small_shift_difference",
         "truncation_difference", "verify_periodicity"),
     "hlmodels": (
-        "ModelRow", "SingularSeriesValue", "artifact", "artifact_batch",
+        "ModelRow", "SingularSeriesValue", "artifact",
         "artifact_identity_check", "artifact_pair", "chebyshev_theta",
         "error_bound_check", "hl_correlation", "model_chain", "pnt_sanity",
-        "singular_series", "singular_series_batch"),
+        "singular_series"),
     "ramanujan": (
         "Period", "RamanujanCoefficients", "UndefinedPeriodError",
         "half_range_identity_check", "lucht_invert", "ramanujan_expand",

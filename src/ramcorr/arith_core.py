@@ -563,6 +563,7 @@ def tabulate(name: str, M: int, table: PrimeTable | None = None) -> TabulatedFun
     """Build a named arithmetic function on [1..M] from ``_TABULATORS``;
     a name that needs a sieve uses ``capped_sieve(M, table)``, so it
     sieves when no table is passed and refuses a table short of M.
+    Every name refuses M below 1.
 
     Without a table, M above SIEVE_CAP raises ValueError before anything
     is allocated, for the names that need no sieve too.
@@ -570,10 +571,11 @@ def tabulate(name: str, M: int, table: PrimeTable | None = None) -> TabulatedFun
     if name not in _TABULATORS:
         raise ValueError(f"unknown function name {name!r}; "
                          f"known: {', '.join(tabulated_function_names())}")
+    if M < 1:
+        raise ValueError(f"naturals start at 1, got {M}")
     kind, sieved, values = _TABULATORS[name]
     if sieved:
         table = capped_sieve(M, table)
-        _check_range(M, table)  # M >= 1; capped_sieve checked the top
     elif table is None:
         _check_cap(M)
     return TabulatedFunction(M, kind, values(M, table), name)

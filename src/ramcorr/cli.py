@@ -306,18 +306,20 @@ def _parse_int_list(text: str, flag: str):
 
 
 def _cmd_hl(args, cfg: RunConfig) -> int:
-    from .hlmodels import (model_chain, model_rows_to_csv,
-                           singular_series_batch, singular_to_csv)
+    from .hlmodels import (model_chain, model_rows_to_csv, singular_series,
+                           singular_to_csv)
     N_list = _parse_int_list(args.N_list, "--N-list")
     a_list = _parse_int_list(args.a_list, "--a-list")
     if min(N_list) < 3 or min(a_list) < 1:
         raise UsageError("need N >= 3 and a >= 1")
     if args.Q < 2:
         raise UsageError("--Q must be >= 2")
+    if args.singular_out and cfg.output_path is None:
+        raise UsageError("--singular-out needs --out")
     need = max(max(N_list) + max(a_list), args.Q)
     table = _need_sieve(cfg, need)
-    rows = [model_chain(N, a, table) for N in N_list for a in a_list]
-    sing = singular_series_batch(sorted(set(a_list)), Q=args.Q, table=table)
+    rows = [row for N in N_list for row in model_chain(N, a_list, table)]
+    sing = singular_series(sorted(set(a_list)), Q=args.Q, table=table)
     models_csv = _text(model_rows_to_csv, rows)
     singular_csv = _text(singular_to_csv, sing)
     if cfg.output_path is None:

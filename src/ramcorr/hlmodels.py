@@ -106,20 +106,6 @@ def artifact(N: int, a: int, table: PrimeTable | None = None) -> float:
     return correlate_direct(f, g, N, a)
 
 
-def artifact_batch(N: int, a_list, table: PrimeTable) -> list[float]:
-    """artifact(N, a) for many small shifts at once (shared value table)."""
-    a_list = [int(a) for a in a_list]
-    if not a_list:
-        return []
-    if min(a_list) < 1:
-        raise ValueError("shifts are naturals >= 1")
-    M = N + max(a_list)
-    table = capped_sieve(M, table)
-    tab = evaluate_tds_range(odd_lift(lambda_tds(N, table)), M)
-    f = tabulate("odd_primes_log", N, table).values
-    return [_dot(f[1: N + 1], tab[1 + a: N + 1 + a]) for a in a_list]
-
-
 def artifact_identity_check(N: int, a: int, table: PrimeTable) -> bool:
     """Check the closed parity form of the artifact against full Lambda.
 
@@ -163,48 +149,59 @@ def artifact_identity_check(N: int, a: int, table: PrimeTable) -> bool:
     return agree(closed, art + correction, REAL_TOL * max(1.0, abs(closed)))
 
 
-def model_chain(N: int, a: int, table: PrimeTable) -> ModelRow:
-    """All ladder values plus the full correlation and artifact at (N, a).
+def model_chain(N: int, a_list, table: PrimeTable) -> list[ModelRow]:
+    """One row per shift of a_list, in its order and with repeats kept:
+    all ladder values plus the full correlation and artifact at (N, a).
+
+    Lambda_N and Lambda_N^odd on [1..N + max a], and the odd-prime logs on
+    [1..N], are built once for all the shifts.  The range sweep adds the
+    terms of each slot in ascending d whatever the range's top, so each
+    row is bitwise the row of its shift alone.
 
     For even shifts the odd-index rung equals, identically, the same sum
     read through the plain truncation; that equality is asserted here.
     """
-    if a < 1:
-        raise ValueError(f"shifts are naturals >= 1, got {a}")
-    table = capped_sieve(N + a, table)
-    M = N + a
+    a_list = [int(a) for a in a_list]
+    if N < 2 or min(a_list, default=1) < 1:
+        raise ValueError(f"need a length N >= 2 and shifts a >= 1, "
+                         f"got N = {N}, a = {a_list}")
+    M = N + max(a_list, default=0)
+    table = capped_sieve(M, table)
     lam = table.von_mangoldt_values
     g = lambda_tds(N, table)
     lam_n = evaluate_tds_range(g, M)
     lam_n_odd = evaluate_tds_range(odd_lift(g), M)
-
-    hl = _dot(lam[1: N + 1], lam[1 + a: N + 1 + a])
-    m61 = _dot(lam[1: N + 1], lam_n[1 + a: N + 1 + a])
-    m62 = _dot(lam[1: N + 1], lam_n_odd[1 + a: N + 1 + a])
-    # odd n slices: n = 1, 3, 5, ...
-    m63 = _dot(lam[1: N + 1: 2], lam_n_odd[1 + a: N + 1 + a: 2])
-    m64 = _dot(lam[1: N + 1: 2], lam_n[1 + a: N + 1 + a: 2])
-
     f = tabulate("odd_primes_log", N, table).values
-    art = _dot(f[1: N + 1], lam_n_odd[1 + a: N + 1 + a])
+    rows = []
+    for a in a_list:
+        hl = _dot(lam[1: N + 1], lam[1 + a: N + 1 + a])
+        m61 = _dot(lam[1: N + 1], lam_n[1 + a: N + 1 + a])
+        m62 = _dot(lam[1: N + 1], lam_n_odd[1 + a: N + 1 + a])
+        # odd n slices: n = 1, 3, 5, ...
+        m63 = _dot(lam[1: N + 1: 2], lam_n_odd[1 + a: N + 1 + a: 2])
+        m64 = _dot(lam[1: N + 1: 2], lam_n[1 + a: N + 1 + a: 2])
+        art = _dot(f[1: N + 1], lam_n_odd[1 + a: N + 1 + a])
 
-    if a % 2 == 0 and not agree(m63, m64, REAL_TOL * max(1.0, abs(m63))):
-        raise RuntimeError(
-            f"even-shift entanglement identity violated at N={N}, a={a}: "
-            f"{m63} != {m64}")
+        if a % 2 == 0 and not agree(m63, m64, REAL_TOL * max(1.0, abs(m63))):
+            raise RuntimeError(
+                f"even-shift entanglement identity violated at N={N}, "
+                f"a={a}: {m63} != {m64}")
 
-    residual = hl - art
-    normalized = None
-    if a % 2 == 0:
-        normalized = abs(residual) / (
-            (math.sqrt(N) + a) * math.log(N) * math.log(N + a))
-    return ModelRow(N, a, hl, m61, m62, m63, m64, art, residual, normalized)
+        residual = hl - art
+        normalized = None
+        if a % 2 == 0:
+            normalized = abs(residual) / (
+                (math.sqrt(N) + a) * math.log(N) * math.log(N + a))
+        rows.append(ModelRow(N, a, hl, m61, m62, m63, m64, art, residual,
+                             normalized))
+    return rows
 
 
 def error_bound_check(N_list, a_list, table: PrimeTable
                       ) -> tuple[list[tuple[int, int, float, float]], float]:
     """Normalized residuals |hl - artifact| / ((sqrt N + a) log N log(N+a))
-    over a grid of lengths and even shifts; returns (rows, max normalized).
+    over a grid of lengths and even shifts, read from the model_chain rows;
+    returns (rows, max normalized).
     """
     N_list = [int(N) for N in N_list]
     a_list = [int(a) for a in a_list]
@@ -213,28 +210,21 @@ def error_bound_check(N_list, a_list, table: PrimeTable
     if any(a < 2 or a % 2 for a in a_list):
         raise ValueError("growth check is stated for even shifts only")
     table = capped_sieve(max(N_list) + max(a_list), table)
-    rows = []
-    worst = 0.0
-    for N in N_list:
-        arts = artifact_batch(N, a_list, table)
-        for a, art in zip(a_list, arts):
-            hl = hl_correlation(N, a, table)
-            res = abs(hl - art)
-            norm = res / ((math.sqrt(N) + a) * math.log(N) * math.log(N + a))
-            worst = max(worst, norm)
-            rows.append((N, a, res, norm))
-    return rows, worst
+    rows = [(N, r.a, abs(r.residual), r.normalized)
+            for N in N_list for r in model_chain(N, a_list, table)]
+    return rows, max(row[3] for row in rows)
 
 
 # ----------------------------------------------------------------------
 # singular series
 # ----------------------------------------------------------------------
 
-def singular_series_batch(a_list, Q: int = 100_000,
-                          table: PrimeTable | None = None
-                          ) -> list[SingularSeriesValue]:
+def singular_series(a_list, Q: int = 100_000,
+                    table: PrimeTable | None = None
+                    ) -> list[SingularSeriesValue]:
     """Truncated sum over q <= Q of mu^2(q) c_q(a) / phi(q)^2, next to the
-    Euler-product oracle over primes p <= Q, for every shift in a_list.
+    Euler-product oracle over primes p <= Q, one value per shift of a_list
+    in its order.
 
     The float mu, mu^2 and phi^2 arrays are built once per Q; each shift
     adds only its c_q(a) table and the two sums.
@@ -243,7 +233,7 @@ def singular_series_batch(a_list, Q: int = 100_000,
     and the truncated sum tends to 0.
     """
     a_list = [int(a) for a in a_list]
-    if (a_list and min(a_list) < 1) or Q < 2:
+    if min(a_list, default=1) < 1 or Q < 2:
         raise ValueError("need a >= 1 and Q >= 2")
     table = capped_sieve(Q, table)
     mu = table.mobius_values[: Q + 1].astype(np.float64)
@@ -262,12 +252,6 @@ def singular_series_batch(a_list, Q: int = 100_000,
         euler = float(np.prod(1.0 + cp / (p - 1.0) ** 2))
         out.append(SingularSeriesValue(a, truncated, euler, Q))
     return out
-
-
-def singular_series(a: int, Q: int = 100_000,
-                    table: PrimeTable | None = None) -> SingularSeriesValue:
-    """singular_series_batch for the one shift a."""
-    return singular_series_batch([a], Q, table)[0]
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .arith_core import (EXACT, TabulatedFunction, agree, divisors_int,
 from .correlations import (correlate_direct, truncation_difference,
                            verify_periodicity)
 from .hlmodels import (artifact_identity_check, artifact_pair, model_chain,
-                       pnt_sanity, singular_series_batch)
+                       pnt_sanity, singular_series)
 from .ramanujan import (RamanujanCoefficients, lucht_invert, ramanujan_expand,
                         ramanujan_expand_range, ramanujan_sum_table,
                         support_closure_check, universal_period,
@@ -312,8 +312,10 @@ def suite_models(led: _Ledger, seed: int) -> None:
     table = sieve_primes(N + 20)
     lam_tab = tabulate("lambda", N + 20, table)
     lam = table.von_mangoldt_values
-    for a in (2, 3, 4, 10):
-        row = model_chain(N, a, table)
+    g_plain = lambda_tds(N, table)
+    g_odd = odd_lift(g_plain)
+    for row in model_chain(N, (2, 3, 4, 10), table):
+        a = row.a
         bound = tolerance(lam_tab, scale=max(1.0, abs(row.hl)))
         # full sum vs truncation: the explicit tail formula
         tail = truncation_difference(lam_tab, lam_tab, N, a)
@@ -321,8 +323,6 @@ def suite_models(led: _Ledger, seed: int) -> None:
                   lambda: {"check": "tail", "a": a,
                            "gap": row.hl - row.m61, "tail": tail})
         # plain vs odd-lifted truncation: even square-free divisors
-        g_plain = lambda_tds(N, table)
-        g_odd = odd_lift(g_plain)
         even_part = 0.0
         for n in range(1, N + 1):
             if lam[n]:
@@ -351,7 +351,7 @@ def suite_models(led: _Ledger, seed: int) -> None:
                 pk *= p
         led.check(agree(row.m63 - row.artifact, pp, bound),
                   lambda: {"check": "prime-powers", "a": a})
-    s2, s6, s3 = singular_series_batch((2, 6, 3), Q=20000)
+    s2, s6, s3 = singular_series((2, 6, 3), Q=20000)
     for s in (s2, s6):
         led.check(agree(s.truncated_sum, s.euler_product, 0.01),
                   lambda: {"check": "singular-series", "a": s.a,

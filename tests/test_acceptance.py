@@ -14,8 +14,8 @@ import pytest
 from ramcorr.arith_core import (EXACT, TabulatedFunction, kappa,
                                 mobius_int, sieve_primes, tabulate)
 from ramcorr.correlations import correlate_direct, truncation_difference
-from ramcorr.hlmodels import (artifact_batch, artifact_identity_check,
-                              artifact_pair, hl_correlation, singular_series)
+from ramcorr.hlmodels import (artifact_identity_check, artifact_pair,
+                              hl_correlation, model_chain, singular_series)
 from ramcorr.ramanujan import (half_range_identity_check, lucht_invert,
                                ramanujan_expand, ramanujan_expand_range,
                                ramanujan_sum_table, support_closure_check,
@@ -217,8 +217,8 @@ def test_c09_growth_envelope(table_100k):
     shifts = list(range(2, 101, 2))
     worst = 0.0
     for N in (10 ** 3, 10 ** 4, 10 ** 5):
-        arts = artifact_batch(N, shifts, table_100k)
-        for a, art in zip(shifts, arts):
+        rows = model_chain(N, shifts, table_100k)
+        for a, art in zip(shifts, (r.artifact for r in rows)):
             hl = hl_correlation(N, a, table_100k)
             norm = abs(hl - art) / ((math.sqrt(N) + a)
                                     * math.log(N) * math.log(N + a))
@@ -233,12 +233,12 @@ def test_c10_singular_series(table_100k):
     """Truncated sum vs Euler product within 0.01; prime powers ignored;
     odd shifts vanish."""
     for a in (2, 4, 6, 12, 30):
-        s = singular_series(a, Q=100_000, table=table_100k)
+        s = singular_series([a], Q=100_000, table=table_100k)[0]
         assert abs(s.truncated_sum - s.euler_product) <= 0.01, a
     for a in range(1, 101):
-        sa = singular_series(a, Q=100_000, table=table_100k)
-        sk = singular_series(kappa(a, table_100k), Q=100_000,
-                             table=table_100k)
+        sa = singular_series([a], Q=100_000, table=table_100k)[0]
+        sk = singular_series([kappa(a, table_100k)], Q=100_000,
+                             table=table_100k)[0]
         assert abs(sa.truncated_sum - sk.truncated_sum) <= 1e-9, a
         if a % 2:
             assert abs(sa.truncated_sum) <= 0.01, a
@@ -250,7 +250,7 @@ def test_c11_hardy_littlewood_ratio():
     start = time.perf_counter()
     table = sieve_primes(10 ** 6 + 6)
     for a in (2, 4, 6):
-        s = singular_series(a, Q=100_000)
+        s = singular_series([a], Q=100_000)[0]
         ratio = hl_correlation(10 ** 6, a, table) / (s.euler_product * 10 ** 6)
         assert 0.9 <= ratio <= 1.1, (a, ratio)
     elapsed = time.perf_counter() - start

@@ -61,7 +61,8 @@ class TestSieve:
         "tabulate": lambda M, table=None: tabulate("mobius", M, table),
         "lambda_tds": lambda M, table=None: lambda_tds(M, table),
         "artifact_pair": lambda M, table=None: artifact_pair(M, table),
-        "singular_series": lambda M, table=None: singular_series(2, M, table),
+        "singular_series": lambda M, table=None: singular_series([2], M,
+                                                                 table),
     }
 
     @pytest.mark.parametrize("entry", sorted(SIEVING))
@@ -273,6 +274,15 @@ class TestTabulatedFunction:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             tabulate("zeta", 10)
+
+    @pytest.mark.parametrize("M", [0, -1])
+    @pytest.mark.parametrize("name", ["unit", "identity", "odd", "squares"])
+    def test_table_free_names_refuse_a_length_below_one(self, name, M,
+                                                        table_200):
+        for table in (None, table_200):
+            with pytest.raises(ValueError,
+                               match=f"^naturals start at 1, got {M}$"):
+                tabulate(name, M, table)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -47,16 +47,28 @@ def test_support_is_a_sized_list():
                    for d, v in support)
 
 
-def test_traced_call_leaves_no_binding_unwrapped(tmp_path):
+def _traced_spans(tmp_path, *argv):
     spans = tmp_path / "spans.json"
     env = dict(os.environ,
                PYTHONPATH=str(Path(ramcorr.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, str(TRACER), str(spans), "transform", "--fn",
-         "lambda", "--N", "20"],
+        [sys.executable, str(TRACER), str(spans), *argv],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     data = json.loads(spans.read_text())
     assert data["unwrapped"] == []
-    assert {s["name"] for s in data["spans"]} >= {
+    return [s["name"] for s in data["spans"]]
+
+
+def test_traced_call_leaves_no_binding_unwrapped(tmp_path):
+    names = _traced_spans(tmp_path, "transform", "--fn", "lambda", "--N", "20")
+    assert set(names) >= {
         "cli.main", "transforms.lambda_tds", "transforms.write_tds"}
+
+
+def test_traced_hl_times_the_ladder_and_the_series(tmp_path):
+    # one model_chain span per length and one singular_series span
+    names = _traced_spans(tmp_path, "hl", "--N-list", "100", "--a-list",
+                          "2,3", "--Q", "200")
+    assert names.count("hlmodels.model_chain") == 1
+    assert names.count("hlmodels.singular_series") == 1

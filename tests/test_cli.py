@@ -358,6 +358,35 @@ class TestHl:
         assert (tmp_path / "hl.csv.singular.csv").read_bytes() == \
             (DATA / "hl_golden.singular.csv").read_bytes()
 
+    def test_repeated_shifts_keep_their_order_and_rows(self, capsys,
+                                                       tmp_path):
+        # golden files written by the per-shift ladder: one row per listed
+        # shift, in the given order, a repeat included; the singular table
+        # holds each distinct shift once, ascending
+        out_path = tmp_path / "hl.csv"
+        code, _, _ = run_cli(capsys, "hl", "--N-list", "1000,3000",
+                             "--a-list", "8,3,8,1", "--Q", "5000",
+                             "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == \
+            (DATA / "hl_golden_repeats.csv").read_bytes()
+        assert (tmp_path / "hl.csv.singular.csv").read_bytes() == \
+            (DATA / "hl_golden_repeats.singular.csv").read_bytes()
+
+    def test_singular_out_needs_out(self, capsys, monkeypatch, tmp_path):
+        from ramcorr import arith_core
+
+        def no_sieve(M):
+            raise AssertionError("sieved before the --singular-out check")
+        monkeypatch.setattr(arith_core, "sieve_primes", no_sieve)
+        path = tmp_path / "s.csv"
+        code, out, err = run_cli(capsys, "hl", "--N-list", "100",
+                                 "--a-list", "2", "--Q", "500",
+                                 "--singular-out", str(path))
+        assert (code, out) == (2, "")
+        assert err == "ramcorr: error: --singular-out needs --out\n"
+        assert not path.exists()
+
     def test_output_files(self, capsys, tmp_path):
         out_path = tmp_path / "models.csv"
         code, _, _ = run_cli(capsys, "hl", "--N-list", "100",

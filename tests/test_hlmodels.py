@@ -1,16 +1,16 @@
 import io
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from ramcorr.arith_core import divisors_int, kappa, sieve_primes
-from ramcorr.hlmodels import (MODEL_CSV_HEADER, artifact, artifact_batch,
+from ramcorr.hlmodels import (MODEL_CSV_HEADER, artifact,
                               artifact_identity_check, artifact_pair,
                               chebyshev_theta, error_bound_check,
                               hl_correlation, model_chain, model_rows_to_csv,
-                              pnt_sanity, singular_series,
-                              singular_series_batch, singular_to_csv)
+                              pnt_sanity, singular_series, singular_to_csv)
 from ramcorr.ramanujan import universal_period
 from ramcorr.transforms import evaluate_tds, lambda_tds
 
@@ -83,7 +83,7 @@ class TestArtifact:
     def test_batch_matches_scalar(self, table_2k):
         N = 150
         shifts = [1, 2, 3, 7, 10, 49]
-        batch = artifact_batch(N, shifts, table_2k)
+        batch = [r.artifact for r in model_chain(N, shifts, table_2k)]
         for a, v in zip(shifts, batch):
             assert v == pytest.approx(artifact(N, a, table_2k), abs=1e-9)
 
@@ -100,18 +100,18 @@ class TestArtifactIdentity:
 
 class TestModelChain:
     def test_even_shift_identity_asserted(self, table_2k):
-        row = model_chain(500, 2, table_2k)
+        row = model_chain(500, [2], table_2k)[0]
         assert row.m63 == pytest.approx(row.m64, abs=1e-12)
         assert row.normalized is not None
 
     def test_odd_shift_has_no_normalized(self, table_2k):
-        row = model_chain(500, 3, table_2k)
+        row = model_chain(500, [3], table_2k)[0]
         assert row.normalized is None
 
     def test_hand_scale_row(self, table_200):
         # N = 9, a = 2: enumerate every model from scratch
         N, a = 9, 2
-        row = model_chain(N, a, table_200)
+        row = model_chain(N, [a], table_200)[0]
         lam = [spf_von_mangoldt(n) for n in range(N + a + 1)]
         lam_n = lambda_tds(N, table_200)
         lam_n_odd = [0.0] + [evaluate_tds(lam_n, m) if m % 2
@@ -127,8 +127,28 @@ class TestModelChain:
         assert row.artifact == pytest.approx(art, abs=1e-9)
         assert row.residual == pytest.approx(row.hl - row.artifact, abs=1e-12)
 
+    def test_rows_follow_the_shift_list(self, table_2k):
+        # order kept, repeats kept, each row bitwise its shift's own row
+        for N, shifts in ((9, [2]), (500, [8, 3, 8, 1]),
+                          (1000, [64, 1, 2, 7, 2, 41])):
+            rows = model_chain(N, shifts, table_2k)
+            assert [(r.n, r.a) for r in rows] == [(N, a) for a in shifts]
+            for a, row in zip(shifts, rows):
+                alone = model_chain(N, [a], table_2k)[0]
+                assert list(map(repr, astuple(row))) == \
+                    list(map(repr, astuple(alone))), (N, a)
+        assert model_chain(500, [], table_2k) == []
+
+    @pytest.mark.parametrize("N", [1, 0, -3])
+    def test_length_below_two_is_refused(self, N, table_200):
+        # the normalization divides by log N, which is 0 at N = 1
+        with pytest.raises(ValueError, match="need a length N >= 2"):
+            model_chain(N, [2], table_200)
+        with pytest.raises(ValueError, match="need a length N >= 2"):
+            error_bound_check([N], [2], table_200)
+
     def test_csv_export(self, table_200):
-        rows = [model_chain(50, a, table_200) for a in (2, 3)]
+        rows = [model_chain(50, [a], table_200)[0] for a in (2, 3)]
         buf = io.StringIO()
         model_rows_to_csv(rows, buf)
         lines = buf.getvalue().strip().split("\n")
@@ -139,14 +159,14 @@ class TestModelChain:
 
 class TestSingularSeries:
     def test_twin_constant(self):
-        s = singular_series(2, Q=100_000)
+        s = singular_series([2], Q=100_000)[0]
         assert s.truncated_sum == pytest.approx(1.3203236, abs=2e-3)
         assert s.euler_product == pytest.approx(1.3203236, abs=2e-3)
         assert abs(s.truncated_sum - s.euler_product) <= 0.01
 
     def test_odd_shift_vanishes(self):
         for a in (1, 3, 7, 99):
-            s = singular_series(a, Q=50_000)
+            s = singular_series([a], Q=50_000)[0]
             assert abs(s.truncated_sum) <= 0.01
             assert s.euler_product == 0.0  # factor at p = 2 is exactly zero
 
@@ -154,13 +174,13 @@ class TestSingularSeries:
         table = sieve_primes(50_000)
         for a in (4, 8, 9, 12, 27, 99):
             k = kappa(a, table_200)
-            sa = singular_series(a, Q=50_000, table=table)
-            sk = singular_series(k, Q=50_000, table=table)
+            sa = singular_series([a], Q=50_000, table=table)[0]
+            sk = singular_series([k], Q=50_000, table=table)[0]
             assert sa.truncated_sum == pytest.approx(sk.truncated_sum,
                                                      abs=1e-9)
 
     def test_csv_export(self):
-        s = singular_series(2, Q=1000)
+        s = singular_series([2], Q=1000)[0]
         buf = io.StringIO()
         singular_to_csv([s], buf)
         lines = buf.getvalue().strip().split("\n")
@@ -200,7 +220,7 @@ class TestSingularSeriesBatch:
     @pytest.mark.parametrize("Q", [2, 97, 20_000, 100_000])
     def test_bitwise_the_per_shift_body(self, Q, table_above):
         for table in (sieve_primes(Q), table_above):
-            got = singular_series_batch(SERIES_SHIFTS, Q, table)
+            got = singular_series(SERIES_SHIFTS, Q, table)
             assert [s.a for s in got] == SERIES_SHIFTS
             for s in got:
                 truncated, euler = per_shift_singular_series(s.a, Q, table)
@@ -209,17 +229,18 @@ class TestSingularSeriesBatch:
                 assert s.euler_product == euler, (s.a, Q, table.limit)
 
     def test_single_shift_is_the_batch(self, table_2k):
-        for a in (2, 3, 30):
-            assert singular_series(a, 2000, table_2k) == \
-                singular_series_batch([a], 2000, table_2k)[0]
+        shifts = [2, 3, 30]
+        batch = singular_series(shifts, 2000, table_2k)
+        for a, s in zip(shifts, batch):
+            assert singular_series([a], 2000, table_2k)[0] == s
 
     def test_rejects_bad_arguments(self, table_2k):
-        assert singular_series_batch([], 2000, table_2k) == []
+        assert singular_series([], 2000, table_2k) == []
         for a_list, Q in (([2, 0], 2000), ([2], 1)):
             with pytest.raises(ValueError, match="need a >= 1 and Q >= 2"):
-                singular_series_batch(a_list, Q, table_2k)
+                singular_series(a_list, Q, table_2k)
         with pytest.raises(ValueError, match="below required 2001"):
-            singular_series_batch([2], 2001, table_2k)
+            singular_series([2], 2001, table_2k)
 
 
 class TestErrorBound:

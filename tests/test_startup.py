@@ -74,7 +74,7 @@ def test_main_keeps_a_value_the_user_set(monkeypatch, capsys):
 
 
 def test_every_public_name_resolves_to_its_module():
-    assert len(ramcorr.__all__) == len(set(ramcorr.__all__)) == 71
+    assert len(ramcorr.__all__) == len(set(ramcorr.__all__)) == 69
     for name in ramcorr.__all__:
         module = importlib.import_module(
             f"ramcorr.{ramcorr._MODULE_OF[name]}")

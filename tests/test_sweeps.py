@@ -25,7 +25,7 @@ from ramcorr.arith_core import (EXACT, REAL, SIEVE_CAP, PrimeTable,
                                 tabulate, v2,
                                 von_mangoldt, zeros)
 from ramcorr.cli import main
-from ramcorr.hlmodels import artifact_pair, model_chain, singular_series_batch
+from ramcorr.hlmodels import artifact_pair, model_chain, singular_series
 from ramcorr.transforms import (TruncatedDivisorSum, dirichlet_convolve,
                                 divisor_sum_transform, eratosthenes_transform,
                                 evaluate_tds_range, lambda_tds, odd_lift,
@@ -441,8 +441,8 @@ def test_capped_sieve_is_the_one_sieve_size_check(monkeypatch, table_200):
                  lambda: eratosthenes_transform(tabulate("unit", 30),
                                                 table=short),
                  lambda: artifact_pair(30, short),
-                 lambda: singular_series_batch([2], 30, short),
-                 lambda: model_chain(25, 6, short)):
+                 lambda: singular_series([2], 30, short),
+                 lambda: model_chain(25, [6], short)):
         with pytest.raises(ValueError, match="sieve limit 20 below required"):
             call()
 
