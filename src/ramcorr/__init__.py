@@ -24,10 +24,9 @@ _EXPORTS = {
     "hlmodels": (
         "ModelRow", "SingularSeriesValue", "artifact",
         "artifact_identity_check", "artifact_pair", "chebyshev_theta",
-        "error_bound_check", "hl_correlation", "model_chain", "pnt_sanity",
-        "singular_series"),
+        "hl_correlation", "model_chain", "pnt_sanity", "singular_series"),
     "ramanujan": (
-        "Period", "RamanujanCoefficients", "UndefinedPeriodError",
+        "RamanujanCoefficients", "UndefinedPeriodError",
         "half_range_identity_check", "lucht_invert", "ramanujan_expand",
         "ramanujan_expand_range", "ramanujan_orthogonality",
         "ramanujan_sum", "support_closure_check", "universal_period",

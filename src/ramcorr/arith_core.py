@@ -145,15 +145,16 @@ class PrimeTable:
 
     @cached_property
     def von_mangoldt_values(self) -> np.ndarray:
-        """Lambda(n) for n = 0..limit: log p at prime powers p^k, else 0."""
+        """Lambda(n) for n = 0..limit: log p at prime powers p^k, else 0.
+
+        One log source: each p^k, k >= 2, copies the entry of p, so
+        Lambda(p^k) and Lambda(p) are the same float bit for bit."""
         lam = np.zeros(self.limit + 1, dtype=np.float64)
         lam[self.primes] = np.log(self.primes.astype(np.float64))
-        for p in self.primes[self.primes <= isqrt(self.limit)]:
-            p = int(p)
+        for p in self.primes[self.primes <= isqrt(self.limit)].tolist():
             pk = p * p
-            logp = math.log(p)
             while pk <= self.limit:
-                lam[pk] = logp
+                lam[pk] = lam[p]
                 pk *= p
         return lam
 
@@ -487,14 +488,14 @@ class TabulatedFunction:
         sup = self.support()
         return sup[: bisect_right(sup, N, key=itemgetter(0))]
 
-    def max_support(self, eps: float = SUPPORT_EPS) -> int:
-        """Largest n in support(eps) (0 for the zero table)."""
-        sup = self.support(eps)
+    def max_support(self) -> int:
+        """Largest n in support(SUPPORT_EPS) (0 for the zero table)."""
+        sup = self.support(SUPPORT_EPS)
         return sup[-1][0] if sup else 0
 
-    def is_zero(self, eps: float = SUPPORT_EPS) -> bool:
-        """True when support(eps) is empty."""
-        return not self.support(eps)
+    def is_zero(self) -> bool:
+        """True when support(SUPPORT_EPS) is empty."""
+        return not self.support(SUPPORT_EPS)
 
 
 # ----------------------------------------------------------------------

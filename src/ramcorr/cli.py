@@ -21,7 +21,9 @@ numpy's first import (a value already set wins), because BLAS worker
 threads would only spin; importing the module changes no setting.
 
 Configuration: defaults < config file (--config or RAMCORR_CONFIG,
-key=value lines) < RAMCORR_* environment variables < flags.
+key=value lines) < RAMCORR_* environment variables < flags.  Only
+``correlate`` has a JSON form: the output_format key and its variable
+are global defaults, but an explicit --format on another command exits 2.
 """
 
 from __future__ import annotations
@@ -96,6 +98,8 @@ def _resolve_config(args) -> RunConfig:
     if getattr(args, "sieve_limit", None) is not None:
         cfg.sieve_limit = args.sieve_limit
     if getattr(args, "format", None) is not None:
+        if args.command != "correlate":
+            raise UsageError("--format applies only to correlate")
         cfg.output_format = args.format
     if getattr(args, "out", None) is not None:
         cfg.output_path = args.out
@@ -194,7 +198,7 @@ def _parse_shifts(text: str, N: int):
         if token.startswith("U+"):
             if u_cache is None:
                 from .ramanujan import universal_period
-                u_cache = universal_period(N).value
+                u_cache = universal_period(N)
             try:
                 k = int(token[2:])
             except ValueError:
@@ -353,7 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="key=value config file")
     common.add_argument("--sieve-limit", type=int, dest="sieve_limit")
-    common.add_argument("--format", choices=("csv", "json"))
+    common.add_argument("--format", choices=("csv", "json"),
+                        help="correlate output format")
     common.add_argument("--out", help="output path (default stdout)")
 
     parser = argparse.ArgumentParser(

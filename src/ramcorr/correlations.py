@@ -41,7 +41,7 @@ import sys
 
 from .arith_core import (TabulatedFunction, agree, collapse, empty_sum,
                          tolerance)
-from .ramanujan import (Period, UndefinedPeriodError, _divisor_form,
+from .ramanujan import (UndefinedPeriodError, _divisor_form,
                         universal_period, wintner_coefficients)
 from .transforms import TruncatedDivisorSum, eratosthenes_transform
 
@@ -180,17 +180,16 @@ def small_shift_difference(f: TabulatedFunction, g_source: TabulatedFunction,
 
 
 def verify_periodicity(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
-                       period, shifts) -> bool:
-    """True iff C(N, a) agrees with C(N, a + P) for every listed shift:
+                       period: int, shifts) -> bool:
+    """True iff C(N, a) agrees with C(N, a + period) for every listed shift:
     equal for an exact pair, within ``arith_core.tolerance`` otherwise."""
-    P = period.value if isinstance(period, Period) else int(period)
-    if P < 1:
-        raise ValueError(f"period must be >= 1, got {P}")
+    if period < 1:
+        raise ValueError(f"period must be >= 1, got {period}")
     if g.is_zero():
         raise UndefinedPeriodError("periodicity undefined for the zero TDS")
     bound = tolerance(f, g)
     return all(agree(correlate_direct(f, g, N, a),
-                     correlate_direct(f, g, N, a + P), bound)
+                     correlate_direct(f, g, N, a + period), bound)
                for a in shifts)
 
 
@@ -253,7 +252,7 @@ def _text_rows(profile: CorrelationProfile) -> list[tuple[str, str]]:
             shift = str(a)
         except ValueError:
             if U is None:
-                U = universal_period(profile.length).value
+                U = universal_period(profile.length)
             shift = f"U+{a - U}"
         try:
             value = format_value(v)

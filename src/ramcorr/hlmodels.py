@@ -1,5 +1,6 @@
 """Hardy-Littlewood correlation, the model ladder approximating it, the
-artifact correlation, the singular series, and empirical growth checks.
+artifact correlation, the singular series, and the normalized residual
+that measures the ladder's growth envelope.
 
 The ladder starts from the full double von Mangoldt sum
 
@@ -197,24 +198,6 @@ def model_chain(N: int, a_list, table: PrimeTable) -> list[ModelRow]:
     return rows
 
 
-def error_bound_check(N_list, a_list, table: PrimeTable
-                      ) -> tuple[list[tuple[int, int, float, float]], float]:
-    """Normalized residuals |hl - artifact| / ((sqrt N + a) log N log(N+a))
-    over a grid of lengths and even shifts, read from the model_chain rows;
-    returns (rows, max normalized).
-    """
-    N_list = [int(N) for N in N_list]
-    a_list = [int(a) for a in a_list]
-    if not N_list or not a_list:
-        raise ValueError("need at least one length and one shift")
-    if any(a < 2 or a % 2 for a in a_list):
-        raise ValueError("growth check is stated for even shifts only")
-    table = capped_sieve(max(N_list) + max(a_list), table)
-    rows = [(N, r.a, abs(r.residual), r.normalized)
-            for N in N_list for r in model_chain(N, a_list, table)]
-    return rows, max(row[3] for row in rows)
-
-
 # ----------------------------------------------------------------------
 # singular series
 # ----------------------------------------------------------------------
@@ -268,7 +251,7 @@ def chebyshev_theta(N: int, table: PrimeTable) -> float:
 def pnt_sanity(N: int, table: PrimeTable) -> bool:
     """Exact identity up to float rounding: log(2 * U_N) == theta(N),
     U_N the product of odd primes up to N."""
-    U = universal_period(N).value
+    U = universal_period(N)
     return agree(math.log(2 * U), chebyshev_theta(N, table), 1e-6)
 
 

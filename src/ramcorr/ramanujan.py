@@ -20,14 +20,14 @@ support threshold ``SUPPORT_EPS``.  Coefficient tables are the same table
 type as the divisor-sum tables they come from, and are written and read
 in the same text format.
 
-Periods are arbitrary-precision from the start: the product of the odd
-primes up to N grows like e^N and leaves 64 bits almost immediately.
+Periods are plain Python ints, arbitrary-precision from the start: the
+product of the odd primes up to N grows like e^N and leaves 64 bits
+almost immediately.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -42,14 +42,6 @@ from .transforms import (TruncatedDivisorSum, read_table, truncate,
 
 class UndefinedPeriodError(ValueError):
     """Raised when a period is requested for the zero divisor-sum table."""
-
-
-@dataclass(frozen=True)
-class Period:
-    """A (not necessarily minimal) period, as an arbitrary-precision value."""
-
-    value: int
-    kind: str  # "wintner" | "universal"
 
 
 class RamanujanCoefficients(TabulatedFunction):
@@ -232,7 +224,7 @@ def support_closure_check(g: TruncatedDivisorSum, predicate) -> tuple[bool, bool
     return et_in, hat_in
 
 
-def wintner_period(g: TruncatedDivisorSum, Q: int) -> Period:
+def wintner_period(g: TruncatedDivisorSum, Q: int) -> int:
     """lcm of the moduli q <= Q carrying a nonzero coefficient.
 
     Defined only for nonzero tables.  Value 1 exactly when the induced
@@ -243,11 +235,10 @@ def wintner_period(g: TruncatedDivisorSum, Q: int) -> Period:
     if g.is_zero():
         raise UndefinedPeriodError("period undefined for the zero TDS")
     coeffs = wintner_coefficients(g)
-    qs = [q for q, _ in coeffs.support(SUPPORT_EPS) if q <= Q]
-    return Period(math.lcm(*qs) if qs else 1, "wintner")
+    return math.lcm(*(q for q, _ in coeffs.support(SUPPORT_EPS) if q <= Q))
 
 
-def universal_period(N: int) -> Period:
+def universal_period(N: int) -> int:
     """Product of the odd primes up to N (empty product = 1)."""
     if N < 1:
         raise ValueError(f"naturals start at 1, got {N}")
@@ -255,7 +246,7 @@ def universal_period(N: int) -> Period:
     for p in range(3, N + 1, 2):
         if is_prime_int(p):
             value *= p
-    return Period(value, "universal")
+    return value
 
 
 def half_range_identity_check(g_source: TabulatedFunction, N: int) -> bool:

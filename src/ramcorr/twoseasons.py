@@ -24,14 +24,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .arith_core import (EXACT, REAL, SUPPORT_EPS, TabulatedFunction,
-                         empty_sum, is_prime_int, mobius_int, odd_part,
-                         zeros)
+from .arith_core import (EXACT, SUPPORT_EPS, TabulatedFunction, empty_sum,
+                         is_prime_int, mobius_int, odd_part, zeros)
 from .correlations import verify_periodicity
 from .ramanujan import (UndefinedPeriodError, _as_predicate,
                         universal_period)
-from .transforms import (TruncatedDivisorSum, eratosthenes_transform,
-                         evaluate_tds, truncate)
+from .transforms import TruncatedDivisorSum, evaluate_tds
 
 
 class AxiomError(ValueError):
@@ -70,26 +68,12 @@ class AxiomReport:
                           indent=2)
 
 
-def _et_support(g_source, eps: float = SUPPORT_EPS) -> list[int]:
-    """Support of g' for a TabulatedFunction (transformed on its whole
-    tabulated range) or a TDS (stored table)."""
-    if not isinstance(g_source, TruncatedDivisorSum):
-        g_source = eratosthenes_transform(g_source)
-    return [d for d, _ in g_source.support(eps)]
-
-
-def _f_support(f: TabulatedFunction, N: int, eps: float = SUPPORT_EPS) -> list[int]:
-    return [n for n, _ in f.support(eps) if n <= N]
-
-
-def check_axioms(f: TabulatedFunction, g_source, N: int, Q: int) -> AxiomReport:
-    """Evaluate the five axioms for the pair (f, g) at parameters (N, Q).
-
-    g_source may be a TabulatedFunction (its transform is computed) or a
-    TruncatedDivisorSum (its stored table is the transform).
-    """
-    g_supp = _et_support(g_source)
-    f_supp = _f_support(f, min(f.limit, N))
+def check_axioms(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
+                 Q: int) -> AxiomReport:
+    """Evaluate the five axioms for the pair (f, g) at parameters (N, Q);
+    the stored table of the TDS g is g'."""
+    g_supp = [d for d, _ in g.support(SUPPORT_EPS)]
+    f_supp = [n for n, _ in f.support(SUPPORT_EPS) if n <= N]
 
     bad_range = [d for d in g_supp if d > Q]
     ok0 = not bad_range and Q <= N
@@ -212,7 +196,7 @@ def diophantine_count_odd(F, G, N: int, a: int) -> int:
     return count
 
 
-def combinatorial_identity_check(f: TabulatedFunction, g_source,
+def combinatorial_identity_check(f: TabulatedFunction, g: TruncatedDivisorSum,
                                  N: int) -> tuple[bool, bool]:
     """Huge-shift identities for a two-seasons pair with g nonzero:
 
@@ -222,10 +206,6 @@ def combinatorial_identity_check(f: TabulatedFunction, g_source,
     correlations (big-integer shifts on the right) and returns the two
     ``verify_periodicity`` verdicts.
     """
-    if isinstance(g_source, TruncatedDivisorSum):
-        g = g_source
-    else:
-        g = truncate(g_source, N)
     if g.is_zero():
         raise UndefinedPeriodError("identities undefined for the zero TDS")
     _require_axioms(f, g, N, N)
@@ -234,42 +214,30 @@ def combinatorial_identity_check(f: TabulatedFunction, g_source,
             verify_periodicity(f, g, N, U, [2]))
 
 
-def random_ts_instance(N: int, rng, value_range: tuple[int, int] = (-5, 5),
-                       exact: bool = True):
-    """A random pair (f, g) satisfying the five axioms at Q = N.
+def random_ts_instance(N: int, rng):
+    """A random exact pair (f, g) satisfying the five axioms at Q = N.
 
-    f carries random nonzero values on the odd primes up to N; g is a
-    TDS with random values on the odd square-free d <= N.  With
-    exact=False the same supports carry random floats.
+    f carries random nonzero values in [-5, 5] on the odd primes up to N;
+    g is a TDS with random nonzero values in [-5, 5] on the odd
+    square-free d <= N.
     """
     if N < 9 or is_prime_int(N) or is_prime_int(N - 1):
         raise ValueError(f"N={N} violates the parameter axiom "
                          "(need N >= 9 with N and N-1 composite)")
-    lo, hi = value_range
 
     def draw():
         while True:
-            v = rng.randint(lo, hi)
+            v = rng.randint(-5, 5)
             if v:
                 return v
 
-    if exact:
-        draw_f = draw_g = draw
-    else:
-        def draw_f():
-            return rng.uniform(0.5, 3.0)
-
-        def draw_g():
-            return rng.uniform(0.5, 3.0) * rng.choice((-1, 1))
-
-    kind = EXACT if exact else REAL
-    fvals = zeros(N + 1, kind)
+    fvals = zeros(N + 1, EXACT)
     for p in range(3, N + 1, 2):
         if is_prime_int(p):
-            fvals[p] = draw_f()
-    et = zeros(N + 1, kind)
+            fvals[p] = draw()
+    et = zeros(N + 1, EXACT)
     for d in range(1, N + 1, 2):
         if mobius_int(d) != 0:
-            et[d] = draw_g()
-    return (TabulatedFunction(N, kind, fvals, "random_f"),
-            TruncatedDivisorSum(N, kind, et, "random_g"))
+            et[d] = draw()
+    return (TabulatedFunction(N, EXACT, fvals, "random_f"),
+            TruncatedDivisorSum(N, EXACT, et, "random_g"))

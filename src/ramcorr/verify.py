@@ -109,15 +109,19 @@ def suite_orthogonality(led: _Ledger, seed: int) -> None:
 
 
 def _pair_expansion(led: _Ledger, g: TruncatedDivisorSum,
-                    coeffs: RamanujanCoefficients) -> None:
-    """The stored pair: coeffs against g's Wintner coefficients, then the
-    expansion against the divisor sum for a <= 500, by two independent
-    batch routes (periodic c_q blocks, the divisor sieve)."""
+                    coeffs: RamanujanCoefficients | None) -> None:
+    """The stored pair: coeffs, when given, against g's Wintner
+    coefficients; then the expansion of coeffs (of g's own coefficients
+    when none are given) against the divisor sum for a <= 500, by two
+    independent batch routes (periodic c_q blocks, the divisor sieve)."""
     bound = tolerance(g)
     derived = wintner_coefficients(g)
-    top = max(coeffs.limit, derived.limit)
-    _compare(led, "coefficient", "q", _entries(coeffs, top),
-             _entries(derived, top), bound, n=0)
+    if coeffs is None:
+        coeffs = derived
+    else:
+        top = max(coeffs.limit, derived.limit)
+        _compare(led, "coefficient", "q", _entries(coeffs, top),
+                 _entries(derived, top), bound, n=0)
     lhs_all = ramanujan_expand_range(coeffs, 500)
     if not coeffs.is_exact:
         lhs_all = lhs_all.tolist()
@@ -131,8 +135,7 @@ def suite_expansion(led: _Ledger, seed: int,
     """Fixed-length expansion reproduces the divisor sum everywhere."""
     if tds is not None:
         led.checks = 1  # the stored pair counts as one check
-        _pair_expansion(led, tds, coeffs if coeffs is not None
-                        else wintner_coefficients(tds))
+        _pair_expansion(led, tds, coeffs)
         return
     rng = random.Random(seed)
     a_max = 2000
@@ -238,7 +241,7 @@ def suite_periods(led: _Ledger, seed: int) -> None:
         W = wintner_period(g, N)
         U = universal_period(N)
         where = {"instance": i, "N": N}
-        if not led.check(U.value % W.value == 0,
+        if not led.check(U % W == 0,
                          lambda: {"check": "w-divides-u", **where}):
             continue
         shifts = sorted(rng.sample(range(1, 40), 6))
@@ -247,7 +250,7 @@ def suite_periods(led: _Ledger, seed: int) -> None:
         led.check(verify_periodicity(f, g, N, W, shifts),
                   lambda: {"check": "w-periodicity", **where})
         for m in rng.sample(range(1, 1000), 8):
-            if not led.check(evaluate_tds(g, m) == evaluate_tds(g, m + W.value),
+            if not led.check(evaluate_tds(g, m) == evaluate_tds(g, m + W),
                              lambda: {"check": "g-periodicity", **where,
                                       "m": m}):
                 break

@@ -150,6 +150,17 @@ class TestPointwiseFunctions:
             assert table_2k.von_mangoldt_values[n] == pytest.approx(
                 von_mangoldt(n, table_2k))
 
+    def test_von_mangoldt_prime_powers_copy_the_prime_bitwise(self):
+        # one log source: Lambda(p^k) is the float of Lambda(p), bit for bit
+        table = sieve_primes(200_000)
+        lam = table.von_mangoldt_values
+        small = table.primes[table.primes <= math.isqrt(table.limit)]
+        for p in small.tolist():
+            pk = p * p
+            while pk <= table.limit:
+                assert lam[pk].tobytes() == lam[p].tobytes(), (p, pk)
+                pk *= p
+
     def test_kappa(self, table_200):
         assert kappa(1, table_200) == 1
         assert kappa(12, table_200) == 6

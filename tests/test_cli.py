@@ -152,7 +152,7 @@ class TestCorrelate:
             assert lines[0] == "a,value"
             rows = [tuple(line.split(",")) for line in lines[1:]]
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        big = universal_period(N).value + 1
+        big = universal_period(N) + 1
         want = "U+1" if limit and big >= 10 ** limit else str(big)
         assert [a for a, _ in rows] == ["1", want]
         assert rows[0][1] == rows[1][1]
@@ -250,6 +250,14 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "nosuchsuite")
         assert code == 2
+
+    def test_help_lists_the_suites(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert ("one of: closure, entanglement, expansion, identities, "
+                "lucht, models, orthogonality, periods"
+                in " ".join(capsys.readouterr().out.split()))
 
     def test_consistent_pair_passes(self, capsys, tmp_path):
         import io

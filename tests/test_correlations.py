@@ -149,7 +149,7 @@ def random_tds(rng, cutoff, size, kind=EXACT):
 
 
 def kernel_shifts(N):
-    U = universal_period(N).value
+    U = universal_period(N)
     return [*range(1, 65), *(10 ** 27 + k for k in range(4)),
             *(U + k for k in range(1, 5))]
 
@@ -234,7 +234,7 @@ class TestResidueClassKernel:
                             raising=False)
         N = 500
         f, g = artifact_pair(N, table_2k)
-        U = universal_period(N).value
+        U = universal_period(N)
         assert correlate_direct(f, g, N, U + 2) == correlate_direct(f, g, N, 2)
         assert verify_periodicity(f, g, N, U, [1, 2])
 
@@ -243,7 +243,7 @@ class TestResidueClassKernel:
         # reductions of it per shift
         N = 20_000
         f, g = artifact_pair(N, table_20k)
-        U = universal_period(N).value
+        U = universal_period(N)
         assert correlate_direct(f, g, N, U + 2) == correlate_direct(f, g, N, 2)
 
 
@@ -306,7 +306,7 @@ class TestCorrelateExpansion:
         f, g = artifact_pair(N, table_2k)
         monkeypatch.setattr(f, "support", forbidden)
         monkeypatch.setattr(f, "support_upto", forbidden)
-        U = universal_period(N).value
+        U = universal_period(N)
         assert (correlate_expansion(f, g, N, U + 2)
                 == correlate_expansion(f, g, N, 2))
 
@@ -314,7 +314,7 @@ class TestCorrelateExpansion:
         # U has 7086 bits; the expansion route reduces it once per modulus
         N = 5000
         f, g = artifact_pair(N, table_20k)
-        U = universal_period(N).value
+        U = universal_period(N)
         bound = direct_error_bound(f, g, N) + expansion_error_bound(f, g, N)
         for k in (1, 2):
             got = correlate_expansion(f, g, N, k)
@@ -451,7 +451,7 @@ class TestProfiles:
     def test_json_carries_big_shifts_as_strings(self, table_200):
         f = tabulate("odd_primes", 9, table_200)
         g = tds_from_et({1: 1}, 9, EXACT)
-        big = universal_period(9).value + 1
+        big = universal_period(9) + 1
         prof = build_profile(f, g, 9, [1, big])
         data = json.loads(profile_to_json(prof))
         assert data["entries"][1]["a"] == "106"

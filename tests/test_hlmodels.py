@@ -8,9 +8,9 @@ import pytest
 from ramcorr.arith_core import divisors_int, kappa, sieve_primes
 from ramcorr.hlmodels import (MODEL_CSV_HEADER, artifact,
                               artifact_identity_check, artifact_pair,
-                              chebyshev_theta, error_bound_check,
-                              hl_correlation, model_chain, model_rows_to_csv,
-                              pnt_sanity, singular_series, singular_to_csv)
+                              chebyshev_theta, hl_correlation, model_chain,
+                              model_rows_to_csv, pnt_sanity, singular_series,
+                              singular_to_csv)
 from ramcorr.ramanujan import universal_period
 from ramcorr.transforms import evaluate_tds, lambda_tds
 
@@ -76,7 +76,7 @@ class TestArtifact:
 
     def test_huge_shift_identity(self, table_200):
         N = 9
-        U = universal_period(N).value
+        U = universal_period(N)
         assert artifact(N, U + 1, table_200) == pytest.approx(
             artifact(N, 1, table_200), abs=1e-9)
 
@@ -107,6 +107,17 @@ class TestModelChain:
     def test_odd_shift_has_no_normalized(self, table_2k):
         row = model_chain(500, [3], table_2k)[0]
         assert row.normalized is None
+
+    def test_normalized_is_the_growth_scale(self, table_2k):
+        # |hl - artifact| / ((sqrt N + a) log N log(N + a)), within the
+        # envelope of 3 on a small grid of even shifts
+        for N in (200, 500):
+            for row in model_chain(N, [2, 4, 6], table_2k):
+                a = row.a
+                assert row.normalized == abs(row.residual) / (
+                    (math.sqrt(N) + a) * math.log(N) * math.log(N + a))
+                assert row.residual == row.hl - row.artifact
+                assert row.normalized < 3.0
 
     def test_hand_scale_row(self, table_200):
         # N = 9, a = 2: enumerate every model from scratch
@@ -144,8 +155,6 @@ class TestModelChain:
         # the normalization divides by log N, which is 0 at N = 1
         with pytest.raises(ValueError, match="need a length N >= 2"):
             model_chain(N, [2], table_200)
-        with pytest.raises(ValueError, match="need a length N >= 2"):
-            error_bound_check([N], [2], table_200)
 
     def test_csv_export(self, table_200):
         rows = [model_chain(50, [a], table_200)[0] for a in (2, 3)]
@@ -243,29 +252,11 @@ class TestSingularSeriesBatch:
             singular_series([2], 2001, table_2k)
 
 
-class TestErrorBound:
-    def test_small_grid(self, table_2k):
-        rows, worst = error_bound_check([200, 500], [2, 4, 6], table_2k)
-        assert len(rows) == 6
-        assert worst < 3.0
-        for N, a, res, norm in rows:
-            assert norm == res / ((math.sqrt(N) + a)
-                                  * math.log(N) * math.log(N + a))
-
-    def test_rejects_odd_shifts(self, table_2k):
-        with pytest.raises(ValueError):
-            error_bound_check([100], [3], table_2k)
-
-    def test_rejects_empty(self, table_2k):
-        with pytest.raises(ValueError):
-            error_bound_check([], [2], table_2k)
-
-
 class TestThetaAndPnt:
     def test_theta_nine(self, table_200):
         expect = sum(math.log(p) for p in (2, 3, 5, 7))
         assert chebyshev_theta(9, table_200) == pytest.approx(expect, abs=1e-12)
-        assert 2 * universal_period(9).value == 210
+        assert 2 * universal_period(9) == 210
         assert math.exp(chebyshev_theta(9, table_200)) == pytest.approx(210)
 
     def test_pnt_band(self):

@@ -1,0 +1,182 @@
+"""Refusals: each malformed request exits 2 (CLI) or raises ValueError
+(library) with a message that locates the fault."""
+
+import re
+
+import pytest
+
+from ramcorr.arith_core import (EXACT, TabulatedFunction, divisors_int,
+                                mobius_int, sieve_primes, smooth_sifted_split,
+                                tabulate)
+from ramcorr.cli import main
+from ramcorr.correlations import (CorrelationProfile, build_profile,
+                                  correlate_direct, correlate_expansion,
+                                  small_shift_difference,
+                                  truncation_difference, verify_periodicity)
+from ramcorr.hlmodels import artifact_identity_check
+from ramcorr.ramanujan import (half_range_identity_check,
+                               ramanujan_expand_range, ramanujan_sum_table,
+                               universal_period, wintner_coefficients,
+                               wintner_period)
+from ramcorr.transforms import (divisor_sum_transform, eratosthenes_transform,
+                                evaluate_tds_range, odd_lift, tds_from_et)
+from ramcorr.twoseasons import entangled_correlation
+
+CORRELATE = ["correlate", "--f", "unit", "--g", "delta1"]
+HL = ["hl", "--N-list", "100", "--a-list", "2", "--Q", "100"]
+
+
+def run_cli(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.fixture()
+def no_config_env(monkeypatch):
+    monkeypatch.delenv("RAMCORR_OUTPUT_FORMAT", raising=False)
+    monkeypatch.delenv("RAMCORR_CONFIG", raising=False)
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["transform", "--fn", "unit", "--N", "0"],
+                 "--N must be >= 1", id="transform-N-0"),
+    pytest.param([*CORRELATE, "--N", "0", "--shifts", "1"],
+                 "--N must be >= 1", id="correlate-N-0"),
+    pytest.param([*CORRELATE, "--N", "9", "--shifts", "U+x"],
+                 "bad shift token 'U+x'", id="shift-U+x"),
+    pytest.param([*CORRELATE, "--N", "9", "--shifts", "1:x"],
+                 "bad shift range '1:x'", id="shift-1:x"),
+    pytest.param([*CORRELATE, "--N", "9", "--shifts", "2:1"],
+                 "empty shift range '2:1'", id="shift-2:1"),
+    pytest.param([*CORRELATE, "--N", "9", "--shifts", ","],
+                 "no shifts given", id="shift-comma"),
+    pytest.param(["correlate", "--f", "zeta", "--g", "delta1", "--N", "9",
+                  "--shifts", "1"],
+                 "unknown factor 'zeta'; known: identity, kappa,",
+                 id="unknown-f"),
+    pytest.param(["hl", "--N-list", "1,x", "--a-list", "2"],
+                 "bad integer list for --N-list: '1,x'", id="N-list-1,x"),
+    pytest.param(["hl", "--N-list", "2", "--a-list", "2"],
+                 "need N >= 3 and a >= 1", id="N-list-2"),
+    pytest.param(["hl", "--N-list", "100", "--a-list", ","],
+                 "--a-list must be a non-empty integer list",
+                 id="a-list-empty"),
+])
+def test_cli_refuses_with_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ramcorr: error: {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--format", "json", *HL], id="before-hl"),
+    pytest.param([*HL, "--format", "csv"], id="after-hl"),
+    pytest.param(["verify", "orthogonality", "--format", "json"],
+                 id="verify"),
+    pytest.param(["transform", "--fn", "unit", "--N", "3", "--format", "csv"],
+                 id="transform"),
+])
+def test_format_flag_applies_only_to_correlate(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "ramcorr: error: --format applies only to correlate\n"
+
+
+def test_output_format_config_stays_a_global_default(capsys, tmp_path,
+                                                     monkeypatch,
+                                                     no_config_env):
+    code, plain, _ = run_cli(capsys, HL)
+    assert code == 0 and plain.startswith("N,a,hl,")
+    cfg = tmp_path / "json.cfg"
+    cfg.write_text("output_format=json\n")
+    assert run_cli(capsys, ["--config", str(cfg), *HL]) == (0, plain, "")
+    monkeypatch.setenv("RAMCORR_OUTPUT_FORMAT", "json")
+    assert run_cli(capsys, HL) == (0, plain, "")
+    code, out, _ = run_cli(capsys, [*CORRELATE, "--N", "9", "--shifts", "1"])
+    assert code == 0 and out.startswith("{")
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("output_format=xml\n", "unknown output format 'xml'",
+                 id="output_format-xml"),
+    pytest.param("# comment\nsieve_limit\n", "{path}:2: expected key=value",
+                 id="line-without-equals"),
+])
+def test_bad_config_file_exits_2(capsys, tmp_path, no_config_env, text,
+                                 message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, ["--config", str(path), *HL])
+    assert (code, out) == (2, "")
+    assert message.format(path=path) in err
+
+
+F9 = tabulate("unit", 9)
+F5 = tabulate("unit", 5)
+G9 = tds_from_et({1: 1}, 9, EXACT)
+TABLE = sieve_primes(200)
+SHIFT_0 = "shifts are naturals >= 1, got 0"
+NATURAL_0 = "naturals start at 1, got 0"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: build_profile(F9, G9, 9, []),
+                 "at least one shift is required", id="profile-no-shifts"),
+    pytest.param(lambda: build_profile(F9, G9, 9, [1], method="fft"),
+                 "unknown method 'fft'", id="profile-unknown-method"),
+    pytest.param(lambda: CorrelationProfile(9, "f", "g",
+                                            [(1, float("inf"))]),
+                 "profile values must be finite", id="profile-infinite"),
+    pytest.param(lambda: verify_periodicity(F9, G9, 9, 0, [1]),
+                 "period must be >= 1, got 0", id="periodicity-period-0"),
+    pytest.param(lambda: correlate_direct(F5, G9, 9, 1),
+                 "f tabulated only to 5, need 9", id="direct-short-f"),
+    pytest.param(lambda: correlate_expansion(F5, G9, 9, 1),
+                 "f tabulated only to 5, need 9", id="expansion-short-f"),
+    pytest.param(lambda: correlate_expansion(F9, G9, 9, 0), SHIFT_0,
+                 id="expansion-a-0"),
+    pytest.param(lambda: truncation_difference(F9, tabulate("unit", 20),
+                                               9, 0),
+                 SHIFT_0, id="truncation-difference-a-0"),
+    pytest.param(lambda: small_shift_difference(F9, tabulate("unit", 10),
+                                                9, 2),
+                 "g tabulated only to 10, need N+a=11",
+                 id="small-shift-short-g"),
+    pytest.param(lambda: universal_period(0), NATURAL_0,
+                 id="universal-period-0"),
+    pytest.param(lambda: wintner_period(G9, 0), "Q must be >= 1, got 0",
+                 id="wintner-period-Q-0"),
+    pytest.param(lambda: half_range_identity_check(G9, 1),
+                 "need N >= 2, got 1", id="half-range-N-1"),
+    pytest.param(lambda: ramanujan_sum_table(0),
+                 "modulus must be >= 1, got 0", id="sum-table-0"),
+    pytest.param(lambda: ramanujan_expand_range(wintner_coefficients(G9), 0),
+                 NATURAL_0, id="expand-range-0"),
+    pytest.param(lambda: evaluate_tds_range(G9, 0), NATURAL_0,
+                 id="evaluate-range-0"),
+    pytest.param(lambda: odd_lift(3),
+                 "odd_lift expects a TabulatedFunction or a TDS",
+                 id="odd-lift-int"),
+    pytest.param(lambda: eratosthenes_transform(F9, 10),
+                 "tabulated only to 9, need 10", id="eratosthenes-past-limit"),
+    pytest.param(lambda: divisor_sum_transform(F9, 10),
+                 "tabulated only to 9, need 10", id="divisor-sum-past-limit"),
+    pytest.param(lambda: TabulatedFunction(3, EXACT, [0, 1, 2]),
+                 "value table must have limit+1 entries", id="wrong-length"),
+    pytest.param(lambda: TabulatedFunction.from_entries({4: 1}, 3, EXACT),
+                 "support point 4 outside [1, 3]", id="from-entries-range"),
+    pytest.param(lambda: F9.support_upto(10),
+                 "tabulated only to 9, need 10", id="support-upto-past-limit"),
+    pytest.param(lambda: smooth_sifted_split(10, 211, TABLE),
+                 "211 exceeds sieve limit 200", id="smooth-split-past-limit"),
+    pytest.param(lambda: mobius_int(0), NATURAL_0, id="mobius-int-0"),
+    pytest.param(lambda: divisors_int(0), NATURAL_0, id="divisors-int-0"),
+    pytest.param(lambda: artifact_identity_check(9, 0, TABLE), SHIFT_0,
+                 id="artifact-identity-a-0"),
+    pytest.param(lambda: entangled_correlation(F9, G9, 9, 0), SHIFT_0,
+                 id="entangled-a-0"),
+])
+def test_library_refuses_with_a_located_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()

@@ -50,6 +50,24 @@ def test_corrupted_pair_fails_with_location():
     assert verdict["failures"][0]["check"] == "coefficient"
 
 
+@pytest.mark.parametrize("with_coeffs", [False, True])
+def test_stored_expansion_derives_the_coefficients_once(monkeypatch,
+                                                        with_coeffs):
+    g = tds_from_et({2: 3, 7: 1}, 8, "ExactInt")
+    coeffs = wintner_coefficients(g) if with_coeffs else None
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return wintner_coefficients(t)
+
+    monkeypatch.setattr(verify, "wintner_coefficients", counted)
+    verdict = run_suite("expansion", tds=g, coeffs=coeffs)
+    assert verdict == {"suite": "expansion", "pass": True, "checks": 1,
+                       "failures": []}
+    assert calls == [g]
+
+
 def test_lucht_roundtrip_mode_with_coefficients_only():
     g = tds_from_et({2: 3, 6: -2}, 8, "ExactInt")
     verdict = run_suite("lucht", coeffs=wintner_coefficients(g))
