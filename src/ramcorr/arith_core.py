@@ -350,11 +350,6 @@ def zeros(n: int, kind: str) -> np.ndarray:
     return np.zeros(n, dtype=DTYPES[kind])
 
 
-def empty_sum(*tables) -> int | float:
-    """The empty sum over ``tables``: int 0 if all are exact, else 0.0."""
-    return 0 if all(t.is_exact for t in tables) else 0.0
-
-
 # The real-domain windows: REAL_TOL for correlation and model values
 # (absolute, or scaled by max(1, |x|)), COEFF_TOL relative for single
 # coefficients.  Values computed from exact tables are compared with ==.
@@ -376,7 +371,9 @@ def agree(got, want, bound) -> bool:
 
 def collapse(v, *tables):
     """The one form of a result computed from ``tables``: if all are exact,
-    an int when v is integral and the Fraction otherwise; else float(v)."""
+    an int when v is integral and the Fraction otherwise; else float(v).
+    Sums start at int 0 and return through here, so the empty sum is 0
+    or 0.0 by the same rule."""
     if not all(t.is_exact for t in tables):
         return float(v)
     return int(v) if v.denominator == 1 else v
@@ -487,11 +484,6 @@ class TabulatedFunction:
             raise ValueError(f"tabulated only to {self.limit}, need {N}")
         sup = self.support()
         return sup[: bisect_right(sup, N, key=itemgetter(0))]
-
-    def max_support(self) -> int:
-        """Largest n in support(SUPPORT_EPS) (0 for the zero table)."""
-        sup = self.support(SUPPORT_EPS)
-        return sup[-1][0] if sup else 0
 
     def is_zero(self) -> bool:
         """True when support(SUPPORT_EPS) is empty."""

@@ -30,23 +30,14 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
-
-
-@dataclass
-class RunConfig:
-    sieve_limit: int
-    output_format: str = "csv"
-    output_path: str | None = None
 
 
 CONFIG_KEYS = ("sieve_limit", "output_format")
@@ -77,11 +68,14 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _resolve_config(args) -> RunConfig:
+def _resolve_config(args) -> None:
+    """Resolve the configuration into ``args``: ``sieve_limit``,
+    ``format`` (the output format) and ``out`` (None for stdout).  The
+    flags parse with SUPPRESS defaults, so an attribute is present only
+    when its flag was given, and then it wins."""
     from .arith_core import SIEVE_CAP
-    cfg = RunConfig(SIEVE_CAP)
     path = getattr(args, "config", None) or os.environ.get("RAMCORR_CONFIG")
-    raw: dict = {}
+    raw = {"sieve_limit": SIEVE_CAP, "output_format": "csv"}
     if path:
         raw.update(_load_config_file(path))
     for key in CONFIG_KEYS:
@@ -89,48 +83,41 @@ def _resolve_config(args) -> RunConfig:
         if env is not None:
             raw[key] = env
     try:
-        if "sieve_limit" in raw:
-            cfg.sieve_limit = int(raw["sieve_limit"])
-        if "output_format" in raw:
-            cfg.output_format = raw["output_format"]
+        sieve_limit = int(raw["sieve_limit"])
     except ValueError as exc:
         raise UsageError(f"bad config value: {exc}") from None
-    if getattr(args, "sieve_limit", None) is not None:
-        cfg.sieve_limit = args.sieve_limit
-    if getattr(args, "format", None) is not None:
-        if args.command != "correlate":
-            raise UsageError("--format applies only to correlate")
-        cfg.output_format = args.format
-    if getattr(args, "out", None) is not None:
-        cfg.output_path = args.out
-    if cfg.output_format not in ("csv", "json"):
-        raise UsageError(f"unknown output format {cfg.output_format!r}")
-    return cfg
+    if "format" in vars(args) and args.command != "correlate":
+        raise UsageError("--format applies only to correlate")
+    vars(args).setdefault("sieve_limit", sieve_limit)
+    vars(args).setdefault("format", raw["output_format"])
+    vars(args).setdefault("out", None)
+    if args.format not in ("csv", "json"):
+        raise UsageError(f"unknown output format {args.format!r}")
 
 
-def _check_limit(cfg: RunConfig, need: int) -> None:
-    if need > cfg.sieve_limit:
+def _check_limit(args, need: int) -> None:
+    if need > args.sieve_limit:
         raise UsageError(
             f"request needs sieve limit {need}, configured cap is "
-            f"{cfg.sieve_limit}; raise sieve_limit")
+            f"{args.sieve_limit}; raise sieve_limit")
 
 
-def _need_sieve(cfg: RunConfig, need: int):
+def _need_sieve(args, need: int):
     from .arith_core import sieve_primes
-    _check_limit(cfg, need)
+    _check_limit(args, need)
     return sieve_primes(max(need, 2))
 
 
-def _read_table(path: str, cfg: RunConfig, read, what: str,
+def _read_table(path: str, args, read, what: str,
                 unreadable: str | None = None):
-    """``read(fh, cfg.sieve_limit)`` on the table file at ``path``.  A file
+    """``read(fh, args.sieve_limit)`` on the table file at ``path``.  A file
     that does not parse is a UsageError naming the ``what`` file and the
     fault; one that cannot be read is one too, with the ``unreadable``
     message when given."""
     from .transforms import open_table
     try:
         with open_table(path) as fh:
-            return read(fh, cfg.sieve_limit)
+            return read(fh, args.sieve_limit)
     except OSError as exc:
         raise UsageError(unreadable or f"cannot load {what} file: {exc}"
                          ) from None
@@ -157,7 +144,7 @@ def _write_out(text: str, path: str | None) -> None:
 # transform
 # ----------------------------------------------------------------------
 
-def _cmd_transform(args, cfg: RunConfig) -> int:
+def _cmd_transform(args) -> int:
     from .arith_core import tabulate, tabulated_function_names
     from .transforms import lambda_tds, read_tds, retruncate, truncate, write_tds
     if (args.fn is None) == (args.infile is None):
@@ -171,16 +158,16 @@ def _cmd_transform(args, cfg: RunConfig) -> int:
             raise UsageError(
                 f"unknown function name {name!r}; known: "
                 f"{', '.join(tabulated_function_names())}")
-        table = _need_sieve(cfg, N)
+        table = _need_sieve(args, N)
         if name == "lambda":
             g = lambda_tds(N, table)
         else:
             g = truncate(tabulate(name, N, table), N, table)
         del table  # free the sieve's arrays before the text is built
     else:
-        _check_limit(cfg, N)  # read_tds would refuse the file written
-        g = retruncate(_read_table(args.infile, cfg, read_tds, "TDS"), N)
-    _write_out(_text(write_tds, g), cfg.output_path)
+        _check_limit(args, N)  # read_tds would refuse the file written
+        g = retruncate(_read_table(args.infile, args, read_tds, "TDS"), N)
+    _write_out(_text(write_tds, g), args.out)
     return EXIT_OK
 
 
@@ -188,7 +175,10 @@ def _cmd_transform(args, cfg: RunConfig) -> int:
 # correlate
 # ----------------------------------------------------------------------
 
-def _parse_shifts(text: str, N: int):
+def _parse_shifts(text: str, N: int, cap: int):
+    """The shifts of a ``--shifts`` list, in order.  Each token is counted
+    before it is expanded, and the token that takes the list past ``cap``
+    shifts is refused, so no range allocates more than the cap."""
     shifts = []
     u_cache = None
     for token in text.split(","):
@@ -196,14 +186,14 @@ def _parse_shifts(text: str, N: int):
         if not token:
             continue
         if token.startswith("U+"):
-            if u_cache is None:
-                from .ramanujan import universal_period
-                u_cache = universal_period(N)
             try:
                 k = int(token[2:])
             except ValueError:
                 raise UsageError(f"bad shift token {token!r}") from None
-            shifts.append(u_cache + k)
+            if u_cache is None:
+                from .ramanujan import universal_period
+                u_cache = universal_period(N)
+            lo = hi = u_cache + k
         elif ":" in token:
             lo_s, _, hi_s = token.partition(":")
             try:
@@ -212,12 +202,16 @@ def _parse_shifts(text: str, N: int):
                 raise UsageError(f"bad shift range {token!r}") from None
             if lo > hi:
                 raise UsageError(f"empty shift range {token!r}")
-            shifts.extend(range(lo, hi + 1))
         else:
             try:
-                shifts.append(int(token))
+                lo = hi = int(token)
             except ValueError:
                 raise UsageError(f"bad shift token {token!r}") from None
+        if len(shifts) + hi - lo + 1 > cap:
+            raise UsageError(
+                f"shift token {token!r} takes the list past {cap} shifts, "
+                "the configured cap; raise sieve_limit")
+        shifts.extend(range(lo, hi + 1))
     if not shifts:
         raise UsageError("no shifts given")
     if min(shifts) < 1:
@@ -225,7 +219,7 @@ def _parse_shifts(text: str, N: int):
     return shifts
 
 
-def _resolve_g(name: str, N: int, cfg: RunConfig, table):
+def _resolve_g(name: str, N: int, args, table):
     """Named shift-carrying factors, built on the sieve ``table`` (limit
     at least N), or a TDS file path.
 
@@ -240,35 +234,36 @@ def _resolve_g(name: str, N: int, cfg: RunConfig, table):
         return lambda_tds(N, table)
     if name == "delta1":
         return tds_from_et({1: 1}, N, "ExactInt", name="delta1")
-    return _read_table(name, cfg, read_tds, "TDS", unreadable=(
+    return _read_table(name, args, read_tds, "TDS", unreadable=(
         f"--g {name!r} is neither a readable file nor one of "
         "lambdaN, lambdaN_raw, delta1"))
 
 
-def _cmd_correlate(args, cfg: RunConfig) -> int:
+def _cmd_correlate(args) -> int:
     from .arith_core import tabulate, tabulated_function_names
     from .correlations import build_profile, profile_to_csv, profile_to_json
     N = args.N
     if N < 1:
         raise UsageError("--N must be >= 1")
-    shifts = _parse_shifts(args.shifts, N)
+    _check_limit(args, N)  # before a U+k token builds U up to N
+    shifts = _parse_shifts(args.shifts, N, args.sieve_limit)
     fname = args.f
     if fname not in tabulated_function_names():
         raise UsageError(f"unknown factor {fname!r}; known: "
                          f"{', '.join(tabulated_function_names())}")
-    table = _need_sieve(cfg, N)
+    table = _need_sieve(args, N)
     f = tabulate(fname, N, table)
-    g = _resolve_g(args.g, N, cfg, table)
+    g = _resolve_g(args.g, N, args, table)
     try:
         profile = build_profile(f, g, N, shifts, f_id=fname, g_id=args.g,
                                 method=args.mode)
-        if cfg.output_format == "json":
+        if args.format == "json":
             text = profile_to_json(profile) + "\n"
         else:
             text = _text(profile_to_csv, profile)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _write_out(text, cfg.output_path)
+    _write_out(text, args.out)
     return EXIT_OK
 
 
@@ -276,22 +271,23 @@ def _cmd_correlate(args, cfg: RunConfig) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-def _cmd_verify(args, cfg: RunConfig) -> int:
+def _cmd_verify(args) -> int:
+    import json
+
     from .ramanujan import read_coefficients
     from .transforms import read_tds
     from .verify import run_suite
     tds = coeffs = None
     if args.tds is not None:
-        tds = _read_table(args.tds, cfg, read_tds, "TDS")
+        tds = _read_table(args.tds, args, read_tds, "TDS")
     if args.coeffs is not None:
-        coeffs = _read_table(args.coeffs, cfg, read_coefficients,
+        coeffs = _read_table(args.coeffs, args, read_coefficients,
                              "coefficient")
     try:
         verdict = run_suite(args.suite, seed=args.seed, tds=tds, coeffs=coeffs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _write_out(json.dumps(verdict, indent=2, default=str) + "\n",
-               cfg.output_path)
+    _write_out(json.dumps(verdict, indent=2, default=str) + "\n", args.out)
     return EXIT_OK if verdict["pass"] else EXIT_VERIFY_FAIL
 
 
@@ -309,7 +305,7 @@ def _parse_int_list(text: str, flag: str):
     return items
 
 
-def _cmd_hl(args, cfg: RunConfig) -> int:
+def _cmd_hl(args) -> int:
     from .hlmodels import (model_chain, model_rows_to_csv, singular_series,
                            singular_to_csv)
     N_list = _parse_int_list(args.N_list, "--N-list")
@@ -318,20 +314,20 @@ def _cmd_hl(args, cfg: RunConfig) -> int:
         raise UsageError("need N >= 3 and a >= 1")
     if args.Q < 2:
         raise UsageError("--Q must be >= 2")
-    if args.singular_out and cfg.output_path is None:
+    if args.singular_out and args.out is None:
         raise UsageError("--singular-out needs --out")
     need = max(max(N_list) + max(a_list), args.Q)
-    table = _need_sieve(cfg, need)
+    table = _need_sieve(args, need)
     rows = [row for N in N_list for row in model_chain(N, a_list, table)]
     sing = singular_series(sorted(set(a_list)), Q=args.Q, table=table)
     models_csv = _text(model_rows_to_csv, rows)
     singular_csv = _text(singular_to_csv, sing)
-    if cfg.output_path is None:
+    if args.out is None:
         _write_out(f"{models_csv}\n{singular_csv}", None)
     else:
-        _write_out(models_csv, cfg.output_path)
+        _write_out(models_csv, args.out)
         _write_out(singular_csv,
-                   args.singular_out or cfg.output_path + ".singular.csv")
+                   args.singular_out or args.out + ".singular.csv")
     return EXIT_OK
 
 
@@ -414,8 +410,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        return args.func(args, cfg)
+        _resolve_config(args)
+        return args.func(args)
     except UsageError as exc:
         print(f"ramcorr: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -39,8 +39,7 @@ import json
 import math
 import sys
 
-from .arith_core import (TabulatedFunction, agree, collapse, empty_sum,
-                         tolerance)
+from .arith_core import TabulatedFunction, agree, collapse, tolerance
 from .ramanujan import (UndefinedPeriodError, _divisor_form,
                         universal_period, wintner_coefficients)
 from .transforms import TruncatedDivisorSum, eratosthenes_transform
@@ -91,7 +90,7 @@ def correlate_direct(f: TabulatedFunction, g, N: int, a: int):
         raise ValueError(
             f"g tabulated only to {g.limit}, not evaluable at N+a={N + a}")
     gv = g.values
-    acc = empty_sum(f, g)
+    acc = 0
     for n, fv in f.support_upto(N):
         acc += fv * gv[n + a]
     return collapse(acc, f, g)
@@ -171,7 +170,7 @@ def small_shift_difference(f: TabulatedFunction, g_source: TabulatedFunction,
         raise ValueError(
             f"g tabulated only to {g_source.limit}, need N+a={N + a}")
     et = eratosthenes_transform(g_source, N + a)
-    acc = empty_sum(f, g_source)
+    acc = 0
     for d in range(N + 1, N + a + 1):
         gpd = et.values[d]
         if gpd:

@@ -9,8 +9,9 @@ form
 never by floating cosines.  The form is written once, in ``_divisor_form``
 (the cached pairs (d, d mu(q/d)) over d | q with mu(q/d) != 0), and
 ``ramanujan_sum``, the c_q blocks and ``correlations.correlate_expansion``
-all read it.  ExactInt coefficient tables hold ``fractions.Fraction``
-values so that
+all read it.  Every block (c_q(0), ..., c_q(n-1)) comes from one
+builder, ``_ramanujan_block``: one int64 slice per pair (|c_q| <= q).
+ExactInt coefficient tables hold ``fractions.Fraction`` values so that
 
     g(a) = sum over q <= D of ghat(q) c_q(a)          (expansion)
     g'(d) = d * sum over K <= D/d of mu(K) ghat(dK)   (inversion)
@@ -34,8 +35,8 @@ from functools import lru_cache
 import numpy as np
 
 from .arith_core import (COEFF_TOL, SIEVE_CAP, SUPPORT_EPS, TabulatedFunction,
-                         agree, collapse, divisors_int, empty_sum,
-                         is_prime_int, mobius_int, tolerance, zeros)
+                         agree, collapse, divisors_int, is_prime_int,
+                         mobius_int, tolerance, zeros)
 from .transforms import (TruncatedDivisorSum, read_table, truncate,
                          write_tds)
 
@@ -75,19 +76,19 @@ def ramanujan_sum(q: int, a: int) -> int:
 
 @lru_cache(maxsize=4096)
 def ramanujan_sum_table(q: int) -> tuple[int, ...]:
-    """(c_q(0), c_q(1), ..., c_q(q-1)); one q-periodic block."""
+    """(c_q(0), c_q(1), ..., c_q(q-1)); one q-periodic block, as ints."""
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
-    return _ramanujan_block(q, q)
+    return tuple(_ramanujan_block(q, q).tolist())
 
 
-def _ramanujan_block(q: int, n: int) -> tuple[int, ...]:
-    """(c_q(0), ..., c_q(n-1)) for 1 <= n <= q."""
-    tab = [0] * n
+def _ramanujan_block(q: int, n: int) -> np.ndarray:
+    """(c_q(0), ..., c_q(n-1)) for 1 <= n <= q as int64: each pair (e, w)
+    of the divisor form adds w on the multiples of e, and |c_q| <= q."""
+    tab = np.zeros(n, dtype=np.int64)
     for e, w in _divisor_form(q):
-        for r in range(0, n, e):
-            tab[r] += w
-    return tuple(tab)
+        tab[::e] += w
+    return tab
 
 
 def ramanujan_orthogonality(d: int, a: int) -> int:
@@ -125,7 +126,7 @@ def ramanujan_expand(coeffs: RamanujanCoefficients, a: int):
     """
     if a < 1:
         raise ValueError(f"naturals start at 1, got {a}")
-    total = empty_sum(coeffs)
+    total = 0
     for q, v in coeffs.support():
         total += v * ramanujan_sum(q, a)
     return collapse(total, coeffs)
@@ -149,10 +150,9 @@ def ramanujan_expand_range(coeffs: RamanujanCoefficients, a_max: int):
     L = math.lcm(*(v.denominator for _, v in support)) if exact else 1
     acc = zeros(a_max + 1, coeffs.kind)
     for q, v in support:
-        block = (ramanujan_sum_table(q) if q <= a_max
-                 else _ramanujan_block(q, a_max + 1))
+        block = _ramanujan_block(q, min(q, a_max + 1)).astype(acc.dtype)
         w = int(v * L) if exact else v
-        acc += w * np.resize(np.asarray(block, dtype=acc.dtype), a_max + 1)
+        acc += w * np.resize(block, a_max + 1)
     if not exact:
         acc[0] = 0.0
         return acc

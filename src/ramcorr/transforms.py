@@ -23,12 +23,13 @@ divisibility of m by small d is ever tested.
 Every table holds its values in one array whose dtype follows its kind
 (see ``arith_core.DTYPES``), so the kernel has a single body for
 ExactInt and Real tables.  ExactInt inputs run that body on int64 when
-each is an int64 store (``TabulatedFunction._data``) or holds only Python
-ints, and max|a| max|b| 2 isqrt(M) < 2**63 (no slot has more than
-tau(n) <= 2 isqrt(M) terms, so no product or partial sum can overflow);
-the int64 result becomes the store of the table returned.  Any other
-exact input, Fractions included, runs on Python ints.  So an exact
-``transform --fn`` stays on int64 from the sieve to the written text.
+each is an int64 array (a table's store, ``TabulatedFunction._data``, or
+a sieve array) and max|a| max|b| 2 isqrt(M) < 2**63 (no slot has more
+than tau(n) <= 2 isqrt(M) terms, so no product or partial sum can
+overflow); the int64 result becomes the store of the table returned.
+Every other exact input, object arrays of Python ints, big ints and
+Fractions alike, runs on Python ints.  So an exact ``transform --fn``
+stays on int64 from the sieve to the written text.
 The text format written and read here serves TDS and coefficient files
 alike.
 """
@@ -44,7 +45,7 @@ import numpy as np
 
 from .arith_core import (DTYPES, EXACT, REAL, SIEVE_CAP, PrimeTable,
                          TabulatedFunction, _sqrt_split, capped_sieve,
-                         empty_sum)
+                         collapse)
 
 
 class TruncatedDivisorSum(TabulatedFunction):
@@ -63,31 +64,19 @@ tds_from_et = TruncatedDivisorSum.from_entries
 # convolution and inversion sweeps
 # ----------------------------------------------------------------------
 
-def _int64_lane(a: np.ndarray, b, M: int):
-    """(a, b) as int64 arrays when the exact kernel can run on them, else
-    None.  An int64 operand (a table's store) is taken as it is; every
-    entry of an object operand must be a Python int (``astype`` would
-    truncate a Fraction without a word) that fits in int64.  Then
-    max|a| max|b| 2 isqrt(M) < 2**63 (max|b| = 1 for ``b`` None): slot n
-    adds tau(n) <= 2 isqrt(M) terms, so no product or partial sum can
-    overflow.
+def _int64_lane(a: np.ndarray, b, M: int) -> bool:
+    """Whether the exact kernel can run on (a, b) as they are: both are
+    int64 arrays and max|a| max|b| 2 isqrt(M) < 2**63 (max|b| = 1 for
+    ``b`` None).  Slot n adds tau(n) <= 2 isqrt(M) terms, so no product
+    or partial sum can overflow.  An object array is never cast: it
+    runs on Python ints whatever it holds.
     """
-    ins = []
+    bound = 2 * math.isqrt(M)
     for v in (a,) if b is None else (a, b):
         if v.dtype != np.int64:
-            if set(map(type, v.tolist())) != {int}:
-                return None
-            try:
-                v = v.astype(np.int64)
-            except OverflowError:
-                return None
-        ins.append(v)
-    bound = 2 * math.isqrt(M)
-    for v in ins:
+            return False
         bound *= max(int(v.max()), -int(v.min()))
-    if bound >= 2 ** 63:
-        return None
-    return ins[0], (None if b is None else ins[1])
+    return bound < 2 ** 63
 
 
 def _convolve(a, b, M: int, kind: str) -> np.ndarray:
@@ -95,18 +84,15 @@ def _convolve(a, b, M: int, kind: str) -> np.ndarray:
     unused; ``b`` None is the constant 1, added with no product.  Zero
     terms are skipped: a Real slot never holds -0.0, so no bit changes.
 
-    Real inputs are float64.  ExactInt inputs (int64 stores or object
-    arrays) that ``_int64_lane`` admits run the same loops on int64 and
-    come back as int64, for a table to keep as its store; other exact
-    inputs run on Python ints and Fractions, both cast to object.
+    Real inputs are float64.  ExactInt int64 inputs that ``_int64_lane``
+    admits run the same loops on int64 and come back as int64, for a
+    table to keep as its store; other exact inputs run on Python ints
+    and Fractions, both cast to object.
     """
     a = a[: M + 1]
     if b is not None:
         b = b[: M + 1]
-    lane = _int64_lane(a, b, M) if kind == EXACT else None
-    if lane:
-        a, b = lane
-    elif kind == EXACT:
+    if kind == EXACT and not _int64_lane(a, b, M):
         a = a.astype(object, copy=False)
         b = None if b is None else b.astype(object, copy=False)
     out = np.zeros(M + 1, dtype=a.dtype)
@@ -193,11 +179,11 @@ def evaluate_tds(g: TruncatedDivisorSum, m: int):
     """g(m) = sum of g'(d) over d <= cutoff dividing m; m may be huge."""
     if m < 1:
         raise ValueError(f"naturals start at 1, got {m}")
-    acc = empty_sum(g)
+    acc = 0
     for d, v in g.support():
         if m % d == 0:
             acc += v
-    return acc
+    return collapse(acc, g)
 
 
 def _divisor_sums(g: TabulatedFunction, m_max: int) -> np.ndarray:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .arith_core import (EXACT, SUPPORT_EPS, TabulatedFunction, empty_sum,
+from .arith_core import (EXACT, SUPPORT_EPS, TabulatedFunction, collapse,
                          is_prime_int, mobius_int, odd_part, zeros)
 from .correlations import verify_periodicity
 from .ramanujan import (UndefinedPeriodError, _as_predicate,
@@ -156,14 +156,14 @@ def entangled_correlation(f: TabulatedFunction, g: TruncatedDivisorSum,
     if a < 1:
         raise ValueError(f"shifts are naturals >= 1, got {a}")
     _require_axioms(f, g, N, g.limit)
-    acc = empty_sum(f, g)
+    acc = 0
     if a % 2 == 0:
         for p, fv in f.support_upto(N):
             acc += fv * evaluate_tds(g, p + a)
-        return EntangledValue(acc, "even")
+        return EntangledValue(collapse(acc, f, g), "even")
     for p, fv in f.support_upto(N):
         acc += fv * evaluate_tds(g, odd_part(p + a))
-    return EntangledValue(acc, "odd")
+    return EntangledValue(collapse(acc, f, g), "odd")
 
 
 def diophantine_count_even(F, G, N: int, a: int) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ramcorr.arith_core import (EXACT, REAL, TabulatedFunction, divisors_int,
-                                empty_sum, mobius_int, tabulate)
+                                mobius_int, tabulate)
 from ramcorr.cli import main
 from ramcorr.correlations import (_class_sum, correlate_expansion,
                                   truncation_difference)
@@ -60,8 +60,7 @@ def list_tiling_expand_range(coeffs, a_max):
     support = coeffs.support()
 
     def period(q):
-        return (ramanujan_sum_table(q) if q <= a_max
-                else _ramanujan_block(q, a_max + 1))
+        return block_loop(q, min(q, a_max + 1))
 
     if coeffs.is_exact:
         L = math.lcm(*(v.denominator for _, v in support)) if support else 1
@@ -109,7 +108,7 @@ def loop_truncation_difference(f, g_source, N, a):
     """The tail sum over N < d <= N + a with its own class-sum loop."""
     et = eratosthenes_transform(g_source, N + a)
     fvals = f.values[: N + 1]
-    acc = empty_sum(f, g_source)
+    acc = 0
     for d in range(N + 1, N + a + 1):
         gpd = et.values[d]
         if gpd:
@@ -172,9 +171,13 @@ def test_ramanujan_sum_matches_the_gcd_divisor_body():
 
 def test_blocks_match_the_block_loop():
     for q in range(1, 301):
-        assert ramanujan_sum_table(q) == block_loop(q, q)
-        for n in (1, 2, q // 2 + 1, q):
-            assert _ramanujan_block(q, n) == block_loop(q, n)
+        table = ramanujan_sum_table(q)
+        assert table == block_loop(q, q)
+        assert all(type(c) is int for c in table)
+        for n in range(1, q + 1) if q <= 60 else (1, 2, q // 2 + 1, q):
+            block = _ramanujan_block(q, n)
+            assert block.dtype == np.int64
+            assert tuple(block.tolist()) == block_loop(q, n), (q, n)
 
 
 # ----------------------------------------------------------------------

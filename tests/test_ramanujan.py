@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramcorr.arith_core import EXACT, mobius_int, sieve_primes, tabulate
+from ramcorr.arith_core import (EXACT, SUPPORT_EPS, mobius_int, sieve_primes,
+                                tabulate)
 from ramcorr.ramanujan import (RamanujanCoefficients,
                                UndefinedPeriodError,
                                half_range_identity_check, lucht_invert,
@@ -125,7 +126,7 @@ class TestWintnerCoefficients:
     def test_zero_tds(self):
         c = wintner_coefficients(tds_from_et({}, 8, EXACT))
         assert all(v == 0 for v in c.values)
-        assert c.max_support() == 0
+        assert c.support(SUPPORT_EPS) == []
 
     def test_lambda_half_range_values(self, table_200):
         g = lambda_tds(10, table_200)
@@ -138,7 +139,8 @@ class TestWintnerCoefficients:
         for _ in range(25):
             g = random_tds(rng, rng.randint(4, 90))
             c = wintner_coefficients(g)
-            assert c.max_support() == g.max_support()
+            assert (c.support(SUPPORT_EPS)[-1][0]
+                    == g.support(SUPPORT_EPS)[-1][0])
 
 
 class TestExpansion:

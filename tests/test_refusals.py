@@ -2,9 +2,11 @@
 (library) with a message that locates the fault."""
 
 import re
+import tracemalloc
 
 import pytest
 
+from ramcorr import ramanujan
 from ramcorr.arith_core import (EXACT, TabulatedFunction, divisors_int,
                                 mobius_int, sieve_primes, smooth_sifted_split,
                                 tabulate)
@@ -110,6 +112,52 @@ def test_bad_config_file_exits_2(capsys, tmp_path, no_config_env, text,
     code, out, err = run_cli(capsys, ["--config", str(path), *HL])
     assert (code, out) == (2, "")
     assert message.format(path=path) in err
+
+
+def test_correlate_checks_the_sieve_limit_before_it_builds_u(capsys,
+                                                             monkeypatch):
+    # a U+k token builds U by trial division up to N: a call past the cap
+    # is refused before that
+    def refuse(N):
+        raise AssertionError(f"universal_period({N}) was called")
+    monkeypatch.setattr(ramanujan, "universal_period", refuse)
+    code, out, err = run_cli(capsys, [
+        "correlate", "--f", "mobius", "--g", "delta1", "--N", "3000000",
+        "--shifts", "U+1"])
+    assert (code, out) == (2, "")
+    assert err == ("ramcorr: error: request needs sieve limit 3000000, "
+                   "configured cap is 2000000; raise sieve_limit\n")
+
+
+@pytest.mark.parametrize("flags, shifts, token, cap", [
+    pytest.param([], "1:1000000000000", "1:1000000000000", 2000000,
+                 id="range-of-10**12"),
+    pytest.param(["--sieve-limit", "6"], "1,2,3:7", "3:7", 6,
+                 id="range-past-the-cap"),
+    pytest.param(["--sieve-limit", "6"], "1:6,7", "7", 6,
+                 id="token-past-the-cap"),
+])
+def test_shift_list_longer_than_the_cap_is_refused_unexpanded(
+        capsys, flags, shifts, token, cap):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, [*flags, *CORRELATE, "--N", "5",
+                                          "--shifts", shifts])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == (f"ramcorr: error: shift token {token!r} takes the list "
+                   f"past {cap} shifts, the configured cap; raise "
+                   "sieve_limit\n")
+    assert peak < 16 << 20  # a list of 2e6 shift ints alone takes 80 MB
+
+
+def test_shift_list_at_the_cap_runs(capsys):
+    code, out, err = run_cli(capsys, ["--sieve-limit", "6", *CORRELATE,
+                                      "--N", "5", "--shifts", "1,2:6"])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 7
 
 
 F9 = tabulate("unit", 9)

@@ -41,12 +41,15 @@ def test_hl_bytes_do_not_depend_on_the_blas_thread_count():
 
 
 def test_import_loads_no_numpy_and_sets_nothing():
+    # nor dataclasses (with the inspect it pulls in) or json, which only
+    # ``verify`` uses
     out = run_python(["-c", (
         "import os, sys\n"
         "import ramcorr\n"
         "import ramcorr.cli\n"
-        f"print('numpy' in sys.modules, {BLAS_VAR!r} in os.environ)\n")])
-    assert out == "False False\n"
+        "print(*(m in sys.modules for m in ('numpy', 'dataclasses', 'json')),"
+        f" {BLAS_VAR!r} in os.environ)\n")])
+    assert out == "False False False False\n"
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),

@@ -228,8 +228,8 @@ def test_transform_equals_the_in_place_sweep_at_two_hundred_thousand(
 
 
 # ----------------------------------------------------------------------
-# the int64 lane of the exact kernel: taken only for Python-int inputs
-# whose product bound stays below 2**63
+# the int64 lane of the exact kernel: taken only for int64 inputs whose
+# product bound stays below 2**63
 # ----------------------------------------------------------------------
 
 @pytest.fixture
@@ -241,7 +241,7 @@ def lanes(monkeypatch):
 
     def spy(a, b, M):
         got = admit(a, b, M)
-        taken.append(got is not None)
+        taken.append(got)
         return got
     monkeypatch.setattr(transforms, "_int64_lane", spy)
     return taken
@@ -272,9 +272,30 @@ def test_fraction_tables_stay_exact(M, lanes):
                             per_d_convolve(a, b, M))
     for g in (F, G):
         assert_exact_values(evaluate_tds_range(g, M), per_d_range(g, M))
-    assert lanes == [False] * 5
     assert_exact_equal(evaluate_tds_range(ints, M), per_d_range(ints, M))
-    assert lanes[-1]
+    assert lanes == [False] * 6
+
+
+@pytest.mark.parametrize("M", [24, 1001])
+def test_python_int_tables_take_the_python_int_path(M, lanes, table_2k):
+    # an object table of Python ints is not cast to int64: it runs on
+    # Python ints and gives the values its int64 store gives on the lane
+    rng = random.Random(M)
+    F, G = (random_exact_tds(rng, M, 0.6) for _ in range(2))
+    Fs, Gs = (TruncatedDivisorSum(M, EXACT, np.array(t.values.tolist(),
+                                                     dtype=np.int64))
+              for t in (F, G))
+    for (a, b), lane in (((F, G), False), ((Fs, Gs), True),
+                         ((F, Gs), False)):
+        outs = [dirichlet_convolve(a, b), divisor_sum_transform(a),
+                eratosthenes_transform(a, table=table_2k)]
+        assert lanes == [lane] * 3
+        lanes.clear()
+        want = [per_d_convolve(F, G, M), per_d_range(F, M),
+                in_place_et(F, M)]
+        for got, w in zip(outs, want):
+            assert got._data.dtype == (np.int64 if lane else object)
+            assert_exact_equal(got.values, w)
 
 
 # M where some n <= M has tau(n) = 2 isqrt(M) divisors (n = 2, 2, 12, 24),
@@ -286,11 +307,13 @@ def test_lane_bound_just_below_and_just_above_two_to_the_63(M, lanes):
         for above in (False, True):
             top = (2 ** 63 - 1) // (terms * (b or 1)) + above
             for sign in (1, -1):
-                F = TruncatedDivisorSum(M, EXACT, [0] + [sign * top] * M)
+                F = TruncatedDivisorSum(M, EXACT, np.array(
+                    [0] + [sign * top] * M, dtype=np.int64))
                 if b is None:
                     got, want = evaluate_tds_range(F, M), per_d_range(F, M)
                 else:
-                    G = TabulatedFunction(M, EXACT, [0] + [b] * M)
+                    G = TabulatedFunction(M, EXACT, np.array(
+                        [0] + [b] * M, dtype=np.int64))
                     got = dirichlet_convolve(F, G).values
                     want = per_d_convolve(F, G, M)
                 assert max(map(abs, want.tolist())) == terms * top * (b or 1)

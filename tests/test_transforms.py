@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -152,6 +153,21 @@ class TestEvaluateTds:
         g = tds_from_et({1: 1}, 5, EXACT)
         with pytest.raises(ValueError):
             evaluate_tds(g, 0)
+
+    @pytest.mark.parametrize("entries, kind, m, want", [
+        ({2: 3, 4: -1}, EXACT, 4, 2),
+        ({2: 3, 4: -1}, EXACT, 3, 0),  # the empty sum
+        ({2: Fraction(1, 2), 4: Fraction(3, 2)}, EXACT, 4, 2),
+        ({2: Fraction(1, 2), 4: Fraction(3, 2)}, EXACT, 6, Fraction(1, 2)),
+        ({2: Fraction(1, 2)}, EXACT, 3, 0),
+        ({2: 0.5, 4: 1.5}, REAL, 4, 2.0),
+        ({2: 0.5}, REAL, 3, 0.0),
+    ])
+    def test_collapse_types_the_value(self, entries, kind, m, want):
+        # int when integral, else the Fraction, for an exact table; a
+        # Python float for a Real one; the empty sum included
+        got = evaluate_tds(tds_from_et(entries, 6, kind), m)
+        assert type(got) is type(want) and got == want
 
     def test_range_matches_pointwise(self, rng):
         g = tds_from_et({2: 3, 5: -1, 9: 4}, 10, EXACT)

@@ -1,9 +1,10 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from ramcorr.arith_core import (EXACT, TabulatedFunction, is_prime_int,
+from ramcorr.arith_core import (EXACT, REAL, TabulatedFunction, is_prime_int,
                                 odd_part, tabulate, v2)
 from ramcorr.correlations import correlate_direct
 from ramcorr.hlmodels import artifact_pair
@@ -114,6 +115,28 @@ class TestEntangledCorrelation:
             for a in range(1, a_top + 1):
                 value, _ = entangled_correlation(f, g, N, a)
                 assert value == correlate_direct(f, lifted, N, a)
+
+    @pytest.mark.parametrize("fkind, gkind, g1, want", [
+        (EXACT, EXACT, 2, (7, 0)),
+        (EXACT, EXACT, Fraction(1, 2), (Fraction(5, 2), 0)),
+        (EXACT, EXACT, Fraction(2, 3), (3, 0)),
+        (EXACT, REAL, 2.0, (7.0, 0.0)),
+        (REAL, EXACT, 2, (7.0, 0.0)),
+        (REAL, REAL, 0.5, (2.5, 0.0)),
+    ])
+    def test_collapse_types_the_value(self, fkind, gkind, g1, want):
+        # f = 1 on the odd primes 3, 5, 7 and g' = g1 at 1, 1 at 3, so
+        # both branches sum to 3 g1 + 1 (an int when integral, as for
+        # g1 = 2/3); the zero f gives the empty sum, typed by the same
+        # rule
+        N = 9
+        g = tds_from_et({1: g1, 3: 1}, N, gkind)
+        one = [0, 0, 0, 1, 0, 1, 0, 1, 0, 0]
+        for f_vals, w in zip((one, [0] * (N + 1)), want):
+            f = TabulatedFunction(N, fkind, f_vals)
+            for a in (2, 3):
+                value, _ = entangled_correlation(f, g, N, a)
+                assert type(value) is type(w) and value == w, (f_vals, a)
 
     def test_axiom_violation_raises(self, table_200):
         f = tabulate("unit", 9)
