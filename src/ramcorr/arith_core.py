@@ -180,10 +180,12 @@ def _check_cap(M: int) -> None:
 
 
 def capped_sieve(M: int, table: PrimeTable | None = None) -> PrimeTable:
-    """A sieve reaching M: ``table`` itself when its limit is at least M
-    (ValueError otherwise), else sieve_primes(max(M, 2)) for a call given
-    no table, where a limit above SIEVE_CAP raises ValueError before
-    anything is allocated."""
+    """A sieve reaching the cutoff M >= 1: ``table`` itself when its limit
+    is at least M (ValueError otherwise), else sieve_primes(max(M, 2)) for
+    a call given no table, where a limit above SIEVE_CAP raises
+    ValueError before anything is allocated.  M below 1 raises first."""
+    if M < 1:
+        raise ValueError(f"naturals start at 1, got {M}")
     if table is not None:
         if table.limit < M:
             raise ValueError(
@@ -502,6 +504,7 @@ def _indicator(M: int, points) -> np.ndarray:
 
 
 def _odd_primes(M: int, table: PrimeTable) -> np.ndarray:
+    """The odd primes <= M of ``table``, ascending, as int64."""
     return table.primes[(table.primes > 2) & (table.primes <= M)]
 
 
@@ -515,15 +518,6 @@ def _kappa_values(M: int, table: PrimeTable) -> np.ndarray:
     for j, ps in blocks:
         kap[j * ps] *= ps
     return kap
-
-
-def _odd_prime_logs(M: int, table: PrimeTable) -> np.ndarray:
-    """mu^2 * 1_odd * Lambda: log p at odd primes p <= M, zero elsewhere
-    (prime powers p^k, k >= 2, drop out through the square-free factor)."""
-    vals = np.zeros(M + 1, dtype=np.float64)
-    pr = _odd_primes(M, table)
-    vals[pr] = np.log(pr.astype(np.float64))
-    return vals
 
 
 # name -> (kind, whether it needs a sieve, builder of its value array on
@@ -544,7 +538,9 @@ _TABULATORS = {
     "odd_primes": (EXACT, True, lambda M, t: _indicator(M, _odd_primes(M, t))),
     "squares": (EXACT, False,
                 lambda M, t: _indicator(M, np.arange(1, isqrt(M) + 1) ** 2)),
-    "odd_primes_log": (REAL, True, _odd_prime_logs),
+    # Lambda on the odd primes: the sieve's Lambda is the one table of logs
+    "odd_primes_log": (REAL, True, lambda M, t: t.von_mangoldt_values[: M + 1]
+                       * _indicator(M, _odd_primes(M, t))),
 }
 
 

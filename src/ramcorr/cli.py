@@ -175,10 +175,11 @@ def _cmd_transform(args) -> int:
 # correlate
 # ----------------------------------------------------------------------
 
-def _parse_shifts(text: str, N: int, cap: int):
+def _parse_shifts(text: str, N: int, cap: int, table):
     """The shifts of a ``--shifts`` list, in order.  Each token is counted
     before it is expanded, and the token that takes the list past ``cap``
-    shifts is refused, so no range allocates more than the cap."""
+    shifts is refused, so no range allocates more than the cap.  A U+k
+    token reads U from the sieve ``table`` (limit at least N)."""
     shifts = []
     u_cache = None
     for token in text.split(","):
@@ -192,7 +193,7 @@ def _parse_shifts(text: str, N: int, cap: int):
                 raise UsageError(f"bad shift token {token!r}") from None
             if u_cache is None:
                 from .ramanujan import universal_period
-                u_cache = universal_period(N)
+                u_cache = universal_period(N, table)
             lo = hi = u_cache + k
         elif ":" in token:
             lo_s, _, hi_s = token.partition(":")
@@ -245,13 +246,12 @@ def _cmd_correlate(args) -> int:
     N = args.N
     if N < 1:
         raise UsageError("--N must be >= 1")
-    _check_limit(args, N)  # before a U+k token builds U up to N
-    shifts = _parse_shifts(args.shifts, N, args.sieve_limit)
+    table = _need_sieve(args, N)
+    shifts = _parse_shifts(args.shifts, N, args.sieve_limit, table)
     fname = args.f
     if fname not in tabulated_function_names():
         raise UsageError(f"unknown factor {fname!r}; known: "
                          f"{', '.join(tabulated_function_names())}")
-    table = _need_sieve(args, N)
     f = tabulate(fname, N, table)
     g = _resolve_g(args.g, N, args, table)
     try:

@@ -39,7 +39,8 @@ import json
 import math
 import sys
 
-from .arith_core import TabulatedFunction, agree, collapse, tolerance
+from .arith_core import (PrimeTable, TabulatedFunction, agree, collapse,
+                         sieve_primes, tolerance)
 from .ramanujan import (UndefinedPeriodError, _divisor_form,
                         universal_period, wintner_coefficients)
 from .transforms import TruncatedDivisorSum, eratosthenes_transform
@@ -139,20 +140,21 @@ def correlate_expansion(f: TabulatedFunction, g: TruncatedDivisorSum,
 
 
 def truncation_difference(f: TabulatedFunction, g_source: TabulatedFunction,
-                          N: int, a: int):
+                          N: int, a: int, table: PrimeTable | None = None):
     """Exact difference C_{f,g}(N,a) - C_{f,g_N}(N,a) as a tail sum:
 
         sum over N < d <= N+a of g'(d) * sum over n <= N, d | n+a of f(n),
 
     which is the direct route on the tail table (g' on (N, N+a], zero on
-    [1..N]); exact for an exact pair, a float otherwise.
+    [1..N]); exact for an exact pair, a float otherwise.  ``table`` is
+    the sieve of the transform to N + a, as in ``eratosthenes_transform``.
     """
     if a < 1:
         raise ValueError(f"shifts are naturals >= 1, got {a}")
     if g_source.limit < N + a:
         raise ValueError(
             f"g tabulated only to {g_source.limit}, need N+a={N + a}")
-    tail = eratosthenes_transform(g_source, N + a).values
+    tail = eratosthenes_transform(g_source, N + a, table).values
     tail[: N + 1] = 0
     return correlate_direct(
         f, TruncatedDivisorSum(N + a, g_source.kind, tail), N, a)
@@ -242,8 +244,9 @@ def _text_rows(profile: CorrelationProfile) -> list[tuple[str, str]]:
     in full decimal unless that text exceeds Python's int-to-str digit
     limit; then it is written as its token U+k, U the product of the odd
     primes up to the profile's length (only a U+k token can produce such
-    a shift).  An exact value past that limit has no token: ValueError
-    names the shift and the limit."""
+    a shift), read from a sieve to that length.  The sieve takes no cap:
+    the profile was computed at that length already.  An exact value past
+    that limit has no token: ValueError names the shift and the limit."""
     rows = []
     U = None
     for a, v in profile.entries:
@@ -251,7 +254,8 @@ def _text_rows(profile: CorrelationProfile) -> list[tuple[str, str]]:
             shift = str(a)
         except ValueError:
             if U is None:
-                U = universal_period(profile.length)
+                U = universal_period(profile.length, sieve_primes(
+                    max(profile.length, 2)))
             shift = f"U+{a - U}"
         try:
             value = format_value(v)

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith_core import (REAL_TOL, PrimeTable, TabulatedFunction, agree,
-                         capped_sieve, divisors_int, mobius_int, odd_part,
-                         tabulate)
+from .arith_core import (REAL_TOL, PrimeTable, TabulatedFunction, _odd_primes,
+                         agree, capped_sieve, divisors_int, mobius_int,
+                         odd_part, tabulate)
 from .correlations import correlate_direct, format_value
 from .ramanujan import universal_period
 from .transforms import (TruncatedDivisorSum, evaluate_tds_range, lambda_tds,
@@ -123,11 +123,10 @@ def artifact_identity_check(N: int, a: int, table: PrimeTable) -> bool:
         raise ValueError(f"shifts are naturals >= 1, got {a}")
     table = capped_sieve(N + a, table)
     lam = table.von_mangoldt_values
-    primes = [int(p) for p in table.primes if 2 < p <= N]
     art = artifact(N, a, table)
     closed = 0.0
     correction = 0.0
-    for p in primes:
+    for p in _odd_primes(N, table).tolist():
         lp = math.log(p)
         m = p + a
         if a % 2 == 0:
@@ -245,13 +244,13 @@ def chebyshev_theta(N: int, table: PrimeTable) -> float:
     """theta(N) = sum of log p over primes p <= N."""
     table = capped_sieve(max(N, 2), table)
     pr = table.primes[table.primes <= N]
-    return float(np.log(pr.astype(np.float64)).sum()) if len(pr) else 0.0
+    return float(table.von_mangoldt_values[pr].sum())
 
 
 def pnt_sanity(N: int, table: PrimeTable) -> bool:
     """Exact identity up to float rounding: log(2 * U_N) == theta(N),
     U_N the product of odd primes up to N."""
-    U = universal_period(N)
+    U = universal_period(N, table)
     return agree(math.log(2 * U), chebyshev_theta(N, table), 1e-6)
 
 

@@ -23,7 +23,10 @@ in the same text format.
 
 Periods are plain Python ints, arbitrary-precision from the start: the
 product of the odd primes up to N grows like e^N and leaves 64 bits
-almost immediately.
+almost immediately.  ``universal_period`` reads those primes from the
+sieve (``capped_sieve``, so without a table N is held to SIEVE_CAP) and
+multiplies them in a balanced product tree; Lucht inversion reads mu
+from a sieve too, so trial division serves single integers only.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith_core import (COEFF_TOL, SIEVE_CAP, SUPPORT_EPS, TabulatedFunction,
-                         agree, collapse, divisors_int, is_prime_int,
-                         mobius_int, tolerance, zeros)
+from .arith_core import (COEFF_TOL, SIEVE_CAP, SUPPORT_EPS, PrimeTable,
+                         TabulatedFunction, _odd_primes, agree, capped_sieve,
+                         collapse, divisors_int, mobius_int, sieve_primes,
+                         tolerance, zeros)
 from .transforms import (TruncatedDivisorSum, read_table, truncate,
                          write_tds)
 
@@ -163,17 +167,19 @@ def lucht_invert(coeffs: RamanujanCoefficients) -> TruncatedDivisorSum:
     """Recover g'(d) = d * sum over K <= D/d of mu(K) ghat(dK).
 
     Exact for ExactInt tables (the recovered values must come out
-    integral); within float error for Real.
+    integral); within float error for Real.  mu comes from a sieve to D,
+    which needs no cap: it is smaller than the table being inverted.
     """
     D = coeffs.limit
     c = coeffs.values.tolist()
+    mu = sieve_primes(max(D, 2)).mobius_values.tolist()
     vals = zeros(D + 1, coeffs.kind)
     for d in range(1, D + 1):
         total = 0
         for K in range(1, D // d + 1):
             v = c[d * K]
             if v:
-                m = mobius_int(K)
+                m = mu[K]
                 if m:
                     total += m * v
         total *= d
@@ -238,15 +244,19 @@ def wintner_period(g: TruncatedDivisorSum, Q: int) -> int:
     return math.lcm(*(q for q, _ in coeffs.support(SUPPORT_EPS) if q <= Q))
 
 
-def universal_period(N: int) -> int:
-    """Product of the odd primes up to N (empty product = 1)."""
-    if N < 1:
-        raise ValueError(f"naturals start at 1, got {N}")
-    value = 1
-    for p in range(3, N + 1, 2):
-        if is_prime_int(p):
-            value *= p
-    return value
+def universal_period(N: int, table: PrimeTable | None = None) -> int:
+    """Product of the odd primes up to N (empty product = 1).
+
+    The primes are read from ``capped_sieve(N, table)`` and multiplied in
+    a balanced tree of pairwise products, so the big multiplications are
+    few and of equal size (a running product would multiply a growing
+    number by one small prime at a time).
+    """
+    factors = _odd_primes(N, capped_sieve(N, table)).tolist()
+    while len(factors) > 1:
+        factors = [math.prod(factors[i: i + 2])
+                   for i in range(0, len(factors), 2)]
+    return math.prod(factors)
 
 
 def half_range_identity_check(g_source: TabulatedFunction, N: int) -> bool:

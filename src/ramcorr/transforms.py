@@ -168,6 +168,8 @@ def truncate(F: TabulatedFunction, N: int,
 
 def retruncate(g: TruncatedDivisorSum, N: int) -> TruncatedDivisorSum:
     """Change the cutoff: drop entries above N, or pad with zeros up to N."""
+    if N < 1:
+        raise ValueError(f"naturals start at 1, got {N}")
     src = g._data
     vals = np.zeros(N + 1, dtype=src.dtype)
     top = min(N, g.limit) + 1
@@ -238,8 +240,7 @@ def lambda_tds(N: int, table: PrimeTable | None = None) -> TruncatedDivisorSum:
     """
     mu = capped_sieve(N, table).mobius_values[: N + 1].astype(np.float64)
     logs = np.zeros(N + 1, dtype=np.float64)
-    if N >= 1:
-        logs[1:] = np.log(np.arange(1, N + 1, dtype=np.float64))
+    logs[1:] = np.log(np.arange(1, N + 1, dtype=np.float64))
     return TruncatedDivisorSum(N, REAL, -mu * logs, name=f"lambda_{N}")
 
 

@@ -24,8 +24,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .arith_core import (EXACT, SUPPORT_EPS, TabulatedFunction, collapse,
-                         is_prime_int, mobius_int, odd_part, zeros)
+from .arith_core import (EXACT, SUPPORT_EPS, TabulatedFunction, _odd_primes,
+                         capped_sieve, collapse, is_prime_int, mobius_int,
+                         odd_part, zeros)
 from .correlations import verify_periodicity
 from .ramanujan import (UndefinedPeriodError, _as_predicate,
                         universal_period)
@@ -219,9 +220,11 @@ def random_ts_instance(N: int, rng):
 
     f carries random nonzero values in [-5, 5] on the odd primes up to N;
     g is a TDS with random nonzero values in [-5, 5] on the odd
-    square-free d <= N.
+    square-free d <= N, drawn after f's values, each in ascending order.
+    The primes and mu come from a sieve to N, so N is held to SIEVE_CAP.
     """
-    if N < 9 or is_prime_int(N) or is_prime_int(N - 1):
+    table = capped_sieve(max(N, 9))
+    if N < 9 or table.is_prime[N] or table.is_prime[N - 1]:
         raise ValueError(f"N={N} violates the parameter axiom "
                          "(need N >= 9 with N and N-1 composite)")
 
@@ -232,12 +235,11 @@ def random_ts_instance(N: int, rng):
                 return v
 
     fvals = zeros(N + 1, EXACT)
-    for p in range(3, N + 1, 2):
-        if is_prime_int(p):
-            fvals[p] = draw()
+    for p in _odd_primes(N, table).tolist():
+        fvals[p] = draw()
     et = zeros(N + 1, EXACT)
     for d in range(1, N + 1, 2):
-        if mobius_int(d) != 0:
+        if table.mobius_values[d]:
             et[d] = draw()
     return (TabulatedFunction(N, EXACT, fvals, "random_f"),
             TruncatedDivisorSum(N, EXACT, et, "random_g"))

@@ -310,9 +310,10 @@ def suite_entanglement(led: _Ledger, seed: int) -> None:
 
 def suite_models(led: _Ledger, seed: int) -> None:
     """Ladder consistency: every gap between neighbouring models equals
-    its independently enumerated correction, exactly."""
-    N = 2000
-    table = sieve_primes(N + 20)
+    its independently enumerated correction, exactly.  One sieve, to the
+    series' Q, serves every call."""
+    N, Q = 2000, 20000
+    table = sieve_primes(Q)
     lam_tab = tabulate("lambda", N + 20, table)
     lam = table.von_mangoldt_values
     g_plain = lambda_tds(N, table)
@@ -321,7 +322,7 @@ def suite_models(led: _Ledger, seed: int) -> None:
         a = row.a
         bound = tolerance(lam_tab, scale=max(1.0, abs(row.hl)))
         # full sum vs truncation: the explicit tail formula
-        tail = truncation_difference(lam_tab, lam_tab, N, a)
+        tail = truncation_difference(lam_tab, lam_tab, N, a, table)
         led.check(agree(row.hl - row.m61, tail, bound),
                   lambda: {"check": "tail", "a": a,
                            "gap": row.hl - row.m61, "tail": tail})
@@ -354,7 +355,7 @@ def suite_models(led: _Ledger, seed: int) -> None:
                 pk *= p
         led.check(agree(row.m63 - row.artifact, pp, bound),
                   lambda: {"check": "prime-powers", "a": a})
-    s2, s6, s3 = singular_series((2, 6, 3), Q=20000)
+    s2, s6, s3 = singular_series((2, 6, 3), Q=Q, table=table)
     for s in (s2, s6):
         led.check(agree(s.truncated_sum, s.euler_product, 0.01),
                   lambda: {"check": "singular-series", "a": s.a,

@@ -21,7 +21,8 @@ from ramcorr.ramanujan import (half_range_identity_check,
                                universal_period, wintner_coefficients,
                                wintner_period)
 from ramcorr.transforms import (divisor_sum_transform, eratosthenes_transform,
-                                evaluate_tds_range, odd_lift, tds_from_et)
+                                evaluate_tds_range, lambda_tds, odd_lift,
+                                retruncate, tds_from_et, truncate)
 from ramcorr.twoseasons import entangled_correlation
 
 CORRELATE = ["correlate", "--f", "unit", "--g", "delta1"]
@@ -210,6 +211,17 @@ NATURAL_0 = "naturals start at 1, got 0"
                  "tabulated only to 9, need 10", id="eratosthenes-past-limit"),
     pytest.param(lambda: divisor_sum_transform(F9, 10),
                  "tabulated only to 9, need 10", id="divisor-sum-past-limit"),
+    pytest.param(lambda: lambda_tds(0), NATURAL_0, id="lambda-tds-0"),
+    pytest.param(lambda: lambda_tds(-5), "naturals start at 1, got -5",
+                 id="lambda-tds-negative"),
+    pytest.param(lambda: eratosthenes_transform(F9, 0), NATURAL_0,
+                 id="eratosthenes-0"),
+    pytest.param(lambda: truncate(F9, 0), NATURAL_0, id="truncate-0"),
+    pytest.param(lambda: truncate(F9, -3), "naturals start at 1, got -3",
+                 id="truncate-negative"),
+    pytest.param(lambda: retruncate(G9, -1), "naturals start at 1, got -1",
+                 id="retruncate-negative"),
+    pytest.param(lambda: retruncate(G9, 0), NATURAL_0, id="retruncate-0"),
     pytest.param(lambda: TabulatedFunction(3, EXACT, [0, 1, 2]),
                  "value table must have limit+1 entries", id="wrong-length"),
     pytest.param(lambda: TabulatedFunction.from_entries({4: 1}, 3, EXACT),
