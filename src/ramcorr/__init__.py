@@ -14,9 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arith_core": (
         "EXACT", "REAL", "SUPPORT_EPS", "PrimeTable", "TabulatedFunction",
-        "euler_phi", "factorize", "kappa", "mobius", "odd_part",
-        "sieve_primes", "smooth_sifted_split", "tabulate", "v2",
-        "von_mangoldt"),
+        "odd_part", "sieve_primes", "tabulate", "v2"),
     "correlations": (
         "CorrelationProfile", "build_profile", "correlate_direct",
         "correlate_expansion", "small_shift_difference",

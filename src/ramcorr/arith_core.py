@@ -2,11 +2,10 @@
 
 Two building blocks everything else consumes:
 
-* ``PrimeTable`` -- an Eratosthenes sieve plus lazily built arrays: the
-  smallest-prime-factor table (built on the first ``factorize``) and the
-  batch arrays (Mobius, Euler phi, von Mangoldt).  mu and phi are swept
-  on narrow working arrays (int8; int32 below 2**31) and handed out as
-  int64, like the spf table.
+* ``PrimeTable`` -- an Eratosthenes sieve plus three lazily built arrays
+  over its range: Mobius, Euler phi and von Mangoldt.  mu and phi are
+  swept on narrow working arrays (int8; int32 below 2**31) and handed out
+  as int64.
 * ``TabulatedFunction`` -- a table of values on [1..limit].  Arithmetic
   functions, truncated divisor-sum tables and Ramanujan coefficient
   tables all use it.  Its ``values`` is a NumPy array whose dtype follows
@@ -18,13 +17,19 @@ Two building blocks everything else consumes:
   in ``transforms`` read; the object array is built only when someone
   reads ``values``.
 
-The prime- and divisor-indexed sweeps (the smallest-prime-factor fill,
-mu, phi, kappa, and the divisor sums in ``transforms``) are split at
-r = isqrt(M) by ``_sqrt_split``: one slice per point p <= r, then one
-vectorised scatter per cofactor j <= M // (r + 1) for all points above r
-at once.  A number n <= M has at most one prime factor above r, so the
-large primes enter mu, phi and kappa through n = j * p alone.  Each sweep
-takes O(sqrt(M)) Python steps instead of one per prime or support point.
+Each value reaches the program by one route.  Ranges come from the
+sieve: ``PrimeTable``'s three arrays, and ``tabulate`` for the named
+functions built on them (kappa among them).  Single integers come from
+trial division (``is_prime_int``, ``mobius_int``, ``divisors_int``),
+and the 2-adic split n = 2^v2(n) * odd_part(n) from bit operations.
+
+The prime- and divisor-indexed sweeps (mu, phi, kappa, and the divisor
+sums in ``transforms``) are split at r = isqrt(M) by ``_sqrt_split``:
+one slice per point p <= r, then one vectorised scatter per cofactor
+j <= M // (r + 1) for all points above r at once.  A number n <= M has
+at most one prime factor above r, so the large primes enter mu, phi and
+kappa through n = j * p alone.  Each sweep takes O(sqrt(M)) Python steps
+instead of one per prime or support point.
 
 Naturals start at 1 throughout; slot 0 of every value table is unused and
 kept at zero.  Empty products are 1, so kappa(1) = 1 and odd_part(1) = 1.
@@ -34,7 +39,6 @@ input because huge shifts (products of many primes) exceed 64 bits.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -83,32 +87,17 @@ def _sqrt_split(points: np.ndarray, M: int) -> tuple[np.ndarray, list]:
 
 @dataclass(eq=False)
 class PrimeTable:
-    """Primality up to ``limit`` plus lazily built tables derived from it.
+    """Primality up to ``limit`` plus the mu, phi and Lambda arrays on
+    [0..limit], each built once, on first access.
 
-    Immutable after construction; concurrent reads are safe.  The
-    smallest-prime-factor table and the mu/phi/Lambda value arrays are
-    each built once, on first access, so a caller that never factorises
-    never pays for the spf table.  mu and phi are swept on narrow working
-    arrays (int8, and int32 while limit < 2**31) and returned as int64.
+    Immutable after construction; concurrent reads are safe.  mu and phi
+    are swept on narrow working arrays (int8, and int32 while
+    limit < 2**31) and returned as int64.
     """
 
     limit: int
     is_prime: np.ndarray               # bool, len limit+1
     primes: np.ndarray                 # int64, ascending
-
-    @cached_property
-    def smallest_prime_factor(self) -> np.ndarray:
-        """spf(n) for n = 0..limit as int64 (spf[0] = 0, spf[1] = 1)."""
-        spf = np.zeros(self.limit + 1, dtype=np.int64)
-        spf[1] = 1
-        small, _ = _sqrt_split(self.primes, self.limit)
-        # descending order: the last write at each index is the smallest prime
-        for p in small[::-1].tolist():
-            spf[p::p] = p
-        # a slot still unset has no prime factor <= sqrt(M), so it is a prime
-        large = self.primes[small.size:]
-        spf[large] = large
-        return spf
 
     @cached_property
     def mobius_values(self) -> np.ndarray:
@@ -160,7 +149,7 @@ class PrimeTable:
 
 
 def sieve_primes(M: int) -> PrimeTable:
-    """Eratosthenes sieve up to M >= 2 (the spf table is built lazily)."""
+    """Eratosthenes sieve up to M >= 2 (its value arrays are built lazily)."""
     if M < 2:
         raise ValueError(f"sieve limit must be >= 2, got {M}")
     is_prime = np.ones(M + 1, dtype=bool)
@@ -195,61 +184,6 @@ def capped_sieve(M: int, table: PrimeTable | None = None) -> PrimeTable:
     return sieve_primes(max(M, 2))
 
 
-def _check_range(n: int, table: PrimeTable) -> None:
-    if n < 1:
-        raise ValueError(f"naturals start at 1, got {n}")
-    if n > table.limit:
-        raise ValueError(f"{n} exceeds sieve limit {table.limit}")
-
-
-def factorize(n: int, table: PrimeTable) -> list[tuple[int, int]]:
-    """Prime factorisation of n <= sieve limit as [(p, e), ...], ascending."""
-    _check_range(n, table)
-    spf = table.smallest_prime_factor
-    out: list[tuple[int, int]] = []
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
-def mobius(n: int, table: PrimeTable) -> int:
-    """mu(n): 0 if a square divides n, else (-1)^(number of prime factors)."""
-    fac = factorize(n, table)
-    if any(e > 1 for _, e in fac):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
-def euler_phi(n: int, table: PrimeTable) -> int:
-    """phi(n) = #{1 <= j <= n : gcd(j, n) = 1}, computed from the factorisation."""
-    _check_range(n, table)
-    res = n
-    for p, _ in factorize(n, table):
-        res = res // p * (p - 1)
-    return res
-
-
-def von_mangoldt(n: int, table: PrimeTable) -> float:
-    """Lambda(n) = log p if n = p^k (k >= 1), else 0."""
-    fac = factorize(n, table)
-    if len(fac) == 1:
-        return math.log(fac[0][0])
-    return 0.0
-
-
-def kappa(n: int, table: PrimeTable) -> int:
-    """Square-free kernel: product of the distinct primes dividing n; kappa(1) = 1."""
-    res = 1
-    for p, _ in factorize(n, table):
-        res *= p
-    return res
-
-
 def v2(n: int) -> int:
     """2-adic valuation; arbitrary-precision input."""
     if n < 1:
@@ -262,23 +196,6 @@ def odd_part(n: int) -> int:
     if n < 1:
         raise ValueError(f"naturals start at 1, got {n}")
     return n >> v2(n)
-
-
-def smooth_sifted_split(n: int, P: int, table: PrimeTable) -> tuple[int, int]:
-    """Split n = s * r with all prime factors of s <= P and of r > P.
-
-    For P = 2 the sifted part r is odd_part(n).
-    """
-    if P > table.limit:
-        raise ValueError(f"{P} exceeds sieve limit {table.limit}")
-    if P < 2 or not bool(table.is_prime[P]):
-        raise ValueError(f"P must be prime, got {P}")
-    _check_range(n, table)
-    smooth = 1
-    for p, e in factorize(n, table):
-        if p <= P:
-            smooth *= p ** e
-    return smooth, n // smooth
 
 
 # ----------------------------------------------------------------------

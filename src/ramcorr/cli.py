@@ -176,12 +176,13 @@ def _cmd_transform(args) -> int:
 # ----------------------------------------------------------------------
 
 def _parse_shifts(text: str, N: int, cap: int, table):
-    """The shifts of a ``--shifts`` list, in order.  Each token is counted
+    """(shifts, U): the shifts of a ``--shifts`` list, in order, and U of
+    length N if a U+k token built it (else None).  Each token is counted
     before it is expanded, and the token that takes the list past ``cap``
     shifts is refused, so no range allocates more than the cap.  A U+k
     token reads U from the sieve ``table`` (limit at least N)."""
     shifts = []
-    u_cache = None
+    U = None
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -191,10 +192,10 @@ def _parse_shifts(text: str, N: int, cap: int, table):
                 k = int(token[2:])
             except ValueError:
                 raise UsageError(f"bad shift token {token!r}") from None
-            if u_cache is None:
+            if U is None:
                 from .ramanujan import universal_period
-                u_cache = universal_period(N, table)
-            lo = hi = u_cache + k
+                U = universal_period(N, table)
+            lo = hi = U + k
         elif ":" in token:
             lo_s, _, hi_s = token.partition(":")
             try:
@@ -217,7 +218,7 @@ def _parse_shifts(text: str, N: int, cap: int, table):
         raise UsageError("no shifts given")
     if min(shifts) < 1:
         raise UsageError("shifts are naturals >= 1")
-    return shifts
+    return shifts, U
 
 
 def _resolve_g(name: str, N: int, args, table):
@@ -247,7 +248,7 @@ def _cmd_correlate(args) -> int:
     if N < 1:
         raise UsageError("--N must be >= 1")
     table = _need_sieve(args, N)
-    shifts = _parse_shifts(args.shifts, N, args.sieve_limit, table)
+    shifts, U = _parse_shifts(args.shifts, N, args.sieve_limit, table)
     fname = args.f
     if fname not in tabulated_function_names():
         raise UsageError(f"unknown factor {fname!r}; known: "
@@ -257,6 +258,7 @@ def _cmd_correlate(args) -> int:
     try:
         profile = build_profile(f, g, N, shifts, f_id=fname, g_id=args.g,
                                 method=args.mode)
+        profile._period = U  # the writer reuses the parse's U
         if args.format == "json":
             text = profile_to_json(profile) + "\n"
         else:

@@ -168,6 +168,8 @@ def small_shift_difference(f: TabulatedFunction, g_source: TabulatedFunction,
     """
     if not 1 <= a <= N:
         raise ValueError(f"shift must satisfy 1 <= a <= N, got a={a}, N={N}")
+    if f.limit < N:
+        raise ValueError(f"f tabulated only to {f.limit}, need {N}")
     if g_source.limit < N + a:
         raise ValueError(
             f"g tabulated only to {g_source.limit}, need N+a={N + a}")
@@ -206,6 +208,9 @@ class CorrelationProfile:
         self.f_id = f_id
         self.g_id = g_id
         self.entries = list(entries)
+        # U of this length when the caller already built it (the CLI's
+        # U+k tokens do); the writer builds it otherwise
+        self._period = None
         for (a1, _), (a2, _) in zip(self.entries, self.entries[1:]):
             if a1 >= a2:
                 raise ValueError("shifts must be strictly increasing")
@@ -244,11 +249,12 @@ def _text_rows(profile: CorrelationProfile) -> list[tuple[str, str]]:
     in full decimal unless that text exceeds Python's int-to-str digit
     limit; then it is written as its token U+k, U the product of the odd
     primes up to the profile's length (only a U+k token can produce such
-    a shift), read from a sieve to that length.  The sieve takes no cap:
-    the profile was computed at that length already.  An exact value past
-    that limit has no token: ValueError names the shift and the limit."""
+    a shift).  U is the profile's own when it carries one, else it is
+    read from a sieve to that length, which takes no cap: the profile was
+    computed at that length already.  An exact value past that limit has
+    no token: ValueError names the shift and the limit."""
     rows = []
-    U = None
+    U = profile._period
     for a, v in profile.entries:
         try:
             shift = str(a)

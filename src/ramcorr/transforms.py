@@ -115,6 +115,8 @@ def dirichlet_convolve(F: TabulatedFunction, G: TabulatedFunction,
     """
     if M is None:
         M = min(F.limit, G.limit)
+    if M < 1:
+        raise ValueError(f"naturals start at 1, got {M}")
     if F.limit < M or G.limit < M:
         raise ValueError(f"inputs must be tabulated to at least {M}")
     kind = EXACT if F.is_exact and G.is_exact else REAL
@@ -212,10 +214,12 @@ def odd_lift(x, method: str = "direct"):
     the Eratosthenes transform and re-convolves with 1 (odd naturals are
     divisor-closed, so both describe the same function).  For a
     TruncatedDivisorSum the lift acts on the stored transform, zeroing
-    even d and preserving the cutoff.
+    even d and preserving the cutoff; ``method`` is checked for both.
     """
     if not isinstance(x, TabulatedFunction):
         raise ValueError("odd_lift expects a TabulatedFunction or a TDS")
+    if method not in ("direct", "et"):
+        raise ValueError(f"unknown odd_lift method {method!r}")
     name = f"{x.name}^odd" if x.name else ""
     if isinstance(x, TruncatedDivisorSum):
         vals = x._data.copy()
@@ -226,11 +230,9 @@ def odd_lift(x, method: str = "direct"):
         vals = np.zeros(x.limit + 1, dtype=x._data.dtype)
         vals[1:] = x._data[n // (n & -n)]  # n & -n = 2^v2(n)
         return TabulatedFunction(x.limit, x.kind, vals, name)
-    if method == "et":
-        out = divisor_sum_transform(odd_lift(truncate(x, x.limit)))
-        out.name = name
-        return out
-    raise ValueError(f"unknown odd_lift method {method!r}")
+    out = divisor_sum_transform(odd_lift(truncate(x, x.limit)))
+    out.name = name
+    return out
 
 
 def lambda_tds(N: int, table: PrimeTable | None = None) -> TruncatedDivisorSum:

@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from ramcorr.arith_core import (EXACT, TabulatedFunction, kappa,
-                                mobius_int, sieve_primes, tabulate)
+from ramcorr.arith_core import (EXACT, TabulatedFunction, mobius_int,
+                                sieve_primes, tabulate)
 from ramcorr.correlations import correlate_direct, truncation_difference
 from ramcorr.hlmodels import (artifact_identity_check, artifact_pair,
                               hl_correlation, model_chain, singular_series)
@@ -27,6 +27,7 @@ from ramcorr.transforms import (eratosthenes_transform, evaluate_tds,
 from ramcorr.twoseasons import (combinatorial_identity_check,
                                 diophantine_count_even, diophantine_count_odd,
                                 random_ts_instance)
+from trial_division import trial_kappa
 
 SEED = 0x5EED
 
@@ -237,7 +238,7 @@ def test_c10_singular_series(table_100k):
         assert abs(s.truncated_sum - s.euler_product) <= 0.01, a
     for a in range(1, 101):
         sa = singular_series([a], Q=100_000, table=table_100k)[0]
-        sk = singular_series([kappa(a, table_100k)], Q=100_000,
+        sk = singular_series([trial_kappa(a)], Q=100_000,
                              table=table_100k)[0]
         assert abs(sa.truncated_sum - sk.truncated_sum) <= 1e-9, a
         if a % 2:

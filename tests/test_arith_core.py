@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from ramcorr import arith_core
 from ramcorr.arith_core import (COEFF_TOL, EXACT, REAL, REAL_TOL,
                                 TabulatedFunction, agree, collapse,
-                                divisors_int, euler_phi, factorize,
-                                is_prime_int, kappa, mobius, mobius_int,
-                                odd_part, sieve_primes, smooth_sifted_split,
-                                tabulate, tolerance, v2, von_mangoldt)
+                                divisors_int, is_prime_int, mobius_int,
+                                odd_part, sieve_primes, tabulate, tolerance,
+                                v2)
 from ramcorr.correlations import correlate_direct
 from ramcorr.hlmodels import artifact_pair, singular_series
 from ramcorr.transforms import dirichlet_convolve, lambda_tds
+from trial_division import trial_phi, trial_von_mangoldt
 
 
 def trial_division_is_prime(n):
@@ -48,13 +48,6 @@ class TestSieve:
     def test_against_trial_division(self, table_2k):
         for n in range(2, 2001):
             assert bool(table_2k.is_prime[n]) == trial_division_is_prime(n)
-
-    def test_spf_divides_and_is_prime(self, table_2k):
-        spf = table_2k.smallest_prime_factor
-        for n in range(2, 2001):
-            p = int(spf[n])
-            assert n % p == 0
-            assert trial_division_is_prime(p)
 
     # library entry points that sieve for themselves when given no table
     SIEVING = {
@@ -100,10 +93,9 @@ class TestSieve:
 
 class TestPointwiseFunctions:
     def test_mobius_values(self, table_200):
-        assert mobius(1, table_200) == 1
-        assert mobius(12, table_200) == 0
-        assert mobius(6, table_200) == 1
-        assert mobius(30, table_200) == -1
+        mu = table_200.mobius_values
+        for n, want in ((1, 1), (12, 0), (6, 1), (30, -1)):
+            assert mu[n] == mobius_int(n) == want
 
     def test_mobius_fundamental_identity(self, table_20k):
         # sum of mu(d) over d | n vanishes except at n = 1, exactly
@@ -118,37 +110,38 @@ class TestPointwiseFunctions:
         assert acc[1] == 1
         assert all(acc[n] == 0 for n in range(2, M + 1))
 
-    def test_mobius_rejects_out_of_range(self, table_200):
-        with pytest.raises(ValueError):
-            mobius(0, table_200)
-        with pytest.raises(ValueError):
-            mobius(201, table_200)
+    def test_mobius_rejects_out_of_range(self):
+        # single integers take trial division, which starts at 1
+        for n in (0, -1):
+            with pytest.raises(ValueError,
+                               match=f"^naturals start at 1, got {n}$"):
+                mobius_int(n)
 
     def test_phi_small(self, table_200):
-        assert euler_phi(1, table_200) == 1
-        assert euler_phi(9, table_200) == 6
+        assert table_200.phi_values[1] == 1
+        assert table_200.phi_values[9] == 6
 
     def test_phi_against_gcd_count(self, table_200):
         count = sum(1 for j in range(1, 106) if gcd(j, 105) == 1)
-        assert euler_phi(105, table_200) == count == 48
+        assert table_200.phi_values[105] == count == 48
 
     def test_phi_table_matches_pointwise(self, table_2k):
         phi = table_2k.phi_values
-        for n in range(1, 500):
-            assert int(phi[n]) == euler_phi(n, table_2k)
+        for n in range(1, 2001):
+            assert int(phi[n]) == trial_phi(n), n
 
     def test_von_mangoldt(self, table_200):
-        assert von_mangoldt(8, table_200) == pytest.approx(math.log(2))
-        assert von_mangoldt(1, table_200) == 0.0
-        assert von_mangoldt(6, table_200) == 0.0
+        lam = table_200.von_mangoldt_values
+        assert lam[8] == pytest.approx(math.log(2))
+        assert lam[1] == 0.0
+        assert lam[6] == 0.0
 
     def test_von_mangoldt_positive_iff_prime_power(self, table_2k):
+        lam = table_2k.von_mangoldt_values
         for n in range(1, 2001):
-            fac = factorize(n, table_2k)
-            expect_positive = len(fac) == 1
-            assert (von_mangoldt(n, table_2k) > 0) == expect_positive
-            assert table_2k.von_mangoldt_values[n] == pytest.approx(
-                von_mangoldt(n, table_2k))
+            want = trial_von_mangoldt(n)
+            assert (lam[n] > 0) == (want > 0), n
+            assert lam[n] == pytest.approx(want), n
 
     def test_von_mangoldt_prime_powers_copy_the_prime_bitwise(self):
         # one log source: Lambda(p^k) is the float of Lambda(p), bit for bit
@@ -162,15 +155,16 @@ class TestPointwiseFunctions:
                 pk *= p
 
     def test_kappa(self, table_200):
-        assert kappa(1, table_200) == 1
-        assert kappa(12, table_200) == 6
-        assert kappa(49, table_200) == 7
+        kap = tabulate("kappa", 200, table_200)
+        assert (kap[1], kap[12], kap[49]) == (1, 6, 7)
 
     def test_kappa_divides_and_squarefree(self, table_20k):
-        for n in range(1, 10 ** 4 + 1):
-            k = kappa(n, table_20k)
+        kap = tabulate("kappa", 10 ** 4, table_20k)
+        mu = table_20k.mobius_values
+        for n, k in kap.support():
             assert n % k == 0
-            assert mobius(k, table_20k) != 0
+            assert mu[k] != 0
+        assert len(kap.support()) == 10 ** 4
 
 
 class TestTwoAdicSplit:
@@ -197,28 +191,11 @@ class TestTwoAdicSplit:
         assert odd_part(n) == 3 ** 50
 
 
-class TestSmoothSiftedSplit:
-    def test_examples(self, table_200):
-        assert smooth_sifted_split(40, 2, table_200) == (8, 5)
-        assert smooth_sifted_split(1, 5, table_200) == (1, 1)
-        assert smooth_sifted_split(90, 3, table_200) == (18, 5)
-
-    def test_rejects_composite_p(self, table_200):
-        with pytest.raises(ValueError):
-            smooth_sifted_split(40, 4, table_200)
-
-    def test_split_properties(self, table_2k):
-        for n in range(1, 300):
-            s, r = smooth_sifted_split(n, 5, table_2k)
-            assert s * r == n
-            assert all(p <= 5 for p, _ in factorize(s, table_2k))
-            assert all(p > 5 for p, _ in factorize(r, table_2k))
-
-
 class TestIntUtilities:
     def test_mobius_int_matches_sieved(self, table_2k):
+        mu = table_2k.mobius_values
         for n in range(1, 2001):
-            assert mobius_int(n) == mobius(n, table_2k)
+            assert mobius_int(n) == mu[n], n
 
     def test_divisors_int(self):
         assert divisors_int(1) == (1,)

@@ -19,21 +19,7 @@ from ramcorr.ramanujan import (UndefinedPeriodError, ramanujan_sum_table,
                                wintner_period)
 from ramcorr.transforms import (evaluate_tds, lambda_tds, odd_lift,
                                 tds_from_et, truncate)
-
-
-def spf_von_mangoldt(n):
-    """Independent per-n von Mangoldt via raw factorisation."""
-    if n < 2:
-        return 0.0
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            return math.log(p) if m == 1 else 0.0
-        p += 1
-    return math.log(n)
+from trial_division import trial_von_mangoldt
 
 
 def random_exact_table(rng, M, lo=-6, hi=6):
@@ -55,7 +41,7 @@ class TestCorrelateDirect:
     def test_lambda_pair_brute_force(self, table_200):
         lam = tabulate("lambda", 120, table_200)
         got = correlate_direct(lam, lam, 100, 2)
-        oracle = sum(spf_von_mangoldt(n) * spf_von_mangoldt(n + 2)
+        oracle = sum(trial_von_mangoldt(n) * trial_von_mangoldt(n + 2)
                      for n in range(1, 101))
         assert got == pytest.approx(oracle, abs=1e-9)
 

@@ -5,7 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from ramcorr.arith_core import divisors_int, kappa, sieve_primes
+from ramcorr.arith_core import divisors_int, sieve_primes
 from ramcorr.hlmodels import (MODEL_CSV_HEADER, artifact,
                               artifact_identity_check, artifact_pair,
                               chebyshev_theta, hl_correlation, model_chain,
@@ -13,26 +13,13 @@ from ramcorr.hlmodels import (MODEL_CSV_HEADER, artifact,
                               singular_to_csv)
 from ramcorr.ramanujan import universal_period
 from ramcorr.transforms import evaluate_tds, lambda_tds
-
-
-def spf_von_mangoldt(n):
-    if n < 2:
-        return 0.0
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            return math.log(p) if m == 1 else 0.0
-        p += 1
-    return math.log(n)
+from trial_division import trial_kappa, trial_von_mangoldt
 
 
 class TestHlCorrelation:
     def test_small_brute_force(self, table_200):
         got = hl_correlation(10, 2, table_200)
-        oracle = sum(spf_von_mangoldt(n) * spf_von_mangoldt(n + 2)
+        oracle = sum(trial_von_mangoldt(n) * trial_von_mangoldt(n + 2)
                      for n in range(1, 11))
         assert got == pytest.approx(oracle, abs=1e-12)
         # prime-power pairs (2,4) and (7,9) belong to the sum too
@@ -123,7 +110,7 @@ class TestModelChain:
         # N = 9, a = 2: enumerate every model from scratch
         N, a = 9, 2
         row = model_chain(N, [a], table_200)[0]
-        lam = [spf_von_mangoldt(n) for n in range(N + a + 1)]
+        lam = [trial_von_mangoldt(n) for n in range(N + a + 1)]
         lam_n = lambda_tds(N, table_200)
         lam_n_odd = [0.0] + [evaluate_tds(lam_n, m) if m % 2
                              else evaluate_tds(lam_n, m >> (m & -m).bit_length() - 1)
@@ -179,10 +166,10 @@ class TestSingularSeries:
             assert abs(s.truncated_sum) <= 0.01
             assert s.euler_product == 0.0  # factor at p = 2 is exactly zero
 
-    def test_ignores_prime_powers(self, table_200):
+    def test_ignores_prime_powers(self):
         table = sieve_primes(50_000)
         for a in (4, 8, 9, 12, 27, 99):
-            k = kappa(a, table_200)
+            k = trial_kappa(a)
             sa = singular_series([a], Q=50_000, table=table)[0]
             sk = singular_series([k], Q=50_000, table=table)[0]
             assert sa.truncated_sum == pytest.approx(sk.truncated_sum,

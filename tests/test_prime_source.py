@@ -2,6 +2,7 @@
 logs are read from the sieve.  The trial-division helpers stay here as
 the oracles of those reads."""
 
+import io
 import random
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ from ramcorr import arith_core, verify
 from ramcorr.arith_core import (EXACT, SIEVE_CAP, divisors_int, is_prime_int,
                                 mobius_int, sieve_primes, tabulate, zeros)
 from ramcorr.cli import main
+from ramcorr.correlations import build_profile, profile_to_csv
 from ramcorr.hlmodels import chebyshev_theta
 from ramcorr.ramanujan import (RamanujanCoefficients, lucht_invert,
                                universal_period, wintner_coefficients)
@@ -119,8 +121,8 @@ class TestCorrelateAboveTheCap:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sieve_limit_above_the_cap_writes_the_u_rows(self, capsys,
                                                          monkeypatch, fmt):
-        # the export sieves to the profile's length without the cap, so a
-        # configured limit above SIEVE_CAP still writes the U+k token
+        # the U+k token reads U from the configured sieve, and the writer
+        # reuses it, so a limit above SIEVE_CAP still writes the U+k token
         argv = ["--sieve-limit", "12000", "correlate", "--f", "mobius",
                 "--g", "delta1", "--N", "12000", "--shifts", "1,U+1",
                 "--format", fmt]
@@ -132,6 +134,45 @@ class TestCorrelateAboveTheCap:
         assert (got.out, got.err) == (want.out, want.err)
         if getattr(sys, "get_int_max_str_digits", lambda: 0)():
             assert "U+1" in got.out
+
+
+class TestOneU:
+    ARGV = ["correlate", "--f", "odd_primes_log", "--g", "lambdaN",
+            "--N", "12000", "--shifts", "1,U+1"]
+
+    @pytest.fixture()
+    def period_calls(self, monkeypatch):
+        """The lengths of every universal_period call, through any binding."""
+        calls = []
+
+        def counted(N, table=None):
+            calls.append(N)
+            return universal_period(N, table)
+        _rebind_everywhere(monkeypatch, universal_period, counted)
+        return calls
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_correlate_builds_u_once(self, capsys, period_calls, fmt):
+        assert main([*self.ARGV, "--format", fmt]) == 0
+        assert period_calls == [12000]
+        if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+            assert "U+1" in capsys.readouterr().out
+
+    def test_a_library_profile_builds_its_own_u(self, period_calls):
+        # a profile built without the CLI carries no U; the writer builds it
+        N = 12000
+        big = universal_period(N) + 1  # this module's binding: not counted
+        g = tds_from_et({1: 1}, N, EXACT)
+        profile = build_profile(tabulate("mobius", N), g, N, [1, big])
+        buf = io.StringIO()
+        profile_to_csv(profile, buf)
+        rows = [row.split(",") for row in buf.getvalue().splitlines()]
+        if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+            assert period_calls == [N]
+            assert rows[2][0] == "U+1"
+        else:
+            assert period_calls == [] and rows[2][0] == str(big)
+        assert rows[1][1] == rows[2][1]
 
 
 class TestPrimeLogs:

@@ -22,6 +22,7 @@ from ramcorr.ramanujan import (RamanujanCoefficients,
                                write_coefficients)
 from ramcorr.transforms import (evaluate_tds, lambda_tds, tds_from_et,
                                 truncate)
+from trial_division import trial_kappa
 
 
 def cosine_oracle(q, a):
@@ -75,12 +76,11 @@ class TestRamanujanSum:
     def test_periodicity_in_argument(self, q, a):
         assert ramanujan_sum(q, a) == ramanujan_sum(q, a % q)
 
-    def test_squarefree_kernel_invariance(self, table_2k):
+    def test_squarefree_kernel_invariance(self):
         # holds for square-free moduli only
-        from ramcorr.arith_core import kappa
         for q in (1, 2, 3, 5, 6, 10, 15, 30, 42):
             for a in range(1, 1001, 37):
-                k = kappa(a, table_2k)
+                k = trial_kappa(a)
                 assert ramanujan_sum(q, a) == ramanujan_sum(q, k)
 
     def test_table_matches_pointwise(self):

@@ -8,8 +8,7 @@ import pytest
 
 from ramcorr import ramanujan
 from ramcorr.arith_core import (EXACT, TabulatedFunction, divisors_int,
-                                mobius_int, sieve_primes, smooth_sifted_split,
-                                tabulate)
+                                mobius_int, sieve_primes, tabulate)
 from ramcorr.cli import main
 from ramcorr.correlations import (CorrelationProfile, build_profile,
                                   correlate_direct, correlate_expansion,
@@ -20,9 +19,10 @@ from ramcorr.ramanujan import (half_range_identity_check,
                                ramanujan_expand_range, ramanujan_sum_table,
                                universal_period, wintner_coefficients,
                                wintner_period)
-from ramcorr.transforms import (divisor_sum_transform, eratosthenes_transform,
-                                evaluate_tds_range, lambda_tds, odd_lift,
-                                retruncate, tds_from_et, truncate)
+from ramcorr.transforms import (dirichlet_convolve, divisor_sum_transform,
+                                eratosthenes_transform, evaluate_tds_range,
+                                lambda_tds, odd_lift, retruncate, tds_from_et,
+                                truncate)
 from ramcorr.twoseasons import entangled_correlation
 
 CORRELATE = ["correlate", "--f", "unit", "--g", "delta1"]
@@ -192,6 +192,9 @@ NATURAL_0 = "naturals start at 1, got 0"
                                                 9, 2),
                  "g tabulated only to 10, need N+a=11",
                  id="small-shift-short-g"),
+    pytest.param(lambda: small_shift_difference(F5, tabulate("lambda", 20,
+                                                             TABLE), 10, 3),
+                 "f tabulated only to 5, need 10", id="small-shift-short-f"),
     pytest.param(lambda: universal_period(0), NATURAL_0,
                  id="universal-period-0"),
     pytest.param(lambda: wintner_period(G9, 0), "Q must be >= 1, got 0",
@@ -207,6 +210,14 @@ NATURAL_0 = "naturals start at 1, got 0"
     pytest.param(lambda: odd_lift(3),
                  "odd_lift expects a TabulatedFunction or a TDS",
                  id="odd-lift-int"),
+    pytest.param(lambda: odd_lift(G9, method="sideways"),
+                 "unknown odd_lift method 'sideways'",
+                 id="odd-lift-tds-unknown-method"),
+    pytest.param(lambda: dirichlet_convolve(F9, F9, 0), NATURAL_0,
+                 id="dirichlet-convolve-0"),
+    pytest.param(lambda: dirichlet_convolve(F9, F9, -3),
+                 "naturals start at 1, got -3",
+                 id="dirichlet-convolve-negative"),
     pytest.param(lambda: eratosthenes_transform(F9, 10),
                  "tabulated only to 9, need 10", id="eratosthenes-past-limit"),
     pytest.param(lambda: divisor_sum_transform(F9, 10),
@@ -228,8 +239,6 @@ NATURAL_0 = "naturals start at 1, got 0"
                  "support point 4 outside [1, 3]", id="from-entries-range"),
     pytest.param(lambda: F9.support_upto(10),
                  "tabulated only to 9, need 10", id="support-upto-past-limit"),
-    pytest.param(lambda: smooth_sifted_split(10, 211, TABLE),
-                 "211 exceeds sieve limit 200", id="smooth-split-past-limit"),
     pytest.param(lambda: mobius_int(0), NATURAL_0, id="mobius-int-0"),
     pytest.param(lambda: divisors_int(0), NATURAL_0, id="divisors-int-0"),
     pytest.param(lambda: artifact_identity_check(9, 0, TABLE), SHIFT_0,

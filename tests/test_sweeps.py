@@ -1,4 +1,4 @@
-"""The sqrt(M)-split sweeps (sieve, spf, mu, phi, kappa, and the convolution
+"""The sqrt(M)-split sweeps (sieve, mu, phi, kappa, and the convolution
 kernel behind the Dirichlet product, the Eratosthenes transform and the
 divisor sums) against trial-division oracles and the plain per-point
 loops they replace, and a guard on the number of Python-level steps they
@@ -19,11 +19,8 @@ import pytest
 from ramcorr import arith_core, transforms
 from ramcorr.arith_core import (EXACT, REAL, SIEVE_CAP, PrimeTable,
                                 TabulatedFunction, capped_sieve,
-                                divisors_int, euler_phi,
-                                factorize, is_prime_int, kappa, mobius,
-                                mobius_int, sieve_primes, smooth_sifted_split,
-                                tabulate, v2,
-                                von_mangoldt, zeros)
+                                divisors_int, is_prime_int, mobius_int,
+                                sieve_primes, tabulate, v2, zeros)
 from ramcorr.cli import main
 from ramcorr.hlmodels import artifact_pair, model_chain, singular_series
 from ramcorr.transforms import (TruncatedDivisorSum, dirichlet_convolve,
@@ -38,43 +35,36 @@ SPLIT_LIMITS = [2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 97, 1000, 1001,
 ORACLE_TOP = max(SPLIT_LIMITS)
 
 
-def smallest_divisor(n):
-    """Smallest prime factor of n >= 2, by trial division."""
-    return next((p for p in range(2, isqrt(n) + 1) if n % p == 0), n)
-
-
 def phi_by_gcd_count(n):
     return sum(1 for j in range(1, n + 1) if gcd(j, n) == 1)
 
 
 @cache
 def oracles():
-    """Trial-division spf, mu, phi and kappa on [0..ORACLE_TOP].
+    """Trial-division mu, phi and kappa on [0..ORACLE_TOP].
 
     phi is the gcd count up to 1001 and above that the Mobius divisor sum
     n * sum over d | n of mu(d)/d, both free of any sieve; the gcd count
     is also checked at a sample above 1001 (see the test)."""
     n_all = range(ORACLE_TOP + 1)
-    spf = [0, 1] + [smallest_divisor(n) for n in n_all[2:]]
     mu = [0] + [mobius_int(n) for n in n_all[1:]]
     phi = [0] + [phi_by_gcd_count(n) if n <= 1001 else
                  sum(mobius_int(d) * (n // d) for d in divisors_int(n))
                  for n in n_all[1:]]
     kap = [0] + [prod(p for p in divisors_int(n) if is_prime_int(p))
                  for n in n_all[1:]]
-    return spf, mu, phi, kap
+    return mu, phi, kap
 
 
 @pytest.mark.parametrize("M", SPLIT_LIMITS)
 def test_sieve_arrays_match_trial_division(M, table_20k):
-    spf, mu, phi, kap = oracles()
+    mu, phi, kap = oracles()
     t = sieve_primes(M)
     assert t.is_prime.tolist() == [is_prime_int(n) for n in range(M + 1)]
-    assert t.smallest_prime_factor.tolist() == spf[: M + 1]
     assert t.mobius_values.tolist() == mu[: M + 1]
     assert t.phi_values.tolist() == phi[: M + 1]
     # the sweeps run on narrow working arrays; the API arrays are int64
-    for arr in (t.smallest_prime_factor, t.mobius_values, t.phi_values):
+    for arr in (t.mobius_values, t.phi_values):
         assert arr.dtype == np.int64
     for table in (t, table_20k):  # kappa sweeps to M below the table limit
         got = tabulate("kappa", M, table).values
@@ -83,7 +73,7 @@ def test_sieve_arrays_match_trial_division(M, table_20k):
 
 
 def test_phi_gcd_count_at_the_top():
-    phi = oracles()[2]
+    phi = oracles()[1]
     rng = random.Random(5)
     sample = {*range(ORACLE_TOP - 40, ORACLE_TOP + 1),
               *range(141 ** 2 - 3, 141 ** 2 + 4),
@@ -413,7 +403,7 @@ def test_real_transform_of_lambda_within_the_stated_bound(table_200k):
     M = 200_000
     F = tabulate("lambda", M, table_200k)
     got = eratosthenes_transform(F, table=table_200k).values
-    mu = np.array(oracles()[1] + [mobius_int(n)
+    mu = np.array(oracles()[0] + [mobius_int(n)
                                   for n in range(ORACLE_TOP + 1, M + 1)])
     want = np.zeros(M + 1)
     want[1:] = -mu[1:] * np.log(np.arange(1, M + 1, dtype=np.float64))
@@ -505,30 +495,33 @@ def test_sieve_mu_phi_kappa_against_sympy_factorint(table_200k):
         assert kap[n] == prod(fac), n
 
 
-def test_factorization_helpers_against_sympy_factorint(table_200k):
+def test_factorization_helpers_against_sympy_factorint():
+    # the single-integer route: trial division, checked on a sample to 2e5
     sympy = pytest.importorskip("sympy")
     rng = random.Random(13)
     sample = sorted({1, 2, 4, 3 ** 11, 2 ** 17, 443 * 449, 199_999, 200_000,
                      *rng.sample(range(3, 200_001), 400)})
-    # 443 < isqrt(2e5) < 449: P on both sides of the split
-    bounds = (2, 3, 7, 443, 449, 199_999)
-    t = table_200k
     for n in sample:
         fac = sympy.factorint(n)
-        assert factorize(n, t) == sorted(fac.items()), n
         square_free = all(e == 1 for e in fac.values())
-        assert mobius(n, t) == ((-1) ** len(fac) if square_free else 0), n
-        assert euler_phi(n, t) == prod(p ** (e - 1) * (p - 1)
-                                       for p, e in fac.items()), n
-        assert kappa(n, t) == prod(fac), n
+        assert mobius_int(n) == ((-1) ** len(fac) if square_free else 0), n
+        assert divisors_int(n) == tuple(sympy.divisors(n)), n
+        assert is_prime_int(n) == (list(fac.values()) == [1]), n
+
+
+def test_sieve_von_mangoldt_against_sympy_factorint(table_200k):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(13)
+    sample = sorted({1, 2, 4, 3 ** 11, 2 ** 17, 443 ** 2, 199_999, 200_000,
+                     *rng.sample(range(3, 200_001), 400)})
+    lam = table_200k.von_mangoldt_values
+    for n in sample:
+        fac = sympy.factorint(n)
         want = math.log(next(iter(fac))) if len(fac) == 1 else 0.0
-        assert von_mangoldt(n, t) == want, n
-        P = rng.choice(bounds)
-        smooth = prod(p ** e for p, e in fac.items() if p <= P)
-        assert smooth_sifted_split(n, P, t) == (smooth, n // smooth), (n, P)
+        assert lam[n] == pytest.approx(want, rel=1e-15, abs=0), n
 
 
-def test_hl_leaves_the_spf_table_unbuilt(monkeypatch, tmp_path):
+def test_hl_builds_one_sieve_and_its_three_arrays(monkeypatch, tmp_path):
     tables = []
 
     def sieve(M):
@@ -538,9 +531,8 @@ def test_hl_leaves_the_spf_table_unbuilt(monkeypatch, tmp_path):
     assert main(["hl", "--N-list", "1000", "--a-list", "2,3", "--Q", "20000",
                  "--out", str(tmp_path / "hl.csv")]) == 0
     [table] = tables
-    built = vars(table)
-    assert {"mobius_values", "phi_values", "von_mangoldt_values"} <= set(built)
-    assert "smallest_prime_factor" not in built
+    built = set(vars(table)) - {"limit", "is_prime", "primes"}
+    assert built == {"mobius_values", "phi_values", "von_mangoldt_values"}
 
 
 # ----------------------------------------------------------------------
@@ -550,7 +542,6 @@ def test_hl_leaves_the_spf_table_unbuilt(monkeypatch, tmp_path):
 
 SWEEPS = {
     arith_core.sieve_primes.__code__: "sieve_primes",
-    PrimeTable.smallest_prime_factor.func.__code__: "smallest_prime_factor",
     PrimeTable.mobius_values.func.__code__: "mobius_values",
     PrimeTable.phi_values.func.__code__: "phi_values",
     arith_core._kappa_values.__code__: "_kappa_values",
@@ -593,8 +584,6 @@ def test_hl_ladder_sweeps_take_sqrt_steps(tmp_path):
             "--Q", "2000000", "--out", str(tmp_path / "hl.csv")]
     records = sweep_line_counts(lambda: main(argv))
     records += sweep_line_counts(lambda: tabulate("kappa", 200_000))
-    records += sweep_line_counts(
-        lambda: factorize(199_999, sieve_primes(200_000)))
     records += sweep_line_counts(lambda: main(
         ["transform", "--fn", "phi", "--N", "200000",
          "--out", str(tmp_path / "phi.tds")]))
