@@ -22,18 +22,16 @@ _EXPORTS = {
     "hlmodels": (
         "ModelRow", "SingularSeriesValue", "artifact",
         "artifact_identity_check", "artifact_pair", "chebyshev_theta",
-        "hl_correlation", "model_chain", "pnt_sanity", "singular_series"),
+        "model_chain", "pnt_sanity", "singular_series"),
     "ramanujan": (
         "RamanujanCoefficients", "UndefinedPeriodError",
         "half_range_identity_check", "lucht_invert", "ramanujan_expand",
-        "ramanujan_expand_range", "ramanujan_orthogonality",
-        "ramanujan_sum", "support_closure_check", "universal_period",
-        "wintner_coefficients", "wintner_period"),
+        "ramanujan_expand_range", "ramanujan_sum", "support_closure_check",
+        "universal_period", "wintner_coefficients", "wintner_period"),
     "transforms": (
-        "TruncatedDivisorSum", "dirichlet_convolve", "divisor_sum_transform",
-        "eratosthenes_transform", "evaluate_tds", "evaluate_tds_range",
-        "lambda_tds", "odd_lift", "read_tds", "read_tds_path", "tds_from_et",
-        "truncate", "write_tds", "write_tds_path"),
+        "TruncatedDivisorSum", "eratosthenes_transform", "evaluate_tds",
+        "evaluate_tds_range", "lambda_tds", "odd_lift", "read_tds",
+        "tds_from_et", "truncate", "write_tds"),
     "twoseasons": (
         "AxiomCheck", "AxiomError", "AxiomReport", "check_axioms",
         "combinatorial_identity_check", "diophantine_count_even",

@@ -43,6 +43,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt
+from numbers import Rational
 from operator import itemgetter
 
 import numpy as np
@@ -301,10 +302,22 @@ def collapse(v, *tables):
 def _python_scalars(values: np.ndarray) -> np.ndarray:
     """An exact object array with every NumPy integer or bool entry
     replaced by the Python int: a NumPy scalar would compute in wrapping
-    64-bit arithmetic.  ``values`` itself when it holds none."""
+    64-bit arithmetic.  ``values`` itself when it holds none.
+
+    Raises ValueError naming the first index whose entry is neither
+    rational (an int, a Fraction, a NumPy integer) nor a NumPy bool: no
+    exact sum could take it.
+    """
     entries = values.tolist()
     numpy_types = (np.integer, np.bool_)
-    if not any(issubclass(t, numpy_types) for t in set(map(type, entries))):
+    exact_types = (Rational, np.bool_)
+    types = set(map(type, entries))
+    if not all(issubclass(t, exact_types) for t in types):
+        n = next(n for n, v in enumerate(entries)
+                 if not isinstance(v, exact_types))
+        raise ValueError(
+            f"exact entry {n} is {entries[n]!r}, not an int or a Fraction")
+    if not any(issubclass(t, numpy_types) for t in types):
         return values
     out = np.empty(len(entries), dtype=object)
     out[:] = [int(v) if isinstance(v, numpy_types) else v for v in entries]

@@ -48,6 +48,7 @@ class UsageError(Exception):
 
 
 def _load_config_file(path: str) -> dict:
+    """{key: (raw value, "<path>:<line>")} for the file's key=value lines."""
     from .transforms import _ascii, open_table
     out = {}
     try:
@@ -62,7 +63,7 @@ def _load_config_file(path: str) -> dict:
                 key = key.strip()
                 if key not in CONFIG_KEYS:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-                out[key] = val.strip()
+                out[key] = (val.strip(), f"{path}:{lineno}")
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     return out
@@ -72,27 +73,34 @@ def _resolve_config(args) -> None:
     """Resolve the configuration into ``args``: ``sieve_limit``,
     ``format`` (the output format) and ``out`` (None for stdout).  The
     flags parse with SUPPRESS defaults, so an attribute is present only
-    when its flag was given, and then it wins."""
+    when its flag was given, and then it wins.  A bad value from the
+    config file or the environment is named with its source: the file's
+    ``<path>:<line>`` or the variable."""
     from .arith_core import SIEVE_CAP
     path = getattr(args, "config", None) or os.environ.get("RAMCORR_CONFIG")
-    raw = {"sieve_limit": SIEVE_CAP, "output_format": "csv"}
+    # key -> (raw value, where it came from)
+    raw = {"sieve_limit": (SIEVE_CAP, "default"),
+           "output_format": ("csv", "default")}
     if path:
         raw.update(_load_config_file(path))
     for key in CONFIG_KEYS:
-        env = os.environ.get(f"RAMCORR_{key.upper()}")
-        if env is not None:
-            raw[key] = env
+        var = f"RAMCORR_{key.upper()}"
+        if var in os.environ:
+            raw[key] = (os.environ[var], var)
+    value, where = raw["sieve_limit"]
     try:
-        sieve_limit = int(raw["sieve_limit"])
+        sieve_limit = int(value)
     except ValueError as exc:
-        raise UsageError(f"bad config value: {exc}") from None
+        raise UsageError(f"{where}: bad config value: {exc}") from None
     if "format" in vars(args) and args.command != "correlate":
         raise UsageError("--format applies only to correlate")
+    if "format" not in vars(args):
+        value, where = raw["output_format"]
+        if value not in ("csv", "json"):
+            raise UsageError(f"{where}: unknown output format {value!r}")
+        args.format = value
     vars(args).setdefault("sieve_limit", sieve_limit)
-    vars(args).setdefault("format", raw["output_format"])
     vars(args).setdefault("out", None)
-    if args.format not in ("csv", "json"):
-        raise UsageError(f"unknown output format {args.format!r}")
 
 
 def _check_limit(args, need: int) -> None:

@@ -82,15 +82,6 @@ def _dot(x, y) -> float:
     return float(np.add.reduce(x * y))
 
 
-def hl_correlation(N: int, a: int, table: PrimeTable) -> float:
-    """Exact double-log sum over n <= N of Lambda(n) Lambda(n+a)."""
-    if a < 1 or N < 1:
-        raise ValueError("length and shift must be naturals")
-    table = capped_sieve(N + a, table)
-    lam = table.von_mangoldt_values
-    return _dot(lam[1: N + 1], lam[1 + a: N + 1 + a])
-
-
 def artifact_pair(N: int, table: PrimeTable | None = None
                   ) -> tuple[TabulatedFunction, TruncatedDivisorSum]:
     """The flagship two-seasons pair: f = log p on odd primes <= N,

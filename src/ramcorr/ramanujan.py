@@ -18,8 +18,8 @@ ExactInt coefficient tables hold ``fractions.Fraction`` values so that
 
 round-trip with no error at all.  Real-valued tables use float64 and the
 support threshold ``SUPPORT_EPS``.  Coefficient tables are the same table
-type as the divisor-sum tables they come from, and are written and read
-in the same text format.
+type as the divisor-sum tables they come from, and are written by the
+same ``transforms.write_tds`` and read in the same text format.
 
 Periods are plain Python ints, arbitrary-precision from the start: the
 product of the odd primes up to N grows like e^N and leaves 64 bits
@@ -41,8 +41,7 @@ from .arith_core import (COEFF_TOL, SIEVE_CAP, SUPPORT_EPS, PrimeTable,
                          TabulatedFunction, _odd_primes, agree, capped_sieve,
                          collapse, divisors_int, mobius_int, sieve_primes,
                          tolerance, zeros)
-from .transforms import (TruncatedDivisorSum, read_table, truncate,
-                         write_tds)
+from .transforms import TruncatedDivisorSum, read_table, truncate
 
 
 class UndefinedPeriodError(ValueError):
@@ -93,13 +92,6 @@ def _ramanujan_block(q: int, n: int) -> np.ndarray:
     for e, w in _divisor_form(q):
         tab[::e] += w
     return tab
-
-
-def ramanujan_orthogonality(d: int, a: int) -> int:
-    """Sum of c_q(a) over q | d; equals d when d | a and 0 otherwise."""
-    if d < 1 or a < 1:
-        raise ValueError("arguments must be naturals")
-    return sum(ramanujan_sum(q, a) for q in divisors_int(d))
 
 
 # ----------------------------------------------------------------------
@@ -279,9 +271,6 @@ def half_range_identity_check(g_source: TabulatedFunction, N: int) -> bool:
 # coefficient serialization (the TDS text format; exact values are
 # integers or p/q rationals)
 # ----------------------------------------------------------------------
-
-write_coefficients = write_tds
-
 
 def read_coefficients(fh, max_cutoff: int = SIEVE_CAP) -> RamanujanCoefficients:
     return read_table(fh, RamanujanCoefficients, Fraction, max_cutoff)

@@ -1,16 +1,17 @@
-"""Dirichlet convolution, the Eratosthenes transform, divisor truncation,
-and the odd-lift operator.
+"""The Eratosthenes transform and its inverse, the divisor sum, divisor
+truncation, and the odd-lift operator.
 
 The Eratosthenes transform of F is F' = mu * F, the unique table with
-F = F' * 1 (Mobius inversion).  Both directions and ``dirichlet_convolve``
-run on one divisor-lattice sweep, ``_convolve``, of (a * b)(n) for n <= M,
+F = F' * 1 (Mobius inversion).  Both directions run on one
+divisor-lattice sweep, ``_convolve``, of (a * b)(n) for n <= M,
 split at r = isqrt(M) as in Dirichlet's hyperbola method: each support
 point d <= r of a adds one slice out[d::d] += a(d) b(1..M/d), and the
 points d > r enter by one scatter per cofactor k = n/d <= r, in
 descending k.  For a fixed slot n, descending k is ascending d, so each
 slot adds its terms in the order of the plain per-d loop and Real
 products and divisor sums are unchanged to the last bit.  The transform
-runs the kernel on (mu, F), the divisor sum on (g', 1).
+runs the kernel on (mu, F), the divisor sum ``evaluate_tds_range`` on
+(g', 1).
 
 A ``TruncatedDivisorSum`` is the table g'(d) for d <= cutoff (the
 table's limit); the function it induces,
@@ -36,7 +37,6 @@ alike.
 
 from __future__ import annotations
 
-import io
 import math
 import re
 import sys
@@ -107,26 +107,6 @@ def _convolve(a, b, M: int, kind: str) -> np.ndarray:
     return out
 
 
-def dirichlet_convolve(F: TabulatedFunction, G: TabulatedFunction,
-                       M: int | None = None) -> TabulatedFunction:
-    """(F * G)(n) = sum over d | n of F(d) G(n/d), for n <= M.
-
-    Real absorbs ExactInt by promotion.
-    """
-    if M is None:
-        M = min(F.limit, G.limit)
-    if M < 1:
-        raise ValueError(f"naturals start at 1, got {M}")
-    if F.limit < M or G.limit < M:
-        raise ValueError(f"inputs must be tabulated to at least {M}")
-    kind = EXACT if F.is_exact and G.is_exact else REAL
-    a, b = F._data[: M + 1], G._data[: M + 1]
-    if kind == REAL:
-        a, b = a.astype(np.float64), b.astype(np.float64)
-    return TabulatedFunction(M, kind, _convolve(a, b, M, kind),
-                             f"({F.name}*{G.name})")
-
-
 def eratosthenes_transform(F: TabulatedFunction, M: int | None = None,
                            table: PrimeTable | None = None
                            ) -> TabulatedFunction:
@@ -147,17 +127,6 @@ def eratosthenes_transform(F: TabulatedFunction, M: int | None = None,
         mu = mu.astype(np.float64)
     return TabulatedFunction(M, F.kind, _convolve(mu, F._data, M, F.kind),
                              f"{F.name}'")
-
-
-def divisor_sum_transform(F: TabulatedFunction,
-                          M: int | None = None) -> TabulatedFunction:
-    """(F * 1)(n) = sum of F(d) over d | n; inverse of the transform above."""
-    if M is None:
-        M = F.limit
-    if F.limit < M:
-        raise ValueError(f"tabulated only to {F.limit}, need {M}")
-    return TabulatedFunction(M, F.kind, _divisor_sums(F, M),
-                             f"({F.name}*1)")
 
 
 def truncate(F: TabulatedFunction, N: int,
@@ -190,49 +159,30 @@ def evaluate_tds(g: TruncatedDivisorSum, m: int):
     return collapse(acc, g)
 
 
-def _divisor_sums(g: TabulatedFunction, m_max: int) -> np.ndarray:
-    """``evaluate_tds_range`` as the kernel returns it: int64 when an
-    exact table took the lane."""
-    if m_max < 1:
-        raise ValueError(f"naturals start at 1, got {m_max}")
-    return _convolve(g._data, None, m_max, g.kind)
-
-
 def evaluate_tds_range(g: TabulatedFunction, m_max: int) -> np.ndarray:
     """g(m) for all m in [1..m_max] at once, as a value array of g's kind
     (index 0 unused; Python ints for an exact table): the sum of the
-    table's entries g'(d) over d | m (any table serves as g')."""
-    out = _divisor_sums(g, m_max)
+    table's entries g'(d) over d | m (any table serves as g'), that is
+    the divisor sum g' * 1."""
+    if m_max < 1:
+        raise ValueError(f"naturals start at 1, got {m_max}")
+    out = _convolve(g._data, None, m_max, g.kind)
     return out.astype(object) if out.dtype == np.int64 else out
 
 
-def odd_lift(x, method: str = "direct"):
-    """Compose with the odd-part map: result(n) = x(odd_part(n)).
+def odd_lift(g: TruncatedDivisorSum) -> TruncatedDivisorSum:
+    """Compose with the odd-part map: the lift evaluates at n to
+    g(odd_part(n)).
 
-    For a TabulatedFunction two evaluation paths exist and must agree:
-    ``direct`` reads x at odd_part(n); ``et`` zeroes the even entries of
-    the Eratosthenes transform and re-convolves with 1 (odd naturals are
-    divisor-closed, so both describe the same function).  For a
-    TruncatedDivisorSum the lift acts on the stored transform, zeroing
-    even d and preserving the cutoff; ``method`` is checked for both.
+    Odd naturals are divisor-closed, so the lift acts on the stored
+    table g': it zeroes the entries at even d and keeps the cutoff.
     """
-    if not isinstance(x, TabulatedFunction):
-        raise ValueError("odd_lift expects a TabulatedFunction or a TDS")
-    if method not in ("direct", "et"):
-        raise ValueError(f"unknown odd_lift method {method!r}")
-    name = f"{x.name}^odd" if x.name else ""
-    if isinstance(x, TruncatedDivisorSum):
-        vals = x._data.copy()
-        vals[0::2] = 0
-        return TruncatedDivisorSum(x.limit, x.kind, vals, name)
-    if method == "direct":
-        n = np.arange(1, x.limit + 1)
-        vals = np.zeros(x.limit + 1, dtype=x._data.dtype)
-        vals[1:] = x._data[n // (n & -n)]  # n & -n = 2^v2(n)
-        return TabulatedFunction(x.limit, x.kind, vals, name)
-    out = divisor_sum_transform(odd_lift(truncate(x, x.limit)))
-    out.name = name
-    return out
+    if not isinstance(g, TruncatedDivisorSum):
+        raise ValueError("odd_lift expects a TDS")
+    vals = g._data.copy()
+    vals[0::2] = 0
+    return TruncatedDivisorSum(g.limit, g.kind, vals,
+                               f"{g.name}^odd" if g.name else "")
 
 
 def lambda_tds(N: int, table: PrimeTable | None = None) -> TruncatedDivisorSum:
@@ -284,6 +234,9 @@ def write_tds(g: TabulatedFunction, fh) -> None:
 
 # the only exact value text write_tds emits: an int or a Fraction's p/q
 _EXACT_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# the only Real value text it emits: str() of a float (float() would also
+# take +5, 1_0 and " 7"); read_table then refuses inf and nan by name
+_REAL_TEXT = re.compile(r"-?([0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?|inf|nan)")
 # the only index and cutoff text it emits (int() would also take +3, 1_0)
 _INDEX_TEXT = re.compile(r"[0-9]+")
 
@@ -321,7 +274,9 @@ def read_table(fh, cls, parse_exact, max_cutoff: int = SIEVE_CAP):
 
     The cutoff and every index must read ``digits``.  ExactInt values
     must read ``[-]digits`` or ``[-]digits/digits`` and are then parsed
-    by ``parse_exact``; Real values are parsed by float.
+    by ``parse_exact``; Real values must read as str() writes a float,
+    ``[-]digits[.digits][e[+-]digits]``, ``inf`` or ``nan``, and are then
+    parsed by float.
     Every fault raises ValueError("line N: ...") locating it: a non-ASCII
     byte, a malformed header, a cutoff above ``max_cutoff`` (checked
     before the table is allocated), an entry that does not parse (or a
@@ -348,8 +303,8 @@ def read_table(fh, cls, parse_exact, max_cutoff: int = SIEVE_CAP):
         raise ValueError(
             f"line 1: cutoff {cutoff} exceeds the cap {max_cutoff} "
             "(sieve_limit)")
-    exact = kind == EXACT
-    parse = parse_exact if exact else float
+    parse, grammar = ((parse_exact, _EXACT_TEXT) if kind == EXACT
+                      else (float, _REAL_TEXT))
     entries = {}
     for lineno, line in enumerate(fh, start=2):
         line = _ascii(lineno, line).strip()
@@ -361,7 +316,7 @@ def read_table(fh, cls, parse_exact, max_cutoff: int = SIEVE_CAP):
         try:
             if not _INDEX_TEXT.fullmatch(cols[0]):
                 raise ValueError(cols[0])
-            if exact and not _EXACT_TEXT.fullmatch(cols[1]):
+            if not grammar.fullmatch(cols[1]):
                 raise ValueError(cols[1])
             d, v = int(cols[0]), parse(cols[1])
         except (ValueError, ZeroDivisionError):
@@ -380,21 +335,7 @@ def read_tds(fh, max_cutoff: int = SIEVE_CAP) -> TruncatedDivisorSum:
     return read_table(fh, TruncatedDivisorSum, int, max_cutoff)
 
 
-def write_tds_path(g: TruncatedDivisorSum, path) -> None:
-    """``write_tds`` to a file.  The text is formatted before the file is
-    opened, so a table it refuses leaves any file at ``path`` intact."""
-    buf = io.StringIO()
-    write_tds(g, buf)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(buf.getvalue())
-
-
 def open_table(path):
     """Open a text file for ``read_table`` or the CLI's config reader,
     which name the line of any non-ASCII byte (see ``_ascii``)."""
     return open(path, "r", encoding="ascii", errors="surrogateescape")
-
-
-def read_tds_path(path, max_cutoff: int = SIEVE_CAP) -> TruncatedDivisorSum:
-    with open_table(path) as fh:
-        return read_tds(fh, max_cutoff)

@@ -19,7 +19,6 @@ n + a = m (a even) or n + a = 2^j m with m odd (a odd).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -62,11 +61,6 @@ class AxiomReport:
 
     def failures(self) -> list[AxiomCheck]:
         return [c for c in self.checks if not c.passed]
-
-    def as_json(self) -> str:
-        return json.dumps([{"id": c.axiom_id, "pass": c.passed,
-                            "evidence": c.evidence} for c in self.checks],
-                          indent=2)
 
 
 def check_axioms(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,

@@ -262,12 +262,13 @@ class TestVerify:
     def test_consistent_pair_passes(self, capsys, tmp_path):
         import io
 
-        from ramcorr.ramanujan import wintner_coefficients, write_coefficients
-        from ramcorr.transforms import tds_from_et, write_tds_path
+        from ramcorr.ramanujan import wintner_coefficients
+        from ramcorr.transforms import tds_from_et, write_tds
         g = tds_from_et({2: 3, 6: -1, 7: 2}, 8, "ExactInt")
-        write_tds_path(g, tmp_path / "g.tds")
+        with open(tmp_path / "g.tds", "w") as fh:
+            write_tds(g, fh)
         buf = io.StringIO()
-        write_coefficients(wintner_coefficients(g), buf)
+        write_tds(wintner_coefficients(g), buf)
         (tmp_path / "g.coeffs").write_text(buf.getvalue())
         code, out, _ = run_cli(capsys, "verify", "expansion",
                                "--tds", str(tmp_path / "g.tds"),
@@ -278,13 +279,14 @@ class TestVerify:
     def test_corrupted_pair_locates_counterexample(self, capsys, tmp_path):
         import io
 
-        from ramcorr.ramanujan import wintner_coefficients, write_coefficients
-        from ramcorr.transforms import tds_from_et, write_tds_path
+        from ramcorr.ramanujan import wintner_coefficients
+        from ramcorr.transforms import tds_from_et, write_tds
         g = tds_from_et({2: 3, 6: -1, 7: 2}, 8, "ExactInt")
-        write_tds_path(g, tmp_path / "g.tds")
+        with open(tmp_path / "g.tds", "w") as fh:
+            write_tds(g, fh)
         corrupted = tds_from_et({2: 3, 6: -1, 7: 5}, 8, "ExactInt")
         buf = io.StringIO()
-        write_coefficients(wintner_coefficients(corrupted), buf)
+        write_tds(wintner_coefficients(corrupted), buf)
         (tmp_path / "g.coeffs").write_text(buf.getvalue())
         code, out, _ = run_cli(capsys, "verify", "expansion",
                                "--tds", str(tmp_path / "g.tds"),

@@ -8,12 +8,17 @@ import pytest
 from ramcorr.arith_core import divisors_int, sieve_primes
 from ramcorr.hlmodels import (MODEL_CSV_HEADER, artifact,
                               artifact_identity_check, artifact_pair,
-                              chebyshev_theta, hl_correlation, model_chain,
+                              chebyshev_theta, model_chain,
                               model_rows_to_csv, pnt_sanity, singular_series,
                               singular_to_csv)
 from ramcorr.ramanujan import universal_period
 from ramcorr.transforms import evaluate_tds, lambda_tds
 from trial_division import trial_kappa, trial_von_mangoldt
+
+
+def hl_correlation(N, a, table):
+    """The hl column of the model row at (N, a), which ``hl`` writes."""
+    return model_chain(N, [a], table)[0].hl
 
 
 class TestHlCorrelation:

@@ -9,19 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramcorr.arith_core import (EXACT, SUPPORT_EPS, mobius_int, sieve_primes,
+from ramcorr.arith_core import (EXACT, SUPPORT_EPS, divisors_int, mobius_int,
+                                sieve_primes,
                                 tabulate)
 from ramcorr.ramanujan import (RamanujanCoefficients,
                                UndefinedPeriodError,
                                half_range_identity_check, lucht_invert,
                                ramanujan_expand, ramanujan_expand_range,
-                               ramanujan_orthogonality, ramanujan_sum,
-                               ramanujan_sum_table, read_coefficients,
-                               support_closure_check, universal_period,
-                               wintner_coefficients, wintner_period,
-                               write_coefficients)
+                               ramanujan_sum, ramanujan_sum_table,
+                               read_coefficients, support_closure_check,
+                               universal_period, wintner_coefficients,
+                               wintner_period)
 from ramcorr.transforms import (evaluate_tds, lambda_tds, tds_from_et,
-                                truncate)
+                                truncate, write_tds)
 from trial_division import trial_kappa
 
 
@@ -90,17 +90,22 @@ class TestRamanujanSum:
                 assert tab[r] == ramanujan_sum(q, r if r else q)
 
 
+def orthogonality_sum(d, a):
+    """Sum of c_q(a) over q | d; d when d | a and 0 otherwise."""
+    return sum(ramanujan_sum(q, a) for q in divisors_int(d))
+
+
 class TestOrthogonality:
     def test_frozen_examples(self):
-        assert ramanujan_orthogonality(2, 3) == 0
-        assert ramanujan_orthogonality(6, 12) == 6
-        assert ramanujan_orthogonality(1, 5) == 1
+        assert orthogonality_sum(2, 3) == 0
+        assert orthogonality_sum(6, 12) == 6
+        assert orthogonality_sum(1, 5) == 1
 
     def test_contract_on_grid(self):
         for d in range(1, 61):
             for a in range(1, 121):
                 expected = d if a % d == 0 else 0
-                assert ramanujan_orthogonality(d, a) == expected
+                assert orthogonality_sum(d, a) == expected
 
 
 class TestWintnerCoefficients:
@@ -369,14 +374,14 @@ class TestCoefficientSerialization:
         g = tds_from_et({2: 3, 6: -1}, 8, EXACT)
         c = wintner_coefficients(g)
         buf = io.StringIO()
-        write_coefficients(c, buf)
+        write_tds(c, buf)
         back = read_coefficients(io.StringIO(buf.getvalue()))
         assert list(back.values) == list(c.values)
 
     def test_round_trip_real(self, table_200):
         c = wintner_coefficients(lambda_tds(12, table_200))
         buf = io.StringIO()
-        write_coefficients(c, buf)
+        write_tds(c, buf)
         back = read_coefficients(io.StringIO(buf.getvalue()))
         for q in range(1, 13):
             assert back.values[q] == c.values[q]

@@ -19,8 +19,7 @@ from ramcorr.ramanujan import (half_range_identity_check,
                                ramanujan_expand_range, ramanujan_sum_table,
                                universal_period, wintner_coefficients,
                                wintner_period)
-from ramcorr.transforms import (dirichlet_convolve, divisor_sum_transform,
-                                eratosthenes_transform, evaluate_tds_range,
+from ramcorr.transforms import (eratosthenes_transform, evaluate_tds_range,
                                 lambda_tds, odd_lift, retruncate, tds_from_et,
                                 truncate)
 from ramcorr.twoseasons import entangled_correlation
@@ -101,10 +100,14 @@ def test_output_format_config_stays_a_global_default(capsys, tmp_path,
 
 
 @pytest.mark.parametrize("text, message", [
-    pytest.param("output_format=xml\n", "unknown output format 'xml'",
+    pytest.param("output_format=xml\n",
+                 "{path}:1: unknown output format 'xml'",
                  id="output_format-xml"),
     pytest.param("# comment\nsieve_limit\n", "{path}:2: expected key=value",
                  id="line-without-equals"),
+    pytest.param("# comment\nsieve_limit = 12x\n",
+                 "{path}:2: bad config value: invalid literal for int() "
+                 "with base 10: '12x'", id="sieve_limit-12x"),
 ])
 def test_bad_config_file_exits_2(capsys, tmp_path, no_config_env, text,
                                  message):
@@ -113,6 +116,22 @@ def test_bad_config_file_exits_2(capsys, tmp_path, no_config_env, text,
     code, out, err = run_cli(capsys, ["--config", str(path), *HL])
     assert (code, out) == (2, "")
     assert message.format(path=path) in err
+
+
+@pytest.mark.parametrize("var, value, message", [
+    pytest.param("RAMCORR_SIEVE_LIMIT", "abc",
+                 "bad config value: invalid literal for int() with base "
+                 "10: 'abc'", id="sieve_limit-abc"),
+    pytest.param("RAMCORR_OUTPUT_FORMAT", "xml",
+                 "unknown output format 'xml'", id="output_format-xml"),
+])
+def test_bad_config_variable_exits_2_naming_it(capsys, monkeypatch,
+                                               no_config_env, var, value,
+                                               message):
+    monkeypatch.setenv(var, value)
+    code, out, err = run_cli(capsys, HL)
+    assert (code, out) == (2, "")
+    assert err == f"ramcorr: error: {var}: {message}\n"
 
 
 def test_correlate_checks_the_sieve_limit_before_it_builds_u(capsys,
@@ -207,21 +226,12 @@ NATURAL_0 = "naturals start at 1, got 0"
                  NATURAL_0, id="expand-range-0"),
     pytest.param(lambda: evaluate_tds_range(G9, 0), NATURAL_0,
                  id="evaluate-range-0"),
-    pytest.param(lambda: odd_lift(3),
-                 "odd_lift expects a TabulatedFunction or a TDS",
+    pytest.param(lambda: odd_lift(3), "odd_lift expects a TDS",
                  id="odd-lift-int"),
-    pytest.param(lambda: odd_lift(G9, method="sideways"),
-                 "unknown odd_lift method 'sideways'",
-                 id="odd-lift-tds-unknown-method"),
-    pytest.param(lambda: dirichlet_convolve(F9, F9, 0), NATURAL_0,
-                 id="dirichlet-convolve-0"),
-    pytest.param(lambda: dirichlet_convolve(F9, F9, -3),
-                 "naturals start at 1, got -3",
-                 id="dirichlet-convolve-negative"),
+    pytest.param(lambda: odd_lift(F9), "odd_lift expects a TDS",
+                 id="odd-lift-plain-table"),
     pytest.param(lambda: eratosthenes_transform(F9, 10),
                  "tabulated only to 9, need 10", id="eratosthenes-past-limit"),
-    pytest.param(lambda: divisor_sum_transform(F9, 10),
-                 "tabulated only to 9, need 10", id="divisor-sum-past-limit"),
     pytest.param(lambda: lambda_tds(0), NATURAL_0, id="lambda-tds-0"),
     pytest.param(lambda: lambda_tds(-5), "naturals start at 1, got -5",
                  id="lambda-tds-negative"),
@@ -235,6 +245,9 @@ NATURAL_0 = "naturals start at 1, got 0"
     pytest.param(lambda: retruncate(G9, 0), NATURAL_0, id="retruncate-0"),
     pytest.param(lambda: TabulatedFunction(3, EXACT, [0, 1, 2]),
                  "value table must have limit+1 entries", id="wrong-length"),
+    pytest.param(lambda: TabulatedFunction(3, EXACT, [0, 0.5, 1, 2]),
+                 "exact entry 1 is 0.5, not an int or a Fraction",
+                 id="exact-float-entry"),
     pytest.param(lambda: TabulatedFunction.from_entries({4: 1}, 3, EXACT),
                  "support point 4 outside [1, 3]", id="from-entries-range"),
     pytest.param(lambda: F9.support_upto(10),

@@ -1,7 +1,8 @@
 """Process start and host independence: the package imports lazily, the
 console entry runs numpy's BLAS on one thread unless the user says
 otherwise, and no value goes through a BLAS call, so outputs do not
-depend on the BLAS thread count."""
+depend on the BLAS thread count.  Also the guard that every public name
+has a caller in the package."""
 
 import ast
 import importlib
@@ -77,7 +78,7 @@ def test_main_keeps_a_value_the_user_set(monkeypatch, capsys):
 
 
 def test_every_public_name_resolves_to_its_module():
-    assert len(ramcorr.__all__) == len(set(ramcorr.__all__)) == 61
+    assert len(ramcorr.__all__) == len(set(ramcorr.__all__)) == 55
     for name in ramcorr.__all__:
         module = importlib.import_module(
             f"ramcorr.{ramcorr._MODULE_OF[name]}")
@@ -94,6 +95,64 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(ramcorr, "np")
     with pytest.raises(ImportError):
         exec("from ramcorr import no_such", {})
+
+
+# ----------------------------------------------------------------------
+# guard: every public name has a caller in the package
+# ----------------------------------------------------------------------
+
+# public names that no module calls, kept as the reference
+# implementations the tests compare a route against
+ORACLES = {
+    "small_shift_difference":
+        "the small-shift tail closed form, against "
+        "correlations.truncation_difference",
+    "entangled_correlation":
+        "the parity-branch evaluation of a two-seasons pair, against "
+        "correlations.correlate_direct on the odd-lifted g",
+    "half_range_identity_check":
+        "ramanujan.wintner_coefficients above half the cutoff, against "
+        "g'(q)/q",
+}
+
+
+def names_read(source: str) -> set[str]:
+    """The names a module reads, as a name or an attribute; a top-level
+    definition's reads of its own name do not count."""
+    found = set()
+    for top in ast.parse(source).body:
+        own = {getattr(top, "name", None)} | {
+            t.id for t in getattr(top, "targets", ())
+            if isinstance(t, ast.Name)}
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                name = node.attr
+            else:
+                continue
+            if name not in own:
+                found.add(name)
+    return found
+
+
+def test_names_read_leaves_out_a_definition_reading_itself():
+    source = ("def f(n):\n    return f(n - 1) + g.h\n"
+              "def k():\n    return 0\n"
+              "y = k\n")
+    assert names_read(source) == {"n", "g", "h", "k"}
+
+
+def test_every_public_name_has_a_caller_or_is_a_named_oracle():
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            read |= names_read(path.read_text())
+    assert set(ORACLES) <= set(ramcorr.__all__)
+    assert set(ORACLES) & read == set()  # a called oracle leaves the list
+    uncalled = sorted(set(ramcorr.__all__) - read - set(ORACLES))
+    assert uncalled == []
 
 
 # ----------------------------------------------------------------------

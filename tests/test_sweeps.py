@@ -1,8 +1,7 @@
 """The sqrt(M)-split sweeps (sieve, mu, phi, kappa, and the convolution
-kernel behind the Dirichlet product, the Eratosthenes transform and the
-divisor sums) against trial-division oracles and the plain per-point
-loops they replace, and a guard on the number of Python-level steps they
-take."""
+kernel behind the Eratosthenes transform and the divisor sums) against
+trial-division oracles and the plain per-point loops they replace, and a
+guard on the number of Python-level steps they take."""
 
 import io
 import math
@@ -20,11 +19,10 @@ from ramcorr import arith_core, transforms
 from ramcorr.arith_core import (EXACT, REAL, SIEVE_CAP, PrimeTable,
                                 TabulatedFunction, capped_sieve,
                                 divisors_int, is_prime_int, mobius_int,
-                                sieve_primes, tabulate, v2, zeros)
+                                sieve_primes, tabulate, zeros)
 from ramcorr.cli import main
 from ramcorr.hlmodels import artifact_pair, model_chain, singular_series
-from ramcorr.transforms import (TruncatedDivisorSum, dirichlet_convolve,
-                                divisor_sum_transform, eratosthenes_transform,
+from ramcorr.transforms import (TruncatedDivisorSum, eratosthenes_transform,
                                 evaluate_tds_range, lambda_tds, odd_lift,
                                 read_tds, truncate)
 
@@ -130,7 +128,7 @@ def test_divisor_sum_transform_is_the_range_kernel(rng, table_2k):
     for F in (TabulatedFunction(300, EXACT,
                                 [0] + [rng.randint(-5, 5) for _ in range(300)]),
               tabulate("lambda", 2000, table_2k)):
-        got = divisor_sum_transform(F).values
+        got = evaluate_tds_range(F, F.limit)
         want = per_d_range(F, F.limit)
         if F.kind == REAL:
             assert got.tobytes() == want.tobytes()
@@ -146,8 +144,8 @@ def table_200k():
 @pytest.mark.parametrize("name", ["phi", "kappa", "mobius", "mu_squared"])
 def test_transform_round_trip_at_two_hundred_thousand(name, table_200k):
     F = tabulate(name, 200_000, table_200k)
-    back = divisor_sum_transform(eratosthenes_transform(F))
-    assert back.values.tolist() == F.values.tolist()
+    back = evaluate_tds_range(eratosthenes_transform(F), F.limit)
+    assert back.tolist() == F.values.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +162,14 @@ def in_place_et(F, M):
         if v:
             et[2 * d:: d] -= v
     return et
+
+
+def convolve(F, G=None):
+    """F * G on [1..F.limit] (G None: F * 1) by the kernel, as a table of
+    F's kind, with the int64 result of the lane as its store."""
+    M = F.limit
+    return TabulatedFunction(M, F.kind, transforms._convolve(
+        F._data, None if G is None else G._data, M, F.kind))
 
 
 def per_d_convolve(F, G, M):
@@ -193,8 +199,7 @@ def test_convolution_kernel_equals_the_per_d_loops_exact(M):
         G = random_exact_tds(rng, M, 1.0 - density / 2, top)
         assert_exact_equal(eratosthenes_transform(F).values,
                            in_place_et(F, M))
-        assert_exact_equal(dirichlet_convolve(F, G).values,
-                           per_d_convolve(F, G, M))
+        assert_exact_equal(convolve(F, G).values, per_d_convolve(F, G, M))
 
 
 @pytest.mark.parametrize("M", SPLIT_LIMITS)
@@ -204,7 +209,7 @@ def test_dirichlet_convolve_is_bitwise_the_per_d_loop_real(M, table_20k):
     noise = TabulatedFunction(M, REAL, [0.0] + [
         rng.uniform(-1, 1) if rng.random() < 0.5 else 0.0 for _ in range(M)])
     for F, G in ((lam, noise), (noise, lam), (noise, noise)):
-        got = dirichlet_convolve(F, G).values
+        got = convolve(F, G).values
         assert got.dtype == np.float64
         assert got.tobytes() == per_d_convolve(F, G, M).tobytes()
 
@@ -258,8 +263,7 @@ def test_fraction_tables_stay_exact(M, lanes):
         return TruncatedDivisorSum(M, EXACT, vals)
     F, G, ints = table(0.3), table(0.02), table(0.0)
     for a, b in ((F, G), (F, ints), (ints, F)):
-        assert_exact_values(dirichlet_convolve(a, b).values,
-                            per_d_convolve(a, b, M))
+        assert_exact_values(convolve(a, b).values, per_d_convolve(a, b, M))
     for g in (F, G):
         assert_exact_values(evaluate_tds_range(g, M), per_d_range(g, M))
     assert_exact_equal(evaluate_tds_range(ints, M), per_d_range(ints, M))
@@ -277,7 +281,7 @@ def test_python_int_tables_take_the_python_int_path(M, lanes, table_2k):
               for t in (F, G))
     for (a, b), lane in (((F, G), False), ((Fs, Gs), True),
                          ((F, Gs), False)):
-        outs = [dirichlet_convolve(a, b), divisor_sum_transform(a),
+        outs = [convolve(a, b), convolve(a),
                 eratosthenes_transform(a, table=table_2k)]
         assert lanes == [lane] * 3
         lanes.clear()
@@ -304,7 +308,7 @@ def test_lane_bound_just_below_and_just_above_two_to_the_63(M, lanes):
                 else:
                     G = TabulatedFunction(M, EXACT, np.array(
                         [0] + [b] * M, dtype=np.int64))
-                    got = dirichlet_convolve(F, G).values
+                    got = convolve(F, G).values
                     want = per_d_convolve(F, G, M)
                 assert max(map(abs, want.tolist())) == terms * top * (b or 1)
                 assert_exact_equal(got, want)
@@ -321,8 +325,7 @@ def test_one_entry_past_int64_takes_the_object_lane(big, lanes):
         vals[d] = big
         F = TruncatedDivisorSum(M, EXACT, vals)
         G = TabulatedFunction(M, EXACT, [0] + [1] * M)
-        assert_exact_equal(dirichlet_convolve(G, F).values,
-                           per_d_convolve(G, F, M))
+        assert_exact_equal(convolve(G, F).values, per_d_convolve(G, F, M))
         assert_exact_equal(evaluate_tds_range(F, M), per_d_range(F, M))
     assert lanes == [False] * 4
 
@@ -331,9 +334,10 @@ def test_one_entry_past_int64_takes_the_object_lane(big, lanes):
 def test_exact_transforms_at_two_hundred_thousand_take_the_int64_lane(
         name, table_200k, lanes):
     F = tabulate(name, 200_000, table_200k)
-    back = divisor_sum_transform(eratosthenes_transform(F, table=table_200k))
+    back = evaluate_tds_range(eratosthenes_transform(F, table=table_200k),
+                              F.limit)
     assert lanes == [True, True]
-    assert_exact_equal(back.values, F.values)
+    assert_exact_equal(back, F.values)
 
 
 @pytest.mark.parametrize("M", [24, 1001])
@@ -344,7 +348,7 @@ def test_int64_store_against_python_ints_past_int64(M, lanes):
     F = TabulatedFunction(M, EXACT, np.array(
         [0] + [rng.randint(-9, 9) for _ in range(M)], dtype=np.int64))
     G = random_exact_tds(rng, M, 0.5, 10 ** 30)
-    got = [dirichlet_convolve(a, b) for a, b in ((F, G), (G, F))]
+    got = [convolve(a, b) for a, b in ((F, G), (G, F))]
     assert F._data.dtype == np.int64 and lanes == [False, False]
     assert_exact_equal(got[0].values, per_d_convolve(F, G, M))
     assert_exact_equal(got[1].values, per_d_convolve(G, F, M))
@@ -358,10 +362,9 @@ def test_stored_tables_go_through_the_kernels_on_their_store(table_2k,
     M = 2000
     F = tabulate("phi", M, table_2k)
     g = truncate(F, M, table_2k)
-    outs = [g, eratosthenes_transform(F, table=table_2k),
-            divisor_sum_transform(g), dirichlet_convolve(F, g),
-            transforms.retruncate(g, 3000), transforms.retruncate(g, 500),
-            odd_lift(g), odd_lift(F)]
+    outs = [g, eratosthenes_transform(F, table=table_2k), convolve(g),
+            convolve(F, g), transforms.retruncate(g, 3000),
+            transforms.retruncate(g, 500), odd_lift(g)]
     assert lanes == [True] * 4
     assert all(t._data.dtype == np.int64 for t in [F, *outs])
     assert_exact_equal(outs[0].values, in_place_et(F, M))
@@ -372,8 +375,6 @@ def test_stored_tables_go_through_the_kernels_on_their_store(table_2k,
     assert outs[5].values.tolist() == g.values.tolist()[:501]
     odd = [v if n % 2 else 0 for n, v in enumerate(g.values.tolist())]
     assert outs[6].values.tolist() == odd
-    assert outs[7].values.tolist() == [0] + [
-        F[n >> v2(n)] for n in range(1, M + 1)]
 
 
 def test_exact_transform_and_write_stay_small_at_two_hundred_thousand(
@@ -394,8 +395,8 @@ def test_exact_transform_and_write_stay_small_at_two_hundred_thousand(
 
 def test_real_tables_never_ask_for_the_lane(table_2k, lanes):
     F = tabulate("lambda", 2000, table_2k)
-    divisor_sum_transform(eratosthenes_transform(F, table=table_2k))
-    dirichlet_convolve(F, F)
+    evaluate_tds_range(eratosthenes_transform(F, table=table_2k), F.limit)
+    convolve(F, F)
     assert lanes == []
 
 

@@ -14,21 +14,25 @@ from hypothesis import strategies as st
 
 from ramcorr import transforms
 from ramcorr.arith_core import EXACT, REAL
-from ramcorr.cli import main
-from ramcorr.ramanujan import (RamanujanCoefficients, read_coefficients,
-                               write_coefficients)
+from ramcorr.cli import _text, _write_out, main
+from ramcorr.ramanujan import RamanujanCoefficients, read_coefficients
 from ramcorr.transforms import (TruncatedDivisorSum, open_table, read_tds,
-                                read_tds_path, write_tds, write_tds_path)
+                                write_tds)
 
 READERS = {"tds": read_tds, "coefficients": read_coefficients}
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def _round_trip(table, write, read):
+def _round_trip(table, read):
     buf = io.StringIO()
-    write(table, buf)
+    write_tds(table, buf)
     return read(io.StringIO(buf.getvalue()))
+
+
+def _read_path(path):
+    with open_table(path) as fh:
+        return read_tds(fh)
 
 
 def _tables(cls, kind, values):
@@ -37,20 +41,17 @@ def _tables(cls, kind, values):
             lambda entries: cls.from_entries(entries, limit, kind)))
 
 
-@pytest.mark.parametrize("cls, kind, values, write, read", [
-    (TruncatedDivisorSum, EXACT, st.integers(), write_tds, read_tds),
-    (TruncatedDivisorSum, REAL, finite_floats, write_tds, read_tds),
-    (RamanujanCoefficients, EXACT, st.fractions(), write_coefficients,
-     read_coefficients),
-    (RamanujanCoefficients, REAL, finite_floats, write_coefficients,
-     read_coefficients),
+@pytest.mark.parametrize("cls, kind, values, read", [
+    (TruncatedDivisorSum, EXACT, st.integers(), read_tds),
+    (TruncatedDivisorSum, REAL, finite_floats, read_tds),
+    (RamanujanCoefficients, EXACT, st.fractions(), read_coefficients),
+    (RamanujanCoefficients, REAL, finite_floats, read_coefficients),
 ])
 @settings(max_examples=100)
 @given(data=st.data())
-def test_write_then_read_gives_an_equal_table(data, cls, kind, values,
-                                              write, read):
+def test_write_then_read_gives_an_equal_table(data, cls, kind, values, read):
     table = data.draw(_tables(cls, kind, values))
-    back = _round_trip(table, write, read)
+    back = _round_trip(table, read)
     assert type(back) is cls
     assert (back.limit, back.kind) == (table.limit, kind)
     assert back.values.tolist() == table.values.tolist()
@@ -289,7 +290,7 @@ def test_non_ascii_byte_in_a_file_names_its_line(tmp_path):
     path = tmp_path / "g.tds"
     path.write_bytes(b"cutoff=10 kind=ExactInt\n3\t1\n\n7\t\xe9\n")
     with pytest.raises(ValueError, match=r"^line 4: non-ASCII byte 0xe9"):
-        read_tds_path(path)
+        _read_path(path)
 
 
 # a rational whose denominator str() refuses: past Python's int-to-str
@@ -301,33 +302,34 @@ HUGE_FRACTION = Fraction(1, 10 ** 5000 + 1)
                     reason="no int-to-str digit limit in this Python")
 class TestDigitLimit:
     """Values past the int-to-str digit limit: a table holding one is
-    not written at all, and text holding one is rejected by name."""
+    not written at all (the CLI formats the whole text before it opens
+    the file), and text holding one is rejected by name."""
 
     def test_unwritable_table_writes_nothing(self):
         c = RamanujanCoefficients.from_entries(
             {1: Fraction(1, 2), 2: HUGE_FRACTION}, 3, EXACT)
         buf = io.StringIO()
         with pytest.raises(ValueError):
-            write_coefficients(c, buf)
+            write_tds(c, buf)
         assert buf.getvalue() == ""
 
     def test_unwritable_table_leaves_no_zero_table(self, tmp_path):
         path = tmp_path / "c.coeffs"
         c = RamanujanCoefficients.from_entries({1: HUGE_FRACTION}, 3, EXACT)
         with pytest.raises(ValueError):
-            write_tds_path(c, path)
+            _write_out(_text(write_tds, c), str(path))
         assert not path.exists()
 
     def test_unwritable_table_keeps_the_earlier_file(self, tmp_path):
         path = tmp_path / "g.tds"
         g = TruncatedDivisorSum.from_entries({2: 3, 5: -1}, 6, EXACT)
-        write_tds_path(g, path)
+        _write_out(_text(write_tds, g), str(path))
         before = path.read_bytes()
         c = RamanujanCoefficients.from_entries({1: HUGE_FRACTION}, 3, EXACT)
         with pytest.raises(ValueError):
-            write_tds_path(c, path)
+            _write_out(_text(write_tds, c), str(path))
         assert path.read_bytes() == before
-        assert read_tds_path(path).values.tolist() == g.values.tolist()
+        assert _read_path(path).values.tolist() == g.values.tolist()
 
     @pytest.mark.parametrize("reader, value", [
         (read_tds, "7" * 5000),

@@ -7,8 +7,7 @@ import pytest
 
 from ramcorr.arith_core import (EXACT, REAL, TabulatedFunction, mobius_int,
                                 odd_part, tabulate)
-from ramcorr.transforms import (dirichlet_convolve,
-                                divisor_sum_transform, eratosthenes_transform,
+from ramcorr.transforms import (_convolve, eratosthenes_transform,
                                 evaluate_tds, evaluate_tds_range, lambda_tds,
                                 odd_lift, read_tds, retruncate, tds_from_et,
                                 truncate, write_tds)
@@ -25,16 +24,17 @@ def random_exact_table(rng, M, lo=-9, hi=9):
 
 
 class TestDirichletConvolve:
+    """Dirichlet products through the one kernel: F * 1 is the divisor sum
+    ``evaluate_tds_range``, mu * F the transform, and F * G ``_convolve``."""
+
     def test_unit_times_unit_is_divisor_count(self):
-        one = tabulate("unit", 30)
-        tau = dirichlet_convolve(one, one)
+        tau = evaluate_tds_range(tabulate("unit", 30), 30)
         assert tau[6] == 4
         assert tau[12] == 6
 
     def test_mobius_inverts_unit(self, table_200):
         mu = tabulate("mobius", 100, table_200)
-        one = tabulate("unit", 100)
-        delta = dirichlet_convolve(mu, one)
+        delta = evaluate_tds_range(mu, 100)
         assert delta[1] == 1
         assert all(delta[n] == 0 for n in range(2, 101))
 
@@ -44,26 +44,26 @@ class TestDirichletConvolve:
         lam_p = TabulatedFunction(
             M, REAL,
             [0.0] + [-mobius_int(d) * math.log(d) for d in range(1, M + 1)])
-        one = tabulate("unit", M)
-        lam = dirichlet_convolve(lam_p, one)
+        lam = evaluate_tds_range(lam_p, M)
         assert lam[12] == pytest.approx(0.0, abs=1e-9)
         assert lam[8] == pytest.approx(math.log(2), abs=1e-9)
 
     def test_matches_brute_force(self, rng):
         F = random_exact_table(rng, 60)
         G = random_exact_table(rng, 60)
-        H = dirichlet_convolve(F, G)
+        H = _convolve(F._data, G._data, 60, EXACT)
         for n in range(1, 61):
             assert H[n] == brute_divisor_convolution(F.values, G.values, n)
 
     def test_promotion_to_real(self, table_200):
-        mu = tabulate("mobius", 20, table_200)
+        # the exact mu meets a Real F
         lam = tabulate("lambda", 20, table_200)
-        assert dirichlet_convolve(mu, lam).kind == REAL
+        et = eratosthenes_transform(lam, table=table_200)
+        assert et.kind == REAL and et.values.dtype == np.float64
 
     def test_insufficient_tabulation(self):
         with pytest.raises(ValueError):
-            dirichlet_convolve(tabulate("unit", 5), tabulate("unit", 10), 10)
+            eratosthenes_transform(tabulate("unit", 5), 10)
 
 
 class TestEratosthenesTransform:
@@ -89,13 +89,13 @@ class TestEratosthenesTransform:
 
     def test_round_trip_exact(self, rng):
         F = random_exact_table(rng, 120)
-        back = divisor_sum_transform(eratosthenes_transform(F))
-        assert list(back.values) == list(F.values)
+        back = evaluate_tds_range(eratosthenes_transform(F), F.limit)
+        assert list(back) == list(F.values)
 
     def test_round_trip_real(self, table_2k):
         lam = tabulate("lambda", 1000, table_2k)
-        back = divisor_sum_transform(eratosthenes_transform(lam))
-        assert np.max(np.abs(back.values - lam.values)) < 1e-9
+        back = evaluate_tds_range(eratosthenes_transform(lam), lam.limit)
+        assert np.max(np.abs(back - lam.values)) < 1e-9
 
 
 class TestTruncation:
@@ -114,7 +114,7 @@ class TestTruncation:
     def test_support_cut(self):
         F = TabulatedFunction(20, EXACT, [0] * 12 + [7] + [0] * 8)  # F'(12)=7
         # F = h * 1 with h supported at 12 only
-        h = divisor_sum_transform(F)
+        h = TabulatedFunction(20, EXACT, evaluate_tds_range(F, 20))
         g = truncate(h, 10)
         assert g.is_zero()
 
@@ -182,17 +182,22 @@ class TestEvaluateTds:
             assert batch[m] == pytest.approx(evaluate_tds(g, m), abs=1e-9)
 
 
+def lifted_values(F):
+    """The lift of F's full truncation, evaluated on [1..F.limit]."""
+    return evaluate_tds_range(odd_lift(truncate(F, F.limit)), F.limit)
+
+
 class TestOddLift:
     def test_reads_odd_part(self, rng):
         F = random_exact_table(rng, 40)
-        lifted = odd_lift(F)
+        lifted = lifted_values(F)
         assert lifted[12] == F[3]
         assert lifted[40] == F[5]
         assert all(lifted[n] == F[odd_part(n)] for n in range(1, 41))
 
     def test_lambda_at_powers_of_two(self, table_200):
         lam = tabulate("lambda", 64, table_200)
-        lifted = odd_lift(lam)
+        lifted = lifted_values(lam)
         for k in (2, 4, 8, 16, 32, 64):
             assert lifted[k] == pytest.approx(0.0, abs=1e-12)
 
@@ -201,25 +206,21 @@ class TestOddLift:
         assert evaluate_tds(g, 24) == pytest.approx(math.log(3), abs=1e-9)
 
     def test_paths_agree_exact(self, rng):
+        # the TDS lift, evaluated, against the plain read at odd_part(n)
         F = random_exact_table(rng, 96)
-        a = odd_lift(F, method="direct")
-        b = odd_lift(F, method="et")
-        assert list(a.values) == list(b.values)
+        n = np.arange(1, 97)
+        assert list(lifted_values(F)[1:]) == list(F.values[n // (n & -n)])
 
     def test_paths_agree_real(self, table_2k):
         lam = tabulate("lambda", 512, table_2k)
-        a = odd_lift(lam, method="direct")
-        b = odd_lift(lam, method="et")
-        assert np.max(np.abs(a.values - b.values)) < 1e-9
+        n = np.arange(1, 513)
+        err = lifted_values(lam)[1:] - lam.values[n // (n & -n)]
+        assert np.max(np.abs(err)) < 1e-9
 
     def test_odd_supported_tds_is_fixed_point(self):
         g = tds_from_et({1: 2, 3: -1, 15: 4}, 20, EXACT)
         lifted = odd_lift(g)
         assert list(lifted.values) == list(g.values)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            odd_lift(tabulate("unit", 10), method="sideways")
 
 
 class TestSerialization:
@@ -247,6 +248,9 @@ class TestSerialization:
         "cutoff=5 kind=ExactInt\n2\t1\n2\t3\n",  # duplicate
         "cutoff=5 kind=ExactInt\n2 1\n",     # wrong separator
         "cutoff=5 kind=ExactInt\n2\tpi\n",   # bad value
+        "cutoff=5 kind=Real\n2\t1_0\n",      # float() reads these three
+        "cutoff=5 kind=Real\n2\t+5\n",
+        "cutoff=5 kind=Real\n2\t 7\n",
     ])
     def test_malformed_inputs(self, text):
         with pytest.raises(ValueError):
