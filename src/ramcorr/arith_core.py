@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import isqrt
 from numbers import Rational
 from operator import itemgetter
@@ -218,7 +218,6 @@ def is_prime_int(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=1 << 16)
 def mobius_int(n: int) -> int:
     """mu(n) by trial division (no sieve needed)."""
     if n < 1:
@@ -239,7 +238,6 @@ def mobius_int(n: int) -> int:
     return val
 
 
-@lru_cache(maxsize=1 << 16)
 def divisors_int(n: int) -> tuple[int, ...]:
     """Sorted divisors of n by trial division."""
     if n < 1:

@@ -21,9 +21,11 @@ numpy's first import (a value already set wins), because BLAS worker
 threads would only spin; importing the module changes no setting.
 
 Configuration: defaults < config file (--config or RAMCORR_CONFIG,
-key=value lines) < RAMCORR_* environment variables < flags.  Only
-``correlate`` has a JSON form: the output_format key and its variable
-are global defaults, but an explicit --format on another command exits 2.
+key=value lines) < RAMCORR_* environment variables < flags.  A bad
+value in the file or a variable exits 2 even when a later source
+overrides it.  Only ``correlate`` has a JSON form: the output_format key
+and its variable are global defaults, but an explicit --format on
+another command exits 2.
 """
 
 from __future__ import annotations
@@ -47,8 +49,23 @@ class UsageError(Exception):
     pass
 
 
+def _config_value(key: str, text: str, where: str):
+    """The value of config ``key`` given as ``text`` at ``where`` (a file's
+    ``<path>:<line>`` or a variable's name); a bad one is a UsageError
+    naming ``where``."""
+    if key == "sieve_limit":
+        try:
+            return int(text)
+        except ValueError as exc:
+            raise UsageError(f"{where}: bad config value: {exc}") from None
+    if text not in ("csv", "json"):
+        raise UsageError(f"{where}: unknown output format {text!r}")
+    return text
+
+
 def _load_config_file(path: str) -> dict:
-    """{key: (raw value, "<path>:<line>")} for the file's key=value lines."""
+    """{key: value} for the file's key=value lines, each line's value
+    checked as it is read (a later line for the same key wins)."""
     from .transforms import _ascii, open_table
     out = {}
     try:
@@ -63,7 +80,8 @@ def _load_config_file(path: str) -> dict:
                 key = key.strip()
                 if key not in CONFIG_KEYS:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-                out[key] = (val.strip(), f"{path}:{lineno}")
+                out[key] = _config_value(key, val.strip(),
+                                         f"{path}:{lineno}")
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     return out
@@ -73,33 +91,23 @@ def _resolve_config(args) -> None:
     """Resolve the configuration into ``args``: ``sieve_limit``,
     ``format`` (the output format) and ``out`` (None for stdout).  The
     flags parse with SUPPRESS defaults, so an attribute is present only
-    when its flag was given, and then it wins.  A bad value from the
-    config file or the environment is named with its source: the file's
-    ``<path>:<line>`` or the variable."""
+    when its flag was given, and then it wins.  Every value in the config
+    file or the environment is checked where it is read, whether or not a
+    later source overrides it, and a bad one is named with its source:
+    the file's ``<path>:<line>`` or the variable."""
     from .arith_core import SIEVE_CAP
     path = getattr(args, "config", None) or os.environ.get("RAMCORR_CONFIG")
-    # key -> (raw value, where it came from)
-    raw = {"sieve_limit": (SIEVE_CAP, "default"),
-           "output_format": ("csv", "default")}
+    config = {"sieve_limit": SIEVE_CAP, "output_format": "csv"}
     if path:
-        raw.update(_load_config_file(path))
+        config.update(_load_config_file(path))
     for key in CONFIG_KEYS:
         var = f"RAMCORR_{key.upper()}"
         if var in os.environ:
-            raw[key] = (os.environ[var], var)
-    value, where = raw["sieve_limit"]
-    try:
-        sieve_limit = int(value)
-    except ValueError as exc:
-        raise UsageError(f"{where}: bad config value: {exc}") from None
+            config[key] = _config_value(key, os.environ[var], var)
     if "format" in vars(args) and args.command != "correlate":
         raise UsageError("--format applies only to correlate")
-    if "format" not in vars(args):
-        value, where = raw["output_format"]
-        if value not in ("csv", "json"):
-            raise UsageError(f"{where}: unknown output format {value!r}")
-        args.format = value
-    vars(args).setdefault("sieve_limit", sieve_limit)
+    vars(args).setdefault("format", config["output_format"])
+    vars(args).setdefault("sieve_limit", config["sieve_limit"])
     vars(args).setdefault("out", None)
 
 

@@ -29,8 +29,13 @@ c_q(m) = sum over e | gcd(q, m) of e mu(q/e) (one helper,
 
     sum over n <= N of f(n) c_q(n + a) = sum over e | q of e mu(q/e) S_e(a),
 
-reducing a once per modulus e and building no c_q table.  The truncation
-tail is the direct route on the tail of g'.
+reducing a once per modulus e and building no c_q table.  Only those
+residues depend on the shift: an expansion profile builds the
+coefficient table ghat and the divisor forms once for all its shifts
+(``_expansion_values``), and ``correlate_expansion`` is the same helper
+on one shift.  The direct route has no setup that outlives a shift, so
+a direct profile is one ``correlate_direct`` call per shift.  The
+truncation tail is the direct route on the tail of g'.
 """
 
 from __future__ import annotations
@@ -104,7 +109,7 @@ def correlate_expansion(f: TabulatedFunction, g: TruncatedDivisorSum,
     Sums ghat(q) * inner_q over supp ghat, with each inner sum
     sum over n <= N of f(n) c_q(n + a) taken in divisor form as
     sum over e | q of e mu(q/e) S_e(a) (see the module docstring).  Each
-    class sum S_e is computed once per call, so a huge shift costs one
+    class sum S_e is computed once per shift, so a huge shift costs one
     reduction per modulus e.  The result is exact for an exact pair (see
     ``arith_core.collapse``) and a float otherwise.
 
@@ -122,21 +127,37 @@ def correlate_expansion(f: TabulatedFunction, g: TruncatedDivisorSum,
     divisor count (e * #{n <= N : e | n + a} <= N + D, and the pairs
     e | q | d with mu(q/e) != 0 number at most tau(d)^2).
     """
-    if a < 1:
-        raise ValueError(f"shifts are naturals >= 1, got {a}")
+    return _expansion_values(f, g, N, [a])[0]
+
+
+def _expansion_values(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
+                      shifts) -> list:
+    """C(N, a) by the expansion route for each shift in order, from one
+    setup: f's slice, the coefficient table of g, the divisor form of
+    each q in its support and the set of moduli e are built once, and a
+    shift costs one reduction per modulus e plus the sums over q and e
+    in ``correlate_expansion``'s order (q ascending, then e ascending),
+    so each value is the one a single-shift call returns, to the bit.
+    """
+    if min(shifts) < 1:
+        raise ValueError(f"shifts are naturals >= 1, got {min(shifts)}")
     if f.limit < N:
         raise ValueError(f"f tabulated only to {f.limit}, need {N}")
     fvals = f.values[: N + 1]
-    sums = {}  # e -> S_e(a), one reduction of a per modulus e
-    total = 0
-    for q, ghat in wintner_coefficients(g).support():
-        inner = 0
-        for e, w in _divisor_form(q):
-            if e not in sums:
-                sums[e] = _class_sum(fvals, a, e)
-            inner += w * sums[e]
-        total += ghat * inner
-    return collapse(total, f, g)
+    terms = [(ghat, _divisor_form(q))
+             for q, ghat in wintner_coefficients(g).support()]
+    moduli = {e for _, form in terms for e, _ in form}
+    values = []
+    for a in shifts:
+        sums = {e: _class_sum(fvals, a, e) for e in moduli}  # e -> S_e(a)
+        total = 0
+        for ghat, form in terms:
+            inner = 0
+            for e, w in form:
+                inner += w * sums[e]
+            total += ghat * inner
+        values.append(collapse(total, f, g))
+    return values
 
 
 def truncation_difference(f: TabulatedFunction, g_source: TabulatedFunction,
@@ -222,19 +243,20 @@ class CorrelationProfile:
 def build_profile(f: TabulatedFunction, g, N: int, shifts,
                   f_id: str = "", g_id: str = "",
                   method: str = "direct") -> CorrelationProfile:
-    """Evaluate the correlation at each shift (deduplicated, ascending)."""
+    """Evaluate the correlation at each shift (deduplicated, ascending);
+    the expansion route builds its coefficients and divisor forms once
+    for the whole list."""
     uniq = sorted(set(int(a) for a in shifts))
     if not uniq:
         raise ValueError("at least one shift is required")
     if method == "direct":
-        ev = lambda a: correlate_direct(f, g, N, a)
+        values = [correlate_direct(f, g, N, a) for a in uniq]
     elif method == "expansion":
-        ev = lambda a: correlate_expansion(f, g, N, a)
+        values = _expansion_values(f, g, N, uniq)
     else:
         raise ValueError(f"unknown method {method!r}")
-    entries = [(a, ev(a)) for a in uniq]
     return CorrelationProfile(N, f_id or f.name, g_id or getattr(g, "name", ""),
-                              entries)
+                              zip(uniq, values))
 
 
 def format_value(v) -> str:

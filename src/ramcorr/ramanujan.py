@@ -7,10 +7,13 @@ form
     c_q(a) = sum over d | gcd(q, a) of d * mu(q/d),
 
 never by floating cosines.  The form is written once, in ``_divisor_form``
-(the cached pairs (d, d mu(q/d)) over d | q with mu(q/d) != 0), and
-``ramanujan_sum``, the c_q blocks and ``correlations.correlate_expansion``
-all read it.  Every block (c_q(0), ..., c_q(n-1)) comes from one
-builder, ``_ramanujan_block``: one int64 slice per pair (|c_q| <= q).
+(the pairs (d, d mu(q/d)) over d | q with mu(q/d) != 0, built from the
+distinct primes of q), and ``ramanujan_sum``, the c_q blocks and the
+expansion route in ``correlations`` all read it.  No form is cached
+across calls: a caller that reads one form many times (the expansion
+profile reads each for every shift) builds it once and keeps it.  Every
+block (c_q(0), ..., c_q(n-1)) comes from one builder,
+``_ramanujan_block``: one int64 slice per pair (|c_q| <= q).
 ExactInt coefficient tables hold ``fractions.Fraction`` values so that
 
     g(a) = sum over q <= D of ghat(q) c_q(a)          (expansion)
@@ -39,8 +42,8 @@ import numpy as np
 
 from .arith_core import (COEFF_TOL, SIEVE_CAP, SUPPORT_EPS, PrimeTable,
                          TabulatedFunction, _odd_primes, agree, capped_sieve,
-                         collapse, divisors_int, mobius_int, sieve_primes,
-                         tolerance, zeros)
+                         collapse, divisors_int, sieve_primes, tolerance,
+                         zeros)
 from .transforms import TruncatedDivisorSum, read_table, truncate
 
 
@@ -60,13 +63,26 @@ class RamanujanCoefficients(TabulatedFunction):
 # Ramanujan sums
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=1 << 16)
 def _divisor_form(q: int) -> tuple[tuple[int, int], ...]:
     """The divisor form of c_q: the pairs (e, e mu(q/e)) over the divisors
     e of q with mu(q/e) != 0, ascending e, so that c_q(m) is the sum of
-    the weights e mu(q/e) whose e divides m."""
-    return tuple((e, e * m) for e in divisors_int(q)
-                 if (m := mobius_int(q // e)))
+    the weights e mu(q/e) whose e divides m.
+
+    Built from the distinct primes of q, found by trial division: each
+    square-free s | q gives e = q/s with weight e (-1)^omega(s), so each
+    prime p of q adds the pair (e/p, -w/p) for every pair (e, w) so far.
+    q >= 1: every caller passes a checked modulus or a support point.
+    """
+    form, n, p = [(q, q)], q, 2
+    while n > 1:
+        if p * p > n:
+            p = n  # the cofactor left is prime
+        if n % p == 0:
+            form += [(e // p, -w // p) for e, w in form]
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    return tuple(sorted(form))
 
 
 def ramanujan_sum(q: int, a: int) -> int:
@@ -77,6 +93,8 @@ def ramanujan_sum(q: int, a: int) -> int:
     return sum(w for e, w in _divisor_form(q) if r % e == 0)
 
 
+# cached only because the benchmark's tracer (perfbench/tracer.py) reads
+# its cache_info()
 @lru_cache(maxsize=4096)
 def ramanujan_sum_table(q: int) -> tuple[int, ...]:
     """(c_q(0), c_q(1), ..., c_q(q-1)); one q-periodic block, as ints."""

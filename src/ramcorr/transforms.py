@@ -241,12 +241,14 @@ _REAL_TEXT = re.compile(r"-?([0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?|inf|nan)")
 _INDEX_TEXT = re.compile(r"[0-9]+")
 
 
-def _bad_entry(lineno: int, line: str) -> ValueError:
+def _bad_entry(lineno: int, line: str, kind: str) -> ValueError:
     """The error for an entry that does not parse: it names Python's
-    int-to-str digit limit when a digit run in ``line`` exceeds it (int()
-    and Fraction() refuse such text), else quotes the line."""
+    int-to-str digit limit when a digit run that int() or Fraction()
+    read exceeds it (both columns of an ExactInt line, the index of a
+    Real one: float() has no such limit), else quotes the line."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    longest = max(map(len, _INDEX_TEXT.findall(line)), default=0)
+    read_as_int = line if kind == EXACT else line.split("\t")[0]
+    longest = max(map(len, _INDEX_TEXT.findall(read_as_int)), default=0)
     if limit and longest > limit:
         return ValueError(
             f"line {lineno}: a {longest}-digit number exceeds Python's "
@@ -320,7 +322,7 @@ def read_table(fh, cls, parse_exact, max_cutoff: int = SIEVE_CAP):
                 raise ValueError(cols[1])
             d, v = int(cols[0]), parse(cols[1])
         except (ValueError, ZeroDivisionError):
-            raise _bad_entry(lineno, line) from None
+            raise _bad_entry(lineno, line, kind) from None
         if not 1 <= d <= cutoff:
             raise ValueError(f"line {lineno}: d={d} outside [1, {cutoff}]")
         if d in entries:

@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ramcorr import correlations, ramanujan, transforms
@@ -442,9 +443,43 @@ class TestProfiles:
         data = json.loads(profile_to_json(prof))
         assert data["entries"][1]["a"] == "106"
 
-    def test_expansion_mode(self, table_200):
+    def test_expansion_mode(self, table_200, rng):
         f = tabulate("odd_primes", 12, table_200)
         g = tds_from_et({1: 2, 3: 1}, 12, EXACT)
         d = build_profile(f, g, 12, [1, 2, 3], method="direct")
         e = build_profile(f, g, 12, [1, 2, 3], method="expansion")
         assert [v for _, v in d.entries] == [v for _, v in e.entries]
+        # the profile's one setup gives each shift the value of its own
+        # single-shift call, in type and (Real) to the bit
+        N = 60
+        U = universal_period(N)
+        pairs = [artifact_pair(N, table_200),
+                 (random_exact_table(rng, N), random_tds(rng, 2 * N, 30))]
+        for f, g in pairs:
+            shifts = [1, 2, 3, 17, U + 1, U + 2, U + 3, U + 17]
+            prof = build_profile(f, g, N, shifts, method="expansion")
+            assert [a for a, _ in prof.entries] == shifts
+            for a, got in prof.entries:
+                want = correlate_expansion(f, g, N, a)
+                assert type(got) is type(want), (a, got, want)
+                if isinstance(want, float):
+                    assert (np.float64(got).tobytes()
+                            == np.float64(want).tobytes()), a
+                else:
+                    assert got == want, a
+
+    def test_expansion_profile_builds_the_coefficients_once(
+            self, monkeypatch, table_200):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return wintner_coefficients(g)
+
+        monkeypatch.setattr(correlations, "wintner_coefficients", counted)
+        N = 60
+        f, g = artifact_pair(N, table_200)
+        U = universal_period(N)
+        prof = build_profile(f, g, N, [3, 17, U + 3, U + 17],
+                             method="expansion")
+        assert len(prof.entries) == 4 and calls == [g]

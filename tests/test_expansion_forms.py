@@ -151,12 +151,28 @@ def same_value_and_type(got, want):
 # the divisor form
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("q", [1, 2, 4, 6, 12, 30, 97, 360, 2310, 9973])
-def test_divisor_form_lists_the_nonzero_weights_in_ascending_e(q):
-    want = tuple((e, e * mobius_int(q // e)) for e in divisors_int(q)
+def divisor_form_by_definition(q):
+    """The pairs (e, e mu(q/e)) with mu(q/e) != 0 over the divisors of q
+    in ascending order, read off the trial-division divisor list and
+    Mobius function (``_divisor_form`` builds them from q's primes)."""
+    return tuple((e, e * mobius_int(q // e)) for e in divisors_int(q)
                  if mobius_int(q // e))
-    assert _divisor_form(q) == want
-    assert all(type(e) is int and type(w) is int for e, w in want)
+
+
+# squareful and large q: prime powers, 720720 = 2^4 3^2 5 7 11 13, the
+# largest prime below 10^6 and its double
+@pytest.mark.parametrize("q", [1, 2, 4, 6, 12, 30, 97, 360, 2310, 9973,
+                               2 ** 10, 3 ** 7, 720720, 999983, 999983 * 2])
+def test_divisor_form_lists_the_nonzero_weights_in_ascending_e(q):
+    want = divisor_form_by_definition(q)
+    got = _divisor_form(q)
+    assert got == want
+    assert all(type(e) is int and type(w) is int for e, w in got)
+
+
+def test_divisor_form_matches_its_definition_up_to_3000():
+    for q in range(1, 3001):
+        assert _divisor_form(q) == divisor_form_by_definition(q), q
 
 
 def test_ramanujan_sum_matches_the_gcd_divisor_body():

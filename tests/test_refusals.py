@@ -99,37 +99,56 @@ def test_output_format_config_stays_a_global_default(capsys, tmp_path,
     assert code == 0 and out.startswith("{")
 
 
-@pytest.mark.parametrize("text, message", [
-    pytest.param("output_format=xml\n",
+# a bad config value exits 2 also when a flag or a later line overrides it
+CSV_CORRELATE = [*CORRELATE, "--N", "5", "--shifts", "1", "--format", "csv"]
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    pytest.param("output_format=xml\n", HL,
                  "{path}:1: unknown output format 'xml'",
                  id="output_format-xml"),
-    pytest.param("# comment\nsieve_limit\n", "{path}:2: expected key=value",
-                 id="line-without-equals"),
-    pytest.param("# comment\nsieve_limit = 12x\n",
+    pytest.param("# comment\nsieve_limit\n", HL,
+                 "{path}:2: expected key=value", id="line-without-equals"),
+    pytest.param("# comment\nsieve_limit = 12x\n", HL,
                  "{path}:2: bad config value: invalid literal for int() "
                  "with base 10: '12x'", id="sieve_limit-12x"),
+    pytest.param("output_format=xml\n", CSV_CORRELATE,
+                 "{path}:1: unknown output format 'xml'",
+                 id="output_format-xml-under-format-flag"),
+    pytest.param("sieve_limit=12x\n", ["--sieve-limit", "100", *HL],
+                 "{path}:1: bad config value: invalid literal for int() "
+                 "with base 10: '12x'", id="sieve_limit-12x-under-flag"),
+    pytest.param("output_format=xml\noutput_format=csv\n", HL,
+                 "{path}:1: unknown output format 'xml'",
+                 id="output_format-xml-under-a-later-line"),
 ])
 def test_bad_config_file_exits_2(capsys, tmp_path, no_config_env, text,
-                                 message):
+                                 argv, message):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
-    code, out, err = run_cli(capsys, ["--config", str(path), *HL])
+    code, out, err = run_cli(capsys, ["--config", str(path), *argv])
     assert (code, out) == (2, "")
     assert message.format(path=path) in err
 
 
-@pytest.mark.parametrize("var, value, message", [
-    pytest.param("RAMCORR_SIEVE_LIMIT", "abc",
+@pytest.mark.parametrize("var, value, argv, message", [
+    pytest.param("RAMCORR_SIEVE_LIMIT", "abc", HL,
                  "bad config value: invalid literal for int() with base "
                  "10: 'abc'", id="sieve_limit-abc"),
-    pytest.param("RAMCORR_OUTPUT_FORMAT", "xml",
+    pytest.param("RAMCORR_OUTPUT_FORMAT", "xml", HL,
                  "unknown output format 'xml'", id="output_format-xml"),
+    pytest.param("RAMCORR_OUTPUT_FORMAT", "xml", CSV_CORRELATE,
+                 "unknown output format 'xml'",
+                 id="output_format-xml-under-format-flag"),
+    pytest.param("RAMCORR_SIEVE_LIMIT", "abc", ["--sieve-limit", "100", *HL],
+                 "bad config value: invalid literal for int() with base "
+                 "10: 'abc'", id="sieve_limit-abc-under-flag"),
 ])
 def test_bad_config_variable_exits_2_naming_it(capsys, monkeypatch,
                                                no_config_env, var, value,
-                                               message):
+                                               argv, message):
     monkeypatch.setenv(var, value)
-    code, out, err = run_cli(capsys, HL)
+    code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     assert err == f"ramcorr: error: {var}: {message}\n"
 

@@ -113,6 +113,9 @@ ORACLES = {
     "half_range_identity_check":
         "ramanujan.wintner_coefficients above half the cutoff, against "
         "g'(q)/q",
+    "correlate_expansion":
+        "the expansion route on one shift (build_profile runs the same "
+        "helper on a shift list), against correlations.correlate_direct",
 }
 
 

@@ -346,6 +346,21 @@ class TestDigitLimit:
             f"line 3: a {digits}-digit number exceeds Python's int-to-str "
             f"limit of {limit} digits")
 
+    def test_real_values_are_read_by_float_which_has_no_limit(self):
+        # a Real value that does not parse is quoted whatever its length;
+        # a Real index is read by int(), so it can still pass the limit
+        limit = sys.get_int_max_str_digits()
+        text = "cutoff=5 kind=Real\n2\t+" + "1" * 5000 + "\n"
+        with pytest.raises(ValueError) as exc:
+            read_tds(io.StringIO(text))
+        assert str(exc.value).startswith("line 2: bad entry '2\\t+111")
+        text = "cutoff=5 kind=Real\n" + "1" * 5000 + "\t1.5\n"
+        with pytest.raises(ValueError) as exc:
+            read_tds(io.StringIO(text))
+        assert str(exc.value) == (
+            f"line 2: a 5000-digit number exceeds Python's int-to-str "
+            f"limit of {limit} digits")
+
     def test_numbers_at_the_limit_still_read(self):
         limit = sys.get_int_max_str_digits()
         text = f"cutoff=3 kind=ExactInt\n2\t{'5' * limit}\n"

@@ -251,6 +251,9 @@ class TestSerialization:
         "cutoff=5 kind=Real\n2\t1_0\n",      # float() reads these three
         "cutoff=5 kind=Real\n2\t+5\n",
         "cutoff=5 kind=Real\n2\t 7\n",
+        # the fault is the sign, not the length: float() has no digit limit
+        pytest.param("cutoff=5 kind=Real\n2\t+" + "1" * 5000 + "\n",
+                     id="real-plus-5000-digits"),
     ])
     def test_malformed_inputs(self, text):
         with pytest.raises(ValueError):
