@@ -29,12 +29,16 @@ c_q(m) = sum over e | gcd(q, m) of e mu(q/e) (one helper,
 
     sum over n <= N of f(n) c_q(n + a) = sum over e | q of e mu(q/e) S_e(a),
 
-reducing a once per modulus e and building no c_q table.  Only those
-residues depend on the shift: an expansion profile builds the
-coefficient table ghat and the divisor forms once for all its shifts
-(``_expansion_values``), and ``correlate_expansion`` is the same helper
-on one shift.  The direct route has no setup that outlives a shift, so
-a direct profile is one ``correlate_direct`` call per shift.  The
+reducing a once per modulus e and building no c_q table.  So each route
+is a list of terms (coefficient, form), a form being the pairs
+(modulus e, weight w): the direct route's terms are (g'(d), ((d, 1),))
+over supp g', the expansion route's are (ghat(q), divisor form of q)
+over supp ghat.  One helper, ``_class_values``, evaluates either list at
+a list of shifts: the refusals, f's slice, the terms and the set of
+moduli are set up once, and only the residues -a mod e depend on the
+shift.  ``correlate_direct`` on a TDS and ``correlate_expansion`` are
+that helper on one shift, ``build_profile`` runs it on its shift list
+and ``verify_periodicity`` on the shifts a and a + period.  The
 truncation tail is the direct route on the tail of g'.
 """
 
@@ -82,16 +86,9 @@ def correlate_direct(f: TabulatedFunction, g, N: int, a: int):
 
     with u = 2**-53 and max|f| taken over [1..N].
     """
-    if a < 1:
-        raise ValueError(f"shifts are naturals >= 1, got {a}")
-    if f.limit < N:
-        raise ValueError(f"f tabulated only to {f.limit}, need {N}")
     if isinstance(g, TruncatedDivisorSum):
-        fvals = f.values[: N + 1]
-        acc = 0
-        for d, gd in g.support():
-            acc += gd * _class_sum(fvals, a, d)
-        return collapse(acc, f, g)
+        return _class_values(f, g, N, [a], "direct")[0]
+    _refuse(f, N, [a])
     if g.limit < N + a:
         raise ValueError(
             f"g tabulated only to {g.limit}, not evaluable at N+a={N + a}")
@@ -127,35 +124,49 @@ def correlate_expansion(f: TabulatedFunction, g: TruncatedDivisorSum,
     divisor count (e * #{n <= N : e | n + a} <= N + D, and the pairs
     e | q | d with mu(q/e) != 0 number at most tau(d)^2).
     """
-    return _expansion_values(f, g, N, [a])[0]
+    return _class_values(f, g, N, [a], "expansion")[0]
 
 
-def _expansion_values(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
-                      shifts) -> list:
-    """C(N, a) by the expansion route for each shift in order, from one
-    setup: f's slice, the coefficient table of g, the divisor form of
-    each q in its support and the set of moduli e are built once, and a
-    shift costs one reduction per modulus e plus the sums over q and e
-    in ``correlate_expansion``'s order (q ascending, then e ascending),
-    so each value is the one a single-shift call returns, to the bit.
-    """
-    if min(shifts) < 1:
-        raise ValueError(f"shifts are naturals >= 1, got {min(shifts)}")
+def _refuse(f: TabulatedFunction, N: int, shifts) -> None:
+    """The refusals both routes share: the first shift below 1, and an f
+    tabulated short of N."""
+    bad = [a for a in shifts if a < 1]
+    if bad:
+        raise ValueError(f"shifts are naturals >= 1, got {bad[0]}")
     if f.limit < N:
         raise ValueError(f"f tabulated only to {f.limit}, need {N}")
+
+
+def _class_values(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
+                  shifts, method: str) -> list:
+    """C(N, a) for each shift in order by the route ``method`` ("direct"
+    or "expansion"), from one setup: the refusals, f's slice, the route's
+    terms (coefficient, form) and the set of moduli e (see the module
+    docstring) are built once.  A shift costs one reduction per modulus
+    (``_class_sum``) and the sums over the terms, ascending, then over
+    each form's e, ascending, so each value is the one a single-shift
+    call returns, to the bit.
+    """
+    _refuse(f, N, shifts)
+    if not isinstance(g, TruncatedDivisorSum):
+        raise ValueError(
+            f"g must be a TruncatedDivisorSum, got {type(g).__name__}")
     fvals = f.values[: N + 1]
-    terms = [(ghat, _divisor_form(q))
-             for q, ghat in wintner_coefficients(g).support()]
+    if method == "direct":
+        terms = [(gd, ((d, 1),)) for d, gd in g.support()]
+    else:
+        terms = [(ghat, _divisor_form(q))
+                 for q, ghat in wintner_coefficients(g).support()]
     moduli = {e for _, form in terms for e, _ in form}
     values = []
     for a in shifts:
         sums = {e: _class_sum(fvals, a, e) for e in moduli}  # e -> S_e(a)
         total = 0
-        for ghat, form in terms:
+        for coeff, form in terms:
             inner = 0
             for e, w in form:
                 inner += w * sums[e]
-            total += ghat * inner
+            total += coeff * inner
         values.append(collapse(total, f, g))
     return values
 
@@ -212,9 +223,11 @@ def verify_periodicity(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
     if g.is_zero():
         raise UndefinedPeriodError("periodicity undefined for the zero TDS")
     bound = tolerance(f, g)
-    return all(agree(correlate_direct(f, g, N, a),
-                     correlate_direct(f, g, N, a + period), bound)
-               for a in shifts)
+    shifts = list(shifts)
+    values = _class_values(f, g, N, shifts + [a + period for a in shifts],
+                           "direct")
+    return all(agree(c, shifted, bound)
+               for c, shifted in zip(values, values[len(shifts):]))
 
 
 # ----------------------------------------------------------------------
@@ -240,22 +253,19 @@ class CorrelationProfile:
                 raise ValueError("profile values must be finite")
 
 
-def build_profile(f: TabulatedFunction, g, N: int, shifts,
-                  f_id: str = "", g_id: str = "",
+def build_profile(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
+                  shifts, f_id: str = "", g_id: str = "",
                   method: str = "direct") -> CorrelationProfile:
-    """Evaluate the correlation at each shift (deduplicated, ascending);
-    the expansion route builds its coefficients and divisor forms once
-    for the whole list."""
+    """Evaluate the correlation at each shift (deduplicated, ascending)
+    by the route ``method``, set up once for the whole list (see
+    ``_class_values``).  g must be a TDS."""
     uniq = sorted(set(int(a) for a in shifts))
     if not uniq:
         raise ValueError("at least one shift is required")
-    if method == "direct":
-        values = [correlate_direct(f, g, N, a) for a in uniq]
-    elif method == "expansion":
-        values = _expansion_values(f, g, N, uniq)
-    else:
+    if method not in ("direct", "expansion"):
         raise ValueError(f"unknown method {method!r}")
-    return CorrelationProfile(N, f_id or f.name, g_id or getattr(g, "name", ""),
+    values = _class_values(f, g, N, uniq, method)
+    return CorrelationProfile(N, f_id or f.name, g_id or g.name,
                               zip(uniq, values))
 
 

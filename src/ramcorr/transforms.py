@@ -232,28 +232,16 @@ def write_tds(g: TabulatedFunction, fh) -> None:
     fh.write("".join(blocks))
 
 
-# the only exact value text write_tds emits: an int or a Fraction's p/q
-_EXACT_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# the only exact value texts write_tds emits: an int, and in a table read
+# by Fraction also a Fraction's p/q (q > 0), so that int() or Fraction()
+# refuses a text these take only for a digit run past the int-to-str limit
+_INT_TEXT = re.compile(r"-?[0-9]+")
+_FRACTION_TEXT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 # the only Real value text it emits: str() of a float (float() would also
 # take +5, 1_0 and " 7"); read_table then refuses inf and nan by name
 _REAL_TEXT = re.compile(r"-?([0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?|inf|nan)")
 # the only index and cutoff text it emits (int() would also take +3, 1_0)
 _INDEX_TEXT = re.compile(r"[0-9]+")
-
-
-def _bad_entry(lineno: int, line: str, kind: str) -> ValueError:
-    """The error for an entry that does not parse: it names Python's
-    int-to-str digit limit when a digit run that int() or Fraction()
-    read exceeds it (both columns of an ExactInt line, the index of a
-    Real one: float() has no such limit), else quotes the line."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    read_as_int = line if kind == EXACT else line.split("\t")[0]
-    longest = max(map(len, _INDEX_TEXT.findall(read_as_int)), default=0)
-    if limit and longest > limit:
-        return ValueError(
-            f"line {lineno}: a {longest}-digit number exceeds Python's "
-            f"int-to-str limit of {limit} digits")
-    return ValueError(f"line {lineno}: bad entry {line!r}")
 
 
 def _ascii(lineno: int, line: str, where: str = "line ") -> str:
@@ -275,8 +263,9 @@ def read_table(fh, cls, parse_exact, max_cutoff: int = SIEVE_CAP):
     """Read the text format into a ``cls`` table.
 
     The cutoff and every index must read ``digits``.  ExactInt values
-    must read ``[-]digits`` or ``[-]digits/digits`` and are then parsed
-    by ``parse_exact``; Real values must read as str() writes a float,
+    must read ``[-]digits``, or also ``[-]digits/digits`` with a nonzero
+    denominator when ``parse_exact`` is not int, and are then parsed by
+    ``parse_exact``; Real values must read as str() writes a float,
     ``[-]digits[.digits][e[+-]digits]``, ``inf`` or ``nan``, and are then
     parsed by float.
     Every fault raises ValueError("line N: ...") locating it: a non-ASCII
@@ -305,8 +294,11 @@ def read_table(fh, cls, parse_exact, max_cutoff: int = SIEVE_CAP):
         raise ValueError(
             f"line 1: cutoff {cutoff} exceeds the cap {max_cutoff} "
             "(sieve_limit)")
-    parse, grammar = ((parse_exact, _EXACT_TEXT) if kind == EXACT
-                      else (float, _REAL_TEXT))
+    if kind == EXACT:
+        parse = parse_exact
+        grammar = _INT_TEXT if parse_exact is int else _FRACTION_TEXT
+    else:
+        parse, grammar = float, _REAL_TEXT
     entries = {}
     for lineno, line in enumerate(fh, start=2):
         line = _ascii(lineno, line).strip()
@@ -315,14 +307,19 @@ def read_table(fh, cls, parse_exact, max_cutoff: int = SIEVE_CAP):
         cols = line.split("\t")
         if len(cols) != 2:
             raise ValueError(f"line {lineno}: expected 'd<TAB>value'")
+        if not (_INDEX_TEXT.fullmatch(cols[0]) and grammar.fullmatch(cols[1])):
+            raise ValueError(f"line {lineno}: bad entry {line!r}")
         try:
-            if not _INDEX_TEXT.fullmatch(cols[0]):
-                raise ValueError(cols[0])
-            if not grammar.fullmatch(cols[1]):
-                raise ValueError(cols[1])
             d, v = int(cols[0]), parse(cols[1])
-        except (ValueError, ZeroDivisionError):
-            raise _bad_entry(lineno, line, kind) from None
+        except ValueError:
+            # text the grammar takes fails only on a digit run past the
+            # limit, which float() has not: a Real line's index is at fault
+            longest = max(map(len, _INDEX_TEXT.findall(
+                line if kind == EXACT else cols[0])))
+            raise ValueError(
+                f"line {lineno}: a {longest}-digit number exceeds Python's "
+                f"int-to-str limit of {sys.get_int_max_str_digits()} digits"
+            ) from None
         if not 1 <= d <= cutoff:
             raise ValueError(f"line {lineno}: d={d} outside [1, {cutoff}]")
         if d in entries:

@@ -415,6 +415,29 @@ class TestVerifyPeriodicity:
         with pytest.raises(UndefinedPeriodError):
             verify_periodicity(f, tds_from_et({}, 10, EXACT), 10, 1, [1])
 
+    @pytest.mark.parametrize("pair", ["odd-support", "even-support"])
+    def test_one_setup_and_one_class_sum_per_modulus_and_shift(
+            self, monkeypatch, table_200, pair):
+        N = 15
+        f = tabulate("odd_primes_log", N, table_200)
+        g = (tds_from_et({1: 2, 3: -1, 5: 4, 15: 1}, N, EXACT)
+             if pair == "odd-support" else lambda_tds(N, table_200))
+        U = universal_period(N)
+        shifts = [1, 2, 3, 17]
+        want = all(correlate_direct(f, g, N, a) == correlate_direct(
+            f, g, N, a + U) for a in shifts)
+        assert want == (pair == "odd-support")
+        class_sum, slices = correlations._class_sum, []
+
+        def counted(fvals, a, d):
+            slices.append(fvals)
+            return class_sum(fvals, a, d)
+
+        monkeypatch.setattr(correlations, "_class_sum", counted)
+        assert verify_periodicity(f, g, N, U, shifts) == want
+        assert len(slices) == len(g.support()) * 2 * len(shifts)
+        assert all(fvals is slices[0] for fvals in slices)  # one slice
+
 
 class TestProfiles:
     def test_entries_sorted_and_deduplicated(self, table_200):
@@ -443,24 +466,27 @@ class TestProfiles:
         data = json.loads(profile_to_json(prof))
         assert data["entries"][1]["a"] == "106"
 
-    def test_expansion_mode(self, table_200, rng):
+    @pytest.mark.parametrize("method, single", [
+        ("direct", correlate_direct), ("expansion", correlate_expansion)],
+        ids=["direct", "expansion"])
+    def test_expansion_mode(self, table_200, rng, method, single):
         f = tabulate("odd_primes", 12, table_200)
         g = tds_from_et({1: 2, 3: 1}, 12, EXACT)
         d = build_profile(f, g, 12, [1, 2, 3], method="direct")
         e = build_profile(f, g, 12, [1, 2, 3], method="expansion")
         assert [v for _, v in d.entries] == [v for _, v in e.entries]
         # the profile's one setup gives each shift the value of its own
-        # single-shift call, in type and (Real) to the bit
+        # single-shift call by the same route, in type and (Real) to the bit
         N = 60
         U = universal_period(N)
         pairs = [artifact_pair(N, table_200),
                  (random_exact_table(rng, N), random_tds(rng, 2 * N, 30))]
         for f, g in pairs:
             shifts = [1, 2, 3, 17, U + 1, U + 2, U + 3, U + 17]
-            prof = build_profile(f, g, N, shifts, method="expansion")
+            prof = build_profile(f, g, N, shifts, method=method)
             assert [a for a, _ in prof.entries] == shifts
             for a, got in prof.entries:
-                want = correlate_expansion(f, g, N, a)
+                want = single(f, g, N, a)
                 assert type(got) is type(want), (a, got, want)
                 if isinstance(want, float):
                     assert (np.float64(got).tobytes()

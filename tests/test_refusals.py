@@ -203,7 +203,10 @@ F9 = tabulate("unit", 9)
 F5 = tabulate("unit", 5)
 G9 = tds_from_et({1: 1}, 9, EXACT)
 TABLE = sieve_primes(200)
+F10 = tabulate("unit", 10)
+ID20 = tabulate("identity", 20)
 SHIFT_0 = "shifts are naturals >= 1, got 0"
+NOT_A_TDS = "g must be a TruncatedDivisorSum, got TabulatedFunction"
 NATURAL_0 = "naturals start at 1, got 0"
 
 
@@ -223,6 +226,13 @@ NATURAL_0 = "naturals start at 1, got 0"
                  "f tabulated only to 5, need 9", id="expansion-short-f"),
     pytest.param(lambda: correlate_expansion(F9, G9, 9, 0), SHIFT_0,
                  id="expansion-a-0"),
+    # a plain table is not a g' table: both routes refuse it by type
+    pytest.param(lambda: correlate_expansion(F10, ID20, 10, 1), NOT_A_TDS,
+                 id="expansion-plain-g"),
+    pytest.param(lambda: build_profile(F10, ID20, 10, [1], method="expansion"),
+                 NOT_A_TDS, id="profile-expansion-plain-g"),
+    pytest.param(lambda: build_profile(F10, ID20, 10, [1], method="direct"),
+                 NOT_A_TDS, id="profile-direct-plain-g"),
     pytest.param(lambda: truncation_difference(F9, tabulate("unit", 20),
                                                9, 0),
                  SHIFT_0, id="truncation-difference-a-0"),

@@ -346,6 +346,30 @@ class TestDigitLimit:
             f"line 3: a {digits}-digit number exceeds Python's int-to-str "
             f"limit of {limit} digits")
 
+    @pytest.mark.parametrize("reader, entry, at_fault", [
+        # the grammar refuses the sign, and a TDS value's grammar (int()
+        # reads it) the slash: the length is not the fault
+        pytest.param(read_tds, "2\t+" + "1" * 5000, "bad entry",
+                     id="exact-plus-5000-digits"),
+        pytest.param(read_tds, "2\t1/" + "1" * 5000, "bad entry",
+                     id="tds-slash-5000-digits"),
+        # Fraction() reads the slash, and int() the index: both refuse
+        # only the length
+        pytest.param(read_coefficients, "2\t1/" + "1" * 5000, "limit",
+                     id="coefficients-slash-5000-digits"),
+        pytest.param(read_tds, "1" * 5000 + "\t2", "limit",
+                     id="exact-index-5000-digits"),
+    ])
+    def test_only_a_number_the_grammar_takes_can_pass_the_limit(
+            self, reader, entry, at_fault):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError) as exc:
+            reader(io.StringIO(f"cutoff=5 kind=ExactInt\n{entry}\n"))
+        assert str(exc.value) == (
+            f"line 2: bad entry {entry!r}" if at_fault == "bad entry" else
+            f"line 2: a 5000-digit number exceeds Python's int-to-str "
+            f"limit of {limit} digits")
+
     def test_real_values_are_read_by_float_which_has_no_limit(self):
         # a Real value that does not parse is quoted whatever its length;
         # a Real index is read by int(), so it can still pass the limit
