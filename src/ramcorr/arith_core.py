@@ -20,8 +20,10 @@ Two building blocks everything else consumes:
 Each value reaches the program by one route.  Ranges come from the
 sieve: ``PrimeTable``'s three arrays, and ``tabulate`` for the named
 functions built on them (kappa among them).  Single integers come from
-trial division (``is_prime_int``, ``mobius_int``, ``divisors_int``),
-and the 2-adic split n = 2^v2(n) * odd_part(n) from bit operations.
+one trial-division loop, ``_prime_factors``, which yields the (p, e)
+pairs of n; ``is_prime_int``, ``mobius_int``, ``divisors_int`` and
+``ramanujan._divisor_form`` are read off those pairs.  The 2-adic split
+n = 2^v2(n) * odd_part(n) comes from bit operations.
 
 The prime- and divisor-indexed sweeps (mu, phi, kappa, and the divisor
 sums in ``transforms``) are split at r = isqrt(M) by ``_sqrt_split``:
@@ -200,57 +202,50 @@ def odd_part(n: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# table-free integer utilities (small arguments, trial division)
+# table-free integer utilities (single integers, trial division)
 # ----------------------------------------------------------------------
 
-def is_prime_int(n: int) -> bool:
-    """Deterministic trial-division primality test."""
-    if n < 2:
-        return False
-    for p in (2, 3):
-        if n % p == 0:
-            return n == p
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
-
-
-def mobius_int(n: int) -> int:
-    """mu(n) by trial division (no sieve needed)."""
+def _prime_factors(n: int):
+    """Yield the pairs (p, e) with p^e exactly dividing n, ascending p
+    (none at n = 1): the one trial-division loop, which every
+    single-integer helper reads.  A caller may stop at the first pair,
+    whose p is the smallest prime factor.  n below 1 raises ValueError."""
     if n < 1:
         raise ValueError(f"naturals start at 1, got {n}")
-    if n == 1:
-        return 1
-    val = 1
     p = 2
     while p * p <= n:
         if n % p == 0:
-            n //= p
-            val = -val
-            if n % p == 0:
-                return 0
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            yield p, e
         p += 1 if p == 2 else 2
     if n > 1:
-        val = -val
-    return val
+        yield n, 1  # the cofactor left is prime
+
+
+def is_prime_int(n: int) -> bool:
+    """Whether n is prime: n >= 2 is its own smallest prime factor."""
+    return n >= 2 and next(_prime_factors(n))[0] == n
+
+
+def mobius_int(n: int) -> int:
+    """mu(n) from the factorisation of n."""
+    mu = 1
+    for _, e in _prime_factors(n):
+        if e > 1:
+            return 0
+        mu = -mu
+    return mu
 
 
 def divisors_int(n: int) -> tuple[int, ...]:
-    """Sorted divisors of n by trial division."""
-    if n < 1:
-        raise ValueError(f"naturals start at 1, got {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
+    """Sorted divisors of n from its factorisation."""
+    divs = [1]
+    for p, e in _prime_factors(n):
+        divs += [d * p ** i for i in range(1, e + 1) for d in divs]
+    return tuple(sorted(divs))
 
 
 # ----------------------------------------------------------------------

@@ -6,23 +6,28 @@ form
 
     c_q(a) = sum over d | gcd(q, a) of d * mu(q/d),
 
-never by floating cosines.  The form is written once, in ``_divisor_form``
-(the pairs (d, d mu(q/d)) over d | q with mu(q/d) != 0, built from the
-distinct primes of q), and ``ramanujan_sum``, the c_q blocks and the
-expansion route in ``correlations`` all read it.  No form is cached
-across calls: a caller that reads one form many times (the expansion
-profile reads each for every shift) builds it once and keeps it.  Every
-block (c_q(0), ..., c_q(n-1)) comes from one builder,
+never by floating cosines.  The form is written once, in
+``_divisor_form`` (the pairs (d, d mu(q/d)) over d | q with
+mu(q/d) != 0, built from the distinct primes of q that
+``arith_core._prime_factors`` yields), and ``ramanujan_sum``, the c_q
+blocks and the expansion route in ``correlations`` all read it.  No form
+is cached across calls: a caller that reads one form many times (the
+expansion profile reads each for every shift) builds it once and keeps
+it.  Every block (c_q(0), ..., c_q(n-1)) comes from one builder,
 ``_ramanujan_block``: one int64 slice per pair (|c_q| <= q).
 ExactInt coefficient tables hold ``fractions.Fraction`` values so that
 
     g(a) = sum over q <= D of ghat(q) c_q(a)          (expansion)
     g'(d) = d * sum over K <= D/d of mu(K) ghat(dK)   (inversion)
 
-round-trip with no error at all.  Real-valued tables use float64 and the
-support threshold ``SUPPORT_EPS``.  Coefficient tables are the same table
-type as the divisor-sum tables they come from, and are written by the
-same ``transforms.write_tds`` and read in the same text format.
+round-trip with no error at all.  The coefficients and the inversion are
+both sums over multiples, so both run on one kernel,
+``transforms._multiple_sum``: ghat(q) sums g'(d)/d over the multiples d
+of q, and g'(d)/d sums mu(K) ghat(dK) over the multiples dK of d.
+Real-valued tables use float64 and the support threshold
+``SUPPORT_EPS``.  Coefficient tables are the same table type as the
+divisor-sum tables they come from, and are written by the same
+``transforms.write_tds`` and read in the same text format.
 
 Periods are plain Python ints, arbitrary-precision from the start: the
 product of the odd primes up to N grows like e^N and leaves 64 bits
@@ -41,10 +46,11 @@ from functools import lru_cache
 import numpy as np
 
 from .arith_core import (COEFF_TOL, SIEVE_CAP, SUPPORT_EPS, PrimeTable,
-                         TabulatedFunction, _odd_primes, agree, capped_sieve,
-                         collapse, divisors_int, sieve_primes, tolerance,
-                         zeros)
-from .transforms import TruncatedDivisorSum, read_table, truncate
+                         TabulatedFunction, _odd_primes, _prime_factors,
+                         agree, capped_sieve, collapse, sieve_primes,
+                         tolerance, zeros)
+from .transforms import (TruncatedDivisorSum, _multiple_sum, read_table,
+                         truncate)
 
 
 class UndefinedPeriodError(ValueError):
@@ -68,20 +74,14 @@ def _divisor_form(q: int) -> tuple[tuple[int, int], ...]:
     e of q with mu(q/e) != 0, ascending e, so that c_q(m) is the sum of
     the weights e mu(q/e) whose e divides m.
 
-    Built from the distinct primes of q, found by trial division: each
+    Built from the distinct primes of q (``_prime_factors``): each
     square-free s | q gives e = q/s with weight e (-1)^omega(s), so each
     prime p of q adds the pair (e/p, -w/p) for every pair (e, w) so far.
     q >= 1: every caller passes a checked modulus or a support point.
     """
-    form, n, p = [(q, q)], q, 2
-    while n > 1:
-        if p * p > n:
-            p = n  # the cofactor left is prime
-        if n % p == 0:
-            form += [(e // p, -w // p) for e, w in form]
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
+    form = [(q, q)]
+    for p, _ in _prime_factors(q):
+        form += [(e // p, -w // p) for e, w in form]
     return tuple(sorted(form))
 
 
@@ -117,18 +117,20 @@ def _ramanujan_block(q: int, n: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def wintner_coefficients(g: TruncatedDivisorSum) -> RamanujanCoefficients:
-    """ghat(q) = sum of g'(d)/d over d <= cutoff with q | d.
+    """ghat(q) = sum of g'(d)/d over d <= cutoff with q | d, that is the
+    sum over k <= cutoff/q of g'(qk)/(qk) (``_multiple_sum``), added in
+    ascending d.
 
     The zero table maps to the all-zero coefficient table.  For nonzero
     tables the top of the coefficient support coincides with the top of
     supp(g').
     """
-    coeffs = zeros(g.limit + 1, g.kind)
-    for d, v in g.support():
-        w = Fraction(v, d) if g.is_exact else v / d
-        for q in divisors_int(d):
-            coeffs[q] += w
-    return RamanujanCoefficients(g.limit, g.kind, coeffs,
+    support = g.support()
+    h = zeros(g.limit + 1, g.kind)
+    h[[d for d, _ in support]] = [Fraction(v, d) if g.is_exact else v / d
+                                  for d, v in support]
+    return RamanujanCoefficients(g.limit, g.kind,
+                                 _multiple_sum(None, h, g.limit),
                                  name=f"{g.name}^hat" if g.name else "")
 
 
@@ -174,32 +176,24 @@ def ramanujan_expand_range(coeffs: RamanujanCoefficients, a_max: int):
 
 
 def lucht_invert(coeffs: RamanujanCoefficients) -> TruncatedDivisorSum:
-    """Recover g'(d) = d * sum over K <= D/d of mu(K) ghat(dK).
+    """Recover g'(d) = d * sum over K <= D/d of mu(K) ghat(dK)
+    (``_multiple_sum``, in ascending K).
 
     Exact for ExactInt tables (the recovered values must come out
     integral); within float error for Real.  mu comes from a sieve to D,
     which needs no cap: it is smaller than the table being inverted.
     """
     D = coeffs.limit
-    c = coeffs.values.tolist()
-    mu = sieve_primes(max(D, 2)).mobius_values.tolist()
-    vals = zeros(D + 1, coeffs.kind)
-    for d in range(1, D + 1):
-        total = 0
-        for K in range(1, D // d + 1):
-            v = c[d * K]
-            if v:
-                m = mu[K]
-                if m:
-                    total += m * v
-        total *= d
-        if coeffs.is_exact:
-            if total.denominator != 1:
+    mu = sieve_primes(max(D, 2)).mobius_values
+    vals = np.arange(D + 1) * _multiple_sum(mu, coeffs.values, D)
+    if coeffs.is_exact:
+        vals = vals.tolist()
+        for d, v in enumerate(vals):
+            if v.denominator != 1:
                 raise ValueError(
-                    f"inversion produced non-integer g'({d}) = {total}; "
+                    f"inversion produced non-integer g'({d}) = {v}; "
                     "coefficient table does not come from an ExactInt TDS")
-            total = int(total)
-        vals[d] = total
+        vals = [int(v) for v in vals]
     return TruncatedDivisorSum(D, coeffs.kind, vals)
 
 

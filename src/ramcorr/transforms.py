@@ -11,7 +11,10 @@ descending k.  For a fixed slot n, descending k is ascending d, so each
 slot adds its terms in the order of the plain per-d loop and Real
 products and divisor sums are unchanged to the last bit.  The transform
 runs the kernel on (mu, F), the divisor sum ``evaluate_tds_range`` on
-(g', 1).
+(g', 1).  Its transpose, ``_multiple_sum``, sums over multiples instead
+of divisors, out(q) = sum over k <= M/q of w(k) h(qk), with the same
+split; the Wintner coefficients and their Lucht inversion in
+``ramanujan`` run on it.
 
 A ``TruncatedDivisorSum`` is the table g'(d) for d <= cutoff (the
 table's limit); the function it induces,
@@ -104,6 +107,38 @@ def _convolve(a, b, M: int, kind: str) -> np.ndarray:
             out[k * ds] += a[ds]
         elif b[k]:
             out[k * ds] += a[ds] * b[k]
+    return out
+
+
+def _multiple_sum(w, h, M: int) -> np.ndarray:
+    """out[q] = sum over k <= M/q of w[k] h[qk] for q in [1..M], index 0
+    unused; ``w`` None is the constant 1, added with no product.
+
+    The transpose of ``_convolve``, split the same way over the support
+    of w: each k <= r = isqrt(M) adds one scatter
+    out[q] += w(k) h(qk) for every q <= M/k at once, and the k > r,
+    which reach only q <= M // (r + 1), enter by one gather per block
+    (q, ks) and a running sum.  Only terms with h(qk) != 0 are added,
+    so each slot adds its nonzero terms in ascending k, as the plain
+    per-q loop does: Real sums are that loop's to the last bit, an exact
+    slot with no such term stays the int 0, and an exact table adds no
+    more Fractions than it has terms.  ``h`` is float64 (Real) or object
+    (exact: Python ints and Fractions); ``w`` is cast to h's dtype.
+    """
+    h = h[: M + 1]
+    live = h.astype(bool)
+    if w is not None:
+        w = w[: M + 1].astype(h.dtype)
+    out = np.zeros(M + 1, dtype=h.dtype)
+    points = np.arange(1, M + 1) if w is None else np.flatnonzero(w[1:]) + 1
+    small, blocks = _sqrt_split(points, M)
+    for k in small.tolist():
+        qs = np.flatnonzero(live[k::k]) + 1
+        out[qs] += h[k * qs] if w is None else w[k] * h[k * qs]
+    for q, ks in blocks:
+        ks = ks[live[q * ks]]
+        terms = h[q * ks] if w is None else w[ks] * h[q * ks]
+        out[q] = np.cumsum(np.concatenate((out[q: q + 1], terms)))[-1]
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal
 
 import numpy as np
 
@@ -62,15 +63,26 @@ class _Ledger:
                 "checks": self.checks, "failures": self.failures}
 
 
+def _text(v) -> str:
+    """str(v), or, for a number past Python's int-to-str digit limit,
+    the digit counts of its numerator and denominator (a Decimal is
+    built from an int exactly, with no decimal text)."""
+    try:
+        return str(v)
+    except ValueError:
+        return "<{}-digit numerator, {}-digit denominator>".format(
+            *(Decimal(n).adjusted() + 1 for n in (v.numerator, v.denominator)))
+
+
 def _compare(led: _Ledger, check: str, key: str, gots, wants, bound,
              n: int = 1) -> None:
     """The capped check ``agree(gots[i], wants[i], bound)`` for ascending
     i >= 1 (slot 0 is unused), counting n checks per entry; a record
-    names the entry as ``key`` and its two values as text."""
+    names the entry as ``key`` and its two values as text (``_text``)."""
     for i in range(1, len(wants)):
         led.check(agree(gots[i], wants[i], bound),
-                  lambda: {"check": check, key: i, "got": str(gots[i]),
-                           "expected": str(wants[i])}, n, capped=True)
+                  lambda: {"check": check, key: i, "got": _text(gots[i]),
+                           "expected": _text(wants[i])}, n, capped=True)
 
 
 def _random_tds(rng: random.Random, D: int,

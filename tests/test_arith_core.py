@@ -15,8 +15,9 @@ from ramcorr.arith_core import (COEFF_TOL, EXACT, REAL, REAL_TOL,
                                 v2)
 from ramcorr.correlations import correlate_direct
 from ramcorr.hlmodels import artifact_pair, singular_series
+from ramcorr.ramanujan import _divisor_form
 from ramcorr.transforms import _convolve, lambda_tds
-from trial_division import trial_phi, trial_von_mangoldt
+from trial_division import trial_factorize, trial_phi, trial_von_mangoldt
 
 
 def trial_division_is_prime(n):
@@ -204,6 +205,57 @@ class TestIntUtilities:
     def test_is_prime_int(self):
         for n in range(2000):
             assert is_prime_int(n) == trial_division_is_prime(n)
+
+
+def divisors_from(fac):
+    divs = [1]
+    for p, e in fac:
+        divs = [d * p ** i for d in divs for i in range(e + 1)]
+    return tuple(sorted(divs))
+
+
+def mobius_from(fac):
+    return 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
+
+
+# 2**31 - 1 is prime, 10**12 = 2**12 5**12, the third is a product of two
+# primes near 10**6
+LARGE = [2 ** 31 - 1, 10 ** 12, 999_983 * 1_000_003]
+
+
+class TestOneFactorizer:
+    """The four single-integer helpers read one trial-division loop,
+    ``_prime_factors``; each is checked against the factorisation of the
+    test oracle ``trial_factorize``."""
+
+    @staticmethod
+    def check_helpers(n):
+        fac = trial_factorize(n)
+        assert list(arith_core._prime_factors(n)) == fac
+        assert is_prime_int(n) is (fac == [(n, 1)])
+        assert mobius_int(n) == mobius_from(fac)
+        divs = divisors_int(n)
+        assert divs == divisors_from(fac)
+        mu = {e: mobius_from(trial_factorize(n // e)) for e in divs}
+        assert _divisor_form(n) == tuple((e, e * mu[e]) for e in divs
+                                         if mu[e])
+
+    def test_helpers_up_to_3000(self):
+        for n in range(1, 3001):
+            self.check_helpers(n)
+
+    @pytest.mark.parametrize("n", LARGE)
+    def test_helpers_at_large_n(self, n):
+        self.check_helpers(n)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_refusals(self, n):
+        assert is_prime_int(n) is False
+        for helper in (lambda m: list(arith_core._prime_factors(m)),
+                       mobius_int, divisors_int, _divisor_form):
+            with pytest.raises(ValueError,
+                               match=f"naturals start at 1, got {n}"):
+                helper(n)
 
 
 class TestTabulatedFunction:

@@ -6,13 +6,15 @@ import io
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ramcorr import arith_core, verify
-from ramcorr.arith_core import (EXACT, SIEVE_CAP, divisors_int, is_prime_int,
-                                mobius_int, sieve_primes, tabulate, zeros)
+from ramcorr.arith_core import (EXACT, SIEVE_CAP, _prime_factors,
+                                divisors_int, is_prime_int, mobius_int,
+                                sieve_primes, tabulate, zeros)
 from ramcorr.cli import main
 from ramcorr.correlations import build_profile, profile_to_csv
 from ramcorr.hlmodels import chebyshev_theta
@@ -70,8 +72,9 @@ def _rebind_everywhere(monkeypatch, orig, replacement):
 
 @pytest.fixture()
 def no_trial_division(monkeypatch):
-    """Every binding of the trial-division helpers raises when called."""
-    for helper in (is_prime_int, mobius_int, divisors_int):
+    """Every binding of the trial-division loop and of the helpers read
+    off it raises when called."""
+    for helper in (_prime_factors, is_prime_int, mobius_int, divisors_int):
         def refuse(n, name=helper.__name__):
             raise AssertionError(f"{name}({n}) was called")
         _rebind_everywhere(monkeypatch, helper, refuse)
@@ -205,6 +208,22 @@ class TestSieveReads:
         assert lucht_invert(coeffs).values.tolist() == g.values.tolist()
         back = lucht_invert(coeffs_real).values
         assert np.abs(back - g_real.values).max() <= 1e-9
+
+    @pytest.mark.parametrize("kind", [EXACT, "Real"])
+    def test_wintner_coefficients_need_no_trial_division(self, rng, kind,
+                                                         request):
+        D = 300
+        et = {d: rng.randint(-9, 9) for d in rng.sample(range(1, D + 1), 60)}
+        g = tds_from_et(et, D, kind)
+        want = [sum(Fraction(et.get(d, 0), d) for d in range(q, D + 1, q))
+                for q in range(1, D + 1)]
+        request.getfixturevalue("no_trial_division")
+        got = wintner_coefficients(g).values[1:].tolist()
+        if kind == EXACT:
+            assert got == want
+        else:
+            assert np.allclose(got, [float(v) for v in want], rtol=0,
+                               atol=1e-12)
 
     def test_lucht_invert_of_a_tiny_table(self, no_trial_division):
         coeffs = RamanujanCoefficients(1, EXACT, zeros(2, EXACT))

@@ -223,6 +223,73 @@ def test_transform_equals_the_in_place_sweep_at_two_hundred_thousand(
 
 
 # ----------------------------------------------------------------------
+# the multiple-sum kernel (the transpose of the convolution kernel)
+# against the per-q loop of the Wintner and Lucht coefficients
+# ----------------------------------------------------------------------
+
+# r**2 - 1, r**2 and r**2 + r for r = 3 and 10, plus the smallest M
+MULTIPLE_LIMITS = [1, 2, 3, 8, 9, 10, 99, 100, 110]
+
+
+def per_q_multiple_sum(w, h, M, zero):
+    """out[q] = sum over k <= M/q of w[k] h[qk], one slot at a time: its
+    nonzero terms in ascending k, on Python scalars from ``zero``."""
+    hv = h.tolist()
+    wv = None if w is None else w.tolist()
+    out = [zero] * (M + 1)
+    for q in range(1, M + 1):
+        acc = zero
+        for k in range(1, M // q + 1):
+            t = hv[q * k] if wv is None else wv[k] * hv[q * k]
+            if t:
+                acc += t
+        out[q] = acc
+    return out
+
+
+def multiple_sum_weights(M, table):
+    """w None, w = mu, and random small ints with zeros."""
+    rng = random.Random(M)
+    return {"one": None, "mu": table.mobius_values[: M + 1],
+            "zeros": np.array([0] + [rng.choice([0, 0, -2, 1, 3])
+                                     for _ in range(M)], dtype=np.int64)}
+
+
+@pytest.mark.parametrize("M", MULTIPLE_LIMITS)
+def test_multiple_sum_is_bitwise_the_per_q_loop_real(M, table_200):
+    rng = random.Random(M)
+    # magnitudes over 16 decades, so that another summation order would
+    # show in the last bits
+    h = np.array([0.0] + [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8)
+                          if rng.random() < 0.7 else 0.0 for _ in range(M)])
+    for w in multiple_sum_weights(M, table_200).values():
+        got = transforms._multiple_sum(w, h, M)
+        assert got.dtype == np.float64
+        want = np.array(per_q_multiple_sum(w, h, M, 0.0))
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("M", MULTIPLE_LIMITS)
+def test_multiple_sum_equals_the_per_q_loop_exact(M, table_200):
+    rng = random.Random(M)
+    # zero Fractions too: a skipped term leaves a slot's type alone, so
+    # on the all-zero table every slot stays the int 0
+    mixed = [0] + [rng.choice([0, rng.randint(-9, 9), 10 ** 30,
+                               Fraction(rng.randint(-9, 9),
+                                        rng.randint(1, 9))])
+                   for _ in range(M)]
+    for entries in (mixed, [0] + [Fraction(0)] * M):
+        h = np.empty(M + 1, dtype=object)
+        h[:] = entries
+        for w in multiple_sum_weights(M, table_200).values():
+            got = transforms._multiple_sum(w, h, M)
+            assert got.dtype == object
+            want = per_q_multiple_sum(w, h, M, 0)
+            assert got.tolist() == want
+            assert list(map(type, got)) == list(map(type, want))
+
+
+# ----------------------------------------------------------------------
 # the int64 lane of the exact kernel: taken only for int64 inputs whose
 # product bound stays below 2**63
 # ----------------------------------------------------------------------

@@ -1,12 +1,16 @@
+import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from ramcorr import verify
+from ramcorr.cli import main
 from ramcorr.arith_core import agree, tolerance
 from ramcorr.ramanujan import (RamanujanCoefficients, ramanujan_expand,
                                wintner_coefficients)
-from ramcorr.transforms import evaluate_tds, lambda_tds, tds_from_et
+from ramcorr.transforms import (evaluate_tds, lambda_tds, tds_from_et,
+                                write_tds)
 from ramcorr.verify import SUITES, run_suite
 
 
@@ -128,3 +132,78 @@ def test_pair_failure_records_match_the_per_shift_route(case):
     got = run_suite("expansion", tds=g, coeffs=coeffs)["failures"]
     assert got == per_a_pair_failures(g, coeffs)
     assert (got == []) == case.startswith("clean")
+
+
+# g'(d) = 1 for d <= 1600: ghat(1) is the harmonic number H_1600, whose
+# numerator and denominator pass 640 digits; every other ghat(q) has
+# fewer than 400
+DENSE = tds_from_et(dict.fromkeys(range(1, 1601), 1), 1600, "ExactInt")
+
+
+def _digit_text(v):
+    return (f"<{len(str(abs(v.numerator)))}-digit numerator, "
+            f"{len(str(v.denominator))}-digit denominator>")
+
+
+@pytest.fixture()
+def digit_limit_640():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+class TestRecordsPastTheDigitLimit:
+    """A failure record names a value past Python's int-to-str limit by
+    its digit counts, so the suite still returns its verdict."""
+
+    def test_expansion_pair_exits_1_with_the_located_record(
+            self, tmp_path, capsys, request):
+        c = wintner_coefficients(DENSE)
+        want = _digit_text(c[1])
+        bad = c.values.copy()
+        bad[1] = 1
+        tds, coeffs = tmp_path / "dense.tds", tmp_path / "bad.coeffs"
+        with open(tds, "w") as fh:
+            write_tds(DENSE, fh)
+        with open(coeffs, "w") as fh:
+            write_tds(RamanujanCoefficients(1600, "ExactInt", bad), fh)
+        request.getfixturevalue("digit_limit_640")
+        code = main(["verify", "expansion", "--tds", str(tds),
+                     "--coeffs", str(coeffs)])
+        assert code == 1
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["failures"][0] == {
+            "check": "coefficient", "q": 1, "got": "1", "expected": want}
+        assert [r["check"] for r in verdict["failures"]] == (
+            ["coefficient"] + ["expansion"] * 4)
+        assert all(r["got"].endswith("-digit denominator>")
+                   for r in verdict["failures"][1:])
+
+    def test_lucht_roundtrip_record(self, monkeypatch, request):
+        c = wintner_coefficients(DENSE)
+        want = _digit_text(c[1])
+        got = _digit_text(c[1] + 1)
+
+        def off_at_1(t):
+            values = wintner_coefficients(t).values.copy()
+            values[1] += 1
+            return RamanujanCoefficients(t.limit, t.kind, values)
+
+        monkeypatch.setattr(verify, "wintner_coefficients", off_at_1)
+        request.getfixturevalue("digit_limit_640")
+        verdict = run_suite("lucht", coeffs=c)
+        assert verdict["failures"] == [{"check": "lucht-roundtrip", "q": 1,
+                                        "got": got, "expected": want}]
+
+    @pytest.mark.parametrize("v", [
+        10 ** 640 - 1, 10 ** 640, -(10 ** 700) - 3, Fraction(1, 10 ** 640),
+        Fraction(10 ** 639, 10 ** 641 + 1), Fraction(-(10 ** 900), 99)],
+        ids=["10**640-1", "10**640", "-(10**700)-3", "1/10**640",
+             "10**639/(10**641+1)", "-(10**900)/99"])
+    def test_value_text(self, v, request):
+        want = str(v)
+        if len(str(abs(v.numerator))) > 640 or len(str(v.denominator)) > 640:
+            want = _digit_text(v)
+        request.getfixturevalue("digit_limit_640")
+        assert verify._text(v) == want
