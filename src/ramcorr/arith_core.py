@@ -292,6 +292,23 @@ def collapse(v, *tables):
     return int(v) if v.denominator == 1 else v
 
 
+def _text(v) -> str:
+    """str(v), or, for a number past Python's int-to-str digit limit,
+    the digit counts of its numerator and denominator (a Decimal is
+    built from an int exactly, with no decimal text).  The one text of
+    exact values in verdict records and refusal messages.
+
+    ``decimal`` is imported only past the limit: every table module
+    imports this one, and a call that stays below the limit should not
+    pay for it."""
+    try:
+        return str(v)
+    except ValueError:
+        from decimal import Decimal
+        return "<{}-digit numerator, {}-digit denominator>".format(
+            *(Decimal(n).adjusted() + 1 for n in (v.numerator, v.denominator)))
+
+
 def _python_scalars(values: np.ndarray) -> np.ndarray:
     """An exact object array with every NumPy integer or bool entry
     replaced by the Python int: a NumPy scalar would compute in wrapping

@@ -8,9 +8,10 @@ The ladder starts from the full double von Mangoldt sum
 
 and walks to the artifact
 
-    artifact(N, a) = sum over odd primes p <= N of (log p) L(p + a),
+    artifact(N, a) = sum over odd primes p <= N of (log p) L(odd_part(p + a)),
 
-where L is the odd-lifted N-truncation of von Mangoldt.  Each rung
+where L is the N-truncation of von Mangoldt: one formula for both
+seasons, since the odd lift of L reads L at the odd part.  Each rung
 differs from the previous by an explicitly enumerable correction
 (truncation tail, even-index terms, higher prime powers), so the ladder
 is testable exactly, not just asymptotically.  The artifact is itself a
@@ -82,6 +83,13 @@ def _dot(x, y) -> float:
     return float(np.add.reduce(x * y))
 
 
+def _odd_parts(M: int) -> np.ndarray:
+    """odd_part(m) for m in [1..M] as an index array, with 0 at index 0."""
+    m = np.arange(M + 1)
+    m[1:] //= m[1:] & -m[1:]
+    return m
+
+
 def artifact_pair(N: int, table: PrimeTable | None = None
                   ) -> tuple[TabulatedFunction, TruncatedDivisorSum]:
     """The flagship two-seasons pair: f = log p on odd primes <= N,
@@ -99,13 +107,15 @@ def artifact(N: int, a: int, table: PrimeTable | None = None) -> float:
 
 
 def artifact_identity_check(N: int, a: int, table: PrimeTable) -> bool:
-    """Check the closed parity form of the artifact against full Lambda.
+    """Check the closed form of the artifact against full Lambda:
 
-    Even a:  sum over odd p <= N of (log p) Lambda(p + a).
-    Odd a:   the power-of-two split sum over j >= 1 of (log p)
-             Lambda((p + a) / 2^j), restricted to odd quotients.
+        sum over odd primes p <= N of (log p) Lambda(odd_part(p + a)),
 
-    The closed forms read the untruncated Lambda, so they exceed the
+    one formula for both seasons: p + a is odd for even a, and for odd a
+    the only power-of-two split (p + a) / 2^j with an odd quotient is
+    j = v2(p + a).
+
+    The closed form reads the untruncated Lambda, so it exceeds the
     artifact by the exact tail sum over divisors above N; the check adds
     that correction and then requires equality within
     REAL_TOL * max(1, |closed form|).
@@ -119,19 +129,8 @@ def artifact_identity_check(N: int, a: int, table: PrimeTable) -> bool:
     correction = 0.0
     for p in _odd_primes(N, table).tolist():
         lp = math.log(p)
-        m = p + a
-        if a % 2 == 0:
-            closed += lp * lam[m]
-            m_odd = m
-        else:
-            j_max = int(math.log2(N + a))
-            for j in range(1, j_max + 1):
-                step = 1 << j
-                if m % step == 0:
-                    q = m // step
-                    if q % 2:
-                        closed += lp * lam[q]
-            m_odd = odd_part(m)
+        m_odd = odd_part(p + a)
+        closed += lp * lam[m_odd]
         for d in divisors_int(m_odd):
             if d > N:
                 mu_d = mobius_int(d)
@@ -144,13 +143,15 @@ def model_chain(N: int, a_list, table: PrimeTable) -> list[ModelRow]:
     """One row per shift of a_list, in its order and with repeats kept:
     all ladder values plus the full correlation and artifact at (N, a).
 
-    Lambda_N and Lambda_N^odd on [1..N + max a], and the odd-prime logs on
-    [1..N], are built once for all the shifts.  The range sweep adds the
-    terms of each slot in ascending d whatever the range's top, so each
-    row is bitwise the row of its shift alone.
+    Lambda_N on [1..N + max a] comes from one range sweep, and
+    Lambda_N^odd(m) = Lambda_N(odd_part(m)) is read from it at the odd
+    parts: the sweep adds the terms of each slot in ascending d, so slot
+    odd_part(m) holds, to the bit, the sweep of the odd-lifted table at
+    m.  The sweep's terms do not depend on the range's top, so each row
+    is bitwise the row of its shift alone.
 
-    For even shifts the odd-index rung equals, identically, the same sum
-    read through the plain truncation; that equality is asserted here.
+    For even shifts an odd n keeps n + a odd, so the odd-index rung m63
+    and its plain-truncation twin m64 sum the same products.
     """
     a_list = [int(a) for a in a_list]
     if N < 2 or min(a_list, default=1) < 1:
@@ -159,9 +160,8 @@ def model_chain(N: int, a_list, table: PrimeTable) -> list[ModelRow]:
     M = N + max(a_list, default=0)
     table = capped_sieve(M, table)
     lam = table.von_mangoldt_values
-    g = lambda_tds(N, table)
-    lam_n = evaluate_tds_range(g, M)
-    lam_n_odd = evaluate_tds_range(odd_lift(g), M)
+    lam_n = evaluate_tds_range(lambda_tds(N, table), M)
+    lam_n_odd = lam_n[_odd_parts(M)]
     f = tabulate("odd_primes_log", N, table).values
     rows = []
     for a in a_list:
@@ -172,12 +172,6 @@ def model_chain(N: int, a_list, table: PrimeTable) -> list[ModelRow]:
         m63 = _dot(lam[1: N + 1: 2], lam_n_odd[1 + a: N + 1 + a: 2])
         m64 = _dot(lam[1: N + 1: 2], lam_n[1 + a: N + 1 + a: 2])
         art = _dot(f[1: N + 1], lam_n_odd[1 + a: N + 1 + a])
-
-        if a % 2 == 0 and not agree(m63, m64, REAL_TOL * max(1.0, abs(m63))):
-            raise RuntimeError(
-                f"even-shift entanglement identity violated at N={N}, "
-                f"a={a}: {m63} != {m64}")
-
         residual = hl - art
         normalized = None
         if a % 2 == 0:

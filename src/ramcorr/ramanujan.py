@@ -47,7 +47,7 @@ import numpy as np
 
 from .arith_core import (COEFF_TOL, SIEVE_CAP, SUPPORT_EPS, PrimeTable,
                          TabulatedFunction, _odd_primes, _prime_factors,
-                         agree, capped_sieve, collapse, sieve_primes,
+                         _text, agree, capped_sieve, collapse, sieve_primes,
                          tolerance, zeros)
 from .transforms import (TruncatedDivisorSum, _multiple_sum, read_table,
                          truncate)
@@ -191,7 +191,7 @@ def lucht_invert(coeffs: RamanujanCoefficients) -> TruncatedDivisorSum:
         for d, v in enumerate(vals):
             if v.denominator != 1:
                 raise ValueError(
-                    f"inversion produced non-integer g'({d}) = {v}; "
+                    f"inversion produced non-integer g'({d}) = {_text(v)}; "
                     "coefficient table does not come from an ExactInt TDS")
         vals = [int(v) for v in vals]
     return TruncatedDivisorSum(D, coeffs.kind, vals)

@@ -140,25 +140,22 @@ class EntangledValue(NamedTuple):
 
 def entangled_correlation(f: TabulatedFunction, g: TruncatedDivisorSum,
                           N: int, a: int) -> EntangledValue:
-    """C(N, a) evaluated through the parity branch it entangles.
+    """C(N, a) evaluated through the parity branch it entangles:
 
-    Even shifts: sum over odd primes p <= N of f(p) g(p + a).
-    Odd shifts: the same sum with g read at the odd part of p + a
-    (p + a is even there; one power of two is split off per term).
-    Requires the five axioms; equal to the direct correlation with the
-    odd-lifted g in both branches.
+        sum over odd primes p <= N of f(p) g(odd_part(p + a)),
+
+    one formula for both seasons.  Even shifts keep p + a odd, so g is
+    read at p + a; odd shifts make p + a even, and its power of two
+    2^v2(p + a) is split off per term.  Requires the five axioms; equal
+    to the direct correlation with the odd-lifted g in both branches.
     """
     if a < 1:
         raise ValueError(f"shifts are naturals >= 1, got {a}")
     _require_axioms(f, g, N, g.limit)
     acc = 0
-    if a % 2 == 0:
-        for p, fv in f.support_upto(N):
-            acc += fv * evaluate_tds(g, p + a)
-        return EntangledValue(collapse(acc, f, g), "even")
     for p, fv in f.support_upto(N):
         acc += fv * evaluate_tds(g, odd_part(p + a))
-    return EntangledValue(collapse(acc, f, g), "odd")
+    return EntangledValue(collapse(acc, f, g), "odd" if a % 2 else "even")
 
 
 def diophantine_count_even(F, G, N: int, a: int) -> int:

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 import random
-from decimal import Decimal
 
 import numpy as np
 
-from .arith_core import (EXACT, TabulatedFunction, agree, divisors_int,
-                         is_prime_int, mobius_int, odd_part, sieve_primes,
-                         tabulate, tolerance)
+from .arith_core import (EXACT, TabulatedFunction, _text, agree,
+                         divisors_int, is_prime_int, mobius_int, odd_part,
+                         sieve_primes, tabulate, tolerance)
 from .correlations import (correlate_direct, truncation_difference,
                            verify_periodicity)
 from .hlmodels import (artifact_identity_check, artifact_pair, model_chain,
@@ -61,17 +60,6 @@ class _Ledger:
     def verdict(self) -> dict:
         return {"suite": self.suite, "pass": not self.failures,
                 "checks": self.checks, "failures": self.failures}
-
-
-def _text(v) -> str:
-    """str(v), or, for a number past Python's int-to-str digit limit,
-    the digit counts of its numerator and denominator (a Decimal is
-    built from an int exactly, with no decimal text)."""
-    try:
-        return str(v)
-    except ValueError:
-        return "<{}-digit numerator, {}-digit denominator>".format(
-            *(Decimal(n).adjusted() + 1 for n in (v.numerator, v.denominator)))
 
 
 def _compare(led: _Ledger, check: str, key: str, gots, wants, bound,

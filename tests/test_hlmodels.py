@@ -5,14 +5,17 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from ramcorr.arith_core import divisors_int, sieve_primes
-from ramcorr.hlmodels import (MODEL_CSV_HEADER, artifact,
+from ramcorr import transforms
+from ramcorr.arith_core import (EXACT, divisors_int, odd_part, sieve_primes,
+                                tabulate)
+from ramcorr.hlmodels import (MODEL_CSV_HEADER, _dot, _odd_parts, artifact,
                               artifact_identity_check, artifact_pair,
                               chebyshev_theta, model_chain,
                               model_rows_to_csv, pnt_sanity, singular_series,
                               singular_to_csv)
 from ramcorr.ramanujan import universal_period
-from ramcorr.transforms import evaluate_tds, lambda_tds
+from ramcorr.transforms import (TruncatedDivisorSum, evaluate_tds,
+                                evaluate_tds_range, lambda_tds, odd_lift)
 from trial_division import trial_kappa, trial_von_mangoldt
 
 
@@ -92,9 +95,10 @@ class TestArtifactIdentity:
 
 class TestModelChain:
     def test_even_shift_identity_asserted(self, table_2k):
-        row = model_chain(500, [2], table_2k)[0]
-        assert row.m63 == pytest.approx(row.m64, abs=1e-12)
-        assert row.normalized is not None
+        # odd n and even a keep n + a odd: m63 and m64 sum the same floats
+        for row in model_chain(500, [2, 4, 30, 64], table_2k):
+            assert row.m63 == row.m64, row.a
+            assert row.normalized is not None
 
     def test_odd_shift_has_no_normalized(self, table_2k):
         row = model_chain(500, [3], table_2k)[0]
@@ -156,6 +160,75 @@ class TestModelChain:
         assert lines[0] == MODEL_CSV_HEADER
         assert lines[1].startswith("50,2,")
         assert lines[2].endswith(",")  # odd shift: empty normalized column
+
+
+# Lambda_N^odd is Lambda_N's range sweep read at the odd parts; the
+# sweep of the odd-lifted table, which it replaced, is the reference
+
+GATHER_LIMITS = [1, 2, 3, 8, 9, 10, 99, 100, 110, 100_064]
+
+
+@pytest.fixture(scope="module")
+def table_gather():
+    return sieve_primes(max(GATHER_LIMITS))
+
+
+def gather_tables(M, table):
+    """Real lambda tables and exact tables, held both as an int64 store
+    and as an object array, at cutoffs N <= M."""
+    rng = np.random.default_rng(M)
+    for N in sorted({1, max(1, M // 3), M}):
+        yield lambda_tds(N, table)
+        vals = rng.integers(-9, 10, N + 1)
+        vals[0] = 0
+        yield TruncatedDivisorSum(N, EXACT, vals)
+        yield TruncatedDivisorSum(N, EXACT, vals.tolist())
+
+
+@pytest.mark.parametrize("M", GATHER_LIMITS)
+def test_odd_parts_are_the_scalar_rule(M):
+    got = _odd_parts(M)
+    assert got.tolist() == [0] + [odd_part(m) for m in range(1, M + 1)]
+
+
+@pytest.mark.parametrize("M", GATHER_LIMITS)
+def test_gather_is_the_odd_lifted_sweep(M, table_gather):
+    for g in gather_tables(M, table_gather):
+        want = evaluate_tds_range(odd_lift(g), M)
+        got = evaluate_tds_range(g, M)[_odd_parts(M)]
+        assert got.dtype == want.dtype
+        if g.is_exact:
+            assert [(type(v), v) for v in got.tolist()] == \
+                [(type(v), v) for v in want.tolist()]
+        else:
+            assert got.tobytes() == want.tobytes(), (M, g.limit)
+
+
+def test_model_chain_sweeps_once(monkeypatch, table_2k):
+    calls, convolve = [], transforms._convolve
+
+    def counted(*args):
+        calls.append(args[2])  # the sweep's length M
+        return convolve(*args)
+    monkeypatch.setattr(transforms, "_convolve", counted)
+    for N, shifts in ((9, [2]), (500, [8, 3, 8, 1]), (1000, [64, 1, 97])):
+        calls.clear()
+        model_chain(N, shifts, table_2k)
+        assert calls == [N + max(shifts)]
+
+
+@pytest.mark.parametrize("N", [2, 9, 500, 1000, 1901])
+def test_rows_are_the_dots_over_the_odd_lifted_sweep(N, table_2k):
+    shifts = [1, 2, 3, 8, 64, 97, 99]
+    M = N + max(shifts)
+    lam = table_2k.von_mangoldt_values
+    lam_odd = evaluate_tds_range(odd_lift(lambda_tds(N, table_2k)), M)
+    f = tabulate("odd_primes_log", N, table_2k).values
+    for a, row in zip(shifts, model_chain(N, shifts, table_2k)):
+        shifted = lam_odd[1 + a: N + 1 + a]
+        assert row.m62 == _dot(lam[1: N + 1], shifted), a
+        assert row.m63 == _dot(lam[1: N + 1: 2], shifted[::2]), a
+        assert row.artifact == _dot(f[1: N + 1], shifted), a
 
 
 class TestSingularSeries:

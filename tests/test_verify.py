@@ -6,9 +6,9 @@ import pytest
 
 from ramcorr import verify
 from ramcorr.cli import main
-from ramcorr.arith_core import agree, tolerance
-from ramcorr.ramanujan import (RamanujanCoefficients, ramanujan_expand,
-                               wintner_coefficients)
+from ramcorr.arith_core import _text, agree, tolerance
+from ramcorr.ramanujan import (RamanujanCoefficients, lucht_invert,
+                               ramanujan_expand, wintner_coefficients)
 from ramcorr.transforms import (evaluate_tds, lambda_tds, tds_from_et,
                                 write_tds)
 from ramcorr.verify import SUITES, run_suite
@@ -196,6 +196,21 @@ class TestRecordsPastTheDigitLimit:
         assert verdict["failures"] == [{"check": "lucht-roundtrip", "q": 1,
                                         "got": got, "expected": want}]
 
+    def test_lucht_refusal_names_d(self, request):
+        # with ghat(1) = 0, g'(1) = -sum over K >= 2 of mu(K) ghat(K) is
+        # not integral, and its denominator passes 640 digits
+        values = wintner_coefficients(DENSE).values.copy()
+        values[1] = 0
+        c = RamanujanCoefficients(1600, "ExactInt", values)
+        request.getfixturevalue("digit_limit_640")
+        with pytest.raises(ValueError) as refusal:
+            lucht_invert(c)
+        [record] = run_suite("lucht", coeffs=c)["failures"]
+        assert record == {"check": "lucht-invert", "error": str(refusal.value)}
+        assert record["error"].startswith(
+            "inversion produced non-integer g'(1) = <")
+        assert "-digit numerator" in record["error"]
+
     @pytest.mark.parametrize("v", [
         10 ** 640 - 1, 10 ** 640, -(10 ** 700) - 3, Fraction(1, 10 ** 640),
         Fraction(10 ** 639, 10 ** 641 + 1), Fraction(-(10 ** 900), 99)],
@@ -206,4 +221,4 @@ class TestRecordsPastTheDigitLimit:
         if len(str(abs(v.numerator))) > 640 or len(str(v.denominator)) > 640:
             want = _digit_text(v)
         request.getfixturevalue("digit_limit_640")
-        assert verify._text(v) == want
+        assert _text(v) == want
