@@ -336,8 +336,9 @@ def _cmd_hl(args) -> int:
         raise UsageError("--singular-out needs --out")
     need = max(max(N_list) + max(a_list), args.Q)
     table = _need_sieve(args, need)
-    rows = [row for N in N_list for row in model_chain(N, a_list, table)]
+    # the series first: its Q-length buffer is freed before Lambda is built
     sing = singular_series(sorted(set(a_list)), Q=args.Q, table=table)
+    rows = [row for N in N_list for row in model_chain(N, a_list, table)]
     models_csv = _text(model_rows_to_csv, rows)
     singular_csv = _text(singular_to_csv, sing)
     if args.out is None:

@@ -186,6 +186,10 @@ def model_chain(N: int, a_list, table: PrimeTable) -> list[ModelRow]:
 # singular series
 # ----------------------------------------------------------------------
 
+# phi^2 is formed this many q at a time, so no Q-length copy is kept
+_PHI2_BLOCK = 1 << 16
+
+
 def singular_series(a_list, Q: int = 100_000,
                     table: PrimeTable | None = None
                     ) -> list[SingularSeriesValue]:
@@ -193,8 +197,19 @@ def singular_series(a_list, Q: int = 100_000,
     Euler-product oracle over primes p <= Q, one value per shift of a_list
     in its order.
 
-    The float mu, mu^2 and phi^2 arrays are built once per Q; each shift
-    adds only its c_q(a) table and the two sums.
+    The working set is one Q-length float64 buffer, reused by every
+    shift: it takes c_q(a) = sum over d | (a, q) of d mu(q/d), straight
+    from the int64 mu, then becomes the term array in place, multiplied
+    by the bool mask mu != 0 and divided by phi^2 one block of q at a
+    time.  Each entry of c is an integer below 2**53, so it is exact in
+    any order; each block's phi^2 is the same square float(phi) *
+    float(phi) as a full-length one; so each term gets the two roundings
+    (c mu^2) / phi^2 of the full-array formula, and ``np.sum`` over the
+    contiguous terms builds the same pairwise tree.
+
+    a is read only modulo the primes p <= min(Q, a), with Python ints:
+    that loop gives both the divisors d <= Q of a and the Euler factors,
+    so a of any size is never factored.
 
     Odd a: the p = 2 factor is 1 + c_2(a) = 0, so the product vanishes
     and the truncated sum tends to 0.
@@ -203,22 +218,52 @@ def singular_series(a_list, Q: int = 100_000,
     if min(a_list, default=1) < 1 or Q < 2:
         raise ValueError("need a >= 1 and Q >= 2")
     table = capped_sieve(Q, table)
-    mu = table.mobius_values[: Q + 1].astype(np.float64)
-    phi2 = table.phi_values[1: Q + 1].astype(np.float64) ** 2
-    sq = mu[1:] * mu[1:]
-    primes = table.primes[table.primes <= Q]
+    mu = table.mobius_values
+    phi = table.phi_values
+    squarefree = mu[1: Q + 1] != 0
+    primes = table.primes[: np.searchsorted(table.primes, Q, side="right")]
     p = primes.astype(np.float64)
+    c = np.zeros(Q + 1, dtype=np.float64)
+    terms = c[1:]
     out = []
     for a in a_list:
-        c = np.zeros(Q + 1, dtype=np.float64)
-        for d in divisors_int(a):
-            if d <= Q:
-                c[d::d] += d * mu[1: Q // d + 1]
-        truncated = float(np.sum(sq * c[1:] / phi2))
-        cp = np.where(np.mod(a, primes) == 0, p - 1.0, -1.0)
+        divisors, divides = _divisors_upto(a, Q, primes)
+        terms[:] = mu[1: Q + 1]  # d = 1, which also clears the last shift
+        for d in divisors[1:]:
+            c[d::d] += d * mu[1: Q // d + 1]
+        terms *= squarefree
+        for lo in range(0, Q, _PHI2_BLOCK):
+            hi = min(lo + _PHI2_BLOCK, Q)
+            blk = phi[1 + lo: 1 + hi].astype(np.float64)
+            blk *= blk
+            terms[lo: hi] /= blk
+        truncated = float(np.sum(terms))
+        cp = np.where(divides, p - 1.0, -1.0)
         euler = float(np.prod(1.0 + cp / (p - 1.0) ** 2))
         out.append(SingularSeriesValue(a, truncated, euler, Q))
     return out
+
+
+def _divisors_upto(a: int, Q: int, primes: np.ndarray
+                   ) -> tuple[list[int], np.ndarray]:
+    """The divisors d <= Q of a (1 first), and the mask of the ascending
+    ``primes`` (all <= Q) that divide a, from one loop of ``a % p`` over
+    the primes p <= min(Q, a).  A divisor d <= Q has only such primes,
+    each to a power p^e <= Q, so the set is divisors_int(a) cut at Q."""
+    divides = np.zeros(len(primes), dtype=bool)
+    divisors = [1]
+    top = int(np.searchsorted(primes, min(Q, a), side="right"))
+    for i, q in enumerate(primes[:top].tolist()):
+        if a % q:
+            continue
+        divides[i] = True
+        powers, qe = [], q
+        while qe <= Q and a % qe == 0:
+            powers.append(qe)
+            qe *= q
+        divisors += [d * qe for qe in powers for d in divisors
+                     if d * qe <= Q]
+    return divisors, divides
 
 
 # ----------------------------------------------------------------------

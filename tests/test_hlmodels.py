@@ -1,5 +1,7 @@
 import io
 import math
+import time
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -8,12 +10,13 @@ import pytest
 from ramcorr import transforms
 from ramcorr.arith_core import (EXACT, divisors_int, odd_part, sieve_primes,
                                 tabulate)
-from ramcorr.hlmodels import (MODEL_CSV_HEADER, _dot, _odd_parts, artifact,
+from ramcorr.hlmodels import (MODEL_CSV_HEADER, _divisors_upto, _dot,
+                              _odd_parts, artifact,
                               artifact_identity_check, artifact_pair,
                               chebyshev_theta, model_chain,
                               model_rows_to_csv, pnt_sanity, singular_series,
                               singular_to_csv)
-from ramcorr.ramanujan import universal_period
+from ramcorr.ramanujan import ramanujan_sum, universal_period
 from ramcorr.transforms import (TruncatedDivisorSum, evaluate_tds,
                                 evaluate_tds_range, lambda_tds, odd_lift)
 from trial_division import trial_kappa, trial_von_mangoldt
@@ -308,6 +311,31 @@ class TestSingularSeriesBatch:
         for a, s in zip(shifts, batch):
             assert singular_series([a], 2000, table_2k)[0] == s
 
+    @pytest.mark.parametrize("Q", [2, 97, 20_000, 100_000])
+    def test_the_buffer_is_cleared_between_shifts(self, Q, table_above):
+        # 60 after 1, after the shift with a divisor above Q, and last
+        shifts = [60, 1, 60, 2 * 100_003, 60]
+        for table in (sieve_primes(Q), table_above):
+            got = singular_series(shifts, Q, table)
+            assert got[0] == got[2] == got[4]
+            for s in got:
+                want = per_shift_singular_series(s.a, Q, table)
+                assert (s.truncated_sum, s.euler_product) == want, (s.a, Q)
+
+    def test_working_set_is_one_q_length_buffer(self):
+        # c_q(a) and the terms share one float64 buffer; the mask mu != 0
+        # is one byte per q and phi^2 is formed in blocks
+        Q = 200_000
+        table = sieve_primes(Q)
+        table.mobius_values, table.phi_values  # built beforehand
+        tracemalloc.start()
+        try:
+            singular_series([1, 2, 60, 30030], Q, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * (Q + 1)
+
     def test_rejects_bad_arguments(self, table_2k):
         assert singular_series([], 2000, table_2k) == []
         for a_list, Q in (([2, 0], 2000), ([2], 1)):
@@ -315,6 +343,37 @@ class TestSingularSeriesBatch:
                 singular_series(a_list, Q, table_2k)
         with pytest.raises(ValueError, match="below required 2001"):
             singular_series([2], 2001, table_2k)
+
+
+@pytest.mark.parametrize("Q", [2, 3, 30, 97, 1000])
+def test_divisors_upto_are_the_divisors_cut_at_q(Q, table_2k):
+    primes = table_2k.primes[table_2k.primes <= Q]
+    for a in list(range(1, 2100)) + [2 ** 40, 3 ** 20 * 7, 2 * 100_003]:
+        divisors, divides = _divisors_upto(a, Q, primes)
+        assert divisors[0] == 1
+        assert sorted(divisors) == [d for d in divisors_int(a) if d <= Q]
+        assert divides.tolist() == [a % p == 0 for p in primes.tolist()]
+
+
+# past int64 (2**63, U + 1 at N = 60), or slow to factor (2 (2**61 - 1))
+LARGE_SHIFTS = [2 ** 63, 2 * (2 ** 61 - 1), universal_period(60) + 1]
+
+
+@pytest.mark.parametrize("a", LARGE_SHIFTS)
+def test_large_shift_is_read_modulo_the_primes(a, table_2k):
+    Q = 1000
+    start = time.perf_counter()
+    s = singular_series([a], Q, table_2k)[0]
+    assert time.perf_counter() - start < 1.0
+    # the same exact c_q(a) from the divisor form of each q, in the same
+    # term array and the same sum
+    mu = table_2k.mobius_values[1: Q + 1]
+    phi2 = table_2k.phi_values[1: Q + 1].astype(np.float64) ** 2
+    c = np.array([float(ramanujan_sum(q, a)) for q in range(1, Q + 1)])
+    assert s.truncated_sum == float(np.sum((mu * mu) * c / phi2))
+    factors = [1.0 + (p - 1.0 if a % p == 0 else -1.0) / (p - 1.0) ** 2
+               for p in table_2k.primes[table_2k.primes <= Q].tolist()]
+    assert s.euler_product == float(np.prod(np.array(factors)))
 
 
 class TestThetaAndPnt:
