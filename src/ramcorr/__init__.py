@@ -17,17 +17,17 @@ _EXPORTS = {
         "odd_part", "sieve_primes", "tabulate", "v2"),
     "correlations": (
         "CorrelationProfile", "build_profile", "correlate_direct",
-        "correlate_expansion", "small_shift_difference",
-        "truncation_difference", "verify_periodicity"),
+        "correlate_expansion", "truncation_difference",
+        "verify_periodicity"),
     "hlmodels": (
         "ModelRow", "SingularSeriesValue", "artifact",
         "artifact_identity_check", "artifact_pair", "chebyshev_theta",
         "model_chain", "pnt_sanity", "singular_series"),
     "ramanujan": (
-        "RamanujanCoefficients", "UndefinedPeriodError",
-        "half_range_identity_check", "lucht_invert", "ramanujan_expand",
-        "ramanujan_expand_range", "ramanujan_sum", "support_closure_check",
-        "universal_period", "wintner_coefficients", "wintner_period"),
+        "RamanujanCoefficients", "UndefinedPeriodError", "lucht_invert",
+        "ramanujan_expand", "ramanujan_expand_range", "ramanujan_sum",
+        "support_closure_check", "universal_period", "wintner_coefficients",
+        "wintner_period"),
     "transforms": (
         "TruncatedDivisorSum", "eratosthenes_transform", "evaluate_tds",
         "evaluate_tds_range", "lambda_tds", "odd_lift", "read_tds",

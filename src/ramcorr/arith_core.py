@@ -263,17 +263,16 @@ def zeros(n: int, kind: str) -> np.ndarray:
     return np.zeros(n, dtype=DTYPES[kind])
 
 
-# The real-domain windows: REAL_TOL for correlation and model values
-# (absolute, or scaled by max(1, |x|)), COEFF_TOL relative for single
-# coefficients.  Values computed from exact tables are compared with ==.
+# The real-domain window for correlation, coefficient and model values
+# (absolute, or scaled by max(1, |x|)).  Values computed from exact
+# tables are compared with ==.
 REAL_TOL = 1e-9
-COEFF_TOL = 1e-12
 
 
-def tolerance(*tables, tol: float = REAL_TOL, scale: float = 1.0):
+def tolerance(*tables, scale: float = 1.0):
     """The comparison bound for values computed from ``tables``: 0 if all
-    are exact, else tol * scale."""
-    return 0 if all(t.is_exact for t in tables) else tol * scale
+    are exact, else REAL_TOL * scale."""
+    return 0 if all(t.is_exact for t in tables) else REAL_TOL * scale
 
 
 def agree(got, want, bound) -> bool:

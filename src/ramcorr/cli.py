@@ -51,13 +51,16 @@ class UsageError(Exception):
 
 def _config_value(key: str, text: str, where: str):
     """The value of config ``key`` given as ``text`` at ``where`` (a file's
-    ``<path>:<line>`` or a variable's name); a bad one is a UsageError
-    naming ``where``."""
+    ``<path>:<line>``, a variable's name or the flag); a bad one is a
+    UsageError naming ``where``."""
     if key == "sieve_limit":
         try:
-            return int(text)
+            limit = int(text)
         except ValueError as exc:
             raise UsageError(f"{where}: bad config value: {exc}") from None
+        if limit < 1:
+            raise UsageError(f"{where}: sieve_limit must be >= 1, got {limit}")
+        return limit
     if text not in ("csv", "json"):
         raise UsageError(f"{where}: unknown output format {text!r}")
     return text
@@ -93,8 +96,9 @@ def _resolve_config(args) -> None:
     flags parse with SUPPRESS defaults, so an attribute is present only
     when its flag was given, and then it wins.  Every value in the config
     file or the environment is checked where it is read, whether or not a
-    later source overrides it, and a bad one is named with its source:
-    the file's ``<path>:<line>`` or the variable."""
+    later source overrides it, and so is the flag's sieve limit; a bad one
+    is named with its source: the file's ``<path>:<line>``, the variable
+    or the flag."""
     from .arith_core import SIEVE_CAP
     path = getattr(args, "config", None) or os.environ.get("RAMCORR_CONFIG")
     config = {"sieve_limit": SIEVE_CAP, "output_format": "csv"}
@@ -107,6 +111,8 @@ def _resolve_config(args) -> None:
     if "format" in vars(args) and args.command != "correlate":
         raise UsageError("--format applies only to correlate")
     vars(args).setdefault("format", config["output_format"])
+    if "sieve_limit" in vars(args):
+        _config_value("sieve_limit", str(args.sieve_limit), "--sieve-limit")
     vars(args).setdefault("sieve_limit", config["sieve_limit"])
     vars(args).setdefault("out", None)
 

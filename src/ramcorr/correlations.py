@@ -192,28 +192,6 @@ def truncation_difference(f: TabulatedFunction, g_source: TabulatedFunction,
         f, TruncatedDivisorSum(N + a, g_source.kind, tail), N, a)
 
 
-def small_shift_difference(f: TabulatedFunction, g_source: TabulatedFunction,
-                           N: int, a: int):
-    """Same difference for a <= N, where each tail divisor hits once:
-
-        sum over N < d <= N+a of g'(d) f(d - a).
-    """
-    if not 1 <= a <= N:
-        raise ValueError(f"shift must satisfy 1 <= a <= N, got a={a}, N={N}")
-    if f.limit < N:
-        raise ValueError(f"f tabulated only to {f.limit}, need {N}")
-    if g_source.limit < N + a:
-        raise ValueError(
-            f"g tabulated only to {g_source.limit}, need N+a={N + a}")
-    et = eratosthenes_transform(g_source, N + a)
-    acc = 0
-    for d in range(N + 1, N + a + 1):
-        gpd = et.values[d]
-        if gpd:
-            acc += gpd * f.values[d - a]
-    return collapse(acc, f, g_source)
-
-
 def verify_periodicity(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
                        period: int, shifts) -> bool:
     """True iff C(N, a) agrees with C(N, a + period) for every listed shift:

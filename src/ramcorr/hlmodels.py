@@ -205,11 +205,13 @@ def singular_series(a_list, Q: int = 100_000,
     any order; each block's phi^2 is the same square float(phi) *
     float(phi) as a full-length one; so each term gets the two roundings
     (c mu^2) / phi^2 of the full-array formula, and ``np.sum`` over the
-    contiguous terms builds the same pairwise tree.
+    contiguous terms builds the same pairwise tree.  Only the square-free
+    d are added: another d writes c only where the mask makes the term
+    +-0.0, and a signed zero moves no sum that holds the q = 1 term 1.0.
 
     a is read only modulo the primes p <= min(Q, a), with Python ints:
-    that loop gives both the divisors d <= Q of a and the Euler factors,
-    so a of any size is never factored.
+    that loop gives both the square-free divisors d <= Q of a and the
+    Euler factors, so a of any size is never factored.
 
     Odd a: the p = 2 factor is 1 + c_2(a) = 0, so the product vanishes
     and the truncated sum tends to 0.
@@ -246,10 +248,11 @@ def singular_series(a_list, Q: int = 100_000,
 
 def _divisors_upto(a: int, Q: int, primes: np.ndarray
                    ) -> tuple[list[int], np.ndarray]:
-    """The divisors d <= Q of a (1 first), and the mask of the ascending
-    ``primes`` (all <= Q) that divide a, from one loop of ``a % p`` over
-    the primes p <= min(Q, a).  A divisor d <= Q has only such primes,
-    each to a power p^e <= Q, so the set is divisors_int(a) cut at Q."""
+    """The square-free divisors d <= Q of a (1 first), and the mask of the
+    ascending ``primes`` (all <= Q) that divide a, from one loop of
+    ``a % p`` over the primes p <= min(Q, a).  Only these d reach a term
+    of the series: a divisor with a square factor writes c only at q
+    with the same square factor, which the mask mu != 0 sets to 0."""
     divides = np.zeros(len(primes), dtype=bool)
     divisors = [1]
     top = int(np.searchsorted(primes, min(Q, a), side="right"))
@@ -257,12 +260,7 @@ def _divisors_upto(a: int, Q: int, primes: np.ndarray
         if a % q:
             continue
         divides[i] = True
-        powers, qe = [], q
-        while qe <= Q and a % qe == 0:
-            powers.append(qe)
-            qe *= q
-        divisors += [d * qe for qe in powers for d in divisors
-                     if d * qe <= Q]
+        divisors += [d * q for d in divisors if d * q <= Q]
     return divisors, divides
 
 

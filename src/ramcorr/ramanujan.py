@@ -45,12 +45,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith_core import (COEFF_TOL, SIEVE_CAP, SUPPORT_EPS, PrimeTable,
-                         TabulatedFunction, _odd_primes, _prime_factors,
-                         _text, agree, capped_sieve, collapse, sieve_primes,
-                         tolerance, zeros)
-from .transforms import (TruncatedDivisorSum, _multiple_sum, read_table,
-                         truncate)
+from .arith_core import (SIEVE_CAP, SUPPORT_EPS, PrimeTable, TabulatedFunction,
+                         _odd_primes, _prime_factors, _text, capped_sieve,
+                         collapse, sieve_primes, zeros)
+from .transforms import TruncatedDivisorSum, _multiple_sum, read_table
 
 
 class UndefinedPeriodError(ValueError):
@@ -261,22 +259,6 @@ def universal_period(N: int, table: PrimeTable | None = None) -> int:
         factors = [math.prod(factors[i: i + 2])
                    for i in range(0, len(factors), 2)]
     return math.prod(factors)
-
-
-def half_range_identity_check(g_source: TabulatedFunction, N: int) -> bool:
-    """Above half the cutoff a coefficient sees one term only:
-    ghat(q) = g'(q)/q for all N/2 < q <= N (within COEFF_TOL relative for
-    Real tables)."""
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
-    g = truncate(g_source, N)
-    coeffs = wintner_coefficients(g)
-    for q in range(N // 2 + 1, N + 1):
-        expected = Fraction(g[q], q) if g.is_exact else g[q] / q
-        bound = tolerance(g, tol=COEFF_TOL, scale=max(1, abs(expected)))
-        if not agree(coeffs[q], expected, bound):
-            return False
-    return True
 
 
 # ----------------------------------------------------------------------

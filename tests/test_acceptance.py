@@ -16,17 +16,17 @@ from ramcorr.arith_core import (EXACT, TabulatedFunction, mobius_int,
 from ramcorr.correlations import correlate_direct, truncation_difference
 from ramcorr.hlmodels import (artifact_identity_check, artifact_pair,
                               model_chain, singular_series)
-from ramcorr.ramanujan import (half_range_identity_check, lucht_invert,
-                               ramanujan_expand, ramanujan_expand_range,
-                               ramanujan_sum_table, support_closure_check,
-                               universal_period, wintner_coefficients,
-                               wintner_period)
+from ramcorr.ramanujan import (lucht_invert, ramanujan_expand,
+                               ramanujan_expand_range, ramanujan_sum_table,
+                               support_closure_check, universal_period,
+                               wintner_coefficients, wintner_period)
 from ramcorr.transforms import (eratosthenes_transform, evaluate_tds,
                                 evaluate_tds_range, lambda_tds, tds_from_et,
                                 truncate)
 from ramcorr.twoseasons import (combinatorial_identity_check,
                                 diophantine_count_even, diophantine_count_odd,
                                 random_ts_instance)
+from reference_oracles import half_range_identity_check
 from trial_division import trial_kappa
 
 SEED = 0x5EED

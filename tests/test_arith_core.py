@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramcorr import arith_core
-from ramcorr.arith_core import (COEFF_TOL, EXACT, REAL, REAL_TOL,
-                                TabulatedFunction, agree, collapse,
-                                divisors_int, is_prime_int, mobius_int,
-                                odd_part, sieve_primes, tabulate, tolerance,
-                                v2)
+from ramcorr.arith_core import (EXACT, REAL, REAL_TOL, TabulatedFunction,
+                                agree, collapse, divisors_int, is_prime_int,
+                                mobius_int, odd_part, sieve_primes, tabulate,
+                                tolerance, v2)
 from ramcorr.correlations import correlate_direct
 from ramcorr.hlmodels import artifact_pair, singular_series
 from ramcorr.ramanujan import _divisor_form
@@ -341,7 +340,6 @@ class TestExactRealSplit:
         assert tolerance(self.EXACT_T, self.EXACT_T, scale=5.0) == 0
         assert tolerance(self.REAL_T) == REAL_TOL == 1e-9
         assert tolerance(self.EXACT_T, self.REAL_T) == REAL_TOL
-        assert tolerance(self.REAL_T, tol=COEFF_TOL, scale=3.0) == 3e-12
 
     def test_agree_is_equality_at_bound_zero(self):
         assert agree(Fraction(1, 3), Fraction(2, 6), 0)

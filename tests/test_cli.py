@@ -445,6 +445,31 @@ class TestConfigResolution:
                                "--fn", "unit", "--N", "3")
         assert code == 2
 
+    # a sieve limit below 1 is refused where it is read, naming its source,
+    # even on a command that sieves nothing
+    ORTHOGONALITY = ("verify", "orthogonality")
+
+    def test_flag_sieve_limit_below_one(self, capsys):
+        code, out, err = run_cli(capsys, "--sieve-limit", "0",
+                                 *self.ORTHOGONALITY)
+        assert code == 2 and out == ""
+        assert "--sieve-limit: sieve_limit must be >= 1, got 0" in err
+
+    def test_env_sieve_limit_below_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("RAMCORR_SIEVE_LIMIT", "-3")
+        code, out, err = run_cli(capsys, "--sieve-limit", "2000",
+                                 *self.ORTHOGONALITY)
+        assert code == 2 and out == ""
+        assert "RAMCORR_SIEVE_LIMIT: sieve_limit must be >= 1, got -3" in err
+
+    def test_config_sieve_limit_below_one(self, capsys, tmp_path):
+        cfg = tmp_path / "ramcorr.conf"
+        cfg.write_text("# cap\nsieve_limit=0\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg),
+                                 *self.ORTHOGONALITY)
+        assert code == 2 and out == ""
+        assert f"{cfg}:2: sieve_limit must be >= 1, got 0" in err
+
     @pytest.mark.parametrize("key", ["sieve_limt", "tolerance_real"])
     def test_unknown_config_key(self, capsys, tmp_path, key):
         cfg = tmp_path / "ramcorr.conf"

@@ -12,7 +12,6 @@ from ramcorr.arith_core import (EXACT, REAL, TabulatedFunction, divisors_int,
 from ramcorr.correlations import (CorrelationProfile, build_profile,
                                   correlate_direct, correlate_expansion,
                                   profile_to_csv, profile_to_json,
-                                  small_shift_difference,
                                   truncation_difference, verify_periodicity)
 from ramcorr.hlmodels import artifact_pair
 from ramcorr.ramanujan import (UndefinedPeriodError, ramanujan_sum_table,
@@ -20,6 +19,7 @@ from ramcorr.ramanujan import (UndefinedPeriodError, ramanujan_sum_table,
                                wintner_period)
 from ramcorr.transforms import (evaluate_tds, lambda_tds, odd_lift,
                                 tds_from_et, truncate)
+from reference_oracles import small_shift_difference
 from trial_division import trial_von_mangoldt
 
 

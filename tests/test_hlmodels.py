@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from ramcorr import transforms
-from ramcorr.arith_core import (EXACT, divisors_int, odd_part, sieve_primes,
-                                tabulate)
+from ramcorr.arith_core import (EXACT, divisors_int, mobius_int, odd_part,
+                                sieve_primes, tabulate)
 from ramcorr.hlmodels import (MODEL_CSV_HEADER, _divisors_upto, _dot,
                               _odd_parts, artifact,
                               artifact_identity_check, artifact_pair,
@@ -283,9 +283,12 @@ def per_shift_singular_series(a, Q, table):
     return truncated, euler
 
 
-# 2 * 100_003 has a prime divisor above every Q below
-SERIES_SHIFTS = [1, 2, 3, 25, 58, 60, 64, 2 * 3 * 5 * 7 * 11 * 13,
-                 2 * 100_003]
+# 2 * 100_003 has a prime divisor above every Q below; the shifts with
+# a square factor pin that the divisors the series leaves out (those the
+# mask mu != 0 erases) move no bit of either value
+SERIES_SHIFTS = [1, 2, 3, 4, 8, 9, 25, 36, 58, 60, 64,
+                 2 * 3 * 5 * 7 * 11 * 13, 2 * 100_003, 2 ** 40,
+                 4 * 9 * 25 * 49 * 121]
 
 
 @pytest.fixture(scope="module")
@@ -347,11 +350,13 @@ class TestSingularSeriesBatch:
 
 @pytest.mark.parametrize("Q", [2, 3, 30, 97, 1000])
 def test_divisors_upto_are_the_divisors_cut_at_q(Q, table_2k):
+    # the square-free ones: no other divisor reaches a term of the series
     primes = table_2k.primes[table_2k.primes <= Q]
     for a in list(range(1, 2100)) + [2 ** 40, 3 ** 20 * 7, 2 * 100_003]:
         divisors, divides = _divisors_upto(a, Q, primes)
         assert divisors[0] == 1
-        assert sorted(divisors) == [d for d in divisors_int(a) if d <= Q]
+        assert sorted(divisors) == [d for d in divisors_int(a)
+                                    if d <= Q and mobius_int(d)]
         assert divides.tolist() == [a % p == 0 for p in primes.tolist()]
 
 

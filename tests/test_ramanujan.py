@@ -13,8 +13,7 @@ from ramcorr.arith_core import (EXACT, SUPPORT_EPS, divisors_int, mobius_int,
                                 sieve_primes,
                                 tabulate)
 from ramcorr.ramanujan import (RamanujanCoefficients,
-                               UndefinedPeriodError,
-                               half_range_identity_check, lucht_invert,
+                               UndefinedPeriodError, lucht_invert,
                                ramanujan_expand, ramanujan_expand_range,
                                ramanujan_sum, ramanujan_sum_table,
                                read_coefficients, support_closure_check,
@@ -22,6 +21,7 @@ from ramcorr.ramanujan import (RamanujanCoefficients,
                                wintner_period)
 from ramcorr.transforms import (evaluate_tds, lambda_tds, tds_from_et,
                                 truncate, write_tds)
+from reference_oracles import half_range_identity_check
 from trial_division import trial_kappa
 
 

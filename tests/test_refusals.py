@@ -12,17 +12,17 @@ from ramcorr.arith_core import (EXACT, TabulatedFunction, divisors_int,
 from ramcorr.cli import main
 from ramcorr.correlations import (CorrelationProfile, build_profile,
                                   correlate_direct, correlate_expansion,
-                                  small_shift_difference,
                                   truncation_difference, verify_periodicity)
 from ramcorr.hlmodels import artifact_identity_check
-from ramcorr.ramanujan import (half_range_identity_check,
-                               ramanujan_expand_range, ramanujan_sum_table,
+from ramcorr.ramanujan import (ramanujan_expand_range, ramanujan_sum_table,
                                universal_period, wintner_coefficients,
                                wintner_period)
 from ramcorr.transforms import (eratosthenes_transform, evaluate_tds_range,
                                 lambda_tds, odd_lift, retruncate, tds_from_et,
                                 truncate)
 from ramcorr.twoseasons import entangled_correlation
+from reference_oracles import (half_range_identity_check,
+                               small_shift_difference)
 
 CORRELATE = ["correlate", "--f", "unit", "--g", "delta1"]
 HL = ["hl", "--N-list", "100", "--a-list", "2", "--Q", "100"]

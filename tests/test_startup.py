@@ -78,7 +78,7 @@ def test_main_keeps_a_value_the_user_set(monkeypatch, capsys):
 
 
 def test_every_public_name_resolves_to_its_module():
-    assert len(ramcorr.__all__) == len(set(ramcorr.__all__)) == 55
+    assert len(ramcorr.__all__) == len(set(ramcorr.__all__)) == 53
     for name in ramcorr.__all__:
         module = importlib.import_module(
             f"ramcorr.{ramcorr._MODULE_OF[name]}")
@@ -104,15 +104,9 @@ def test_unknown_name_raises_attribute_error():
 # public names that no module calls, kept as the reference
 # implementations the tests compare a route against
 ORACLES = {
-    "small_shift_difference":
-        "the small-shift tail closed form, against "
-        "correlations.truncation_difference",
     "entangled_correlation":
         "the parity-branch evaluation of a two-seasons pair, against "
         "correlations.correlate_direct on the odd-lifted g",
-    "half_range_identity_check":
-        "ramanujan.wintner_coefficients above half the cutoff, against "
-        "g'(q)/q",
     "correlate_expansion":
         "the expansion route on one shift (build_profile runs the same "
         "helper on a shift list), against correlations.correlate_direct",
