@@ -23,9 +23,10 @@ threads would only spin; importing the module changes no setting.
 Configuration: defaults < config file (--config or RAMCORR_CONFIG,
 key=value lines) < RAMCORR_* environment variables < flags.  A bad
 value in the file or a variable exits 2 even when a later source
-overrides it.  Only ``correlate`` has a JSON form: the output_format key
-and its variable are global defaults, but an explicit --format on
-another command exits 2.
+overrides it.  Every integer, in a flag, a variable, a config line, a
+shift token or a list, is ASCII ``-?[0-9]+``.  Only ``correlate`` has a
+JSON form: the output_format key and its variable are global defaults,
+but an explicit --format on another command exits 2.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import re
 import sys
 
 from . import __version__
@@ -49,13 +51,31 @@ class UsageError(Exception):
     pass
 
 
+_INT_TEXT = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """The int written as ``text``, which must be ASCII ``-?[0-9]+``;
+    else ValueError, worded as ``int()``'s.  ``int()`` itself would also
+    take digit-group underscores, non-ASCII digits and surrounding
+    whitespace.  The one reader of every integer in a flag, a shift
+    token, an integer list and a config value."""
+    if not _INT_TEXT.fullmatch(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+# argparse names the type in a refusal: "invalid int value: '1_0'"
+_integer.__name__ = "int"
+
+
 def _config_value(key: str, text: str, where: str):
     """The value of config ``key`` given as ``text`` at ``where`` (a file's
     ``<path>:<line>``, a variable's name or the flag); a bad one is a
     UsageError naming ``where``."""
     if key == "sieve_limit":
         try:
-            limit = int(text)
+            limit = _integer(text)
         except ValueError as exc:
             raise UsageError(f"{where}: bad config value: {exc}") from None
         if limit < 1:
@@ -112,7 +132,8 @@ def _resolve_config(args) -> None:
         raise UsageError("--format applies only to correlate")
     vars(args).setdefault("format", config["output_format"])
     if "sieve_limit" in vars(args):
-        _config_value("sieve_limit", str(args.sieve_limit), "--sieve-limit")
+        args.sieve_limit = _config_value("sieve_limit", args.sieve_limit,
+                                         "--sieve-limit")
     vars(args).setdefault("sieve_limit", config["sieve_limit"])
     vars(args).setdefault("out", None)
 
@@ -211,7 +232,7 @@ def _parse_shifts(text: str, N: int, cap: int, table):
             continue
         if token.startswith("U+"):
             try:
-                k = int(token[2:])
+                k = _integer(token[2:])
             except ValueError:
                 raise UsageError(f"bad shift token {token!r}") from None
             if U is None:
@@ -221,14 +242,14 @@ def _parse_shifts(text: str, N: int, cap: int, table):
         elif ":" in token:
             lo_s, _, hi_s = token.partition(":")
             try:
-                lo, hi = int(lo_s), int(hi_s)
+                lo, hi = _integer(lo_s), _integer(hi_s)
             except ValueError:
                 raise UsageError(f"bad shift range {token!r}") from None
             if lo > hi:
                 raise UsageError(f"empty shift range {token!r}")
         else:
             try:
-                lo = hi = int(token)
+                lo = hi = _integer(token)
             except ValueError:
                 raise UsageError(f"bad shift token {token!r}") from None
         if len(shifts) + hi - lo + 1 > cap:
@@ -321,7 +342,8 @@ def _cmd_verify(args) -> int:
 
 def _parse_int_list(text: str, flag: str):
     try:
-        items = [int(tok) for tok in text.split(",") if tok.strip()]
+        items = [_integer(tok) for tok in map(str.strip, text.split(","))
+                 if tok]
     except ValueError:
         raise UsageError(f"bad integer list for {flag}: {text!r}") from None
     if not items:
@@ -377,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # subcommand)
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="key=value config file")
-    common.add_argument("--sieve-limit", type=int, dest="sieve_limit")
+    common.add_argument("--sieve-limit", dest="sieve_limit")
     common.add_argument("--format", choices=("csv", "json"),
                         help="correlate output format")
     common.add_argument("--out", help="output path (default stdout)")
@@ -394,7 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit a truncated divisor-sum file")
     p.add_argument("--fn", help="named arithmetic function")
     p.add_argument("--in", dest="infile", help="existing TDS file")
-    p.add_argument("--N", type=int, required=True, help="truncation cutoff")
+    p.add_argument("--N", type=_integer, required=True,
+                   help="truncation cutoff")
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("correlate", parents=[common],
@@ -402,7 +425,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, help="named fixed factor")
     p.add_argument("--g", required=True,
                    help="shift factor: lambdaN | lambdaN_raw | delta1 | file")
-    p.add_argument("--N", type=int, required=True, help="correlation length")
+    p.add_argument("--N", type=_integer, required=True,
+                   help="correlation length")
     p.add_argument("--shifts", required=True,
                    help="comma list; tokens k, lo:hi, U+k")
     p.add_argument("--mode", choices=("direct", "expansion"),
@@ -412,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], formatter_class=_SuiteHelp,
                        help="run an identity suite")
     p.add_argument("suite", help="a verify suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--tds", help="TDS file to check (expansion/lucht)")
     p.add_argument("--coeffs", help="coefficient file to check against")
     p.set_defaults(func=_cmd_verify)
@@ -421,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="model-comparison and singular-series CSV")
     p.add_argument("--N-list", dest="N_list", required=True)
     p.add_argument("--a-list", dest="a_list", required=True)
-    p.add_argument("--Q", type=int, default=100_000,
+    p.add_argument("--Q", type=_integer, default=100_000,
                    help="singular-series truncation")
     p.add_argument("--singular-out", dest="singular_out",
                    help="singular-series CSV path (with --out)")

@@ -4,8 +4,11 @@ Every suite re-derives one family of identities through two independent
 routes and reports a machine-readable verdict; on failure the verdict
 carries the located counterexample.  All randomness is seeded so runs
 are reproducible.  ``run_suite`` hands each suite one ledger
-(``_Ledger``), which counts its checks, keeps the failure records,
-applies the cap of capped checks and builds the verdict.
+(``_Ledger``), which counts its checks, keeps the failure records and
+builds the verdict.  Every check of one table against another goes
+through ``_compare``, which tests the whole arrays at once and ends the
+suite at CAP records; the seeded ``expansion`` and ``lucht`` runs are
+the stored-pair checks run over a seeded corpus of tables.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from .transforms import (TruncatedDivisorSum, evaluate_tds,
 from .twoseasons import (combinatorial_identity_check, diophantine_count_even,
                          diophantine_count_odd, random_ts_instance)
 
-# A capped check ends its suite once the verdict holds CAP located records.
+# A capped check (``_compare``) ends its suite once the verdict holds CAP
+# located records.
 CAP = 5
 
 
@@ -46,15 +50,12 @@ class _Ledger:
     def __init__(self, suite: str):
         self.suite, self.checks, self.failures = suite, 0, []
 
-    def check(self, ok, record, n: int = 1, capped: bool = False) -> bool:
+    def check(self, ok, record, n: int = 1) -> bool:
         """Count n checks, which pass when ``ok``.  On failure keep
-        ``record()``, built only then; a capped check that brings the
-        records to CAP raises _Capped."""
+        ``record()``, built only then."""
         self.checks += n
         if not ok:
             self.failures.append(record())
-            if capped and len(self.failures) >= CAP:
-                raise _Capped
         return bool(ok)
 
     def verdict(self) -> dict:
@@ -63,14 +64,26 @@ class _Ledger:
 
 
 def _compare(led: _Ledger, check: str, key: str, gots, wants, bound,
-             n: int = 1) -> None:
-    """The capped check ``agree(gots[i], wants[i], bound)`` for ascending
-    i >= 1 (slot 0 is unused), counting n checks per entry; a record
-    names the entry as ``key`` and its two values as text (``_text``)."""
-    for i in range(1, len(wants)):
-        led.check(agree(gots[i], wants[i], bound),
-                  lambda: {"check": check, key: i, "got": _text(gots[i]),
-                           "expected": _text(wants[i])}, n, capped=True)
+             n: int = 1, **where) -> None:
+    """The capped check ``agree(gots[i], wants[i], bound)`` for i >= 1
+    (slot 0 is unused), tested on the whole arrays at once.  Each
+    disagreeing i, ascending, gets a record with ``where``'s keys, the
+    entry as ``key`` and its two values as text (``_text``); the record
+    that brings the verdict to CAP ends the suite.  It counts n checks
+    per entry up to that one, else n per entry.  A list is read as an
+    object array, so its Python ints and Fractions compare exactly
+    (NumPy would store a list holding 2**63 as float64)."""
+    gots, wants = (x if isinstance(x, np.ndarray) else np.array(x, object)
+                   for x in (gots, wants))
+    bad = np.flatnonzero(~agree(gots[1:], wants[1:], bound)) + 1
+    for i in bad.tolist():
+        led.failures.append({"check": check, **where, key: i,
+                             "got": _text(gots.item(i)),
+                             "expected": _text(wants.item(i))})
+        if len(led.failures) >= CAP:
+            led.checks += n * i
+            raise _Capped
+    led.checks += n * (len(wants) - 1)
 
 
 def _random_tds(rng: random.Random, D: int,
@@ -87,33 +100,30 @@ def _random_tds(rng: random.Random, D: int,
     return TruncatedDivisorSum(D, EXACT, et)
 
 
-def _entries(t, top: int) -> list:
-    """The values of table t on [0..top] as Python scalars, zero past its
-    limit."""
-    return retruncate(t, top).values.tolist()
+def _entries(t, top: int) -> np.ndarray:
+    """The value array of table t on [0..top], zero past its limit."""
+    return retruncate(t, top).values
 
 
 def suite_orthogonality(led: _Ledger, seed: int) -> None:
     """sum over q | d of c_q(a) equals d exactly when d | a, else 0, for
     d <= 200 and a <= 1000 (the int64 sums are exact: |c_q| <= q)."""
-    a_all = np.arange(1, 1001)
+    a = np.arange(1001)
     tables = {q: np.array(ramanujan_sum_table(q)) for q in range(1, 201)}
     for d in range(1, 201):
-        totals = sum(tables[q][a_all % q] for q in divisors_int(d)).tolist()
-        for a, total in enumerate(totals, 1):
-            expected = d if a % d == 0 else 0
-            led.check(total == expected,
-                      lambda: {"check": "orthogonality", "d": d, "a": a,
-                               "got": total, "expected": expected},
-                      capped=True)
+        totals = sum(tables[q][a % q] for q in divisors_int(d))
+        _compare(led, "orthogonality", "a", totals, np.where(a % d, 0, d), 0,
+                 d=d)
 
 
 def _pair_expansion(led: _Ledger, g: TruncatedDivisorSum,
-                    coeffs: RamanujanCoefficients | None) -> None:
+                    coeffs: RamanujanCoefficients | None, a_max: int = 500,
+                    n: int = 0, **where) -> RamanujanCoefficients:
     """The stored pair: coeffs, when given, against g's Wintner
     coefficients; then the expansion of coeffs (of g's own coefficients
-    when none are given) against the divisor sum for a <= 500, by two
-    independent batch routes (periodic c_q blocks, the divisor sieve)."""
+    when none are given) against the divisor sum for a <= a_max, by two
+    independent batch routes (periodic c_q blocks, the divisor sieve),
+    counting n checks per entry.  Returns the coefficients expanded."""
     bound = tolerance(g)
     derived = wintner_coefficients(g)
     if coeffs is None:
@@ -121,88 +131,72 @@ def _pair_expansion(led: _Ledger, g: TruncatedDivisorSum,
     else:
         top = max(coeffs.limit, derived.limit)
         _compare(led, "coefficient", "q", _entries(coeffs, top),
-                 _entries(derived, top), bound, n=0)
-    lhs_all = ramanujan_expand_range(coeffs, 500)
-    if not coeffs.is_exact:
-        lhs_all = lhs_all.tolist()
-    _compare(led, "expansion", "a", lhs_all,
-             evaluate_tds_range(g, 500).tolist(), bound, n=0)
+                 _entries(derived, top), bound, n, **where)
+    _compare(led, "expansion", "a", ramanujan_expand_range(coeffs, a_max),
+             evaluate_tds_range(g, a_max), bound, n, **where)
+    return coeffs
 
 
 def suite_expansion(led: _Ledger, seed: int,
                     tds: TruncatedDivisorSum | None = None,
                     coeffs: RamanujanCoefficients | None = None) -> None:
-    """Fixed-length expansion reproduces the divisor sum everywhere."""
+    """Fixed-length expansion reproduces the divisor sum everywhere: the
+    pair check of each seeded table (15 random exact ones, then
+    ``lambda_tds(50)``) to a = 2000, plus five huge shifts per exact
+    table."""
     if tds is not None:
         led.checks = 1  # the stored pair counts as one check
         _pair_expansion(led, tds, coeffs)
         return
     rng = random.Random(seed)
-    a_max = 2000
     corpus = [_random_tds(rng, rng.randint(5, 80)) for _ in range(15)]
     for i, g in enumerate(corpus):
-        c = wintner_coefficients(g)
-        got = ramanujan_expand_range(c, a_max)
-        want = evaluate_tds_range(g, a_max)
-        # counted up to the first shift that disagrees
-        bad = np.flatnonzero(got[1:] != want[1:])
-        a = int(bad[0]) + 1 if bad.size else a_max
-        led.check(not bad.size,
-                  lambda: {"check": "expansion", "tds": i, "a": a,
-                           "got": str(got[a]), "expected": str(want[a])}, a)
+        c = _pair_expansion(led, g, None, a_max=2000, n=1, tds=i)
         for _ in range(5):
             a = rng.randint(10 ** 20, 10 ** 30)
             led.check(ramanujan_expand(c, a) == evaluate_tds(g, a),
                       lambda: {"check": "expansion-big", "tds": i, "a": a})
-    g_lam = lambda_tds(50)
-    c_lam = wintner_coefficients(g_lam)
-    got_f = ramanujan_expand_range(c_lam, a_max)
-    want_f = evaluate_tds_range(g_lam, a_max)
-    bad = np.flatnonzero(~agree(got_f[1:], want_f[1:], tolerance(g_lam)))
-    a = int(bad[0]) + 1 if bad.size else a_max
-    led.check(not bad.size,
-              lambda: {"check": "expansion-real", "a": a,
-                       "got": float(got_f[a]), "expected": float(want_f[a])},
-              a_max)
+    _pair_expansion(led, lambda_tds(50), None, a_max=2000, n=1, tds=15)
+
+
+def _pair_lucht(led: _Ledger, g: TruncatedDivisorSum | None,
+                coeffs: RamanujanCoefficients | None, **where) -> None:
+    """The stored pair: coeffs (g's own coefficients when none are given)
+    inverted back to g entrywise, or, with no g, through their round
+    trip, inversion then coefficients."""
+    if coeffs is None:
+        coeffs = wintner_coefficients(g)
+    try:
+        back = lucht_invert(coeffs)
+    except ValueError as exc:
+        error = str(exc)
+        led.check(False, lambda: {"check": "lucht-invert", **where,
+                                  "error": error})
+        return
+    if g is not None:
+        top = max(back.limit, g.limit)
+        _compare(led, "lucht", "d", _entries(back, top), _entries(g, top),
+                 tolerance(g), **where)
+    else:
+        top = coeffs.limit
+        _compare(led, "lucht-roundtrip", "q",
+                 _entries(wintner_coefficients(back), top),
+                 _entries(coeffs, top), tolerance(coeffs), **where)
 
 
 def suite_lucht(led: _Ledger, seed: int,
                 tds: TruncatedDivisorSum | None = None,
                 coeffs: RamanujanCoefficients | None = None) -> None:
-    """Coefficient tables invert back to the divisor-sum table entrywise."""
+    """Coefficient tables invert back to the divisor-sum table entrywise:
+    the pair check of each seeded table (25 random exact ones, then
+    ``lambda_tds(60)``)."""
     if coeffs is not None or tds is not None:
-        if coeffs is None:
-            coeffs = wintner_coefficients(tds)
-        try:
-            back = lucht_invert(coeffs)
-        except ValueError as exc:
-            error = str(exc)
-            led.check(False, lambda: {"check": "lucht-invert", "error": error})
-            return
-        if tds is not None:
-            top = max(back.limit, tds.limit)
-            _compare(led, "lucht", "d", _entries(back, top),
-                     _entries(tds, top), tolerance(tds))
-        else:
-            top = coeffs.limit
-            _compare(led, "lucht-roundtrip", "q",
-                     _entries(wintner_coefficients(back), top),
-                     _entries(coeffs, top), tolerance(coeffs))
+        _pair_lucht(led, tds, coeffs)
         return
     rng = random.Random(seed)
     for i in range(25):
-        g = _random_tds(rng, rng.randint(5, 120))
-        back = lucht_invert(wintner_coefficients(g))
-        led.check(list(back.values) == list(g.values),
-                  lambda: {"check": "lucht", "tds": i,
-                           "d": next(d for d in range(1, g.limit + 1)
-                                     if back.values[d] != g.values[d])},
-                  g.limit)
-    g_lam = lambda_tds(60)
-    back = lucht_invert(wintner_coefficients(g_lam))
-    led.check(agree(back.values, g_lam.values, tolerance(g_lam)).all(),
-              lambda: {"check": "lucht-real", "d": int(
-                  np.abs(back.values - g_lam.values).argmax())}, 60)
+        _pair_lucht(led, _random_tds(rng, rng.randint(5, 120)), None, tds=i)
+    _pair_lucht(led, lambda_tds(60), None, tds=25)
 
 
 def suite_closure(led: _Ledger, seed: int) -> None:

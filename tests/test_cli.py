@@ -499,6 +499,88 @@ class TestConfigResolution:
         assert out.out == "" and "ramcorr: error:" in out.err
 
 
+class TestIntegerGrammar:
+    """Every integer the CLI reads is ASCII ``-?[0-9]+``: ``int()`` would
+    also take ``1_000``, non-ASCII digits and surrounding whitespace."""
+
+    ORTHOGONALITY = ("verify", "orthogonality")
+    BAD_INT = "bad config value: invalid literal for int() with base 10: "
+
+    @pytest.mark.parametrize("value", ["1_000", "١٠٠", " 100"])
+    def test_sieve_limit_variable(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("RAMCORR_SIEVE_LIMIT", value)
+        code, out, err = run_cli(capsys, *self.ORTHOGONALITY)
+        assert (code, out) == (2, "")
+        assert err == (f"ramcorr: error: RAMCORR_SIEVE_LIMIT: {self.BAD_INT}"
+                       f"{value!r}\n")
+
+    def test_sieve_limit_config_line(self, capsys, tmp_path):
+        cfg = tmp_path / "ramcorr.conf"
+        cfg.write_text("# cap\nsieve_limit=1_000\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg),
+                                 *self.ORTHOGONALITY)
+        assert (code, out) == (2, "")
+        assert err == f"ramcorr: error: {cfg}:2: {self.BAD_INT}'1_000'\n"
+
+    @pytest.mark.parametrize("value", ["1_000", "١٠٠"])
+    def test_sieve_limit_flag(self, capsys, value):
+        code, out, err = run_cli(capsys, "--sieve-limit", value,
+                                 *self.ORTHOGONALITY)
+        assert (code, out) == (2, "")
+        assert err == (f"ramcorr: error: --sieve-limit: {self.BAD_INT}"
+                       f"{value!r}\n")
+
+    @pytest.mark.parametrize("shifts, message", [
+        ("1_0", "bad shift token '1_0'"),
+        ("1:1_0", "bad shift range '1:1_0'"),
+        ("٣:5", "bad shift range '٣:5'"),
+        ("U+1_0", "bad shift token 'U+1_0'"),
+    ])
+    def test_shift_tokens(self, capsys, shifts, message):
+        code, out, err = run_cli(capsys, "correlate", "--f", "unit", "--g",
+                                 "delta1", "--N", "9", "--shifts", shifts)
+        assert (code, out) == (2, "")
+        assert err == f"ramcorr: error: {message}\n"
+
+    @pytest.mark.parametrize("flag, N_list, a_list, text", [
+        ("--N-list", "1_00", "2", "1_00"),
+        ("--a-list", "100", "٢", "٢"),
+        ("--a-list", "100", "2, 1_0", "2, 1_0"),
+    ])
+    def test_integer_lists(self, capsys, flag, N_list, a_list, text):
+        code, out, err = run_cli(capsys, "hl", "--N-list", N_list,
+                                 "--a-list", a_list, "--Q", "100")
+        assert (code, out) == (2, "")
+        assert err == f"ramcorr: error: bad integer list for {flag}: {text!r}\n"
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["correlate", "--f", "unit", "--g", "delta1", "--N", "٩",
+          "--shifts", "1"], "--N", "٩"),
+        (["transform", "--fn", "unit", "--N", "1_0"], "--N", "1_0"),
+        (["verify", "closure", "--seed", "1_0"], "--seed", "1_0"),
+        (["hl", "--N-list", "100", "--a-list", "2", "--Q", "1_000"],
+         "--Q", "1_000"),
+    ])
+    def test_typed_flags(self, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.endswith(
+            f"error: argument {flag}: invalid int value: {value!r}\n")
+
+    def test_spaces_around_list_items_and_shift_tokens(self, capsys):
+        code, out, _ = run_cli(capsys, "correlate", "--f", "unit", "--g",
+                               "delta1", "--N", "9", "--shifts", " 1, 2 ")
+        assert code == 0 and out.splitlines()[1:] == ["1,9", "2,9"]
+        code, spaced, _ = run_cli(capsys, "hl", "--N-list", " 100",
+                                  "--a-list", "2 ,4", "--Q", "100")
+        assert code == 0
+        assert spaced == run_cli(capsys, "hl", "--N-list", "100",
+                                 "--a-list", "2,4", "--Q", "100")[1]
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "ramcorr.cli", "transform", "--fn", "unit",

@@ -2,6 +2,7 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ramcorr import verify
@@ -9,8 +10,8 @@ from ramcorr.cli import main
 from ramcorr.arith_core import _text, agree, tolerance
 from ramcorr.ramanujan import (RamanujanCoefficients, lucht_invert,
                                ramanujan_expand, wintner_coefficients)
-from ramcorr.transforms import (evaluate_tds, lambda_tds, tds_from_et,
-                                write_tds)
+from ramcorr.transforms import (TruncatedDivisorSum, evaluate_tds,
+                                lambda_tds, tds_from_et, write_tds)
 from ramcorr.verify import SUITES, run_suite
 
 
@@ -222,3 +223,173 @@ class TestRecordsPastTheDigitLimit:
             want = _digit_text(v)
         request.getfixturevalue("digit_limit_640")
         assert _text(v) == want
+
+
+def per_entry_compare(led, check, key, gots, wants, bound, n=1, **where):
+    """``verify._compare`` one entry at a time, as a test oracle: n checks
+    counted per entry, a record per disagreeing entry, and the record
+    that brings the verdict to CAP ends the suite."""
+    for i in range(1, len(wants)):
+        led.checks += n
+        if not agree(gots[i], wants[i], bound):
+            led.failures.append({"check": check, **where, key: i,
+                                 "got": _text(gots[i]),
+                                 "expected": _text(wants[i])})
+            if len(led.failures) >= verify.CAP:
+                raise verify._Capped
+
+
+def _outcome(compare, gots, wants, bound, n, earlier):
+    led = verify._Ledger("t")
+    led.failures = [{"check": "earlier"}] * earlier
+    try:
+        compare(led, "c", "i", gots, wants, bound, n, tds=3)
+        capped = False
+    except verify._Capped:
+        capped = True
+    return led.checks, led.failures, capped
+
+
+NAN = float("nan")
+COMPARE_CASES = {
+    "fractions": ([0, Fraction(1, 2), Fraction(-7, 3), 4, Fraction(5, 9)],
+                  [0, Fraction(1, 2), Fraction(-7, 4), 4, 5], 0),
+    "ints past int64": ([0, 2 ** 70, -(2 ** 65), 2 ** 63, 5, 10 ** 30],
+                        [0, 2 ** 70, -(2 ** 65) + 1, 2 ** 63 - 1, 5,
+                         10 ** 30 + 1], 0),
+    "uint64 against int64": ([0, 2 ** 63, 1], [0, 2 ** 63 - 1, 1], 0),
+    "floats, bound 0": ([0.0, NAN, 1.0, 2.0, 0.1 + 0.2],
+                        [0.0, NAN, 1.0, 2.5, 0.3], 0),
+    "floats, bound > 0": ([0.0, NAN, 1.0, 2.0, 0.1 + 0.2, 7.0, NAN],
+                          [0.0, NAN, 1.0 + 1e-12, 2.5, 0.3, NAN, 7.0], 1e-9),
+    "all disagree": ([0] + list(range(1, 12)), [0] + list(range(2, 13)), 0),
+    "all agree": ([0] + list(range(1, 12)), [0] + list(range(1, 12)), 0),
+}
+
+
+# NumPy warns when it orders a NaN held in an object array (a float list)
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("as_array", [False, True], ids=["lists", "arrays"])
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("earlier", [0, 3, 5])
+@pytest.mark.parametrize("case", sorted(COMPARE_CASES))
+def test_compare_matches_the_per_entry_loop(case, earlier, n, as_array):
+    gots, wants, bound = COMPARE_CASES[case]
+    want = _outcome(per_entry_compare, gots, wants, bound, n, earlier)
+    if as_array:  # the exact values as Python objects, as tables hold them
+        kind = float if isinstance(wants[-1], float) else object
+        gots, wants = np.array(gots, kind), np.array(wants, kind)
+    got = _outcome(verify._compare, gots, wants, bound, n, earlier)
+    assert got == want
+    assert all(isinstance(r[k], str) for r in got[1][earlier:]
+               for k in ("got", "expected"))
+
+
+class TestSeededRecords:
+    """A fault in one route of a seeded suite gives stored-pair records:
+    the table (or d), the entry and both values as text; CAP records end
+    the suite with the checks counted up to the entry that brought it."""
+
+    def test_expansion_records_stop_at_cap(self, monkeypatch):
+        real, seen = verify.ramanujan_expand_range, []
+
+        def off_at_7(coeffs, a_max):
+            values = list(real(coeffs, a_max))
+            seen.append(values[7])
+            values[7] += 1
+            return values
+
+        monkeypatch.setattr(verify, "ramanujan_expand_range", off_at_7)
+        verdict = run_suite("expansion", seed=0)
+        assert verdict["pass"] is False
+        assert verdict["failures"] == [
+            {"check": "expansion", "tds": i, "a": 7, "got": str(v + 1),
+             "expected": str(v)} for i, v in enumerate(seen)]
+        assert len(seen) == verify.CAP
+        # four tables of 2000 shifts and 5 huge ones, then 7 shifts
+        assert verdict["checks"] == 4 * 2005 + 7
+
+    def test_expansion_real_record(self, monkeypatch):
+        real = verify.ramanujan_expand_range
+
+        def real_off_at_11(coeffs, a_max):
+            values = real(coeffs, a_max)
+            if not coeffs.is_exact:
+                values[11] += 1e-6
+            return values
+
+        monkeypatch.setattr(verify, "ramanujan_expand_range", real_off_at_11)
+        verdict = run_suite("expansion", seed=0)
+        g = lambda_tds(50)
+        got = real(wintner_coefficients(g), 2000)[11] + 1e-6
+        [record] = verdict["failures"]
+        assert record == {"check": "expansion", "tds": 15, "a": 11,
+                          "got": str(float(got)),
+                          "expected": str(evaluate_tds(g, 11))}
+        assert verdict["checks"] == 32075
+
+    def test_lucht_records_stop_at_cap(self, monkeypatch):
+        real, seen = verify.lucht_invert, []
+
+        def off_at_3(coeffs):
+            back = real(coeffs)
+            values = back.values.copy()
+            seen.append((coeffs.limit, values[3]))
+            values[3] += 1
+            return TruncatedDivisorSum(back.limit, back.kind, values)
+
+        monkeypatch.setattr(verify, "lucht_invert", off_at_3)
+        verdict = run_suite("lucht", seed=0)
+        assert verdict["failures"] == [
+            {"check": "lucht", "tds": i, "d": 3, "got": str(v + 1),
+             "expected": str(v)} for i, (_, v) in enumerate(seen)]
+        assert len(seen) == verify.CAP
+        assert verdict["checks"] == sum(D for D, _ in seen[:-1]) + 3
+
+    def test_lucht_real_record(self, monkeypatch):
+        real = verify.lucht_invert
+
+        def real_off_at_7(coeffs):
+            back = real(coeffs)
+            if not coeffs.is_exact:
+                back.values[7] += 1e-6
+            return back
+
+        monkeypatch.setattr(verify, "lucht_invert", real_off_at_7)
+        verdict = run_suite("lucht", seed=0)
+        g = lambda_tds(60)
+        got = real(wintner_coefficients(g)).values[7] + 1e-6
+        assert verdict["failures"] == [
+            {"check": "lucht", "tds": 25, "d": 7, "got": str(float(got)),
+             "expected": str(float(g.values[7]))}]
+        assert verdict["checks"] == 1896
+
+    def test_lucht_refusal_names_its_table(self, monkeypatch):
+        def refuse(coeffs):
+            raise ValueError("inversion produced non-integer g'(1) = 1/2")
+
+        monkeypatch.setattr(verify, "lucht_invert", refuse)
+        verdict = run_suite("lucht", seed=0)
+        assert verdict["failures"] == [
+            {"check": "lucht-invert", "tds": i,
+             "error": "inversion produced non-integer g'(1) = 1/2"}
+            for i in range(26)]
+        assert verdict["checks"] == 26
+
+    def test_orthogonality_records_stop_at_cap(self, monkeypatch):
+        real = verify.ramanujan_sum_table
+
+        def c6_off_at_1(q):
+            values = list(real(q))
+            if q == 6:
+                values[1] += 1
+            return values
+
+        monkeypatch.setattr(verify, "ramanujan_sum_table", c6_off_at_1)
+        verdict = run_suite("orthogonality", seed=0)
+        # d = 6 is the first d with 6 | d; sum over q | 6 of c_q(a) is
+        # 0 at a = 1 mod 6, and the fault makes it 1
+        assert verdict["failures"] == [
+            {"check": "orthogonality", "d": 6, "a": a, "got": "1",
+             "expected": "0"} for a in (1, 7, 13, 19, 25)]
+        assert verdict["checks"] == 5 * 1000 + 25
