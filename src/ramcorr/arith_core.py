@@ -3,9 +3,10 @@
 Two building blocks everything else consumes:
 
 * ``PrimeTable`` -- an Eratosthenes sieve plus three lazily built arrays
-  over its range: Mobius, Euler phi and von Mangoldt.  mu and phi are
-  swept on narrow working arrays (int8; int32 below 2**31) and handed out
-  as int64.
+  over its range: Mobius, Euler phi and von Mangoldt.  mu is int8 and
+  phi int32 (int64 from limit 2**31 up), the arrays their sweeps run on;
+  a consumer that multiplies them by more than +-1 widens what it reads
+  (``tabulate``, ``transforms._convolve``, the singular series).
 * ``TabulatedFunction`` -- a table of values on [1..limit].  Arithmetic
   functions, truncated divisor-sum tables and Ramanujan coefficient
   tables all use it.  Its ``values`` is a NumPy array whose dtype follows
@@ -94,8 +95,8 @@ class PrimeTable:
     [0..limit], each built once, on first access.
 
     Immutable after construction; concurrent reads are safe.  mu and phi
-    are swept on narrow working arrays (int8, and int32 while
-    limit < 2**31) and returned as int64.
+    are the narrow arrays their sweeps run on: int8, and int32 while
+    limit < 2**31.
     """
 
     limit: int
@@ -104,7 +105,7 @@ class PrimeTable:
 
     @cached_property
     def mobius_values(self) -> np.ndarray:
-        """mu(n) for n = 0..limit as int64 (mu[0] = 0)."""
+        """mu(n) for n = 0..limit as int8 (mu[0] = 0)."""
         mu = np.ones(self.limit + 1, dtype=np.int8)
         mu[0] = 0
         small, blocks = _sqrt_split(self.primes, self.limit)
@@ -113,15 +114,16 @@ class PrimeTable:
             mu[p * p::p * p] = 0
         for j, ps in blocks:
             mu[j * ps] *= -1
-        return mu.astype(np.int64)
+        return mu
 
     @cached_property
     def phi_values(self) -> np.ndarray:
-        """Euler phi(n) for n = 0..limit as int64 (phi[0] = 0).
+        """Euler phi(n) for n = 0..limit (phi[0] = 0), as int32 below
+        limit 2**31 and int64 from there: phi(n) <= n.
 
-        phi(n) <= n, so the slices run on int32 below 2**31.  A prime
-        p > r = isqrt(limit) divides n = j * p only with j <= r < p, so
-        phi(j) is final by then and phi(j * p) = phi(j) * (p - 1).
+        A prime p > r = isqrt(limit) divides n = j * p only with
+        j <= r < p, so phi(j) is final by then and
+        phi(j * p) = phi(j) * (p - 1), which is below n as well.
         """
         work = np.int32 if self.limit < 2 ** 31 else np.int64
         phi = np.arange(self.limit + 1, dtype=work)
@@ -130,7 +132,6 @@ class PrimeTable:
             v = phi[p::p]
             v //= p
             v *= p - 1
-        phi = phi.astype(np.int64)
         for j, ps in blocks:
             phi[j * ps] = phi[j] * (ps - 1)
         return phi
@@ -461,13 +462,18 @@ def _kappa_values(M: int, table: PrimeTable) -> np.ndarray:
 
 # name -> (kind, whether it needs a sieve, builder of its value array on
 # [0..M]); a builder is called as builder(M, table), with table None when
-# no sieve is needed
+# no sieve is needed.  Exact builders return int64, the one dtype a table
+# keeps as its store: the sieve's int8 mu and int32 phi are widened here
+# (any other array would become an object array of Python ints).
 _TABULATORS = {
     "unit": (EXACT, False, lambda M, t: _indicator(M, slice(1, None))),
     "identity": (EXACT, False, lambda M, t: np.arange(M + 1)),
-    "mobius": (EXACT, True, lambda M, t: t.mobius_values[: M + 1]),
-    "mu_squared": (EXACT, True, lambda M, t: t.mobius_values[: M + 1] ** 2),
-    "phi": (EXACT, True, lambda M, t: t.phi_values[: M + 1]),
+    "mobius": (EXACT, True,
+               lambda M, t: t.mobius_values[: M + 1].astype(np.int64)),
+    "mu_squared": (EXACT, True,
+                   lambda M, t: (t.mobius_values[: M + 1] != 0)
+                   .astype(np.int64)),
+    "phi": (EXACT, True, lambda M, t: t.phi_values[: M + 1].astype(np.int64)),
     "kappa": (EXACT, True, _kappa_values),
     "lambda": (REAL, True,
                lambda M, t: t.von_mangoldt_values[: M + 1].copy()),

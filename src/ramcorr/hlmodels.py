@@ -186,7 +186,8 @@ def model_chain(N: int, a_list, table: PrimeTable) -> list[ModelRow]:
 # singular series
 # ----------------------------------------------------------------------
 
-# phi^2 is formed this many q at a time, so no Q-length copy is kept
+# the series buffer is filled this many q at a time, so that every
+# temporary is one block long
 _PHI2_BLOCK = 1 << 16
 
 
@@ -198,16 +199,18 @@ def singular_series(a_list, Q: int = 100_000,
     in its order.
 
     The working set is one Q-length float64 buffer, reused by every
-    shift: it takes c_q(a) = sum over d | (a, q) of d mu(q/d), straight
-    from the int64 mu, then becomes the term array in place, multiplied
-    by the bool mask mu != 0 and divided by phi^2 one block of q at a
-    time.  Each entry of c is an integer below 2**53, so it is exact in
-    any order; each block's phi^2 is the same square float(phi) *
-    float(phi) as a full-length one; so each term gets the two roundings
-    (c mu^2) / phi^2 of the full-array formula, and ``np.sum`` over the
-    contiguous terms builds the same pairwise tree.  Only the square-free
-    d are added: another d writes c only where the mask makes the term
-    +-0.0, and a signed zero moves no sum that holds the q = 1 term 1.0.
+    shift and filled one block of ``_PHI2_BLOCK`` q at a time: the block
+    takes c_q(a) = sum over d | (a, q) of d mu(q/d), from the sieve's
+    int8 mu widened to float64 one gather at a time (d mu overflows
+    int8 once d > 127), is multiplied by the block's bool mask
+    mu != 0, and is divided by the block's phi^2.  So no other array is
+    Q long.  Each entry of c is an integer below 2**53, so it is exact
+    in any order; phi^2 is float(phi) * float(phi) as a full-length one
+    would be; so each term gets the two roundings (c mu^2) / phi^2 of
+    the full-array formula, and ``np.sum`` over the contiguous terms
+    builds the same pairwise tree.  Only the square-free d are added:
+    another d writes c only where the mask makes the term +-0.0, and a
+    signed zero moves no sum that holds the q = 1 term 1.0.
 
     a is read only modulo the primes p <= min(Q, a), with Python ints:
     that loop gives both the square-free divisors d <= Q of a and the
@@ -222,24 +225,26 @@ def singular_series(a_list, Q: int = 100_000,
     table = capped_sieve(Q, table)
     mu = table.mobius_values
     phi = table.phi_values
-    squarefree = mu[1: Q + 1] != 0
     primes = table.primes[: np.searchsorted(table.primes, Q, side="right")]
     p = primes.astype(np.float64)
     c = np.zeros(Q + 1, dtype=np.float64)
-    terms = c[1:]
     out = []
     for a in a_list:
         divisors, divides = _divisors_upto(a, Q, primes)
-        terms[:] = mu[1: Q + 1]  # d = 1, which also clears the last shift
-        for d in divisors[1:]:
-            c[d::d] += d * mu[1: Q // d + 1]
-        terms *= squarefree
-        for lo in range(0, Q, _PHI2_BLOCK):
-            hi = min(lo + _PHI2_BLOCK, Q)
-            blk = phi[1 + lo: 1 + hi].astype(np.float64)
-            blk *= blk
-            terms[lo: hi] /= blk
-        truncated = float(np.sum(terms))
+        for lo in range(1, Q + 1, _PHI2_BLOCK):
+            hi = min(lo + _PHI2_BLOCK, Q + 1)
+            blk = c[lo: hi]
+            blk[:] = mu[lo: hi]  # d = 1, which also clears the last shift
+            for d in divisors[1:]:
+                # the k with lo <= d k < hi
+                k0, k1 = -(-lo // d), (hi - 1) // d + 1
+                if k0 < k1:
+                    blk[d * k0 - lo:: d] += d * mu[k0: k1].astype(np.float64)
+            blk *= mu[lo: hi] != 0
+            phi2 = phi[lo: hi].astype(np.float64)
+            phi2 *= phi2
+            blk /= phi2
+        truncated = float(np.sum(c[1:]))
         cp = np.where(divides, p - 1.0, -1.0)
         euler = float(np.prod(1.0 + cp / (p - 1.0) ** 2))
         out.append(SingularSeriesValue(a, truncated, euler, Q))

@@ -27,13 +27,15 @@ divisibility of m by small d is ever tested.
 Every table holds its values in one array whose dtype follows its kind
 (see ``arith_core.DTYPES``), so the kernel has a single body for
 ExactInt and Real tables.  ExactInt inputs run that body on int64 when
-each is an int64 array (a table's store, ``TabulatedFunction._data``, or
-a sieve array) and max|a| max|b| 2 isqrt(M) < 2**63 (no slot has more
-than tau(n) <= 2 isqrt(M) terms, so no product or partial sum can
-overflow); the int64 result becomes the store of the table returned.
-Every other exact input, object arrays of Python ints, big ints and
-Fractions alike, runs on Python ints.  So an exact ``transform --fn``
-stays on int64 from the sieve to the written text.
+each is a signed-integer array (a table's int64 store,
+``TabulatedFunction._data``, or the sieve's int8 mu) and
+max|a| max|b| 2 isqrt(M) < 2**63 (no slot has more than
+tau(n) <= 2 isqrt(M) terms, so no product or partial sum can overflow);
+the sums go into an int64 array, which becomes the store of the table
+returned, and a narrow ``a`` is widened one gather at a time, never as a
+whole.  Every other exact input, object arrays of Python ints, big ints
+and Fractions alike, runs on Python ints.  So an exact ``transform --fn``
+stays on fixed-width integers from the sieve to the written text.
 The text format written and read here serves TDS and coefficient files
 alike.
 """
@@ -68,15 +70,15 @@ tds_from_et = TruncatedDivisorSum.from_entries
 # ----------------------------------------------------------------------
 
 def _int64_lane(a: np.ndarray, b, M: int) -> bool:
-    """Whether the exact kernel can run on (a, b) as they are: both are
-    int64 arrays and max|a| max|b| 2 isqrt(M) < 2**63 (max|b| = 1 for
-    ``b`` None).  Slot n adds tau(n) <= 2 isqrt(M) terms, so no product
-    or partial sum can overflow.  An object array is never cast: it
-    runs on Python ints whatever it holds.
+    """Whether the exact kernel can run on (a, b) in int64: both are
+    signed-integer arrays and max|a| max|b| 2 isqrt(M) < 2**63
+    (max|b| = 1 for ``b`` None).  Slot n adds tau(n) <= 2 isqrt(M)
+    terms, so no product or partial sum can overflow.  An object array
+    is never cast: it runs on Python ints whatever it holds.
     """
     bound = 2 * math.isqrt(M)
     for v in (a,) if b is None else (a, b):
-        if v.dtype != np.int64:
+        if v.dtype.kind != "i":
             return False
         bound *= max(int(v.max()), -int(v.min()))
     return bound < 2 ** 63
@@ -87,10 +89,18 @@ def _convolve(a, b, M: int, kind: str) -> np.ndarray:
     unused; ``b`` None is the constant 1, added with no product.  Zero
     terms are skipped: a Real slot never holds -0.0, so no bit changes.
 
-    Real inputs are float64.  ExactInt int64 inputs that ``_int64_lane``
-    admits run the same loops on int64 and come back as int64, for a
-    table to keep as its store; other exact inputs run on Python ints
-    and Fractions, both cast to object.
+    Real inputs are float64.  ExactInt integer inputs that
+    ``_int64_lane`` admits run the same loops into an int64 ``out``,
+    for a table to keep as its store; other exact inputs run on Python
+    ints and Fractions, both cast to object.
+
+    ``a`` may be narrower than int64 (the sieve's int8 mu); ``b`` is
+    widened as a whole, which copies nothing for the int64 store every
+    caller passes.  Each gather ``a[ds]`` is widened to out's dtype
+    before its product: NumPy 1.x keeps an int8 gather times an int64
+    scalar in a narrow type, which wraps, and the sums must not depend
+    on the NumPy version.  A scalar a[d] times an int64 slice is int64
+    under both casting rules.
     """
     a = a[: M + 1]
     if b is not None:
@@ -98,7 +108,9 @@ def _convolve(a, b, M: int, kind: str) -> np.ndarray:
     if kind == EXACT and not _int64_lane(a, b, M):
         a = a.astype(object, copy=False)
         b = None if b is None else b.astype(object, copy=False)
-    out = np.zeros(M + 1, dtype=a.dtype)
+    elif b is not None and b.dtype.kind == "i":
+        b = b.astype(np.int64, copy=False)
+    out = np.zeros(M + 1, dtype=np.int64 if a.dtype.kind == "i" else a.dtype)
     small, blocks = _sqrt_split(np.flatnonzero(a[1:]) + 1, M)
     for d in small.tolist():
         out[d::d] += a[d] if b is None else a[d] * b[1: M // d + 1]
@@ -106,7 +118,7 @@ def _convolve(a, b, M: int, kind: str) -> np.ndarray:
         if b is None:
             out[k * ds] += a[ds]
         elif b[k]:
-            out[k * ds] += a[ds] * b[k]
+            out[k * ds] += a[ds].astype(out.dtype, copy=False) * b[k]
     return out
 
 
@@ -157,7 +169,7 @@ def eratosthenes_transform(F: TabulatedFunction, M: int | None = None,
         M = F.limit
     if F.limit < M:
         raise ValueError(f"tabulated only to {F.limit}, need {M}")
-    mu = capped_sieve(M, table).mobius_values[: M + 1]
+    mu = capped_sieve(M, table).mobius_values[: M + 1]  # int8, not copied
     if not F.is_exact:
         mu = mu.astype(np.float64)
     return TabulatedFunction(M, F.kind, _convolve(mu, F._data, M, F.kind),

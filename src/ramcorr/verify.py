@@ -34,8 +34,8 @@ from .transforms import (TruncatedDivisorSum, evaluate_tds,
 from .twoseasons import (combinatorial_identity_check, diophantine_count_even,
                          diophantine_count_odd, random_ts_instance)
 
-# A capped check (``_compare``) ends its suite once the verdict holds CAP
-# located records.
+# A capped check (``_compare``, and ``suite_expansion``'s huge shifts)
+# ends its suite once the verdict holds CAP located records.
 CAP = 5
 
 
@@ -143,7 +143,8 @@ def suite_expansion(led: _Ledger, seed: int,
     """Fixed-length expansion reproduces the divisor sum everywhere: the
     pair check of each seeded table (15 random exact ones, then
     ``lambda_tds(50)``) to a = 2000, plus five huge shifts per exact
-    table."""
+    table, each a capped check whose record gives the shift and both
+    values as text."""
     if tds is not None:
         led.checks = 1  # the stored pair counts as one check
         _pair_expansion(led, tds, coeffs)
@@ -154,8 +155,12 @@ def suite_expansion(led: _Ledger, seed: int,
         c = _pair_expansion(led, g, None, a_max=2000, n=1, tds=i)
         for _ in range(5):
             a = rng.randint(10 ** 20, 10 ** 30)
-            led.check(ramanujan_expand(c, a) == evaluate_tds(g, a),
-                      lambda: {"check": "expansion-big", "tds": i, "a": a})
+            got, want = ramanujan_expand(c, a), evaluate_tds(g, a)
+            led.check(got == want, lambda: {
+                "check": "expansion-big", "tds": i, "a": a,
+                "got": _text(got), "expected": _text(want)})
+            if len(led.failures) >= CAP:
+                raise _Capped
     _pair_expansion(led, lambda_tds(50), None, a_max=2000, n=1, tds=15)
 
 

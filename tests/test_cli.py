@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -382,6 +383,24 @@ class TestHl:
             (DATA / "hl_golden_repeats.csv").read_bytes()
         assert (tmp_path / "hl.csv.singular.csv").read_bytes() == \
             (DATA / "hl_golden_repeats.singular.csv").read_bytes()
+
+    def test_traced_peak_at_two_million_is_under_twenty_bytes_per_q(
+            self, tmp_path):
+        # the bench's hl call: the sieve keeps 1 + 1 + 4 bytes per slot
+        # (is_prime, int8 mu, int32 phi) and Lambda 8; the series adds
+        # its float64 buffer before Lambda is built.  An int64 mu or phi,
+        # or a second Q-length array in the series, passes 20
+        import ramcorr.hlmodels  # noqa: F401  (imported before tracing)
+        Q = 2_000_000
+        tracemalloc.start()
+        try:
+            assert main(["hl", "--N-list", "10000,100000", "--a-list",
+                         "4,9,36", "--Q", str(Q),
+                         "--out", str(tmp_path / "hl.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * (Q + 1)
 
     def test_singular_out_needs_out(self, capsys, monkeypatch, tmp_path):
         from ramcorr import arith_core

@@ -285,10 +285,12 @@ def per_shift_singular_series(a, Q, table):
 
 # 2 * 100_003 has a prime divisor above every Q below; the shifts with
 # a square factor pin that the divisors the series leaves out (those the
-# mask mu != 0 erases) move no bit of either value
+# mask mu != 0 erases) move no bit of either value; 30030, 510510 and
+# 2 * 65537 bring square-free divisors d past 127 and 2**15, where d mu
+# leaves int8 and int16, and 65537 reaches past the first block of q
 SERIES_SHIFTS = [1, 2, 3, 4, 8, 9, 25, 36, 58, 60, 64,
                  2 * 3 * 5 * 7 * 11 * 13, 2 * 100_003, 2 ** 40,
-                 4 * 9 * 25 * 49 * 121]
+                 4 * 9 * 25 * 49 * 121, 510_510, 2 * 65_537]
 
 
 @pytest.fixture(scope="module")
@@ -297,7 +299,9 @@ def table_above():
 
 
 class TestSingularSeriesBatch:
-    @pytest.mark.parametrize("Q", [2, 97, 20_000, 100_000])
+    # 65536 and 65537 are one block and one q past it
+    @pytest.mark.parametrize("Q", [2, 97, 20_000, 65_536, 65_537, 100_000,
+                                   200_000])
     def test_bitwise_the_per_shift_body(self, Q, table_above):
         for table in (sieve_primes(Q), table_above):
             got = singular_series(SERIES_SHIFTS, Q, table)
@@ -326,8 +330,8 @@ class TestSingularSeriesBatch:
                 assert (s.truncated_sum, s.euler_product) == want, (s.a, Q)
 
     def test_working_set_is_one_q_length_buffer(self):
-        # c_q(a) and the terms share one float64 buffer; the mask mu != 0
-        # is one byte per q and phi^2 is formed in blocks
+        # c_q(a) and the terms share one float64 buffer; the d mu
+        # products, the mask mu != 0 and phi^2 are formed per block
         Q = 200_000
         table = sieve_primes(Q)
         table.mobius_values, table.phi_values  # built beforehand
@@ -338,6 +342,20 @@ class TestSingularSeriesBatch:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 8 * (Q + 1)
+
+    def test_working_set_at_two_million(self):
+        # every temporary is one block of q long; a Q-length mask or d mu
+        # product (8 MB at d = 2) would pass 1.5 buffers
+        Q = 2_000_000
+        table = sieve_primes(Q)
+        table.mobius_values, table.phi_values  # built beforehand
+        tracemalloc.start()
+        try:
+            singular_series([1, 2, 60, 30030], Q, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * (Q + 1)
 
     def test_rejects_bad_arguments(self, table_2k):
         assert singular_series([], 2000, table_2k) == []

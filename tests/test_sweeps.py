@@ -61,9 +61,10 @@ def test_sieve_arrays_match_trial_division(M, table_20k):
     assert t.is_prime.tolist() == [is_prime_int(n) for n in range(M + 1)]
     assert t.mobius_values.tolist() == mu[: M + 1]
     assert t.phi_values.tolist() == phi[: M + 1]
-    # the sweeps run on narrow working arrays; the API arrays are int64
-    for arr in (t.mobius_values, t.phi_values):
-        assert arr.dtype == np.int64
+    # the API arrays are the narrow arrays the sweeps run on (phi is int64
+    # only from limit 2**31 up); consumers widen what they multiply
+    assert t.mobius_values.dtype == np.int8
+    assert t.phi_values.dtype == np.int32
     for table in (t, table_20k):  # kappa sweeps to M below the table limit
         got = tabulate("kappa", M, table).values
         assert got.tolist() == kap[: M + 1]
@@ -405,6 +406,46 @@ def test_exact_transforms_at_two_hundred_thousand_take_the_int64_lane(
                               F.limit)
     assert lanes == [True, True]
     assert_exact_equal(back, F.values)
+
+
+@pytest.mark.parametrize("M", [1000, 1001, 20000])
+def test_int8_operand_sums_into_int64_like_the_object_lane(M, lanes):
+    # the sieve's mu is int8: its entries times int64 entries b[k] must be
+    # multiplied and summed in int64, on the slices and on the block
+    # branch a[ds] * b[k] alike, whatever the NumPy version's casting
+    # rule.  Under NumPy 1.x's value-based casting an int8 gather times
+    # b[k] = -128, -30000 or -2**30 computes in int8, int16 or int32 and
+    # wraps at a = 127 or -128
+    rng = random.Random(M)
+    a = np.array([0] + [rng.choice([0, 1, -1, 127, -128, 100])
+                        for _ in range(M)], dtype=np.int8)
+    b = np.array([0] + [rng.choice([0, 1, 127, -128, 300, -30_000,
+                                    -(2 ** 30), 2 ** 40]) for _ in range(M)],
+                 dtype=np.int64)
+    r = isqrt(M)
+    assert np.abs(b[1: M // (r + 1) + 1]).max() > 2 ** 31  # block branch
+    # with b, sums past int32; with b None (the divisor sum), past int8
+    for bb, past in ((b, 2 ** 31), (None, 127)):
+        got = transforms._convolve(a, bb, M, EXACT)
+        want = transforms._convolve(a.astype(object), None if bb is None
+                                    else bb.astype(object), M, EXACT)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+        assert max(map(abs, want.tolist())) > past
+    assert lanes == [True, False, True, False]
+
+
+@pytest.mark.parametrize("name", ["mobius", "mu_squared", "phi"])
+def test_sieve_functions_tabulate_to_an_int64_store(name, table_20k):
+    # a table keeps only an int64 array as its store: the narrow sieve
+    # arrays (mu**2 as well) must be widened, or the table holds an
+    # object array and leaves the int64 lane
+    M = ORACLE_TOP
+    F = tabulate(name, M, table_20k)
+    assert F._data.dtype == np.int64
+    mu, phi, _ = oracles()
+    want = {"mobius": mu, "mu_squared": [m * m for m in mu], "phi": phi}
+    assert F.values.tolist() == want[name][: M + 1]
 
 
 @pytest.mark.parametrize("M", [24, 1001])

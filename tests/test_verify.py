@@ -309,6 +309,24 @@ class TestSeededRecords:
         # four tables of 2000 shifts and 5 huge ones, then 7 shifts
         assert verdict["checks"] == 4 * 2005 + 7
 
+    def test_expansion_big_records_stop_at_cap(self, monkeypatch):
+        # the huge shifts: each record gives the shift and both values
+        real, seen = verify.ramanujan_expand, []
+
+        def off_by_one(coeffs, a):
+            v = real(coeffs, a)
+            seen.append((a, v))
+            return v + 1
+
+        monkeypatch.setattr(verify, "ramanujan_expand", off_by_one)
+        verdict = run_suite("expansion", seed=0)
+        assert verdict["failures"] == [
+            {"check": "expansion-big", "tds": 0, "a": a, "got": str(v + 1),
+             "expected": str(v)} for a, v in seen]
+        assert len(seen) == verify.CAP
+        # the first table's 2000 shifts, then its five huge ones
+        assert verdict["checks"] == 2000 + verify.CAP
+
     def test_expansion_real_record(self, monkeypatch):
         real = verify.ramanujan_expand_range
 
