@@ -45,9 +45,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import isqrt
 from numbers import Rational
-from operator import itemgetter
+from operator import itemgetter, mod, mul
 
 import numpy as np
 
@@ -247,6 +248,62 @@ def divisors_int(n: int) -> tuple[int, ...]:
     for p, e in _prime_factors(n):
         divs += [d * p ** i for i in range(1, e + 1) for d in divs]
     return tuple(sorted(divs))
+
+
+# ----------------------------------------------------------------------
+# one shift modulo many small moduli
+# ----------------------------------------------------------------------
+
+# shifts below this bound are reduced by one int64 remainder, and each
+# leaf of a product tree is a product below it
+_INT64_SAFE = 2 ** 62
+
+
+class _Residues:
+    """a mod d for every d of a fixed ascending int64 array of moduli
+    (each >= 1), for shifts a >= 0 of any size, as an int64 array.
+
+    A shift below 2**62 costs one numpy remainder.  A larger one is
+    reduced down a product tree of the moduli, kept for the next shift
+    (D. J. Bernstein, *Fast multiplication and its applications*, 2008,
+    section 18): a node's remainder is its parent's reduced by the
+    node's product, so a is divided by a few big products instead of by
+    each modulus.  The leaves are runs of k consecutive moduli, k the
+    most whose product stays below 2**62, and their remainders are
+    reduced by each modulus in int64.  +a is reduced, not -a: a node
+    larger than a keeps a as its remainder, so the tree is grown only
+    as high as the largest shift needs, and the big divisions are the
+    ones below the size of a.
+    """
+
+    def __init__(self, moduli: np.ndarray):
+        self.moduli = moduli
+        self._k = 1  # moduli per leaf
+        self._tree: list[list[int]] = []  # the leaves, then each level up
+
+    def __call__(self, a: int) -> np.ndarray:
+        if a < _INT64_SAFE:
+            return a % self.moduli
+        if not len(self.moduli):
+            return self.moduli.copy()
+        tree = self._tree
+        if not tree:
+            n = len(self.moduli)
+            k = self._k = max(1, 62 // int(self.moduli[-1]).bit_length())
+            runs = np.ones(-(-n // k) * k, dtype=np.int64)
+            runs[:n] = self.moduli
+            tree.append(runs.reshape(-1, k).prod(axis=1).tolist())
+        # up to a level whose every node exceeds a (an odd last node
+        # moves up unpaired)
+        while len(tree[-1]) > 1 and min(tree[-1]) <= a:
+            low = tree[-1]
+            tree.append([*map(mul, low[::2], low[1::2]),
+                         *low[len(low) & ~1:]])
+        rs = [a % p for p in tree[-1]]
+        for level in reversed(tree[:-1]):  # node i's parent is i // 2
+            rs = [*map(mod, chain.from_iterable(zip(rs, rs)), level)]
+        leaves = np.repeat(np.array(rs, dtype=np.int64), self._k)
+        return leaves[: len(self.moduli)] % self.moduli
 
 
 # ----------------------------------------------------------------------

@@ -17,9 +17,13 @@ sum of f over the n <= N in the class n = -a (mod d),
 
     S_d(a) = sum over n <= N with d | n + a of f(n),
 
-which costs one reduction (-a mod d) and one strided sum over f, never
-one divisibility test per (n, d) pair.  The direct route for a truncated
-divisor sum swaps the order of summation into these classes,
+never one divisibility test per (n, d) pair.  A shift costs a few array
+operations for all its classes at once: a mod d over every modulus d is
+one int64 remainder below 2**62, and above it one walk down a product
+tree of the moduli, built once per call (``arith_core._Residues``);
+then one gather of f at the class members and one row sum per class
+length.  The direct route for a truncated divisor sum swaps the order
+of summation into these classes,
 
     C(N, a) = sum over d in supp g' of g'(d) S_d(a),
 
@@ -29,16 +33,18 @@ c_q(m) = sum over e | gcd(q, m) of e mu(q/e) (one helper,
 
     sum over n <= N of f(n) c_q(n + a) = sum over e | q of e mu(q/e) S_e(a),
 
-reducing a once per modulus e and building no c_q table.  So each route
+building no c_q table; the forms of all of supp ghat come from one
+sweep of the sieve's mu (``ramanujan._divisor_forms``).  So each route
 is a list of terms (coefficient, form), a form being the pairs
 (modulus e, weight w): the direct route's terms are (g'(d), ((d, 1),))
 over supp g', the expansion route's are (ghat(q), divisor form of q)
 over supp ghat.  One helper, ``_class_values``, evaluates either list at
-a list of shifts: the refusals, f's slice, the terms and the set of
-moduli are set up once, and only the residues -a mod e depend on the
-shift.  ``correlate_direct`` on a TDS and ``correlate_expansion`` are
-that helper on one shift, ``build_profile`` runs it on its shift list
-and ``verify_periodicity`` on the shifts a and a + period.  The
+a list of shifts: the refusals, f's slice, the terms, the set of moduli
+and its product tree are set up once, and only the residues a mod e
+and the sums depend on the shift.  ``correlate_direct`` on a TDS and
+``correlate_expansion`` are that helper on one shift, ``build_profile``
+runs it on its shift list and ``verify_periodicity`` on the shifts a
+and a + period.  The
 truncation tail is the direct route on the tail of g'.
 """
 
@@ -48,21 +54,13 @@ import json
 import math
 import sys
 
-from .arith_core import (PrimeTable, TabulatedFunction, agree, collapse,
-                         sieve_primes, tolerance)
-from .ramanujan import (UndefinedPeriodError, _divisor_form,
+import numpy as np
+
+from .arith_core import (PrimeTable, TabulatedFunction, _Residues, agree,
+                         collapse, sieve_primes, tolerance)
+from .ramanujan import (UndefinedPeriodError, _divisor_forms,
                         universal_period, wintner_coefficients)
 from .transforms import TruncatedDivisorSum, eratosthenes_transform
-
-
-def _class_sum(fvals, a: int, d: int):
-    """S_d(a): the sum of fvals[n] over 1 <= n < len(fvals) with d | n + a.
-
-    One reduction -a mod d (a may be huge) and one strided slice-sum;
-    0 when the class has no member in range.
-    """
-    start = -a % d or d  # least n >= 1 with d | n + a
-    return fvals[start::d].sum() if start < len(fvals) else 0
 
 
 def correlate_direct(f: TabulatedFunction, g, N: int, a: int):
@@ -70,11 +68,11 @@ def correlate_direct(f: TabulatedFunction, g, N: int, a: int):
 
     g may be a TabulatedFunction (then it must reach N + a) or a
     TruncatedDivisorSum (then a may be huge).  For a TDS the sum runs
-    over residue classes (see the module docstring): one reduction
-    -a mod d and one strided slice-sum of f per d in supp g', so the
-    cost is |supp g'| reductions plus about N * sum(1/d) additions,
-    whatever the size of a.  One body serves both domains; the value
-    arrays' dtypes (``arith_core.DTYPES``) decide the arithmetic.
+    over residue classes (see the module docstring): the residues
+    a mod d over supp g' (down a product tree once a passes 2**62) and
+    about N * sum(1/d) additions of f, in a few array operations.  One
+    body serves both domains; the value arrays' dtypes
+    (``arith_core.DTYPES``) decide the arithmetic.
 
     The result is exact for an exact pair (see ``arith_core.collapse``)
     and a float otherwise.
@@ -106,9 +104,10 @@ def correlate_expansion(f: TabulatedFunction, g: TruncatedDivisorSum,
     Sums ghat(q) * inner_q over supp ghat, with each inner sum
     sum over n <= N of f(n) c_q(n + a) taken in divisor form as
     sum over e | q of e mu(q/e) S_e(a) (see the module docstring).  Each
-    class sum S_e is computed once per shift, so a huge shift costs one
-    reduction per modulus e.  The result is exact for an exact pair (see
-    ``arith_core.collapse``) and a float otherwise.
+    class sum S_e is computed once per shift, and a huge shift is
+    reduced once down a product tree of the moduli e.  The result is
+    exact for an exact pair (see ``arith_core.collapse``) and a float
+    otherwise.
 
     In the Real domain each elementary term g'(d)/d * e mu(q/e) * f(n)
     passes through at most N + 3D + 3 roundings (D = g.limit): one
@@ -141,34 +140,106 @@ def _class_values(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
                   shifts, method: str) -> list:
     """C(N, a) for each shift in order by the route ``method`` ("direct"
     or "expansion"), from one setup: the refusals, f's slice, the route's
-    terms (coefficient, form) and the set of moduli e (see the module
-    docstring) are built once.  A shift costs one reduction per modulus
-    (``_class_sum``) and the sums over the terms, ascending, then over
-    each form's e, ascending, so each value is the one a single-shift
-    call returns, to the bit.
+    terms and the set of moduli (see the module docstring) are built
+    once.  The terms are arrays: each term's form is a run of the pairs
+    (e, w), e[i] and w[i], the direct route's one pair (d, 1) per d in
+    supp g', the expansion route's ``_divisor_forms`` of supp ghat.
+
+    A shift costs a few array operations: the class sums of every
+    modulus at once (``_class_sums``), the products w S_e, each term's
+    inner sum over its run in sequence from 0 (``np.add.accumulate``,
+    one call per run length), and the sum of coeff * inner over the
+    terms in sequence from 0.  These are the additions and products of
+    the loop over the terms, ascending, then over each form's e,
+    ascending, in the same order, so each value is the one that loop
+    returns, to the bit.  Real pairs run on float64; a pair with an
+    exact table runs the same code on object arrays, whose elements
+    carry Python's arithmetic.
     """
     _refuse(f, N, shifts)
     if not isinstance(g, TruncatedDivisorSum):
         raise ValueError(
             f"g must be a TruncatedDivisorSum, got {type(g).__name__}")
-    fvals = f.values[: N + 1]
+    dtype = object if f.is_exact or g.is_exact else np.float64
     if method == "direct":
-        terms = [(gd, ((d, 1),)) for d, gd in g.support()]
+        support = g.support()
+        e = np.array([d for d, _ in support], dtype=np.int64)
+        w, lengths = np.ones_like(e), np.ones_like(e)
     else:
-        terms = [(ghat, _divisor_form(q))
-                 for q, ghat in wintner_coefficients(g).support()]
-    moduli = {e for _, form in terms for e, _ in form}
+        support = wintner_coefficients(g).support()
+        qs = np.array([q for q, _ in support], dtype=np.int64)
+        e, w, lengths = _divisor_forms(
+            qs, sieve_primes(max(g.limit, 2)).mobius_values)
+    coeffs = np.array([c for _, c in support], dtype=dtype)
+    w = w.astype(dtype)
+    # the products go to p[1:] after a leading 0, so the columns of a
+    # term of length L are 0 and its run, and the last partial sum of
+    # the row is the inner sum
+    first = np.cumsum(lengths) - lengths + 1
+    runs = []
+    for L in sorted(set(lengths.tolist())):
+        rows = np.flatnonzero(lengths == L)
+        cols = np.zeros((len(rows), L + 1), dtype=np.int64)
+        cols[:, 1:] = first[rows, None] + np.arange(L)
+        runs.append((rows, cols))
+    present = np.zeros(g.limit + 1, dtype=bool)
+    present[e] = True
+    moduli = np.flatnonzero(present)
+    at = np.searchsorted(moduli, e)  # each pair's modulus among the moduli
+    residues = _Residues(moduli)
+    fvals = f.values[: N + 1]
     values = []
     for a in shifts:
-        sums = {e: _class_sum(fvals, a, e) for e in moduli}  # e -> S_e(a)
-        total = 0
-        for coeff, form in terms:
-            inner = 0
-            for e, w in form:
-                inner += w * sums[e]
-            total += coeff * inner
-        values.append(collapse(total, f, g))
+        # a + start is the least multiple of e above a
+        sums = _class_sums(fvals, moduli, moduli - residues(a), dtype)
+        p = np.concatenate(([0], w * sums[at]))
+        inner = np.zeros(len(lengths), dtype=dtype)
+        for rows, cols in runs:
+            inner[rows] = np.add.accumulate(p[cols], axis=1)[:, -1]
+        terms = np.concatenate(([0], coeffs * inner))
+        values.append(collapse(np.add.accumulate(terms)[-1], f, g))
     return values
+
+
+def _class_sums(fvals, moduli: np.ndarray, start: np.ndarray, dtype):
+    """S_e(a) for each of the ascending ``moduli``, given the least
+    n >= 1 in each class (``start``): the sum of fvals[n] over the
+    n = start, start + e, ... below len(fvals), as an array of ``dtype``,
+    and the int 0 (0.0 in float64) for a class with no member in range.
+
+    The classes are ordered by their number of members m, and the
+    classes of each m are gathered as the rows of one m-column block and
+    summed along the rows, so no temporary holds the members of every
+    class at once.  A row goes through numpy's reduction of a strided
+    slice ``fvals[start::e].sum()``: the first member, then numpy's
+    pairwise sum of the rest (``np.add.reduceat`` adds in another order
+    and moves the last bit).
+    """
+    out = np.zeros(len(moduli), dtype=dtype)
+    if not len(moduli):
+        return out
+    N = len(fvals) - 1
+    m = (N - start) // moduli + 1  # 0 when start > N
+    # a class has N // e members or one more; the classes of each kind
+    # are in order of descending m (e ascends), so merging the two lists
+    # orders every class by descending m
+    longer = m > N // moduli
+    plus, base = np.flatnonzero(longer), np.flatnonzero(~longer)
+    up_plus, up_base = -m[plus], -m[base]  # ascending
+    order = np.empty_like(m)
+    order[np.arange(len(plus)) + np.searchsorted(up_base, up_plus)] = plus
+    order[np.arange(len(base))
+          + np.searchsorted(up_plus, up_base, "right")] = base
+    m = m[order]
+    start, moduli = start[order, None], moduli[order, None]
+    steps = np.arange(m[0])
+    cuts = [0, *(np.flatnonzero(np.diff(m)) + 1).tolist(), len(m)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        L = int(m[lo])
+        if L:
+            members = start[lo: hi] + moduli[lo: hi] * steps[:L]
+            out[order[lo: hi]] = fvals[members].sum(axis=1)
+    return out
 
 
 def truncation_difference(f: TabulatedFunction, g_source: TabulatedFunction,

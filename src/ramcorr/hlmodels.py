@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith_core import (REAL_TOL, PrimeTable, TabulatedFunction, _odd_primes,
-                         agree, capped_sieve, divisors_int, mobius_int,
-                         odd_part, tabulate)
+                         _Residues, agree, capped_sieve, divisors_int,
+                         mobius_int, odd_part, tabulate)
 from .correlations import correlate_direct, format_value
 from .ramanujan import universal_period
 from .transforms import (TruncatedDivisorSum, evaluate_tds_range, lambda_tds,
@@ -189,6 +189,8 @@ def model_chain(N: int, a_list, table: PrimeTable) -> list[ModelRow]:
 # the series buffer is filled this many q at a time, so that every
 # temporary is one block long
 _PHI2_BLOCK = 1 << 16
+# a shift is reduced modulo this many of the primes <= Q at a time
+_PRIME_BLOCK = 1 << 12
 
 
 def singular_series(a_list, Q: int = 100_000,
@@ -254,18 +256,21 @@ def singular_series(a_list, Q: int = 100_000,
 def _divisors_upto(a: int, Q: int, primes: np.ndarray
                    ) -> tuple[list[int], np.ndarray]:
     """The square-free divisors d <= Q of a (1 first), and the mask of the
-    ascending ``primes`` (all <= Q) that divide a, from one loop of
-    ``a % p`` over the primes p <= min(Q, a).  Only these d reach a term
-    of the series: a divisor with a square factor writes c only at q
-    with the same square factor, which the mask mu != 0 sets to 0."""
+    ascending ``primes`` (all <= Q) that divide a, from a mod p over the
+    primes p <= min(Q, a) (``arith_core._Residues``), one block of
+    ``_PRIME_BLOCK`` primes at a time, so that no temporary, and no
+    product tree of a shift past 2**62, spans all the primes.  Only
+    these d reach a term of the series: a divisor with a square factor
+    writes c only at q with the same square factor, which the mask
+    mu != 0 sets to 0."""
     divides = np.zeros(len(primes), dtype=bool)
-    divisors = [1]
     top = int(np.searchsorted(primes, min(Q, a), side="right"))
-    for i, q in enumerate(primes[:top].tolist()):
-        if a % q:
-            continue
-        divides[i] = True
-        divisors += [d * q for d in divisors if d * q <= Q]
+    for lo in range(0, top, _PRIME_BLOCK):
+        block = primes[lo: min(lo + _PRIME_BLOCK, top)]
+        divides[lo: lo + len(block)] = _Residues(block)(a) == 0
+    divisors = [1]
+    for p in primes[divides].tolist():
+        divisors += [d * p for d in divisors if d * p <= Q]
     return divisors, divides
 
 

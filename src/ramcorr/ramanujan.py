@@ -46,8 +46,8 @@ from functools import lru_cache
 import numpy as np
 
 from .arith_core import (SIEVE_CAP, SUPPORT_EPS, PrimeTable, TabulatedFunction,
-                         _odd_primes, _prime_factors, _text, capped_sieve,
-                         collapse, sieve_primes, zeros)
+                         _odd_primes, _prime_factors, _sqrt_split, _text,
+                         capped_sieve, collapse, sieve_primes, zeros)
 from .transforms import TruncatedDivisorSum, _multiple_sum, read_table
 
 
@@ -81,6 +81,54 @@ def _divisor_form(q: int) -> tuple[tuple[int, int], ...]:
     for p, _ in _prime_factors(q):
         form += [(e // p, -w // p) for e, w in form]
     return tuple(sorted(form))
+
+
+def _divisor_forms(qs: np.ndarray, mu: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The divisor forms of the ascending int64 ``qs`` laid end to end, as
+    (e, w, lengths): the run of q holds the pairs of ``_divisor_form(q)``
+    in ascending e, and ``lengths`` gives each run's length.
+
+    Built from the sieve's ``mu`` (reaching max qs) with no trial
+    division: ``_form_pairs`` sweeps the square-free s once to count the
+    pairs of each q and once more to place them, each q's run filled
+    in the order the sweep meets its pairs.
+    """
+    if not len(qs):
+        return qs.copy(), qs.copy(), qs.copy()
+    D = int(qs[-1])
+    live = np.zeros(D + 1, dtype=bool)
+    live[qs] = True
+    count = np.zeros(D + 1, dtype=np.int64)
+    for q, _, _ in _form_pairs(mu, D, live):
+        count[q] += 1
+    fill = np.cumsum(count) - count  # the next free slot of each run
+    e = np.empty(int(fill[-1] + count[-1]), dtype=np.int64)
+    w = np.empty_like(e)
+    for q, eq, wq in _form_pairs(mu, D, live):
+        at = fill[q]
+        e[at], w[at] = eq, wq
+        fill[q] += 1
+    return e, w, count[qs]
+
+
+def _form_pairs(mu: np.ndarray, D: int, live: np.ndarray):
+    """Yield (q, e, w) for each step of one sweep over the square-free
+    s <= D: the q = s e <= D with ``live[q]``, their e, and the weights
+    w = e mu(s).  Each step holds distinct q, and each q meets its pairs
+    in ascending e: the s above r = isqrt(D) by ascending e (there
+    e < q/r), then the s <= r by descending s (``arith_core._sqrt_split``,
+    so the sweep takes O(sqrt(D)) steps).  mu is int8, so it is widened
+    before it meets e.
+    """
+    small, blocks = _sqrt_split(np.flatnonzero(mu[1: D + 1]) + 1, D)
+    for e, ss in blocks:
+        ss = ss[live[e * ss]]
+        yield e * ss, e, e * mu[ss].astype(np.int64)
+    for s in reversed(small.tolist()):
+        e = np.arange(1, D // s + 1)
+        e = e[live[s * e]]
+        yield s * e, e, int(mu[s]) * e
 
 
 def ramanujan_sum(q: int, a: int) -> int:

@@ -1,10 +1,12 @@
 """Reference implementations that no command or suite calls, kept as the
 oracles the tests compare a package route against.
 
-small_shift_difference is the closed form of the truncation tail for
-a <= N, against ``correlations.truncation_difference``;
-half_range_identity_check reads ``ramanujan.wintner_coefficients`` above
-half the cutoff, against g'(q)/q.
+class_sum is the class sum S_d(a) one modulus at a time, against the
+batched ``correlations._class_sums``; small_shift_difference is the
+closed form of the truncation tail for a <= N, against
+``correlations.truncation_difference``; half_range_identity_check
+reads ``ramanujan.wintner_coefficients`` above half the cutoff, against
+g'(q)/q.
 """
 
 from fractions import Fraction
@@ -16,6 +18,16 @@ from ramcorr.transforms import eratosthenes_transform, truncate
 # the window for single coefficients of Real tables, relative (scaled by
 # max(1, |x|)); coefficients of exact tables are compared with ==
 COEFF_TOL = 1e-12
+
+
+def class_sum(fvals, a: int, d: int):
+    """S_d(a): the sum of fvals[n] over 1 <= n < len(fvals) with d | n + a,
+    modulus by modulus: one reduction -a mod d (a may be huge) and one
+    strided slice-sum; the int 0 when the class has no member in range.
+    The per-modulus oracle of ``correlations._class_sums``.
+    """
+    start = -a % d or d  # least n >= 1 with d | n + a
+    return fvals[start::d].sum() if start < len(fvals) else 0
 
 
 def small_shift_difference(f: TabulatedFunction, g_source: TabulatedFunction,

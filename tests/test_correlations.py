@@ -416,7 +416,7 @@ class TestVerifyPeriodicity:
             verify_periodicity(f, tds_from_et({}, 10, EXACT), 10, 1, [1])
 
     @pytest.mark.parametrize("pair", ["odd-support", "even-support"])
-    def test_one_setup_and_one_class_sum_per_modulus_and_shift(
+    def test_one_batched_call_per_shift(
             self, monkeypatch, table_200, pair):
         N = 15
         f = tabulate("odd_primes_log", N, table_200)
@@ -427,16 +427,35 @@ class TestVerifyPeriodicity:
         want = all(correlate_direct(f, g, N, a) == correlate_direct(
             f, g, N, a + U) for a in shifts)
         assert want == (pair == "odd-support")
-        class_sum, slices = correlations._class_sum, []
+        setups, reduced, summed = [], [], []
 
-        def counted(fvals, a, d):
-            slices.append(fvals)
-            return class_sum(fvals, a, d)
+        class Residues(correlations._Residues):
+            def __init__(self, moduli):
+                setups.append(moduli)
+                super().__init__(moduli)
 
-        monkeypatch.setattr(correlations, "_class_sum", counted)
+            def __call__(self, a):
+                reduced.append(a)
+                return super().__call__(a)
+
+        class_sums = correlations._class_sums
+
+        def counted(fvals, moduli, start, dtype):
+            summed.append((fvals, moduli))
+            return class_sums(fvals, moduli, start, dtype)
+
+        monkeypatch.setattr(correlations, "_Residues", Residues)
+        monkeypatch.setattr(correlations, "_class_sums", counted)
         assert verify_periodicity(f, g, N, U, shifts) == want
-        assert len(slices) == len(g.support()) * 2 * len(shifts)
-        assert all(fvals is slices[0] for fvals in slices)  # one slice
+        # one set of moduli per call: the direct route's sorted supp g'
+        assert len(setups) == 1
+        assert setups[0].tolist() == [d for d, _ in g.support()]
+        # one residue reduction and one batched class-sum call per shift,
+        # all on one f slice and on those moduli
+        assert reduced == shifts + [a + U for a in shifts]
+        assert len(summed) == 2 * len(shifts)
+        assert all(fvals is summed[0][0] and moduli is setups[0]
+                   for fvals, moduli in summed)
 
 
 class TestProfiles:

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import time
 import tracemalloc
@@ -357,6 +358,22 @@ class TestSingularSeriesBatch:
             tracemalloc.stop()
         assert peak <= 1.5 * 8 * (Q + 1)
 
+    @pytest.mark.parametrize("a", [2 ** 40, 2 ** 61 - 1, 2 ** 64 + 1])
+    def test_working_set_at_a_large_shift(self, a):
+        # a is reduced modulo one block of primes at a time (by a product
+        # tree past 2**62); a list of all 148,933 primes <= 2e6 took the
+        # peak to 1.46 buffers
+        Q = 2_000_000
+        table = sieve_primes(Q)
+        table.mobius_values, table.phi_values  # built beforehand
+        tracemalloc.start()
+        try:
+            singular_series([a], Q, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.35 * 8 * (Q + 1)
+
     def test_rejects_bad_arguments(self, table_2k):
         assert singular_series([], 2000, table_2k) == []
         for a_list, Q in (([2, 0], 2000), ([2], 1)):
@@ -376,6 +393,25 @@ def test_divisors_upto_are_the_divisors_cut_at_q(Q, table_2k):
         assert sorted(divisors) == [d for d in divisors_int(a)
                                     if d <= Q and mobius_int(d)]
         assert divides.tolist() == [a % p == 0 for p in primes.tolist()]
+
+
+@pytest.mark.parametrize("Q", [2, 3, 30, 97, 1000])
+def test_divisors_upto_past_2_to_the_62(Q, table_2k):
+    # a is reduced down a product tree of the primes; these shifts are
+    # slow to factor, so the divisors are the products <= Q of subsets
+    # of the primes p <= Q with p | a
+    primes = table_2k.primes[table_2k.primes <= Q]
+    for a in (2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1, 2 ** 64 + 1,
+              3 ** 200 * 10, 510510 * (2 ** 70 + 1),
+              universal_period(60) + 1):
+        divisors, divides = _divisors_upto(a, Q, primes)
+        mask = [a % p == 0 for p in primes.tolist()]
+        assert divides.tolist() == mask
+        ps = primes[mask].tolist()
+        products = [math.prod(c) for k in range(len(ps) + 1)
+                    for c in itertools.combinations(ps, k)]
+        assert divisors[0] == 1
+        assert sorted(divisors) == sorted(d for d in products if d <= Q)
 
 
 # past int64 (2**63, U + 1 at N = 60), or slow to factor (2 (2**61 - 1))
