@@ -16,7 +16,9 @@ Two building blocks everything else consumes:
   built from an int64 array (every tabulated arithmetic function is)
   keeps that array as a private store, which the kernels and the writer
   in ``transforms`` read; the object array is built only when someone
-  reads ``values``.
+  reads ``values``.  A support is an int64 array of points, ascending
+  (``support()``), and ``t[points]`` reads the values there as one
+  array, so no consumer walks (n, value) pairs.
 
 Each value reaches the program by one route.  Ranges come from the
 sieve: ``PrimeTable``'s three arrays, and ``tabulate`` for the named
@@ -42,13 +44,12 @@ input because huge shifts (products of many primes) exceed 64 bits.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import isqrt
 from numbers import Rational
-from operator import itemgetter, mod, mul
+from operator import mod, mul
 
 import numpy as np
 
@@ -349,6 +350,14 @@ def collapse(v, *tables):
     return int(v) if v.denominator == 1 else v
 
 
+def _sum_from_zero(terms: np.ndarray):
+    """0 + terms[0] + terms[1] + ..., added in that order, as the loop
+    ``acc = 0; for t in terms: acc += t`` adds them (a numpy scalar or,
+    for an object array, a Python number); ``collapse`` gives it its
+    form."""
+    return np.add.accumulate(np.concatenate(([0], terms)))[-1]
+
+
 def _text(v) -> str:
     """str(v), or, for a number past Python's int-to-str digit limit,
     the digit counts of its numerator and denominator (a Decimal is
@@ -407,6 +416,10 @@ class TabulatedFunction:
     and then drops the store, so only one copy exists to trust.  Exact
     entries given as NumPy integers become Python ints.  A table keeps
     the array it is given and does not copy it, for either kind.
+
+    ``support()`` is the int64 array of the nonzero points, ascending,
+    found anew on each call (one ``np.flatnonzero``; nothing is cached),
+    and ``t[points]`` gives the values at such an array in one read.
     """
 
     def __init__(self, limit: int, kind: str, values, name: str = ""):
@@ -423,7 +436,6 @@ class TabulatedFunction:
             raise ValueError("value table must have limit+1 entries")
         if kind == EXACT and self._store is None:
             self._values = _python_scalars(self._values)
-        self._support: list | None = None
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(limit={self.limit}, "
@@ -458,35 +470,37 @@ class TabulatedFunction:
     def is_exact(self) -> bool:
         return self.kind == EXACT
 
-    def __getitem__(self, n: int):
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"argument {n} outside [1, {self.limit}]")
-        return self._data.item(n)  # a Python scalar for every dtype
-
-    def support(self, eps: float = 0.0) -> list:
-        """Nonzero (n, value) pairs, ascending n, as Python scalars.
-
-        The full support is computed once and cached.  With eps > 0, real
-        entries with |value| <= eps are left out as well.
+    def __getitem__(self, n):
+        """The value at n as a Python scalar; or, for an int64 array of
+        points, the values there as an array of ``DTYPES[kind]`` (Python
+        ints or Fractions for an exact table, read from the store when it
+        has one).  A point outside [1, limit] raises ValueError naming it.
         """
-        if self._support is None:
-            data = self._data
-            idx = np.flatnonzero(data[1:]) + 1
-            self._support = list(zip(idx.tolist(), data[idx].tolist()))
-        if eps and not self.is_exact:
-            return [(n, v) for n, v in self._support if abs(v) > eps]
-        return self._support
+        pts = np.asarray(n)
+        bad = pts[(pts < 1) | (pts > self.limit)]
+        if bad.size:
+            raise ValueError(f"argument {bad[0]} outside [1, {self.limit}]")
+        return (self._data[pts].astype(DTYPES[self.kind], copy=False)
+                if pts.ndim else self._data.item(n))  # a Python scalar
 
-    def support_upto(self, N: int) -> list:
-        """The support pairs with n <= N."""
+    def support(self, eps: float = 0.0) -> np.ndarray:
+        """The points n with a nonzero value, ascending, as int64; with
+        eps > 0, a real table leaves out |value| <= eps as well."""
+        pts = self.support_upto(self.limit)
+        if eps and not self.is_exact:
+            pts = pts[np.abs(self._data[pts]) > eps]
+        return pts
+
+    def support_upto(self, N: int) -> np.ndarray:
+        """The support points n <= N (the nonzero points of the table's
+        first N slots)."""
         if N > self.limit:
             raise ValueError(f"tabulated only to {self.limit}, need {N}")
-        sup = self.support()
-        return sup[: bisect_right(sup, N, key=itemgetter(0))]
+        return np.flatnonzero(self._data[1: max(N, 0) + 1]) + 1
 
     def is_zero(self) -> bool:
         """True when support(SUPPORT_EPS) is empty."""
-        return not self.support(SUPPORT_EPS)
+        return not len(self.support(SUPPORT_EPS))
 
 
 # ----------------------------------------------------------------------

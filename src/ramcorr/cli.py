@@ -300,7 +300,7 @@ def _cmd_correlate(args) -> int:
     g = _resolve_g(args.g, N, args, table)
     try:
         profile = build_profile(f, g, N, shifts, f_id=fname, g_id=args.g,
-                                method=args.mode)
+                                method=args.mode, table=table)
         profile._period = U  # the writer reuses the parse's U
         if args.format == "json":
             text = profile_to_json(profile) + "\n"

@@ -56,8 +56,9 @@ import sys
 
 import numpy as np
 
-from .arith_core import (PrimeTable, TabulatedFunction, _Residues, agree,
-                         collapse, sieve_primes, tolerance)
+from .arith_core import (PrimeTable, TabulatedFunction, _Residues,
+                         _sum_from_zero, agree, collapse, sieve_primes,
+                         tolerance)
 from .ramanujan import (UndefinedPeriodError, _divisor_forms,
                         universal_period, wintner_coefficients)
 from .transforms import TruncatedDivisorSum, eratosthenes_transform
@@ -90,11 +91,8 @@ def correlate_direct(f: TabulatedFunction, g, N: int, a: int):
     if g.limit < N + a:
         raise ValueError(
             f"g tabulated only to {g.limit}, not evaluable at N+a={N + a}")
-    gv = g.values
-    acc = 0
-    for n, fv in f.support_upto(N):
-        acc += fv * gv[n + a]
-    return collapse(acc, f, g)
+    n = f.support_upto(N)
+    return collapse(_sum_from_zero(f[n] * g[n + a]), f, g)
 
 
 def correlate_expansion(f: TabulatedFunction, g: TruncatedDivisorSum,
@@ -137,7 +135,8 @@ def _refuse(f: TabulatedFunction, N: int, shifts) -> None:
 
 
 def _class_values(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
-                  shifts, method: str) -> list:
+                  shifts, method: str, table: PrimeTable | None = None
+                  ) -> list:
     """C(N, a) for each shift in order by the route ``method`` ("direct"
     or "expansion"), from one setup: the refusals, f's slice, the route's
     terms and the set of moduli (see the module docstring) are built
@@ -155,22 +154,24 @@ def _class_values(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
     returns, to the bit.  Real pairs run on float64; a pair with an
     exact table runs the same code on object arrays, whose elements
     carry Python's arithmetic.
+
+    The expansion route reads mu from ``table`` when it reaches g's
+    cutoff, else from a sieve of its own to the cutoff.
     """
     _refuse(f, N, shifts)
     if not isinstance(g, TruncatedDivisorSum):
         raise ValueError(
             f"g must be a TruncatedDivisorSum, got {type(g).__name__}")
     dtype = object if f.is_exact or g.is_exact else np.float64
+    coeff_table = g if method == "direct" else wintner_coefficients(g)
+    qs = coeff_table.support()
+    coeffs = coeff_table[qs].astype(dtype)
     if method == "direct":
-        support = g.support()
-        e = np.array([d for d, _ in support], dtype=np.int64)
-        w, lengths = np.ones_like(e), np.ones_like(e)
+        e, w, lengths = qs, np.ones_like(qs), np.ones_like(qs)
     else:
-        support = wintner_coefficients(g).support()
-        qs = np.array([q for q, _ in support], dtype=np.int64)
-        e, w, lengths = _divisor_forms(
-            qs, sieve_primes(max(g.limit, 2)).mobius_values)
-    coeffs = np.array([c for _, c in support], dtype=dtype)
+        if table is None or table.limit < g.limit:
+            table = sieve_primes(max(g.limit, 2))
+        e, w, lengths = _divisor_forms(qs, table.mobius_values)
     w = w.astype(dtype)
     # the products go to p[1:] after a leading 0, so the columns of a
     # term of length L are 0 and its run, and the last partial sum of
@@ -196,8 +197,7 @@ def _class_values(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
         inner = np.zeros(len(lengths), dtype=dtype)
         for rows, cols in runs:
             inner[rows] = np.add.accumulate(p[cols], axis=1)[:, -1]
-        terms = np.concatenate(([0], coeffs * inner))
-        values.append(collapse(np.add.accumulate(terms)[-1], f, g))
+        values.append(collapse(_sum_from_zero(coeffs * inner), f, g))
     return values
 
 
@@ -304,16 +304,19 @@ class CorrelationProfile:
 
 def build_profile(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
                   shifts, f_id: str = "", g_id: str = "",
-                  method: str = "direct") -> CorrelationProfile:
+                  method: str = "direct",
+                  table: PrimeTable | None = None) -> CorrelationProfile:
     """Evaluate the correlation at each shift (deduplicated, ascending)
     by the route ``method``, set up once for the whole list (see
-    ``_class_values``).  g must be a TDS."""
+    ``_class_values``).  g must be a TDS.  The expansion route reads mu
+    from the sieve ``table`` when it reaches g's cutoff, and sieves
+    otherwise."""
     uniq = sorted(set(int(a) for a in shifts))
     if not uniq:
         raise ValueError("at least one shift is required")
     if method not in ("direct", "expansion"):
         raise ValueError(f"unknown method {method!r}")
-    values = _class_values(f, g, N, uniq, method)
+    values = _class_values(f, g, N, uniq, method, table)
     return CorrelationProfile(N, f_id or f.name, g_id or g.name,
                               zip(uniq, values))
 

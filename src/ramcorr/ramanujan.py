@@ -171,10 +171,10 @@ def wintner_coefficients(g: TruncatedDivisorSum) -> RamanujanCoefficients:
     tables the top of the coefficient support coincides with the top of
     supp(g').
     """
-    support = g.support()
+    d = g.support()
     h = zeros(g.limit + 1, g.kind)
-    h[[d for d, _ in support]] = [Fraction(v, d) if g.is_exact else v / d
-                                  for d, v in support]
+    h[d] = (list(map(Fraction, g[d].tolist(), d.tolist())) if g.is_exact
+            else g[d] / d)
     return RamanujanCoefficients(g.limit, g.kind,
                                  _multiple_sum(None, h, g.limit),
                                  name=f"{g.name}^hat" if g.name else "")
@@ -188,8 +188,9 @@ def ramanujan_expand(coeffs: RamanujanCoefficients, a: int):
     """
     if a < 1:
         raise ValueError(f"naturals start at 1, got {a}")
+    qs = coeffs.support()
     total = 0
-    for q, v in coeffs.support():
+    for q, v in zip(qs.tolist(), coeffs[qs].tolist()):
         total += v * ramanujan_sum(q, a)
     return collapse(total, coeffs)
 
@@ -207,11 +208,12 @@ def ramanujan_expand_range(coeffs: RamanujanCoefficients, a_max: int):
     """
     if a_max < 1:
         raise ValueError(f"naturals start at 1, got {a_max}")
-    support = coeffs.support()
+    qs = coeffs.support()
+    vs = coeffs[qs].tolist()
     exact = coeffs.is_exact
-    L = math.lcm(*(v.denominator for _, v in support)) if exact else 1
+    L = math.lcm(*(v.denominator for v in vs)) if exact else 1
     acc = zeros(a_max + 1, coeffs.kind)
-    for q, v in support:
+    for q, v in zip(qs.tolist(), vs):
         block = _ramanujan_block(q, min(q, a_max + 1)).astype(acc.dtype)
         w = int(v * L) if exact else v
         acc += w * np.resize(block, a_max + 1)
@@ -274,9 +276,9 @@ def support_closure_check(g: TruncatedDivisorSum, predicate) -> tuple[bool, bool
     """
     pred = _as_predicate(predicate)
     _check_divisor_closed(pred, g.limit)
-    et_in = all(pred(d) for d, _ in g.support(SUPPORT_EPS))
+    et_in = all(map(pred, g.support(SUPPORT_EPS).tolist()))
     coeffs = wintner_coefficients(g)
-    hat_in = all(pred(q) for q, _ in coeffs.support(SUPPORT_EPS))
+    hat_in = all(map(pred, coeffs.support(SUPPORT_EPS).tolist()))
     return et_in, hat_in
 
 
@@ -290,8 +292,8 @@ def wintner_period(g: TruncatedDivisorSum, Q: int) -> int:
         raise ValueError(f"Q must be >= 1, got {Q}")
     if g.is_zero():
         raise UndefinedPeriodError("period undefined for the zero TDS")
-    coeffs = wintner_coefficients(g)
-    return math.lcm(*(q for q, _ in coeffs.support(SUPPORT_EPS) if q <= Q))
+    qs = wintner_coefficients(g).support(SUPPORT_EPS).tolist()
+    return math.lcm(*(q for q in qs if q <= Q))
 
 
 def universal_period(N: int, table: PrimeTable | None = None) -> int:

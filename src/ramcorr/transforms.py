@@ -22,7 +22,8 @@ table's limit); the function it induces,
     g(m) = sum of g'(d) over d | m with d <= cutoff,
 
 is evaluable at arbitrarily large (big-integer) m because only
-divisibility of m by small d is ever tested.
+divisibility of m by small d is ever tested: ``evaluate_tds`` reads the
+residues m mod d over supp g' as one array (``arith_core._Residues``).
 
 Every table holds its values in one array whose dtype follows its kind
 (see ``arith_core.DTYPES``), so the kernel has a single body for
@@ -49,8 +50,8 @@ import sys
 import numpy as np
 
 from .arith_core import (DTYPES, EXACT, REAL, SIEVE_CAP, PrimeTable,
-                         TabulatedFunction, _sqrt_split, capped_sieve,
-                         collapse)
+                         TabulatedFunction, _Residues, _sqrt_split,
+                         _sum_from_zero, capped_sieve, collapse)
 
 
 class TruncatedDivisorSum(TabulatedFunction):
@@ -196,14 +197,14 @@ def retruncate(g: TruncatedDivisorSum, N: int) -> TruncatedDivisorSum:
 
 
 def evaluate_tds(g: TruncatedDivisorSum, m: int):
-    """g(m) = sum of g'(d) over d <= cutoff dividing m; m may be huge."""
+    """g(m) = sum of g'(d) over d <= cutoff dividing m, added in
+    ascending d; m may be huge.  The residues m mod d over supp g' are
+    one array (``arith_core._Residues``: one int64 remainder below
+    2**62, a product tree of the moduli above)."""
     if m < 1:
         raise ValueError(f"naturals start at 1, got {m}")
-    acc = 0
-    for d, v in g.support():
-        if m % d == 0:
-            acc += v
-    return collapse(acc, g)
+    ds = g.support()
+    return collapse(_sum_from_zero(g[ds[_Residues(ds)(m) == 0]]), g)
 
 
 def evaluate_tds_range(g: TabulatedFunction, m_max: int) -> np.ndarray:
@@ -256,8 +257,8 @@ _WRITE_BLOCK = 1 << 14
 def write_tds(g: TabulatedFunction, fh) -> None:
     """Write a table in the text format.
 
-    The lines come straight from the table's int64 store, or else its
-    value array, never from the cached ``support()`` list of tuples.
+    The lines are the points of ``support()``, with their values read
+    straight from the table's int64 store, or else its value array.
     They are formatted a block at a time, with one ``%`` of
     ``"%s\t%s\n"`` repeated over a flat tuple of the block's index/value
     pairs.  The values are Python scalars (``tolist``), so ``%s`` is
@@ -267,8 +268,7 @@ def write_tds(g: TabulatedFunction, fh) -> None:
     digit limit) leaves ``fh`` untouched, not holding a bare header that
     would read back as the zero table.
     """
-    data = g._data
-    idx = np.flatnonzero(data[1:]) + 1
+    data, idx = g._data, g.support()
     blocks = [f"cutoff={g.limit} kind={g.kind}\n"]
     for start in range(0, idx.size, _WRITE_BLOCK):
         block = idx[start: start + _WRITE_BLOCK]

@@ -67,8 +67,8 @@ def check_axioms(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
                  Q: int) -> AxiomReport:
     """Evaluate the five axioms for the pair (f, g) at parameters (N, Q);
     the stored table of the TDS g is g'."""
-    g_supp = [d for d, _ in g.support(SUPPORT_EPS)]
-    f_supp = [n for n, _ in f.support(SUPPORT_EPS) if n <= N]
+    g_supp = g.support(SUPPORT_EPS).tolist()
+    f_supp = [n for n in f.support(SUPPORT_EPS).tolist() if n <= N]
 
     bad_range = [d for d in g_supp if d > Q]
     ok0 = not bad_range and Q <= N
@@ -152,8 +152,9 @@ def entangled_correlation(f: TabulatedFunction, g: TruncatedDivisorSum,
     if a < 1:
         raise ValueError(f"shifts are naturals >= 1, got {a}")
     _require_axioms(f, g, N, g.limit)
+    ps = f.support_upto(N)
     acc = 0
-    for p, fv in f.support_upto(N):
+    for p, fv in zip(ps.tolist(), f[ps].tolist()):
         acc += fv * evaluate_tds(g, odd_part(p + a))
     return EntangledValue(collapse(acc, f, g), "odd" if a % 2 else "even")
 

@@ -6,7 +6,8 @@ batched ``correlations._class_sums``; small_shift_difference is the
 closed form of the truncation tail for a <= N, against
 ``correlations.truncation_difference``; half_range_identity_check
 reads ``ramanujan.wintner_coefficients`` above half the cutoff, against
-g'(q)/q.
+g'(q)/q.  support_pairs gives a table's support as the (n, value) pairs
+that the loop oracles walk.
 """
 
 from fractions import Fraction
@@ -18,6 +19,13 @@ from ramcorr.transforms import eratosthenes_transform, truncate
 # the window for single coefficients of Real tables, relative (scaled by
 # max(1, |x|)); coefficients of exact tables are compared with ==
 COEFF_TOL = 1e-12
+
+
+def support_pairs(t: TabulatedFunction, N: int | None = None) -> list:
+    """The (n, value) pairs of t's support (n <= N when N is given), in
+    ascending n, as Python scalars."""
+    pts = t.support() if N is None else t.support_upto(N)
+    return list(zip(pts.tolist(), t[pts].tolist()))
 
 
 def class_sum(fvals, a: int, d: int):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -8,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramcorr import arith_core
-from ramcorr.arith_core import (EXACT, REAL, REAL_TOL, TabulatedFunction,
-                                agree, collapse, divisors_int, is_prime_int,
-                                mobius_int, odd_part, sieve_primes, tabulate,
-                                tolerance, v2)
+from ramcorr.arith_core import (DTYPES, EXACT, REAL, REAL_TOL, SUPPORT_EPS,
+                                TabulatedFunction, agree, collapse,
+                                divisors_int, is_prime_int, mobius_int,
+                                odd_part, sieve_primes, tabulate, tolerance,
+                                v2)
 from ramcorr.correlations import correlate_direct
 from ramcorr.hlmodels import artifact_pair, singular_series
 from ramcorr.ramanujan import _divisor_form
 from ramcorr.transforms import _convolve, lambda_tds
+from reference_oracles import support_pairs
 from trial_division import trial_factorize, trial_phi, trial_von_mangoldt
 
 
@@ -161,7 +164,7 @@ class TestPointwiseFunctions:
     def test_kappa_divides_and_squarefree(self, table_20k):
         kap = tabulate("kappa", 10 ** 4, table_20k)
         mu = table_20k.mobius_values
-        for n, k in kap.support():
+        for n, k in support_pairs(kap):
             assert n % k == 0
             assert mu[k] != 0
         assert len(kap.support()) == 10 ** 4
@@ -271,24 +274,24 @@ class TestTabulatedFunction:
 
     def test_support_iteration(self, table_200):
         f = tabulate("odd_primes", 20, table_200)
-        assert [n for n, _ in f.support()] == [3, 5, 7, 11, 13, 17, 19]
+        assert f.support().tolist() == [3, 5, 7, 11, 13, 17, 19]
 
     def test_int64_store_reads_as_python_ints(self):
         store = np.array([0, 5, 0, -7, 2 ** 63 - 1, 0, -2 ** 63, 1],
                          dtype=np.int64)
         f = TabulatedFunction(7, EXACT, store)
-        before = (f.support(), [f[n] for n in range(1, 8)])
+        before = (support_pairs(f), [f[n] for n in range(1, 8)])
         vals = f.values
         assert vals.dtype == object and vals.tolist() == store.tolist()
         assert all(type(v) is int for v in vals)
         assert f.values is vals and f._data is vals  # the store is dropped
         late = TabulatedFunction(7, EXACT, store)
         late.values
-        for g in (f, late):  # support cached before the read, built after
-            assert (g.support(), [g[n] for n in range(1, 8)]) == before
+        for g in (f, late):  # read from the store before, the array after
+            assert (support_pairs(g), [g[n] for n in range(1, 8)]) == before
         assert before[0] == [(1, 5), (3, -7), (4, 2 ** 63 - 1),
                              (6, -2 ** 63), (7, 1)]
-        assert all(type(v) is int for _, v in before[0] + late.support())
+        assert all(type(v) is int for _, v in before[0] + support_pairs(late))
         assert all(type(v) is int for v in before[1])
 
     def test_numpy_integer_entries_become_python_ints(self):
@@ -326,6 +329,63 @@ class TestTabulatedFunction:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             TabulatedFunction(3, "Complex", [0, 1, 2, 3])
+
+
+# entries of the four table forms, zero half the time; the floats include
+# SUPPORT_EPS, the float on either side of it, and their negatives
+_EPS_EDGES = [s * e for s in (1.0, -1.0)
+              for e in (np.nextafter(SUPPORT_EPS, 0.0), SUPPORT_EPS,
+                        np.nextafter(SUPPORT_EPS, 1.0))]
+_ENTRIES = {
+    "int64 store": st.integers(-2 ** 63, 2 ** 63 - 1),
+    "object ints": st.integers(),
+    "fractions": st.fractions(),
+    "float64": st.one_of(st.sampled_from(_EPS_EDGES + [-0.0]),
+                         st.floats(allow_nan=False, width=64)),
+}
+
+
+@st.composite
+def _forms_and_tables(draw):
+    form = draw(st.sampled_from(sorted(_ENTRIES)))
+    entries = draw(st.lists(st.one_of(st.just(0), _ENTRIES[form]),
+                            min_size=1, max_size=40))
+    values = [0] + entries
+    if form == "int64 store":
+        return form, TabulatedFunction(len(entries), EXACT,
+                                       np.array(values, dtype=np.int64))
+    kind = REAL if form == "float64" else EXACT
+    return form, TabulatedFunction(len(entries), kind, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_forms_and_tables(), data=st.data())
+def test_support_arrays_are_a_scan_of_the_values(drawn, data):
+    form, t = drawn
+    scan = {n: t[n] for n in range(1, t.limit + 1)}
+    nonzero = [n for n, v in scan.items() if v != 0]
+    for eps in (0.0, SUPPORT_EPS):
+        want = [n for n in nonzero
+                if t.is_exact or not eps or abs(scan[n]) > eps]
+        pts = t.support(eps)
+        assert pts.dtype == np.int64 and pts.tolist() == want
+    assert t.is_zero() == (not want)  # want is support(SUPPORT_EPS)
+    N = data.draw(st.integers(-2, t.limit), label="N")
+    assert t.support_upto(N).tolist() == [n for n in nonzero if n <= N]
+    pts = t.support()
+    vals = t[pts]
+    assert isinstance(vals, np.ndarray) and vals.dtype == DTYPES[t.kind]
+    assert vals.tolist() == [scan[n] for n in nonzero]
+    if t.is_exact:  # Python scalars: NumPy integers wrap at 64 bits
+        assert all(type(v) in (int, Fraction) for v in vals)
+    bad = data.draw(st.sampled_from([0, -1, t.limit + 1, 2 ** 40]),
+                    label="bad")
+    where = data.draw(st.integers(0, len(pts)), label="where")
+    with pytest.raises(ValueError, match=re.escape(
+            f"argument {bad} outside [1, {t.limit}]")):
+        t[np.insert(pts, where, bad)]
+    # none of these reads builds the object array behind the caller
+    assert (t._store is not None) == (form == "int64 store")
 
 
 class TestExactRealSplit:

@@ -13,6 +13,7 @@ and, for floats, in every bit (``float.hex``).
 import io
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +24,11 @@ from hypothesis import strategies as st
 from ramcorr.arith_core import (EXACT, REAL, TabulatedFunction, _Residues,
                                 collapse, sieve_primes)
 from ramcorr.correlations import _class_values, build_profile, profile_to_csv
+from ramcorr.hlmodels import artifact_pair
 from ramcorr.ramanujan import (_divisor_form, _divisor_forms,
                                universal_period, wintner_coefficients)
 from ramcorr.transforms import TruncatedDivisorSum
-from reference_oracles import class_sum
+from reference_oracles import class_sum, support_pairs
 
 
 def loop_class_values(f, g, N, shifts, method):
@@ -35,10 +37,10 @@ def loop_class_values(f, g, N, shifts, method):
     every sum started from the int 0."""
     fvals = f.values[: N + 1]
     if method == "direct":
-        terms = [(gd, ((d, 1),)) for d, gd in g.support()]
+        terms = [(gd, ((d, 1),)) for d, gd in support_pairs(g)]
     else:
         terms = [(ghat, _divisor_form(q))
-                 for q, ghat in wintner_coefficients(g).support()]
+                 for q, ghat in support_pairs(wintner_coefficients(g))]
     values = []
     for a in shifts:
         total = 0
@@ -184,6 +186,31 @@ def test_zero_table_gives_zero_of_its_kind():
             got = _class_values(ef, g, 5, [1, 2 ** 70], method)
             for v in got:
                 same_bits(v, zero)
+
+
+@pytest.fixture(scope="module")
+def table_100k():
+    return sieve_primes(100_000)
+
+
+@pytest.mark.parametrize("method, bound_mb", [("direct", 12),
+                                              ("expansion", 23)])
+def test_traced_peak_of_the_artifact_profile(table_100k, method, bound_mb):
+    # the pair is built beforehand.  Held as a list of (n, value) tuples,
+    # one support of these tables took 4.6 MB (about 0.65 MB as int64
+    # points and their values), and the peaks were 14.8 MB direct and
+    # 28.4 MB expansion (two supports: g' and ghat); with the arrays they
+    # are 9.6 and 19.4 MB (CPython 3.11, numpy 2.4)
+    N = 100_000
+    f, g = artifact_pair(N, table_100k)
+    U = universal_period(N, table_100k)
+    tracemalloc.start()
+    try:
+        build_profile(f, g, N, [1, U + 1], method=method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 10 ** 6
 
 
 # ----------------------------------------------------------------------

@@ -225,19 +225,63 @@ class TestCorrelate:
         assert code == 2
         assert "'nosuchthing' is neither a readable file nor one of" in err
 
-    @pytest.mark.parametrize("g", ["lambdaN", "lambdaN_raw"])
-    def test_named_g_reuses_the_command_sieve(self, capsys, monkeypatch, g):
+    @staticmethod
+    def _count_sieves(monkeypatch):
+        """The limits of every sieve_primes call, through each module
+        that imports the name (all imported first, so that none binds the
+        counter and keeps it past the test)."""
+        import importlib
+
         from ramcorr import arith_core
         sieve, limits = arith_core.sieve_primes, []
 
         def counted(M):
             limits.append(M)
             return sieve(M)
-        monkeypatch.setattr(arith_core, "sieve_primes", counted)
+        modules = [importlib.import_module("ramcorr" + name) for name in (
+            "", ".arith_core", ".cli", ".correlations", ".hlmodels",
+            ".ramanujan", ".transforms", ".twoseasons", ".verify")]
+        for module in modules:
+            if hasattr(module, "sieve_primes"):
+                monkeypatch.setattr(module, "sieve_primes", counted)
+        return limits
+
+    @pytest.mark.parametrize("g", ["lambdaN", "lambdaN_raw"])
+    def test_named_g_reuses_the_command_sieve(self, capsys, monkeypatch, g):
+        limits = self._count_sieves(monkeypatch)
         code, _, _ = run_cli(capsys, "correlate", "--f", "mobius", "--g", g,
                              "--N", "300", "--shifts", "1,2")
         assert code == 0
         assert limits == [300]
+
+    def test_expansion_reads_mu_from_the_command_sieve(self, monkeypatch,
+                                                       tmp_path):
+        limits = self._count_sieves(monkeypatch)
+        out = tmp_path / "exp.csv"
+        assert main(["correlate", "--f", "odd_primes_log", "--g", "lambdaN",
+                     "--N", "200", "--shifts", "1,2,7,U+1,U+2,U+7",
+                     "--mode", "expansion", "--out", str(out)]) == 0
+        assert limits == [200]
+        assert out.read_bytes() == \
+            (DATA / "golden_correlate_expansion.csv").read_bytes()
+
+    @pytest.mark.parametrize("N, sieves", [(120, [120]), (100, [100, 120])])
+    def test_expansion_sieves_for_mu_only_past_the_command_sieve(
+            self, monkeypatch, tmp_path, N, sieves):
+        # the file's cutoff is 120: past a command sieve to 100, the
+        # route sieves to 120 for mu; both routes write the same bytes
+        limits = self._count_sieves(monkeypatch)
+        got = {}
+        for mode in ("expansion", "direct"):
+            out = tmp_path / f"{mode}.csv"
+            limits.clear()
+            assert main(["correlate", "--f", "mobius", "--g",
+                         str(DATA / "golden_seeded_exact.tds"), "--N", str(N),
+                         "--shifts", "1:8,U+1,U+2", "--mode", mode,
+                         "--out", str(out)]) == 0
+            got[mode] = out.read_bytes(), list(limits)
+        assert got["expansion"] == (got["direct"][0], sieves)
+        assert got["direct"][1] == [N]
 
 
 class TestVerify:

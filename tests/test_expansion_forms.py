@@ -24,7 +24,7 @@ from ramcorr.ramanujan import (RamanujanCoefficients, _divisor_form,
                                universal_period, wintner_coefficients)
 from ramcorr.transforms import (TruncatedDivisorSum, eratosthenes_transform,
                                 lambda_tds)
-from reference_oracles import class_sum
+from reference_oracles import class_sum, support_pairs
 
 DATA = Path(__file__).parent / "data"
 
@@ -57,7 +57,7 @@ def block_loop(q, n):
 def list_tiling_expand_range(coeffs, a_max):
     """The batch expansion with a Python-list body for ExactInt and a
     numpy tiling body for Real."""
-    support = coeffs.support()
+    support = support_pairs(coeffs)
 
     def period(q):
         return block_loop(q, min(q, a_max + 1))
@@ -89,7 +89,7 @@ def divisor_loop_expansion(f, g, N, a):
     fvals = f.values[: N + 1]
     sums = {}
     total = 0
-    for q, ghat in wintner_coefficients(g).support():
+    for q, ghat in support_pairs(wintner_coefficients(g)):
         inner = 0
         for e in divisors_int(q):
             m = mobius_int(q // e)

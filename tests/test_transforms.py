@@ -169,6 +169,29 @@ class TestEvaluateTds:
         got = evaluate_tds(tds_from_et(entries, 6, kind), m)
         assert type(got) is type(want) and got == want
 
+    @pytest.mark.parametrize("kind", [EXACT, REAL])
+    def test_is_the_divisor_loop_to_the_bit(self, rng, kind):
+        # the residues come from one int64 remainder below 2**62 and a
+        # product tree above; the sum is the loop over supp g' in
+        # ascending d, started from the int 0
+        N = 400
+        draw = ((lambda: rng.randint(-9, 9)) if kind == EXACT
+                else (lambda: rng.uniform(-3, 3)))
+        g = tds_from_et({d: draw() for d in rng.sample(range(1, N + 1), 120)},
+                        N, kind)
+        ms = [1, 2, 720720, 2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1, 2 ** 64,
+              math.prod(range(1, 60)), math.prod(range(1, 60)) + 1]
+        ms += [rng.getrandbits(rng.choice([20, 61, 62, 63, 200])) + 1
+               for _ in range(40)]
+        for m in ms:
+            want = 0
+            for d in range(1, N + 1):
+                if g.values[d] and m % d == 0:
+                    want += g.values[d]
+            got = evaluate_tds(g, m)
+            assert type(got) is (int if kind == EXACT else float)
+            assert repr(got) == repr(want if kind == EXACT else float(want))
+
     def test_range_matches_pointwise(self, rng):
         g = tds_from_et({2: 3, 5: -1, 9: 4}, 10, EXACT)
         batch = evaluate_tds_range(g, 200)

@@ -14,6 +14,7 @@ from ramcorr.twoseasons import (AxiomError, check_axioms,
                                 combinatorial_identity_check,
                                 diophantine_count_even, diophantine_count_odd,
                                 entangled_correlation, random_ts_instance)
+from reference_oracles import support_pairs
 
 ODD_PRIMES = frozenset(p for p in range(3, 4000, 2) if is_prime_int(p))
 
@@ -66,7 +67,7 @@ class TestEntangledCorrelation:
         g = tds_from_et({1: 1}, N, EXACT)
         value, branch = entangled_correlation(f, g, N, 2)
         assert branch == "even"
-        assert value == sum(v for _, v in f.support_upto(N))
+        assert value == sum(v for _, v in support_pairs(f, N))
 
     def test_artifact_even_shift_formula(self, table_200):
         N, a = 100, 2
