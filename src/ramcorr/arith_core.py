@@ -99,11 +99,34 @@ class PrimeTable:
     Immutable after construction; concurrent reads are safe.  mu and phi
     are the narrow arrays their sweeps run on: int8, and int32 while
     limit < 2**31.
+
+    Both sweeps are split at r = isqrt(limit) (``_sqrt_split``).  phi
+    starts as n and each small prime p multiplies its multiples by
+    (p - 1)/p by exact division as multiplication: the entry is a
+    multiple of p there, so multiplying it by (p - 1) times the inverse
+    of p modulo 2**32 (2**64 for the int64 array) in the unsigned view
+    gives (n/p)(p - 1), which fits the signed array; p = 2 is a right
+    shift.  The large primes enter both arrays through n = j p with
+    j <= r, where mu(j) and phi(j) are already final.
+
+    ``upto(M)`` is the table on [0..M]: a view sharing ``is_prime`` and
+    ``primes``, whose arrays are built to M only, so a stage that reads
+    a short prefix of the sieve builds no full-length array.
     """
 
     limit: int
     is_prime: np.ndarray               # bool, len limit+1
     primes: np.ndarray                 # int64, ascending
+
+    def upto(self, M: int) -> PrimeTable:
+        """The table on [0..M] for 2 <= M <= limit: ``is_prime`` and
+        ``primes`` are prefix views of this table's, and mu, phi and
+        Lambda are built anew, to M, on first access (their values are
+        the prefixes of this table's)."""
+        if not 2 <= M <= self.limit:
+            raise ValueError(f"prefix limit {M} outside [2, {self.limit}]")
+        top = int(np.searchsorted(self.primes, M, side="right"))
+        return PrimeTable(M, self.is_prime[: M + 1], self.primes[:top])
 
     @cached_property
     def mobius_values(self) -> np.ndarray:
@@ -115,7 +138,9 @@ class PrimeTable:
             mu[p::p] *= -1
             mu[p * p::p * p] = 0
         for j, ps in blocks:
-            mu[j * ps] *= -1
+            # mu[j p] is mu(j) here, 0 already where mu(j) is 0
+            if mu[j]:
+                mu[j * ps] = -mu[j]
         return mu
 
     @cached_property
@@ -129,13 +154,17 @@ class PrimeTable:
         """
         work = np.int32 if self.limit < 2 ** 31 else np.int64
         phi = np.arange(self.limit + 1, dtype=work)
+        wrap = phi.view(f"u{phi.itemsize}")
         small, blocks = _sqrt_split(self.primes, self.limit)
         for p in small.tolist():
-            v = phi[p::p]
-            v //= p
-            v *= p - 1
+            if p == 2:
+                phi[2::2] >>= 1
+            else:
+                wrap[p::p] *= _exact_division_factor(p, wrap.dtype)
+        if blocks:
+            less = (blocks[0][1] - 1).astype(work)  # p - 1, j = 1's block
         for j, ps in blocks:
-            phi[j * ps] = phi[j] * (ps - 1)
+            phi[j * ps] = phi[j] * less[: len(ps)]
         return phi
 
     @cached_property
@@ -152,6 +181,18 @@ class PrimeTable:
                 lam[pk] = lam[p]
                 pk *= p
         return lam
+
+
+def _exact_division_factor(p: int, dtype) -> np.unsignedinteger:
+    """(p - 1) / p modulo 2**w, w the bit width of the unsigned ``dtype``,
+    for an odd prime p: an entry x that is a multiple of p, times this
+    factor in wrapping w-bit arithmetic, is (x / p)(p - 1) exactly
+    whenever that fits the width (T. Granlund and P. L. Montgomery,
+    *Division by invariant integers using multiplication*, 1994,
+    section 9)."""
+    dtype = np.dtype(dtype)
+    m = 1 << 8 * dtype.itemsize
+    return dtype.type((p - 1) * pow(p, -1, m) % m)
 
 
 def sieve_primes(M: int) -> PrimeTable:

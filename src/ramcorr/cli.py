@@ -364,9 +364,13 @@ def _cmd_hl(args) -> int:
         raise UsageError("--singular-out needs --out")
     need = max(max(N_list) + max(a_list), args.Q)
     table = _need_sieve(args, need)
-    # the series first: its Q-length buffer is freed before Lambda is built
-    sing = singular_series(sorted(set(a_list)), Q=args.Q, table=table)
-    rows = [row for N in N_list for row in model_chain(N, a_list, table)]
+    # each stage reads the prefix of the sieve it needs, whose arrays are
+    # built to that length and freed with it: mu and phi to Q for the
+    # series, mu and Lambda to max N + max a for the ladder
+    sing = singular_series(sorted(set(a_list)), Q=args.Q,
+                           table=table.upto(args.Q))
+    ladder = table.upto(max(N_list) + max(a_list))
+    rows = [row for N in N_list for row in model_chain(N, a_list, ladder)]
     models_csv = _text(model_rows_to_csv, rows)
     singular_csv = _text(singular_to_csv, sing)
     if args.out is None:

@@ -56,7 +56,7 @@ import sys
 
 import numpy as np
 
-from .arith_core import (PrimeTable, TabulatedFunction, _Residues,
+from .arith_core import (DTYPES, PrimeTable, TabulatedFunction, _Residues,
                          _sum_from_zero, agree, collapse, sieve_primes,
                          tolerance)
 from .ramanujan import (UndefinedPeriodError, _divisor_forms,
@@ -188,7 +188,8 @@ def _class_values(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
     moduli = np.flatnonzero(present)
     at = np.searchsorted(moduli, e)  # each pair's modulus among the moduli
     residues = _Residues(moduli)
-    fvals = f.values[: N + 1]
+    # f's first N + 1 entries only: an int64 store stays a store
+    fvals = f._data[: N + 1].astype(DTYPES[f.kind], copy=False)
     values = []
     for a in shifts:
         # a + start is the least multiple of e above a

@@ -23,6 +23,9 @@ The singular series
 
 is computed both as a truncated sum and as the equivalent Euler product
 prod over p of (1 + c_p(a)/(p-1)^2); the two act as mutual oracles.
+The truncated sum is streamed through the leaves of numpy's pairwise
+tree (at most 2**16 q each), so it holds no Q-length array and is still
+bitwise the ``np.sum`` of the Q terms (see ``singular_series``).
 """
 
 from __future__ import annotations
@@ -186,11 +189,36 @@ def model_chain(N: int, a_list, table: PrimeTable) -> list[ModelRow]:
 # singular series
 # ----------------------------------------------------------------------
 
-# the series buffer is filled this many q at a time, so that every
-# temporary is one block long
+# the terms are summed in leaves of at most this many q (the nodes of
+# numpy's pairwise tree), so that every temporary is one leaf long
 _PHI2_BLOCK = 1 << 16
 # a shift is reduced modulo this many of the primes <= Q at a time
 _PRIME_BLOCK = 1 << 12
+
+
+def _pairwise_tree(lo: int, hi: int, leaf):
+    """The sum over [lo, hi) as numpy's ``pairwise_sum`` adds a
+    contiguous array of hi - lo terms, from ``leaf(lo', hi')``, the sum
+    of the terms of one node of at most ``_PHI2_BLOCK`` (a float64 or an
+    array of them, added elementwise).
+
+    numpy splits a node of n > 128 terms into its first n2 and last
+    n - n2, n2 = n // 2 rounded down to a multiple of 8, and adds the
+    two halves' sums; the split depends on n alone.  So a node's sum is
+    ``np.add.reduce`` of its terms as an array of their own, and this
+    recursion joins the leaves as the whole array's sum does.  Each
+    reduce, the whole array's too, starts from the initial 0.0, and
+    (0.0 + x) + (0.0 + y) is 0.0 + (x + y) in every bit, signed zeros
+    included; so, node by node up the tree, the total is ``np.sum`` of
+    the terms, to the bit.
+    """
+    n = hi - lo
+    if n <= _PHI2_BLOCK:
+        return leaf(lo, hi)
+    half = n // 2
+    half -= half % 8
+    return (_pairwise_tree(lo, lo + half, leaf)
+            + _pairwise_tree(lo + half, hi, leaf))
 
 
 def singular_series(a_list, Q: int = 100_000,
@@ -200,18 +228,25 @@ def singular_series(a_list, Q: int = 100_000,
     Euler-product oracle over primes p <= Q, one value per shift of a_list
     in its order.
 
-    The working set is one Q-length float64 buffer, reused by every
-    shift and filled one block of ``_PHI2_BLOCK`` q at a time: the block
-    takes c_q(a) = sum over d | (a, q) of d mu(q/d), from the sieve's
-    int8 mu widened to float64 one gather at a time (d mu overflows
-    int8 once d > 127), is multiplied by the block's bool mask
-    mu != 0, and is divided by the block's phi^2.  So no other array is
-    Q long.  Each entry of c is an integer below 2**53, so it is exact
-    in any order; phi^2 is float(phi) * float(phi) as a full-length one
-    would be; so each term gets the two roundings (c mu^2) / phi^2 of
-    the full-array formula, and ``np.sum`` over the contiguous terms
-    builds the same pairwise tree.  Only the square-free d are added:
-    another d writes c only where the mask makes the term +-0.0, and a
+    The terms are streamed, leaves outside and shifts inside: the q are
+    split into the leaves of numpy's pairwise tree (``_pairwise_tree``),
+    each at most ``_PHI2_BLOCK`` long.  A leaf builds its denominators
+    once for every shift, phi^2 = float(phi) * float(phi) from the int32
+    phi and +inf where mu = 0; then each shift fills one leaf-long
+    float64 block with c_q(a) = sum over d | (a, q) of d mu(q/d), from
+    the int8 mu widened one gather at a time (d mu overflows int8 once
+    d > 127), divides it by the denominators, and reduces it.  The
+    working set is these few leaf-long arrays, the per-shift divisor
+    lists and leaf sums, and the Euler product's arrays over the primes
+    <= Q; no array is Q long.
+
+    The sum is bitwise the ``np.sum`` of the contiguous Q terms
+    (c mu^2) / phi^2: each entry of c is an integer below 2**53, so it
+    is exact in any order; a square-free q gets the one rounding of
+    c / phi^2 either way; the leaves are joined as numpy's tree joins
+    them.  Off the square-free q a term is c/inf = +-0.0 instead of
+    (c 0)/phi^2 = +-0.0, and only the square-free divisors d of a are
+    added, since another d writes c only at q with a square factor.  A
     signed zero moves no sum that holds the q = 1 term 1.0.
 
     a is read only modulo the primes p <= min(Q, a), with Python ints:
@@ -229,28 +264,32 @@ def singular_series(a_list, Q: int = 100_000,
     phi = table.phi_values
     primes = table.primes[: np.searchsorted(table.primes, Q, side="right")]
     p = primes.astype(np.float64)
-    c = np.zeros(Q + 1, dtype=np.float64)
-    out = []
+    divisor_lists, euler = [], []
     for a in a_list:
         divisors, divides = _divisors_upto(a, Q, primes)
-        for lo in range(1, Q + 1, _PHI2_BLOCK):
-            hi = min(lo + _PHI2_BLOCK, Q + 1)
-            blk = c[lo: hi]
-            blk[:] = mu[lo: hi]  # d = 1, which also clears the last shift
+        divisor_lists.append(divisors)
+        cp = np.where(divides, p - 1.0, -1.0)
+        euler.append(float(np.prod(1.0 + cp / (p - 1.0) ** 2)))
+
+    def leaf(lo: int, hi: int) -> np.ndarray:
+        den = np.square(phi[lo: hi], dtype=np.float64)
+        den[mu[lo: hi] == 0] = np.inf
+        c = np.empty(hi - lo)
+        sums = np.empty(len(a_list))
+        for i, divisors in enumerate(divisor_lists):
+            c[:] = mu[lo: hi]  # d = 1
             for d in divisors[1:]:
                 # the k with lo <= d k < hi
                 k0, k1 = -(-lo // d), (hi - 1) // d + 1
                 if k0 < k1:
-                    blk[d * k0 - lo:: d] += d * mu[k0: k1].astype(np.float64)
-            blk *= mu[lo: hi] != 0
-            phi2 = phi[lo: hi].astype(np.float64)
-            phi2 *= phi2
-            blk /= phi2
-        truncated = float(np.sum(c[1:]))
-        cp = np.where(divides, p - 1.0, -1.0)
-        euler = float(np.prod(1.0 + cp / (p - 1.0) ** 2))
-        out.append(SingularSeriesValue(a, truncated, euler, Q))
-    return out
+                    c[d * k0 - lo:: d] += d * mu[k0: k1].astype(np.float64)
+            c /= den
+            sums[i] = np.add.reduce(c)
+        return sums
+
+    truncated = _pairwise_tree(1, Q + 1, leaf) if a_list else []
+    return [SingularSeriesValue(a, float(t), e, Q)
+            for a, t, e in zip(a_list, truncated, euler)]
 
 
 def _divisors_upto(a: int, Q: int, primes: np.ndarray

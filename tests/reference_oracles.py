@@ -7,12 +7,20 @@ closed form of the truncation tail for a <= N, against
 ``correlations.truncation_difference``; half_range_identity_check
 reads ``ramanujan.wintner_coefficients`` above half the cutoff, against
 g'(q)/q.  support_pairs gives a table's support as the (n, value) pairs
-that the loop oracles walk.
+that the loop oracles walk.  full_buffer_singular_series is the truncated
+singular series summed as one Q-length array, against the leaf-streamed
+``hlmodels.singular_series``; division_sweep_mobius and
+division_sweep_phi are the sieve sweeps with a read-modify-write per
+large prime and a division per small one, against ``PrimeTable``'s.
 """
 
 from fractions import Fraction
 
-from ramcorr.arith_core import TabulatedFunction, agree, collapse
+import numpy as np
+
+from ramcorr.arith_core import (PrimeTable, TabulatedFunction, _sqrt_split,
+                                agree, collapse)
+from ramcorr.hlmodels import _divisors_upto
 from ramcorr.ramanujan import wintner_coefficients
 from ramcorr.transforms import eratosthenes_transform, truncate
 
@@ -74,3 +82,63 @@ def half_range_identity_check(g_source: TabulatedFunction, N: int) -> bool:
         if not agree(coeffs[q], expected, bound):
             return False
     return True
+
+
+def full_buffer_singular_series(a_list, Q: int, table: PrimeTable) -> list:
+    """(truncated sum, Euler product) per shift: the terms
+    (c mu^2) / phi^2 of q = 1..Q are filled into one Q-length float64
+    buffer, one block of 2**16 q at a time, and the buffer is summed by
+    ``np.sum``; phi^2 is rebuilt for every shift."""
+    mu, phi = table.mobius_values, table.phi_values
+    primes = table.primes[: np.searchsorted(table.primes, Q, side="right")]
+    p = primes.astype(np.float64)
+    c = np.zeros(Q + 1, dtype=np.float64)
+    out = []
+    for a in a_list:
+        divisors, divides = _divisors_upto(a, Q, primes)
+        for lo in range(1, Q + 1, 1 << 16):
+            hi = min(lo + (1 << 16), Q + 1)
+            blk = c[lo: hi]
+            blk[:] = mu[lo: hi]
+            for d in divisors[1:]:
+                k0, k1 = -(-lo // d), (hi - 1) // d + 1
+                if k0 < k1:
+                    blk[d * k0 - lo:: d] += d * mu[k0: k1].astype(np.float64)
+            blk *= mu[lo: hi] != 0
+            phi2 = phi[lo: hi].astype(np.float64)
+            phi2 *= phi2
+            blk /= phi2
+        cp = np.where(divides, p - 1.0, -1.0)
+        out.append((float(np.sum(c[1:])),
+                    float(np.prod(1.0 + cp / (p - 1.0) ** 2))))
+    return out
+
+
+def division_sweep_mobius(table: PrimeTable) -> np.ndarray:
+    """mu on [0..limit] as int8: a sign flip and a square wipe per small
+    prime, then a sign flip of every multiple j p of each large p."""
+    mu = np.ones(table.limit + 1, dtype=np.int8)
+    mu[0] = 0
+    small, blocks = _sqrt_split(table.primes, table.limit)
+    for p in small.tolist():
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+    for j, ps in blocks:
+        mu[j * ps] *= -1
+    return mu
+
+
+def division_sweep_phi(table: PrimeTable) -> np.ndarray:
+    """phi on [0..limit] in the table's phi dtype: n // p * (p - 1) for
+    each small prime p, then phi(j p) = phi(j) (p - 1) for each large
+    p."""
+    phi = np.arange(table.limit + 1,
+                    dtype=np.int32 if table.limit < 2 ** 31 else np.int64)
+    small, blocks = _sqrt_split(table.primes, table.limit)
+    for p in small.tolist():
+        v = phi[p::p]
+        v //= p
+        v *= p - 1
+    for j, ps in blocks:
+        phi[j * ps] = phi[j] * (ps - 1)
+    return phi

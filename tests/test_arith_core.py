@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from ramcorr import arith_core
 from ramcorr.arith_core import (DTYPES, EXACT, REAL, REAL_TOL, SUPPORT_EPS,
-                                TabulatedFunction, agree, collapse,
+                                TabulatedFunction, _exact_division_factor,
+                                agree, collapse,
                                 divisors_int, is_prime_int, mobius_int,
                                 odd_part, sieve_primes, tabulate, tolerance,
                                 v2)
@@ -18,7 +19,8 @@ from ramcorr.correlations import correlate_direct
 from ramcorr.hlmodels import artifact_pair, singular_series
 from ramcorr.ramanujan import _divisor_form
 from ramcorr.transforms import _convolve, lambda_tds
-from reference_oracles import support_pairs
+from reference_oracles import (division_sweep_mobius, division_sweep_phi,
+                               support_pairs)
 from trial_division import trial_factorize, trial_phi, trial_von_mangoldt
 
 
@@ -92,6 +94,78 @@ class TestSieve:
         # 78498 cross-checked once by an independent trial-division count
         t = sieve_primes(10 ** 6)
         assert len(t.primes) == 78498
+
+
+class TestSweepsAndPrefixes:
+    """phi by exact division as multiplication and mu's block pass, against
+    the division sweep; and ``upto``'s prefix tables, against fresh
+    sieves."""
+
+    @staticmethod
+    def assert_division_sweep(M):
+        t = sieve_primes(M)
+        for got, want in ((t.mobius_values, division_sweep_mobius(t)),
+                          (t.phi_values, division_sweep_phi(t))):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), M
+
+    def test_mu_and_phi_are_the_division_sweep_to_400(self):
+        # the limits where 2 and 3 are large primes, and every split
+        # point r = isqrt(M) up to 20
+        for M in range(2, 401):
+            self.assert_division_sweep(M)
+
+    @settings(max_examples=30, deadline=None)
+    @given(M=st.integers(401, 300_000))
+    def test_mu_and_phi_are_the_division_sweep(self, M):
+        self.assert_division_sweep(M)
+
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_exact_division_factor_in_wrapping_arithmetic(self, width):
+        # the multiples x of p up to the signed top, the top among them:
+        # x times the factor in the unsigned view is x / p * (p - 1)
+        signed, unsigned = np.dtype(f"i{width}"), np.dtype(f"u{width}")
+        top = 2 ** (8 * width - 1) - 1
+        for p in (3, 5, 7, 65_537, 2 ** 31 - 1):
+            ks = sorted(k for k in {0, 1, 2, 3, p - 1, p, p + 1,
+                                    top // p - 1, top // p,
+                                    *range(1000, 1100)} if k <= top // p)
+            x = np.array([k * p for k in ks], dtype=signed)
+            x.view(unsigned)[:] *= _exact_division_factor(p, unsigned)
+            assert x.tolist() == [k * (p - 1) for k in ks], (width, p)
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 97, 1000, 65_537, 199_999,
+                                   200_000])
+    def test_prefix_is_a_fresh_sieve_sharing_memory(self, M):
+        parent = sieve_primes(200_000)
+        view = parent.upto(M)
+        fresh = sieve_primes(M)
+        assert view.limit == M
+        assert np.array_equal(view.is_prime, fresh.is_prime)
+        assert np.array_equal(view.primes, fresh.primes)
+        assert np.shares_memory(view.is_prime, parent.is_prime)
+        assert np.shares_memory(view.primes, parent.primes)
+        for name in ("mobius_values", "phi_values"):
+            got, want = getattr(view, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(got, getattr(parent, name)[: M + 1])
+        lam = view.von_mangoldt_values
+        assert lam.tobytes() == fresh.von_mangoldt_values.tobytes()
+        assert lam.tobytes() == \
+            parent.von_mangoldt_values[: M + 1].tobytes()
+
+    def test_prefix_builds_only_its_own_arrays(self):
+        parent = sieve_primes(5000)
+        view = parent.upto(1000)
+        view.mobius_values, view.phi_values, view.von_mangoldt_values
+        assert set(vars(parent)) == {"limit", "is_prime", "primes"}
+        assert len(view.phi_values) == 1001
+
+    @pytest.mark.parametrize("M", [-1, 0, 1, 5001])
+    def test_prefix_limits_outside_the_table_are_refused(self, M):
+        with pytest.raises(ValueError,
+                           match=rf"^prefix limit {M} outside \[2, 5000\]$"):
+            sieve_primes(5000).upto(M)
 
 
 class TestPointwiseFunctions:

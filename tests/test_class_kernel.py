@@ -22,12 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramcorr.arith_core import (EXACT, REAL, TabulatedFunction, _Residues,
-                                collapse, sieve_primes)
+                                collapse, sieve_primes, tabulate)
 from ramcorr.correlations import _class_values, build_profile, profile_to_csv
 from ramcorr.hlmodels import artifact_pair
 from ramcorr.ramanujan import (_divisor_form, _divisor_forms,
                                universal_period, wintner_coefficients)
-from ramcorr.transforms import TruncatedDivisorSum
+from ramcorr.transforms import TruncatedDivisorSum, lambda_tds, truncate
 from reference_oracles import class_sum, support_pairs
 
 
@@ -186,6 +186,26 @@ def test_zero_table_gives_zero_of_its_kind():
             got = _class_values(ef, g, 5, [1, 2 ** 70], method)
             for v in got:
                 same_bits(v, zero)
+
+
+@pytest.mark.parametrize("method", ["direct", "expansion"])
+@pytest.mark.parametrize("g_kind", [EXACT, REAL])
+def test_an_int64_stored_f_keeps_its_store(method, g_kind):
+    # the kernel reads f's first N + 1 entries only: f's int64 store is
+    # not turned into the object array of all its limit + 1 entries, and
+    # the values are those of the twin whose object array was read
+    N, D = 2000, 2500
+    f, twin = tabulate("mobius", 3 * N), tabulate("mobius", 3 * N)
+    twin.values
+    g = (truncate(tabulate("odd_primes", D), D) if g_kind == EXACT
+         else lambda_tds(D))
+    shifts = [1, 2, 7, universal_period(N) + 1]
+    got = build_profile(f, g, N, shifts, method=method)
+    assert f._store is not None and f._values is None
+    want = build_profile(twin, g, N, shifts, method=method)
+    assert [a for a, _ in got.entries] == [a for a, _ in want.entries]
+    for (_, x), (_, y) in zip(got.entries, want.entries):
+        same_bits(x, y)
 
 
 @pytest.fixture(scope="module")

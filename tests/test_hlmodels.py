@@ -1,18 +1,21 @@
 import io
 import itertools
 import math
+import random
 import time
 import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramcorr import transforms
 from ramcorr.arith_core import (EXACT, divisors_int, mobius_int, odd_part,
                                 sieve_primes, tabulate)
-from ramcorr.hlmodels import (MODEL_CSV_HEADER, _divisors_upto, _dot,
-                              _odd_parts, artifact,
+from ramcorr.hlmodels import (_PHI2_BLOCK, MODEL_CSV_HEADER, _divisors_upto,
+                              _dot, _odd_parts, _pairwise_tree, artifact,
                               artifact_identity_check, artifact_pair,
                               chebyshev_theta, model_chain,
                               model_rows_to_csv, pnt_sanity, singular_series,
@@ -20,6 +23,7 @@ from ramcorr.hlmodels import (MODEL_CSV_HEADER, _divisors_upto, _dot,
 from ramcorr.ramanujan import ramanujan_sum, universal_period
 from ramcorr.transforms import (TruncatedDivisorSum, evaluate_tds,
                                 evaluate_tds_range, lambda_tds, odd_lift)
+from reference_oracles import full_buffer_singular_series
 from trial_division import trial_kappa, trial_von_mangoldt
 
 
@@ -331,8 +335,8 @@ class TestSingularSeriesBatch:
                 assert (s.truncated_sum, s.euler_product) == want, (s.a, Q)
 
     def test_working_set_is_one_q_length_buffer(self):
-        # c_q(a) and the terms share one float64 buffer; the d mu
-        # products, the mask mu != 0 and phi^2 are formed per block
+        # the terms, the d mu products, the mask mu != 0 and phi^2 are
+        # formed one leaf at a time; at this Q a leaf is a quarter of Q
         Q = 200_000
         table = sieve_primes(Q)
         table.mobius_values, table.phi_values  # built beforehand
@@ -345,8 +349,11 @@ class TestSingularSeriesBatch:
         assert peak <= 2.5 * 8 * (Q + 1)
 
     def test_working_set_at_two_million(self):
-        # every temporary is one block of q long; a Q-length mask or d mu
-        # product (8 MB at d = 2) would pass 1.5 buffers
+        # every temporary is one leaf of q long (at most 2**16), and the
+        # rest is the Euler product's arrays over the 148,933 primes: 0.31
+        # buffers (CPython 3.11, numpy 2.4); a Q-length float64 buffer
+        # took 1.32, and a Q-length d mu product (8 MB at d = 2) would
+        # pass 0.45
         Q = 2_000_000
         table = sieve_primes(Q)
         table.mobius_values, table.phi_values  # built beforehand
@@ -356,13 +363,13 @@ class TestSingularSeriesBatch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 8 * (Q + 1)
+        assert peak <= 0.45 * 8 * (Q + 1)
 
     @pytest.mark.parametrize("a", [2 ** 40, 2 ** 61 - 1, 2 ** 64 + 1])
     def test_working_set_at_a_large_shift(self, a):
         # a is reduced modulo one block of primes at a time (by a product
-        # tree past 2**62); a list of all 148,933 primes <= 2e6 took the
-        # peak to 1.46 buffers
+        # tree past 2**62): 0.31 buffers, as at a small shift; a list of
+        # all 148,933 primes <= 2e6 took the peak 0.14 buffers higher
         Q = 2_000_000
         table = sieve_primes(Q)
         table.mobius_values, table.phi_values  # built beforehand
@@ -372,7 +379,7 @@ class TestSingularSeriesBatch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.35 * 8 * (Q + 1)
+        assert peak <= 0.4 * 8 * (Q + 1)
 
     def test_rejects_bad_arguments(self, table_2k):
         assert singular_series([], 2000, table_2k) == []
@@ -381,6 +388,71 @@ class TestSingularSeriesBatch:
                 singular_series(a_list, Q, table_2k)
         with pytest.raises(ValueError, match="below required 2001"):
             singular_series([2], 2001, table_2k)
+
+
+# ----------------------------------------------------------------------
+# the series streamed through numpy's pairwise tree
+# ----------------------------------------------------------------------
+
+# numpy's leaf edges (8 and 128 terms), one leaf of q and one q past it,
+# and two to four leaves, split at multiples of 8
+TREE_LENGTHS = [1, 2, 7, 8, 9, 127, 128, 129, 2 ** 16, 2 ** 16 + 1,
+                2 ** 16 + 8, 2 ** 17, 2 ** 17 + 1, 2 ** 17 + 15,
+                3 * 2 ** 16 + 5, 4 * 2 ** 16, 4 * 2 ** 16 + 1,
+                4 * 2 ** 16 + 17]
+
+
+@st.composite
+def tree_terms(draw):
+    """A float64 array of 1 to past 4 * 2**16 terms of mixed magnitudes,
+    with runs of +-0.0 and of c/inf (the series' terms off the
+    square-free q), or all of them signed zeros."""
+    n = draw(st.one_of(st.sampled_from(TREE_LENGTHS),
+                       st.integers(1, 4 * 2 ** 16 + 100)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+    zeros = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    x[zeros] = np.copysign(0.0, rng.standard_normal(int(zeros.sum())))
+    off = rng.random(n) < draw(st.sampled_from([0.0, 0.3]))
+    x[off] = np.round(x[off] * 1e3) / np.inf
+    return x
+
+
+@given(x=tree_terms())
+@settings(max_examples=60, deadline=None)
+def test_tree_leaf_sums_are_np_sum_to_the_bit(x):
+    leaves = []
+
+    def leaf(lo, hi):
+        leaves.append((lo, hi))
+        return np.add.reduce(x[lo: hi])
+    got = _pairwise_tree(0, len(x), leaf)
+    assert float(got).hex() == float(np.sum(x)).hex()
+    assert leaves[0][0] == 0 and leaves[-1][1] == len(x)
+    assert all(hi == lo for (_, hi), (lo, _) in zip(leaves, leaves[1:]))
+    assert all(hi - lo <= _PHI2_BLOCK for lo, hi in leaves)
+
+
+@pytest.fixture(scope="module")
+def table_300k():
+    return sieve_primes(300_000)
+
+
+ORACLE_SHIFTS = [1, 2, 30030, 2 ** 61 - 1, 2 ** 64 + 1]
+
+
+@pytest.mark.parametrize("Q", [2, 3, 2 ** 16, 2 ** 16 + 1, 2 ** 17 + 1,
+                               3 * 2 ** 16 + 5,
+                               *random.Random(33).sample(range(4, 300_001),
+                                                         4)])
+def test_series_is_the_full_buffer_sum_to_the_bit(Q, table_300k):
+    for table in (sieve_primes(Q), table_300k):
+        got = singular_series(ORACLE_SHIFTS, Q, table)
+        want = full_buffer_singular_series(ORACLE_SHIFTS, Q, table)
+        assert [s.a for s in got] == ORACLE_SHIFTS
+        for s, (truncated, euler) in zip(got, want):
+            assert s.truncated_sum.hex() == truncated.hex(), (s.a, Q)
+            assert s.euler_product.hex() == euler.hex(), (s.a, Q)
 
 
 @pytest.mark.parametrize("Q", [2, 3, 30, 97, 1000])

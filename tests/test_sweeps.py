@@ -631,17 +631,30 @@ def test_sieve_von_mangoldt_against_sympy_factorint(table_200k):
 
 
 def test_hl_builds_one_sieve_and_its_three_arrays(monkeypatch, tmp_path):
-    tables = []
+    # one sieve, to max(Q, max N + max a), which builds no array itself:
+    # the series reads its prefix to Q (mu and phi), and the ladder its
+    # prefix to max N + max a (mu and Lambda), so no Lambda spans Q
+    tables, prefixes = [], []
+    upto = PrimeTable.upto
 
     def sieve(M):
         tables.append(sieve_primes(M))
         return tables[-1]
+
+    def prefix(self, M):
+        prefixes.append(upto(self, M))
+        return prefixes[-1]
     monkeypatch.setattr(arith_core, "sieve_primes", sieve)
-    assert main(["hl", "--N-list", "1000", "--a-list", "2,3", "--Q", "20000",
-                 "--out", str(tmp_path / "hl.csv")]) == 0
+    monkeypatch.setattr(PrimeTable, "upto", prefix)
+    assert main(["hl", "--N-list", "1000,3000", "--a-list", "2,3",
+                 "--Q", "20000", "--out", str(tmp_path / "hl.csv")]) == 0
     [table] = tables
-    built = set(vars(table)) - {"limit", "is_prime", "primes"}
-    assert built == {"mobius_values", "phi_values", "von_mangoldt_values"}
+    assert table.limit == 20_000
+    assert set(vars(table)) == {"limit", "is_prime", "primes"}
+    built = [(t.limit, set(vars(t)) - {"limit", "is_prime", "primes"})
+             for t in prefixes]
+    assert built == [(20_000, {"mobius_values", "phi_values"}),
+                     (3003, {"mobius_values", "von_mangoldt_values"})]
 
 
 # ----------------------------------------------------------------------
