@@ -2,10 +2,11 @@
 
 Two building blocks everything else consumes:
 
-* ``PrimeTable`` -- an Eratosthenes sieve plus three lazily built arrays
-  over its range: Mobius, Euler phi and von Mangoldt.  mu is int8 and
-  phi int32 (int64 from limit 2**31 up), the arrays their sweeps run on;
-  a consumer that multiplies them by more than +-1 widens what it reads
+* ``PrimeTable`` -- an Eratosthenes sieve plus lazily built arrays over
+  its range: Mobius, Euler phi, von Mangoldt, and the signed product
+  mu phi that the singular series reads.  mu is int8 and phi and mu phi
+  int32 (int64 from limit 2**31 up), the arrays their sweeps run on; a
+  consumer that multiplies them by more than +-1 widens what it reads
   (``tabulate``, ``transforms._convolve``, the singular series).
 * ``TabulatedFunction`` -- a table of values on [1..limit].  Arithmetic
   functions, truncated divisor-sum tables and Ramanujan coefficient
@@ -21,20 +22,20 @@ Two building blocks everything else consumes:
   array, so no consumer walks (n, value) pairs.
 
 Each value reaches the program by one route.  Ranges come from the
-sieve: ``PrimeTable``'s three arrays, and ``tabulate`` for the named
+sieve: ``PrimeTable``'s arrays, and ``tabulate`` for the named
 functions built on them (kappa among them).  Single integers come from
 one trial-division loop, ``_prime_factors``, which yields the (p, e)
 pairs of n; ``is_prime_int``, ``mobius_int``, ``divisors_int`` and
 ``ramanujan._divisor_form`` are read off those pairs.  The 2-adic split
 n = 2^v2(n) * odd_part(n) comes from bit operations.
 
-The prime- and divisor-indexed sweeps (mu, phi, kappa, and the divisor
-sums in ``transforms``) are split at r = isqrt(M) by ``_sqrt_split``:
-one slice per point p <= r, then one vectorised scatter per cofactor
-j <= M // (r + 1) for all points above r at once.  A number n <= M has
-at most one prime factor above r, so the large primes enter mu, phi and
-kappa through n = j * p alone.  Each sweep takes O(sqrt(M)) Python steps
-instead of one per prime or support point.
+The prime- and divisor-indexed sweeps (mu, phi, mu phi, kappa, and the
+divisor sums in ``transforms``) are split at r = isqrt(M) by
+``_sqrt_split``: one slice per point p <= r, then one vectorised scatter
+per cofactor j <= M // (r + 1) for all points above r at once.  A
+number n <= M has at most one prime factor above r, so the large primes
+enter mu, phi, mu phi and kappa through n = j * p alone.  Each sweep
+takes O(sqrt(M)) Python steps instead of one per prime or support point.
 
 Naturals start at 1 throughout; slot 0 of every value table is unused and
 kept at zero.  Empty products are 1, so kappa(1) = 1 and odd_part(1) = 1.
@@ -93,20 +94,22 @@ def _sqrt_split(points: np.ndarray, M: int) -> tuple[np.ndarray, list]:
 
 @dataclass(eq=False)
 class PrimeTable:
-    """Primality up to ``limit`` plus the mu, phi and Lambda arrays on
-    [0..limit], each built once, on first access.
+    """Primality up to ``limit`` plus the mu, phi, mu phi and Lambda
+    arrays on [0..limit], each built once, on first access.
 
-    Immutable after construction; concurrent reads are safe.  mu and phi
-    are the narrow arrays their sweeps run on: int8, and int32 while
-    limit < 2**31.
+    Immutable after construction; concurrent reads are safe.  mu, phi
+    and mu phi are the narrow arrays their sweeps run on: int8, and
+    int32 while limit < 2**31.  The singular series reads mu phi alone
+    (its sign and its square); ``tabulate``, the transforms, the kernel
+    and the ladder read mu and phi.
 
-    Both sweeps are split at r = isqrt(limit) (``_sqrt_split``).  phi
+    The sweeps are split at r = isqrt(limit) (``_sqrt_split``).  phi
     starts as n and each small prime p multiplies its multiples by
     (p - 1)/p by exact division as multiplication: the entry is a
     multiple of p there, so multiplying it by (p - 1) times the inverse
     of p modulo 2**32 (2**64 for the int64 array) in the unsigned view
     gives (n/p)(p - 1), which fits the signed array; p = 2 is a right
-    shift.  The large primes enter both arrays through n = j p with
+    shift.  The large primes enter every array through n = j p with
     j <= r, where mu(j) and phi(j) are already final.
 
     ``upto(M)`` is the table on [0..M]: a view sharing ``is_prime`` and
@@ -120,8 +123,8 @@ class PrimeTable:
 
     def upto(self, M: int) -> PrimeTable:
         """The table on [0..M] for 2 <= M <= limit: ``is_prime`` and
-        ``primes`` are prefix views of this table's, and mu, phi and
-        Lambda are built anew, to M, on first access (their values are
+        ``primes`` are prefix views of this table's, and the value arrays
+        are built anew, to M, on first access (their values are
         the prefixes of this table's)."""
         if not 2 <= M <= self.limit:
             raise ValueError(f"prefix limit {M} outside [2, {self.limit}]")
@@ -166,6 +169,31 @@ class PrimeTable:
         for j, ps in blocks:
             phi[j * ps] = phi[j] * less[: len(ps)]
         return phi
+
+    @cached_property
+    def mu_phi_values(self) -> np.ndarray:
+        """mu(n) phi(n) for n = 0..limit (0 at n = 0 and wherever mu is
+        0), in phi's dtype: |mu phi| <= n.  One sweep gives the singular
+        series both of its arrays: mu is the sign, phi^2 the square.
+
+        Each small prime p multiplies its multiples by 1 - p, then zeroes
+        the multiples of p^2; a prime p > r = isqrt(limit) enters as
+        s(j p) = s(j) (1 - p), j <= r, only where s(j) != 0 (elsewhere
+        j, and so j p, has a square factor and is 0 already).
+        """
+        work = np.int32 if self.limit < 2 ** 31 else np.int64
+        s = np.ones(self.limit + 1, dtype=work)
+        s[0] = 0
+        small, blocks = _sqrt_split(self.primes, self.limit)
+        for p in small.tolist():
+            s[p::p] *= 1 - p
+            s[p * p::p * p] = 0
+        if blocks:
+            less = (1 - blocks[0][1]).astype(work)  # 1 - p, j = 1's block
+        for j, ps in blocks:
+            if s[j]:
+                s[j * ps] = s[j] * less[: len(ps)]
+        return s
 
     @cached_property
     def von_mangoldt_values(self) -> np.ndarray:

@@ -140,20 +140,24 @@ def _class_values(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
     """C(N, a) for each shift in order by the route ``method`` ("direct"
     or "expansion"), from one setup: the refusals, f's slice, the route's
     terms and the set of moduli (see the module docstring) are built
-    once.  The terms are arrays: each term's form is a run of the pairs
-    (e, w), e[i] and w[i], the direct route's one pair (d, 1) per d in
-    supp g', the expansion route's ``_divisor_forms`` of supp ghat.
+    once.  The terms are arrays: each expansion term's form is a run of
+    the pairs (e, w), e[i] and w[i], from ``_divisor_forms`` of
+    supp ghat (``_form_sums``).  A direct term's form is the one pair
+    (d, 1), d in supp g', so there the moduli are supp g' itself and
+    each inner sum is the class sum S_d; no form arrays are built.
 
     A shift costs a few array operations: the class sums of every
-    modulus at once (``_class_sums``), the products w S_e, each term's
-    inner sum over its run in sequence from 0 (``np.add.accumulate``,
-    one call per run length), and the sum of coeff * inner over the
-    terms in sequence from 0.  These are the additions and products of
-    the loop over the terms, ascending, then over each form's e,
-    ascending, in the same order, so each value is the one that loop
-    returns, to the bit.  Real pairs run on float64; a pair with an
-    exact table runs the same code on object arrays, whose elements
-    carry Python's arithmetic.
+    modulus at once (``_class_sums``); on the expansion route the
+    products w S_e and each term's inner sum over its run in sequence
+    from 0 (``np.add.accumulate``, one call per run length); and the sum
+    of coeff * inner over the terms in sequence from 0.  These are the
+    additions and products of the loop over the terms, ascending, then
+    over each form's e, ascending, in the same order, so each value is
+    the one that loop returns, to the bit.  (The loop's direct inner sum
+    0 + 1 S_d differs from S_d only at S_d = -0.0, and a signed zero
+    term cannot move a sum that starts from 0.)  Real pairs run on
+    float64; a pair with an exact table runs the same code on object
+    arrays, whose elements carry Python's arithmetic.
 
     The expansion route reads mu from ``table`` when it reaches g's
     cutoff, else from a sieve of its own to the cutoff.
@@ -163,15 +167,39 @@ def _class_values(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
         raise ValueError(
             f"g must be a TruncatedDivisorSum, got {type(g).__name__}")
     dtype = object if f.is_exact or g.is_exact else np.float64
-    coeff_table = g if method == "direct" else wintner_coefficients(g)
-    qs = coeff_table.support()
-    coeffs = coeff_table[qs].astype(dtype)
     if method == "direct":
-        e, w, lengths = qs, np.ones_like(qs), np.ones_like(qs)
+        qs = g.support()
+        coeffs = g[qs].astype(dtype)
+        # every form is the one pair (d, 1), and the d are the moduli
+        # already, ascending: each inner sum is the class sum S_d
+        moduli, inner = qs, None
     else:
+        ghat = wintner_coefficients(g)
+        qs = ghat.support()
+        coeffs = ghat[qs].astype(dtype)
         if table is None or table.limit < g.limit:
             table = sieve_primes(max(g.limit, 2))
-        e, w, lengths = _divisor_forms(qs, table.mobius_values)
+        moduli, inner = _form_sums(*_divisor_forms(qs, table.mobius_values),
+                                   g.limit, dtype)
+    residues = _Residues(moduli)
+    # f's first N + 1 entries only: an int64 store stays a store
+    fvals = f._data[: N + 1].astype(DTYPES[f.kind], copy=False)
+    values = []
+    for a in shifts:
+        # a + start is the least multiple of e above a
+        sums = _class_sums(fvals, moduli, moduli - residues(a), dtype)
+        if inner is not None:
+            sums = inner(sums)
+        values.append(collapse(_sum_from_zero(coeffs * sums), f, g))
+    return values
+
+
+def _form_sums(e: np.ndarray, w: np.ndarray, lengths: np.ndarray,
+               D: int, dtype):
+    """The moduli of the forms given as runs of pairs (e[i], w[i]), one
+    run of ``lengths[i]`` pairs per term, all e <= D; and the function
+    that takes the class sums of those moduli to each term's inner sum
+    over its run, sum of w S_e in sequence from 0."""
     w = w.astype(dtype)
     # the products go to p[1:] after a leading 0, so the columns of a
     # term of length L are 0 and its run, and the last partial sum of
@@ -183,23 +211,18 @@ def _class_values(f: TabulatedFunction, g: TruncatedDivisorSum, N: int,
         cols = np.zeros((len(rows), L + 1), dtype=np.int64)
         cols[:, 1:] = first[rows, None] + np.arange(L)
         runs.append((rows, cols))
-    present = np.zeros(g.limit + 1, dtype=bool)
+    present = np.zeros(D + 1, dtype=bool)
     present[e] = True
     moduli = np.flatnonzero(present)
     at = np.searchsorted(moduli, e)  # each pair's modulus among the moduli
-    residues = _Residues(moduli)
-    # f's first N + 1 entries only: an int64 store stays a store
-    fvals = f._data[: N + 1].astype(DTYPES[f.kind], copy=False)
-    values = []
-    for a in shifts:
-        # a + start is the least multiple of e above a
-        sums = _class_sums(fvals, moduli, moduli - residues(a), dtype)
+
+    def inner(sums: np.ndarray) -> np.ndarray:
         p = np.concatenate(([0], w * sums[at]))
-        inner = np.zeros(len(lengths), dtype=dtype)
+        out = np.zeros(len(lengths), dtype=dtype)
         for rows, cols in runs:
-            inner[rows] = np.add.accumulate(p[cols], axis=1)[:, -1]
-        values.append(collapse(_sum_from_zero(coeffs * inner), f, g))
-    return values
+            out[rows] = np.add.accumulate(p[cols], axis=1)[:, -1]
+        return out
+    return moduli, inner
 
 
 def _class_sums(fvals, moduli: np.ndarray, start: np.ndarray, dtype):

@@ -24,8 +24,9 @@ The singular series
 is computed both as a truncated sum and as the equivalent Euler product
 prod over p of (1 + c_p(a)/(p-1)^2); the two act as mutual oracles.
 The truncated sum is streamed through the leaves of numpy's pairwise
-tree (at most 2**16 q each), so it holds no Q-length array and is still
-bitwise the ``np.sum`` of the Q terms (see ``singular_series``).
+tree (at most 2**16 q each) from one sieve array, mu phi, so it holds
+no Q-length float array and is still bitwise the ``np.sum`` of the Q
+terms (see ``singular_series``).
 """
 
 from __future__ import annotations
@@ -228,17 +229,23 @@ def singular_series(a_list, Q: int = 100_000,
     Euler-product oracle over primes p <= Q, one value per shift of a_list
     in its order.
 
+    The Euler product comes first: one array of (p - 1)^2 over the
+    primes p <= Q for every shift, and one of the factors
+    1 + c_p(a)/(p - 1)^2, refilled and multiplied in place per shift.
+    Both are freed before the series reads the table's one signed sweep
+    s = mu phi (``PrimeTable.mu_phi_values``), so the call's peak is the
+    larger of the two phases, not their sum.
+
     The terms are streamed, leaves outside and shifts inside: the q are
     split into the leaves of numpy's pairwise tree (``_pairwise_tree``),
     each at most ``_PHI2_BLOCK`` long.  A leaf builds its denominators
-    once for every shift, phi^2 = float(phi) * float(phi) from the int32
-    phi and +inf where mu = 0; then each shift fills one leaf-long
-    float64 block with c_q(a) = sum over d | (a, q) of d mu(q/d), from
-    the int8 mu widened one gather at a time (d mu overflows int8 once
-    d > 127), divides it by the denominators, and reduces it.  The
-    working set is these few leaf-long arrays, the per-shift divisor
-    lists and leaf sums, and the Euler product's arrays over the primes
-    <= Q; no array is Q long.
+    once for every shift, phi^2 = float(s) * float(s), the same float as
+    float(phi) * float(phi), and +inf where s = 0 (mu = 0); then each
+    shift fills one leaf-long float64 block with
+    c_q(a) = sum over d | (a, q) of d mu(q/d), mu = sign(s) in float64,
+    one gather at a time, divides it by the denominators, and reduces
+    it.  The working set is these few leaf-long arrays and the per-shift
+    divisor lists and leaf sums; no array is Q long.
 
     The sum is bitwise the ``np.sum`` of the contiguous Q terms
     (c mu^2) / phi^2: each entry of c is an integer below 2**53, so it
@@ -260,29 +267,36 @@ def singular_series(a_list, Q: int = 100_000,
     if min(a_list, default=1) < 1 or Q < 2:
         raise ValueError("need a >= 1 and Q >= 2")
     table = capped_sieve(Q, table)
-    mu = table.mobius_values
-    phi = table.phi_values
     primes = table.primes[: np.searchsorted(table.primes, Q, side="right")]
-    p = primes.astype(np.float64)
+    # the Euler factors 1 + c_p(a)/(p - 1)^2 first, in one array that
+    # every shift reuses; both arrays are freed before the sweep is built
+    p1sq = np.square(primes - 1.0)
+    cp = np.empty_like(p1sq)
     divisor_lists, euler = [], []
     for a in a_list:
         divisors, divides = _divisors_upto(a, Q, primes)
         divisor_lists.append(divisors)
-        cp = np.where(divides, p - 1.0, -1.0)
-        euler.append(float(np.prod(1.0 + cp / (p - 1.0) ** 2)))
+        cp.fill(-1.0)
+        cp[divides] = primes[divides] - 1.0
+        cp /= p1sq
+        cp += 1.0
+        euler.append(float(np.prod(cp)))
+    del p1sq, cp
+    s = table.mu_phi_values  # mu phi: mu is its sign, phi^2 its square
 
     def leaf(lo: int, hi: int) -> np.ndarray:
-        den = np.square(phi[lo: hi], dtype=np.float64)
-        den[mu[lo: hi] == 0] = np.inf
+        den = np.square(s[lo: hi], dtype=np.float64)
+        den[s[lo: hi] == 0] = np.inf
         c = np.empty(hi - lo)
         sums = np.empty(len(a_list))
         for i, divisors in enumerate(divisor_lists):
-            c[:] = mu[lo: hi]  # d = 1
+            np.sign(s[lo: hi], out=c, dtype=np.float64)  # d = 1
             for d in divisors[1:]:
                 # the k with lo <= d k < hi
                 k0, k1 = -(-lo // d), (hi - 1) // d + 1
                 if k0 < k1:
-                    c[d * k0 - lo:: d] += d * mu[k0: k1].astype(np.float64)
+                    c[d * k0 - lo:: d] += d * np.sign(s[k0: k1],
+                                                      dtype=np.float64)
             c /= den
             sums[i] = np.add.reduce(c)
         return sums

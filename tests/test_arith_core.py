@@ -98,8 +98,8 @@ class TestSieve:
 
 class TestSweepsAndPrefixes:
     """phi by exact division as multiplication and mu's block pass, against
-    the division sweep; and ``upto``'s prefix tables, against fresh
-    sieves."""
+    the division sweep; mu phi against their product; and ``upto``'s
+    prefix tables, against fresh sieves."""
 
     @staticmethod
     def assert_division_sweep(M):
@@ -119,6 +119,29 @@ class TestSweepsAndPrefixes:
     @given(M=st.integers(401, 300_000))
     def test_mu_and_phi_are_the_division_sweep(self, M):
         self.assert_division_sweep(M)
+
+    @staticmethod
+    def assert_mu_phi(t, parent=None):
+        s = t.mu_phi_values
+        assert s.dtype == t.phi_values.dtype == np.int32
+        want = t.mobius_values.astype(np.int64) * t.phi_values
+        assert np.array_equal(s, want), t.limit
+        if parent is not None:
+            assert np.array_equal(s, parent.mu_phi_values[: t.limit + 1])
+
+    def test_mu_phi_is_mu_times_phi_to_3000(self):
+        # every split point r = isqrt(M) up to 54, on fresh sieves and on
+        # the prefix tables of one sieve
+        parent = sieve_primes(3000)
+        for M in range(2, 3001):
+            self.assert_mu_phi(sieve_primes(M))
+            self.assert_mu_phi(parent.upto(M), parent)
+
+    @pytest.mark.parametrize("M", [65_536, 65_537, 199_999, 300_000])
+    def test_mu_phi_is_mu_times_phi(self, M):
+        parent = sieve_primes(300_000)
+        self.assert_mu_phi(sieve_primes(M))
+        self.assert_mu_phi(parent.upto(M), parent)
 
     @pytest.mark.parametrize("width", [4, 8])
     def test_exact_division_factor_in_wrapping_arithmetic(self, width):

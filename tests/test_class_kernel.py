@@ -233,6 +233,27 @@ def test_traced_peak_of_the_artifact_profile(table_100k, method, bound_mb):
     assert peak <= bound_mb * 10 ** 6
 
 
+def test_traced_peak_of_the_direct_route_on_an_exact_pair():
+    # 141,484 points in supp g'.  The direct route's forms are the pairs
+    # (d, 1), so it builds none of the expansion route's form arrays (an
+    # object array of ones, the lengths, the run columns, the identity
+    # map into the moduli); with them the call peaked at 27.0 MB, without
+    # them at 15.4 MB (CPython 3.11, numpy 2.4)
+    N = 200_000
+    table = sieve_primes(N)
+    f = tabulate("mobius", N, table)
+    g = truncate(tabulate("odd_primes", N, table), N, table)
+    assert len(g.support()) == 141_484
+    tracemalloc.start()
+    try:
+        profile = build_profile(f, g, N, [1, 2], table=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile.entries == [(1, -42), (2, 42)]
+    assert peak <= 20 * 10 ** 6
+
+
 # ----------------------------------------------------------------------
 # residues down the product tree
 # ----------------------------------------------------------------------

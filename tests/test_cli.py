@@ -428,15 +428,16 @@ class TestHl:
         assert (tmp_path / "hl.csv.singular.csv").read_bytes() == \
             (DATA / "hl_golden_repeats.singular.csv").read_bytes()
 
-    def test_traced_peak_at_two_million_is_under_eleven_bytes_per_q(
+    def test_traced_peak_at_two_million_is_under_8_5_bytes_per_q(
             self, tmp_path):
         # the bench's hl call: the series' prefix of the sieve holds
-        # 1 + 0.6 + 1 + 4 bytes per q (is_prime, the primes, int8 mu,
-        # int32 phi), and the series about 2.5 more, one leaf of terms
-        # and the Euler product's arrays (9.2 in all, CPython 3.11,
-        # numpy 2.4); Lambda spans only the ladder's 100,036 slots.  An
-        # int64 phi, a Q-length float64 array in the series, or Lambda
-        # on the whole sieve passes 11
+        # 1 + 0.6 + 4 bytes per q (is_prime, the primes, the int32 mu phi),
+        # and the series about 1.5 more, one leaf of terms (7.1 in all,
+        # CPython 3.11, numpy 2.4); the Euler product's arrays are freed
+        # before mu phi is built, and Lambda spans only the ladder's
+        # 100,036 slots.  int8 mu next to int32 phi took 9.2, and an int64
+        # mu phi, a Q-length float64 array in the series, or Lambda on
+        # the whole sieve passes 8.5
         import ramcorr.hlmodels  # noqa: F401  (imported before tracing)
         Q = 2_000_000
         tracemalloc.start()
@@ -447,7 +448,7 @@ class TestHl:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 11 * (Q + 1)
+        assert peak <= 8.5 * (Q + 1)
 
     def test_singular_out_needs_out(self, capsys, monkeypatch, tmp_path):
         from ramcorr import arith_core

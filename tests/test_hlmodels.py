@@ -335,11 +335,11 @@ class TestSingularSeriesBatch:
                 assert (s.truncated_sum, s.euler_product) == want, (s.a, Q)
 
     def test_working_set_is_one_q_length_buffer(self):
-        # the terms, the d mu products, the mask mu != 0 and phi^2 are
-        # formed one leaf at a time; at this Q a leaf is a quarter of Q
+        # the terms, the d mu products, the mask mu phi != 0 and phi^2
+        # are formed one leaf at a time; at this Q a leaf is a quarter of Q
         Q = 200_000
         table = sieve_primes(Q)
-        table.mobius_values, table.phi_values  # built beforehand
+        table.mu_phi_values  # built beforehand
         tracemalloc.start()
         try:
             singular_series([1, 2, 60, 30030], Q, table)
@@ -350,36 +350,38 @@ class TestSingularSeriesBatch:
 
     def test_working_set_at_two_million(self):
         # every temporary is one leaf of q long (at most 2**16), and the
-        # rest is the Euler product's arrays over the 148,933 primes: 0.31
-        # buffers (CPython 3.11, numpy 2.4); a Q-length float64 buffer
-        # took 1.32, and a Q-length d mu product (8 MB at d = 2) would
-        # pass 0.45
+        # rest is the Euler product's two arrays over the 148,933 primes,
+        # (p - 1)^2 and the factors, built in place: 0.17 buffers
+        # (CPython 3.11, numpy 2.4).  Five such arrays per shift took
+        # 0.31, a Q-length float64 buffer 1.32, and a Q-length d mu
+        # product (8 MB at d = 2) would pass 0.45
         Q = 2_000_000
         table = sieve_primes(Q)
-        table.mobius_values, table.phi_values  # built beforehand
+        table.mu_phi_values  # built beforehand
         tracemalloc.start()
         try:
             singular_series([1, 2, 60, 30030], Q, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.45 * 8 * (Q + 1)
+        assert peak <= 0.25 * 8 * (Q + 1)
 
     @pytest.mark.parametrize("a", [2 ** 40, 2 ** 61 - 1, 2 ** 64 + 1])
     def test_working_set_at_a_large_shift(self, a):
         # a is reduced modulo one block of primes at a time (by a product
-        # tree past 2**62): 0.31 buffers, as at a small shift; a list of
-        # all 148,933 primes <= 2e6 took the peak 0.14 buffers higher
+        # tree past 2**62): 0.16 to 0.18 buffers, as at a small shift; a
+        # list of all 148,933 primes <= 2e6 took the peak 0.14 buffers
+        # higher
         Q = 2_000_000
         table = sieve_primes(Q)
-        table.mobius_values, table.phi_values  # built beforehand
+        table.mu_phi_values  # built beforehand
         tracemalloc.start()
         try:
             singular_series([a], Q, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.4 * 8 * (Q + 1)
+        assert peak <= 0.25 * 8 * (Q + 1)
 
     def test_rejects_bad_arguments(self, table_2k):
         assert singular_series([], 2000, table_2k) == []

@@ -632,7 +632,7 @@ def test_sieve_von_mangoldt_against_sympy_factorint(table_200k):
 
 def test_hl_builds_one_sieve_and_its_three_arrays(monkeypatch, tmp_path):
     # one sieve, to max(Q, max N + max a), which builds no array itself:
-    # the series reads its prefix to Q (mu and phi), and the ladder its
+    # the series reads its prefix to Q (mu phi alone), and the ladder its
     # prefix to max N + max a (mu and Lambda), so no Lambda spans Q
     tables, prefixes = [], []
     upto = PrimeTable.upto
@@ -653,7 +653,7 @@ def test_hl_builds_one_sieve_and_its_three_arrays(monkeypatch, tmp_path):
     assert set(vars(table)) == {"limit", "is_prime", "primes"}
     built = [(t.limit, set(vars(t)) - {"limit", "is_prime", "primes"})
              for t in prefixes]
-    assert built == [(20_000, {"mobius_values", "phi_values"}),
+    assert built == [(20_000, {"mu_phi_values"}),
                      (3003, {"mobius_values", "von_mangoldt_values"})]
 
 
@@ -666,6 +666,7 @@ SWEEPS = {
     arith_core.sieve_primes.__code__: "sieve_primes",
     PrimeTable.mobius_values.func.__code__: "mobius_values",
     PrimeTable.phi_values.func.__code__: "phi_values",
+    PrimeTable.mu_phi_values.func.__code__: "mu_phi_values",
     arith_core._kappa_values.__code__: "_kappa_values",
     transforms._convolve.__code__: "_convolve",
 }
