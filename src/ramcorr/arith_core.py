@@ -34,8 +34,10 @@ divisor sums in ``transforms``) are split at r = isqrt(M) by
 ``_sqrt_split``: one slice per point p <= r, then one vectorised scatter
 per cofactor j <= M // (r + 1) for all points above r at once.  A
 number n <= M has at most one prime factor above r, so the large primes
-enter mu, phi, mu phi and kappa through n = j * p alone.  Each sweep
-takes O(sqrt(M)) Python steps instead of one per prime or support point.
+enter through n = j * p alone.  mu, phi, mu phi and kappa come from one
+such sweep, ``_multiplicative``, given f(p) and the rule
+f(p^k) = f(p) t^(k - 1), t one of 0, 1 and p.  Each sweep takes
+O(sqrt(M)) Python steps instead of one per prime or support point.
 
 Naturals start at 1 throughout; slot 0 of every value table is unused and
 kept at zero.  Empty products are 1, so kappa(1) = 1 and odd_part(1) = 1.
@@ -92,6 +94,41 @@ def _sqrt_split(points: np.ndarray, M: int) -> tuple[np.ndarray, list]:
     return points[:cut], [(j, large[:k]) for j, k in enumerate(ends, 1) if k]
 
 
+def _multiplicative(primes: np.ndarray, M: int, dtype, at_prime,
+                    step) -> np.ndarray:
+    """f(n) for n = 0..M in ``dtype``, f(0) = 0, for the multiplicative f
+    with f(p^k) = at_prime(p) * t^(k - 1), t = step(p) one of 0, 1, p.
+
+    Each prime p <= r = isqrt(M) multiplies its multiples by f(p), then
+    the multiples of p^k by t for each k >= 2 with p^k <= M: none when
+    t = 1, the p^2 pass alone when t = 0.  A prime p > r enters as
+    f(j p) = f(j) f(p) for the cofactors j <= r < p of ``_sqrt_split``,
+    where f(j) is final; it skips the j with f(j) = 0, where j p has
+    j's square factor and f is 0 already.  ``at_prime`` maps the array of those primes to one
+    array of f(p), cast to ``dtype`` here, or to a constant, which stays
+    a scalar; on a prime p <= r it gives a Python int below 2**31, so
+    the in-place products keep ``dtype`` under value-based casting too.
+    """
+    f = np.ones(M + 1, dtype=dtype)
+    f[0] = 0
+    small, blocks = _sqrt_split(primes, M)
+    for p in small.tolist():
+        f[p::p] *= at_prime(p)
+        t, q = step(p), p * p
+        while t != 1 and q <= M:
+            f[q::q] *= t
+            q = q * p if t else M + 1
+    # f(p) above r: j = 1's block holds those primes, all of them
+    fp = at_prime(blocks[0][1]) if blocks else 0
+    varies = isinstance(fp, np.ndarray)  # else a constant, kept a scalar
+    if varies:
+        fp = fp.astype(dtype)
+    for j, ps in blocks:
+        if f[j]:
+            f[j * ps] = f[j] * (fp[: len(ps)] if varies else fp)
+    return f
+
+
 @dataclass(eq=False)
 class PrimeTable:
     """Primality up to ``limit`` plus the mu, phi, mu phi and Lambda
@@ -103,14 +140,9 @@ class PrimeTable:
     (its sign and its square); ``tabulate``, the transforms, the kernel
     and the ladder read mu and phi.
 
-    The sweeps are split at r = isqrt(limit) (``_sqrt_split``).  phi
-    starts as n and each small prime p multiplies its multiples by
-    (p - 1)/p by exact division as multiplication: the entry is a
-    multiple of p there, so multiplying it by (p - 1) times the inverse
-    of p modulo 2**32 (2**64 for the int64 array) in the unsigned view
-    gives (n/p)(p - 1), which fits the signed array; p = 2 is a right
-    shift.  The large primes enter every array through n = j p with
-    j <= r, where mu(j) and phi(j) are already final.
+    The three come from one sweep, ``_multiplicative``, with f(p^k) =
+    f(p) t^(k - 1): mu has f(p) = -1 and t = 0, phi p - 1 and t = p, and
+    mu phi 1 - p and t = 0.
 
     ``upto(M)`` is the table on [0..M]: a view sharing ``is_prime`` and
     ``primes``, whose arrays are built to M only, so a stage that reads
@@ -134,66 +166,25 @@ class PrimeTable:
     @cached_property
     def mobius_values(self) -> np.ndarray:
         """mu(n) for n = 0..limit as int8 (mu[0] = 0)."""
-        mu = np.ones(self.limit + 1, dtype=np.int8)
-        mu[0] = 0
-        small, blocks = _sqrt_split(self.primes, self.limit)
-        for p in small.tolist():
-            mu[p::p] *= -1
-            mu[p * p::p * p] = 0
-        for j, ps in blocks:
-            # mu[j p] is mu(j) here, 0 already where mu(j) is 0
-            if mu[j]:
-                mu[j * ps] = -mu[j]
-        return mu
+        return _multiplicative(self.primes, self.limit, np.int8,
+                               lambda p: -1, lambda p: 0)
 
     @cached_property
     def phi_values(self) -> np.ndarray:
         """Euler phi(n) for n = 0..limit (phi[0] = 0), as int32 below
-        limit 2**31 and int64 from there: phi(n) <= n.
-
-        A prime p > r = isqrt(limit) divides n = j * p only with
-        j <= r < p, so phi(j) is final by then and
-        phi(j * p) = phi(j) * (p - 1), which is below n as well.
-        """
+        limit 2**31 and int64 from there: phi(n) <= n."""
         work = np.int32 if self.limit < 2 ** 31 else np.int64
-        phi = np.arange(self.limit + 1, dtype=work)
-        wrap = phi.view(f"u{phi.itemsize}")
-        small, blocks = _sqrt_split(self.primes, self.limit)
-        for p in small.tolist():
-            if p == 2:
-                phi[2::2] >>= 1
-            else:
-                wrap[p::p] *= _exact_division_factor(p, wrap.dtype)
-        if blocks:
-            less = (blocks[0][1] - 1).astype(work)  # p - 1, j = 1's block
-        for j, ps in blocks:
-            phi[j * ps] = phi[j] * less[: len(ps)]
-        return phi
+        return _multiplicative(self.primes, self.limit, work,
+                               lambda p: p - 1, lambda p: p)
 
     @cached_property
     def mu_phi_values(self) -> np.ndarray:
         """mu(n) phi(n) for n = 0..limit (0 at n = 0 and wherever mu is
-        0), in phi's dtype: |mu phi| <= n.  One sweep gives the singular
-        series both of its arrays: mu is the sign, phi^2 the square.
-
-        Each small prime p multiplies its multiples by 1 - p, then zeroes
-        the multiples of p^2; a prime p > r = isqrt(limit) enters as
-        s(j p) = s(j) (1 - p), j <= r, only where s(j) != 0 (elsewhere
-        j, and so j p, has a square factor and is 0 already).
-        """
+        0) in phi's dtype: |mu phi| <= n.  One sweep gives the singular
+        series both of its arrays: mu is the sign, phi^2 the square."""
         work = np.int32 if self.limit < 2 ** 31 else np.int64
-        s = np.ones(self.limit + 1, dtype=work)
-        s[0] = 0
-        small, blocks = _sqrt_split(self.primes, self.limit)
-        for p in small.tolist():
-            s[p::p] *= 1 - p
-            s[p * p::p * p] = 0
-        if blocks:
-            less = (1 - blocks[0][1]).astype(work)  # 1 - p, j = 1's block
-        for j, ps in blocks:
-            if s[j]:
-                s[j * ps] = s[j] * less[: len(ps)]
-        return s
+        return _multiplicative(self.primes, self.limit, work,
+                               lambda p: 1 - p, lambda p: 0)
 
     @cached_property
     def von_mangoldt_values(self) -> np.ndarray:
@@ -209,18 +200,6 @@ class PrimeTable:
                 lam[pk] = lam[p]
                 pk *= p
         return lam
-
-
-def _exact_division_factor(p: int, dtype) -> np.unsignedinteger:
-    """(p - 1) / p modulo 2**w, w the bit width of the unsigned ``dtype``,
-    for an odd prime p: an entry x that is a multiple of p, times this
-    factor in wrapping w-bit arithmetic, is (x / p)(p - 1) exactly
-    whenever that fits the width (T. Granlund and P. L. Montgomery,
-    *Division by invariant integers using multiplication*, 1994,
-    section 9)."""
-    dtype = np.dtype(dtype)
-    m = 1 << 8 * dtype.itemsize
-    return dtype.type((p - 1) * pow(p, -1, m) % m)
 
 
 def sieve_primes(M: int) -> PrimeTable:
@@ -588,18 +567,6 @@ def _odd_primes(M: int, table: PrimeTable) -> np.ndarray:
     return table.primes[(table.primes > 2) & (table.primes <= M)]
 
 
-def _kappa_values(M: int, table: PrimeTable) -> np.ndarray:
-    """The kappa sweep on [0..M]: each prime multiplies into its multiples."""
-    kap = np.ones(M + 1, dtype=np.int64)
-    kap[0] = 0
-    small, blocks = _sqrt_split(table.primes, M)
-    for p in small.tolist():
-        kap[p::p] *= p
-    for j, ps in blocks:
-        kap[j * ps] *= ps
-    return kap
-
-
 # name -> (kind, whether it needs a sieve, builder of its value array on
 # [0..M]); a builder is called as builder(M, table), with table None when
 # no sieve is needed.  Exact builders return int64, the one dtype a table
@@ -614,7 +581,8 @@ _TABULATORS = {
                    lambda M, t: (t.mobius_values[: M + 1] != 0)
                    .astype(np.int64)),
     "phi": (EXACT, True, lambda M, t: t.phi_values[: M + 1].astype(np.int64)),
-    "kappa": (EXACT, True, _kappa_values),
+    "kappa": (EXACT, True, lambda M, t: _multiplicative(
+        t.primes, M, np.int64, lambda p: p, lambda p: 1)),
     "lambda": (REAL, True,
                lambda M, t: t.von_mangoldt_values[: M + 1].copy()),
     "odd": (EXACT, False, lambda M, t: np.arange(M + 1) % 2),

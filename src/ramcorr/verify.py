@@ -309,8 +309,9 @@ def suite_entanglement(led: _Ledger, seed: int) -> None:
 
 def suite_models(led: _Ledger, seed: int) -> None:
     """Ladder consistency: every gap between neighbouring models equals
-    its independently enumerated correction, exactly.  One sieve, to the
-    series' Q, serves every call."""
+    its independently enumerated correction to within REAL_TOL * max(1,
+    |hl|), hl the full correlation (``tolerance`` of the Lambda table).
+    One sieve, to the series' Q, serves every call."""
     N, Q = 2000, 20000
     table = sieve_primes(Q)
     lam_tab = tabulate("lambda", N + 20, table)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from ramcorr import arith_core
 from ramcorr.arith_core import (DTYPES, EXACT, REAL, REAL_TOL, SUPPORT_EPS,
-                                TabulatedFunction, _exact_division_factor,
-                                agree, collapse,
+                                TabulatedFunction, agree, collapse,
                                 divisors_int, is_prime_int, mobius_int,
                                 odd_part, sieve_primes, tabulate, tolerance,
                                 v2)
@@ -97,8 +96,8 @@ class TestSieve:
 
 
 class TestSweepsAndPrefixes:
-    """phi by exact division as multiplication and mu's block pass, against
-    the division sweep; mu phi against their product; and ``upto``'s
+    """mu and phi by the one multiplicative sweep, against the division
+    sweep; mu phi against their product; and ``upto``'s
     prefix tables, against fresh sieves."""
 
     @staticmethod
@@ -142,20 +141,6 @@ class TestSweepsAndPrefixes:
         parent = sieve_primes(300_000)
         self.assert_mu_phi(sieve_primes(M))
         self.assert_mu_phi(parent.upto(M), parent)
-
-    @pytest.mark.parametrize("width", [4, 8])
-    def test_exact_division_factor_in_wrapping_arithmetic(self, width):
-        # the multiples x of p up to the signed top, the top among them:
-        # x times the factor in the unsigned view is x / p * (p - 1)
-        signed, unsigned = np.dtype(f"i{width}"), np.dtype(f"u{width}")
-        top = 2 ** (8 * width - 1) - 1
-        for p in (3, 5, 7, 65_537, 2 ** 31 - 1):
-            ks = sorted(k for k in {0, 1, 2, 3, p - 1, p, p + 1,
-                                    top // p - 1, top // p,
-                                    *range(1000, 1100)} if k <= top // p)
-            x = np.array([k * p for k in ks], dtype=signed)
-            x.view(unsigned)[:] *= _exact_division_factor(p, unsigned)
-            assert x.tolist() == [k * (p - 1) for k in ks], (width, p)
 
     @pytest.mark.parametrize("M", [2, 3, 4, 97, 1000, 65_537, 199_999,
                                    200_000])

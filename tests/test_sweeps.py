@@ -1,5 +1,6 @@
-"""The sqrt(M)-split sweeps (sieve, mu, phi, kappa, and the convolution
-kernel behind the Eratosthenes transform and the divisor sums) against
+"""The sqrt(M)-split sweeps (sieve, the one multiplicative sweep behind
+mu, phi, mu phi and kappa, and the convolution kernel behind the
+Eratosthenes transform and the divisor sums) against
 trial-division oracles and the plain per-point loops they replace, and a
 guard on the number of Python-level steps they take."""
 
@@ -27,9 +28,10 @@ from ramcorr.transforms import (TruncatedDivisorSum, eratosthenes_transform,
                                 read_tds, truncate)
 
 # just below, at and just above the squares of 2, 3, 5, 7, plus 1000, 1001
-# and one larger limit
-SPLIT_LIMITS = [2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 97, 1000, 1001,
-                20000]
+# and one larger limit; and prime powers p^k, where the sweeps' last pass
+# over the multiples of p^k reaches the limit itself
+SPLIT_LIMITS = [2, 3, 4, 8, 9, 10, 16, 24, 25, 26, 27, 32, 48, 49, 50, 81,
+                97, 121, 125, 128, 243, 343, 1000, 1001, 1024, 20000]
 ORACLE_TOP = max(SPLIT_LIMITS)
 
 
@@ -61,10 +63,13 @@ def test_sieve_arrays_match_trial_division(M, table_20k):
     assert t.is_prime.tolist() == [is_prime_int(n) for n in range(M + 1)]
     assert t.mobius_values.tolist() == mu[: M + 1]
     assert t.phi_values.tolist() == phi[: M + 1]
-    # the API arrays are the narrow arrays the sweeps run on (phi is int64
-    # only from limit 2**31 up); consumers widen what they multiply
+    assert t.mu_phi_values.tolist() == [m * f for m, f in
+                                        zip(mu[: M + 1], phi[: M + 1])]
+    # the API arrays are the narrow arrays the sweeps run on (phi and mu
+    # phi are int64 only from limit 2**31 up); consumers widen what they
+    # multiply
     assert t.mobius_values.dtype == np.int8
-    assert t.phi_values.dtype == np.int32
+    assert t.phi_values.dtype == t.mu_phi_values.dtype == np.int32
     for table in (t, table_20k):  # kappa sweeps to M below the table limit
         got = tabulate("kappa", M, table).values
         assert got.tolist() == kap[: M + 1]
@@ -664,10 +669,7 @@ def test_hl_builds_one_sieve_and_its_three_arrays(monkeypatch, tmp_path):
 
 SWEEPS = {
     arith_core.sieve_primes.__code__: "sieve_primes",
-    PrimeTable.mobius_values.func.__code__: "mobius_values",
-    PrimeTable.phi_values.func.__code__: "phi_values",
-    PrimeTable.mu_phi_values.func.__code__: "mu_phi_values",
-    arith_core._kappa_values.__code__: "_kappa_values",
+    arith_core._multiplicative.__code__: "_multiplicative",
     transforms._convolve.__code__: "_convolve",
 }
 
@@ -681,10 +683,7 @@ def sweep_line_counts(run):
         name = SWEEPS.get(frame.f_code)
         if name is None:
             return None
-        loc = frame.f_locals
-        limit = loc["self"].limit if "self" in loc else \
-            loc.get("M", loc.get("m_max"))
-        record = [name, limit, 0]
+        record = [name, frame.f_locals["M"], 0]
         records.append(record)
 
         def count(frame, event, arg):
@@ -710,9 +709,14 @@ def test_hl_ladder_sweeps_take_sqrt_steps(tmp_path):
     records += sweep_line_counts(lambda: main(
         ["transform", "--fn", "phi", "--N", "200000",
          "--out", str(tmp_path / "phi.tds")]))
-    # the transform at 2e5 (mu * phi) ran through the kernel
+    # the transform at 2e5 (mu * phi) ran through the kernel, and the one
+    # multiplicative sweep built mu phi for the series to Q, mu for the
+    # ladder to max N + max a, kappa, and the transform's mu and phi
     assert {limit for name, limit, _ in records
             if name == "_convolve"} >= {200_000}
+    assert sorted(limit for name, limit, _ in records
+                  if name == "_multiplicative") == [
+        100_041, 200_000, 200_000, 200_000, 2_000_000]
     assert {name for name, _, _ in records} == set(SWEEPS.values())
     for name, limit, lines in records:
         # the loops run over the points <= isqrt(limit) (at most isqrt of
