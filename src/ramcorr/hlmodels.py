@@ -241,24 +241,25 @@ def singular_series(a_list, Q: int = 100_000,
     each at most ``_PHI2_BLOCK`` long.  A leaf builds its denominators
     once for every shift, phi^2 = float(s) * float(s), the same float as
     float(phi) * float(phi), and +inf where s = 0 (mu = 0); then each
-    shift fills one leaf-long float64 block with
-    c_q(a) = sum over d | (a, q) of d mu(q/d), mu = sign(s) in float64,
-    one gather at a time, divides it by the denominators, and reduces
-    it.  The working set is these few leaf-long arrays and the per-shift
-    divisor lists and leaf sums; no array is Q long.
+    shift fills one leaf-long float64 block with c = mu(q) = sign(s) and
+    multiplies it in place by 1 - p at the multiples of each prime p | a,
+    which makes it the Ramanujan sum
+    c_q(a) = mu(q) * prod over p | (a, q) of (1 - p) at every square-free
+    q; it divides the block by the denominators and reduces it.  The
+    working set is these few leaf-long arrays and the per-shift prime
+    lists and leaf sums; no array is Q long.
 
     The sum is bitwise the ``np.sum`` of the contiguous Q terms
-    (c mu^2) / phi^2: each entry of c is an integer below 2**53, so it
-    is exact in any order; a square-free q gets the one rounding of
-    c / phi^2 either way; the leaves are joined as numpy's tree joins
-    them.  Off the square-free q a term is c/inf = +-0.0 instead of
-    (c 0)/phi^2 = +-0.0, and only the square-free divisors d of a are
-    added, since another d writes c only at q with a square factor.  A
-    signed zero moves no sum that holds the q = 1 term 1.0.
+    (c_q(a) mu^2) / phi^2: each entry of c is an integer of magnitude at
+    most q < 2**53, so it is exact in any order; a square-free q gets the
+    one rounding of c / phi^2 either way; the leaves are joined as
+    numpy's tree joins them.  Off the square-free q a term is
+    +-0.0 / inf = +-0.0 instead of (c 0)/phi^2 = +-0.0.  A signed zero
+    moves no sum that holds the q = 1 term 1.0.
 
     a is read only modulo the primes p <= min(Q, a), with Python ints:
-    that loop gives both the square-free divisors d <= Q of a and the
-    Euler factors, so a of any size is never factored.
+    that loop gives both the primes p | a that c needs and the Euler
+    factors, so a of any size is never factored.
 
     Odd a: the p = 2 factor is 1 + c_2(a) = 0, so the product vanishes
     and the truncated sum tends to 0.
@@ -272,12 +273,13 @@ def singular_series(a_list, Q: int = 100_000,
     # every shift reuses; both arrays are freed before the sweep is built
     p1sq = np.square(primes - 1.0)
     cp = np.empty_like(p1sq)
-    divisor_lists, euler = [], []
+    prime_lists, euler = [], []
     for a in a_list:
-        divisors, divides = _divisors_upto(a, Q, primes)
-        divisor_lists.append(divisors)
+        divides = _prime_divisors(a, Q, primes)
+        ps = primes[divides]
+        prime_lists.append(ps.tolist())
         cp.fill(-1.0)
-        cp[divides] = primes[divides] - 1.0
+        cp[divides] = ps - 1.0
         cp /= p1sq
         cp += 1.0
         euler.append(float(np.prod(cp)))
@@ -289,14 +291,10 @@ def singular_series(a_list, Q: int = 100_000,
         den[s[lo: hi] == 0] = np.inf
         c = np.empty(hi - lo)
         sums = np.empty(len(a_list))
-        for i, divisors in enumerate(divisor_lists):
-            np.sign(s[lo: hi], out=c, dtype=np.float64)  # d = 1
-            for d in divisors[1:]:
-                # the k with lo <= d k < hi
-                k0, k1 = -(-lo // d), (hi - 1) // d + 1
-                if k0 < k1:
-                    c[d * k0 - lo:: d] += d * np.sign(s[k0: k1],
-                                                      dtype=np.float64)
+        for i, ps in enumerate(prime_lists):
+            np.sign(s[lo: hi], out=c, dtype=np.float64)
+            for p in ps:
+                c[-lo % p:: p] *= 1 - p  # the multiples of p in [lo, hi)
             c /= den
             sums[i] = np.add.reduce(c)
         return sums
@@ -306,25 +304,17 @@ def singular_series(a_list, Q: int = 100_000,
             for a, t, e in zip(a_list, truncated, euler)]
 
 
-def _divisors_upto(a: int, Q: int, primes: np.ndarray
-                   ) -> tuple[list[int], np.ndarray]:
-    """The square-free divisors d <= Q of a (1 first), and the mask of the
-    ascending ``primes`` (all <= Q) that divide a, from a mod p over the
-    primes p <= min(Q, a) (``arith_core._Residues``), one block of
-    ``_PRIME_BLOCK`` primes at a time, so that no temporary, and no
-    product tree of a shift past 2**62, spans all the primes.  Only
-    these d reach a term of the series: a divisor with a square factor
-    writes c only at q with the same square factor, which the mask
-    mu != 0 sets to 0."""
+def _prime_divisors(a: int, Q: int, primes: np.ndarray) -> np.ndarray:
+    """The mask of the ascending ``primes`` (all <= Q) that divide a, from
+    a mod p over the primes p <= min(Q, a) (``arith_core._Residues``),
+    one block of ``_PRIME_BLOCK`` primes at a time, so that no temporary,
+    and no product tree of a shift past 2**62, spans all the primes."""
     divides = np.zeros(len(primes), dtype=bool)
     top = int(np.searchsorted(primes, min(Q, a), side="right"))
     for lo in range(0, top, _PRIME_BLOCK):
         block = primes[lo: min(lo + _PRIME_BLOCK, top)]
         divides[lo: lo + len(block)] = _Residues(block)(a) == 0
-    divisors = [1]
-    for p in primes[divides].tolist():
-        divisors += [d * p for d in divisors if d * p <= Q]
-    return divisors, divides
+    return divides
 
 
 # ----------------------------------------------------------------------

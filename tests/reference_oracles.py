@@ -8,8 +8,9 @@ closed form of the truncation tail for a <= N, against
 reads ``ramanujan.wintner_coefficients`` above half the cutoff, against
 g'(q)/q.  support_pairs gives a table's support as the (n, value) pairs
 that the loop oracles walk.  full_buffer_singular_series is the truncated
-singular series summed as one Q-length array, against the leaf-streamed
-``hlmodels.singular_series``; division_sweep_mobius and
+singular series summed as one Q-length array, c_q(a) added up over the
+square-free divisors of a that divisors_upto lists, against the
+leaf-streamed ``hlmodels.singular_series``; division_sweep_mobius and
 division_sweep_phi are the sieve sweeps with a read-modify-write per
 large prime and a division per small one, against ``PrimeTable``'s.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from ramcorr.arith_core import (PrimeTable, TabulatedFunction, _sqrt_split,
                                 agree, collapse)
-from ramcorr.hlmodels import _divisors_upto
+from ramcorr.hlmodels import _prime_divisors
 from ramcorr.ramanujan import wintner_coefficients
 from ramcorr.transforms import eratosthenes_transform, truncate
 
@@ -84,6 +85,20 @@ def half_range_identity_check(g_source: TabulatedFunction, N: int) -> bool:
     return True
 
 
+def divisors_upto(a: int, Q: int, primes: np.ndarray
+                  ) -> tuple[list[int], np.ndarray]:
+    """The square-free divisors d <= Q of a (1 first), and the mask of the
+    ascending ``primes`` (all <= Q) that divide a
+    (``hlmodels._prime_divisors``).  Only these d reach a term of the
+    series: a divisor with a square factor writes c only at q with the
+    same square factor, which the mask mu != 0 sets to 0."""
+    divides = _prime_divisors(a, Q, primes)
+    divisors = [1]
+    for p in primes[divides].tolist():
+        divisors += [d * p for d in divisors if d * p <= Q]
+    return divisors, divides
+
+
 def full_buffer_singular_series(a_list, Q: int, table: PrimeTable) -> list:
     """(truncated sum, Euler product) per shift: the terms
     (c mu^2) / phi^2 of q = 1..Q are filled into one Q-length float64
@@ -95,7 +110,7 @@ def full_buffer_singular_series(a_list, Q: int, table: PrimeTable) -> list:
     c = np.zeros(Q + 1, dtype=np.float64)
     out = []
     for a in a_list:
-        divisors, divides = _divisors_upto(a, Q, primes)
+        divisors, divides = divisors_upto(a, Q, primes)
         for lo in range(1, Q + 1, 1 << 16):
             hi = min(lo + (1 << 16), Q + 1)
             blk = c[lo: hi]

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from ramcorr import transforms
 from ramcorr.arith_core import (EXACT, divisors_int, mobius_int, odd_part,
                                 sieve_primes, tabulate)
-from ramcorr.hlmodels import (_PHI2_BLOCK, MODEL_CSV_HEADER, _divisors_upto,
-                              _dot, _odd_parts, _pairwise_tree, artifact,
+from ramcorr.hlmodels import (_PHI2_BLOCK, MODEL_CSV_HEADER, _dot,
+                              _odd_parts, _pairwise_tree, artifact,
                               artifact_identity_check, artifact_pair,
                               chebyshev_theta, model_chain,
                               model_rows_to_csv, pnt_sanity, singular_series,
@@ -23,7 +23,7 @@ from ramcorr.hlmodels import (_PHI2_BLOCK, MODEL_CSV_HEADER, _divisors_upto,
 from ramcorr.ramanujan import ramanujan_sum, universal_period
 from ramcorr.transforms import (TruncatedDivisorSum, evaluate_tds,
                                 evaluate_tds_range, lambda_tds, odd_lift)
-from reference_oracles import full_buffer_singular_series
+from reference_oracles import divisors_upto, full_buffer_singular_series
 from trial_division import trial_kappa, trial_von_mangoldt
 
 
@@ -462,7 +462,7 @@ def test_divisors_upto_are_the_divisors_cut_at_q(Q, table_2k):
     # the square-free ones: no other divisor reaches a term of the series
     primes = table_2k.primes[table_2k.primes <= Q]
     for a in list(range(1, 2100)) + [2 ** 40, 3 ** 20 * 7, 2 * 100_003]:
-        divisors, divides = _divisors_upto(a, Q, primes)
+        divisors, divides = divisors_upto(a, Q, primes)
         assert divisors[0] == 1
         assert sorted(divisors) == [d for d in divisors_int(a)
                                     if d <= Q and mobius_int(d)]
@@ -478,7 +478,7 @@ def test_divisors_upto_past_2_to_the_62(Q, table_2k):
     for a in (2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1, 2 ** 64 + 1,
               3 ** 200 * 10, 510510 * (2 ** 70 + 1),
               universal_period(60) + 1):
-        divisors, divides = _divisors_upto(a, Q, primes)
+        divisors, divides = divisors_upto(a, Q, primes)
         mask = [a % p == 0 for p in primes.tolist()]
         assert divides.tolist() == mask
         ps = primes[mask].tolist()

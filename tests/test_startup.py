@@ -1,10 +1,12 @@
-"""Process start and host independence: the package imports lazily, the
-console entry runs numpy's BLAS on one thread unless the user says
-otherwise, and no value goes through a BLAS call, so outputs do not
-depend on the BLAS thread count.  Also the guard that every public name
-has a caller in the package."""
+"""Process start, exit and host independence: the package imports
+lazily, the console entry runs numpy's BLAS on one thread unless the user
+says otherwise and freezes the collector's objects before the interpreter
+exits, and no value goes through a BLAS call, so outputs do not depend on
+the BLAS thread count.  Also the guard that every public name has a
+caller in the package."""
 
 import ast
+import gc
 import importlib
 import os
 import subprocess
@@ -17,20 +19,28 @@ import ramcorr
 from ramcorr.cli import main
 
 SRC = Path(ramcorr.__file__).resolve().parents[1]
+ROOT = SRC.parent
+DATA = Path(__file__).resolve().parent / "data"
 PACKAGE = SRC / "ramcorr"
 BLAS_VAR = "OPENBLAS_NUM_THREADS"
 
 
-def run_python(args, **env):
+def spawn_python(args, **env):
     """A fresh interpreter on this source tree, in the caller's
-    environment minus the BLAS thread setting, plus ``env``."""
+    environment minus the BLAS thread setting, plus ``env``; the
+    completed process, its output as bytes."""
     base = {k: v for k, v in os.environ.items() if k != BLAS_VAR}
     base["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env={**base, **env})
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env={**base, **env})
+
+
+def run_python(args, **env):
+    """``spawn_python``'s standard output as text; it must exit 0."""
+    proc = spawn_python(args, **env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode()
 
 
 def test_hl_bytes_do_not_depend_on_the_blas_thread_count():
@@ -43,14 +53,16 @@ def test_hl_bytes_do_not_depend_on_the_blas_thread_count():
 
 def test_import_loads_no_numpy_and_sets_nothing():
     # nor dataclasses (with the inspect it pulls in) or json, which only
-    # ``verify`` uses
+    # ``verify`` uses; the collector stays on and nothing is frozen
     out = run_python(["-c", (
-        "import os, sys\n"
+        "import gc, os, sys\n"
+        "before = gc.isenabled(), gc.get_freeze_count()\n"
         "import ramcorr\n"
         "import ramcorr.cli\n"
         "print(*(m in sys.modules for m in ('numpy', 'dataclasses', 'json')),"
-        f" {BLAS_VAR!r} in os.environ)\n")])
-    assert out == "False False False False\n"
+        f" {BLAS_VAR!r} in os.environ,"
+        " before, (gc.isenabled(), gc.get_freeze_count()))\n")])
+    assert out == "False False False False (True, 0) (True, 0)\n"
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
@@ -68,13 +80,86 @@ def test_console_entry_starts_no_blas_worker():
 
 
 def test_main_keeps_a_value_the_user_set(monkeypatch, capsys):
+    # and leaves the collector as it found it: only the process entry
+    # freezes, at exit
+    collector = gc.isenabled(), gc.get_freeze_count()
     monkeypatch.setenv(BLAS_VAR, "3")
     assert main(["transform", "--fn", "unit", "--N", "3"]) == 0
     assert os.environ[BLAS_VAR] == "3"
     monkeypatch.delenv(BLAS_VAR)
     assert main(["transform", "--fn", "unit", "--N", "3"]) == 0
     assert os.environ[BLAS_VAR] == "1"
+    assert (gc.isenabled(), gc.get_freeze_count()) == collector
     capsys.readouterr()
+
+
+# ----------------------------------------------------------------------
+# the process entry: the same bytes as main, and a normal exit
+# ----------------------------------------------------------------------
+
+# (exit code, argv); OUT stands for a file in the test's own directory
+ENTRY_CALLS = {
+    "exit 0, --out": (0, ["transform", "--fn", "phi", "--N", "1000",
+                          "--out", "OUT"]),
+    "exit 1": (1, ["verify", "lucht", "--coeffs",
+                   str(DATA / "golden_seeded_exact_perturbed.coeffs")]),
+    "exit 2, refused": (2, ["hl", "--N-list", "100", "--a-list", "2",
+                            "--Q", "1"]),
+    "exit 2, argparse": (2, ["transform", "--N", "1_0"]),
+    "version": (0, ["--version"]),
+}
+
+
+def main_in_process(argv, capfd) -> tuple[int, bytes, bytes]:
+    """main's exit code (argparse's SystemExit included), standard output
+    and standard error, as the process would exit and write them."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    sys.stdout.flush()
+    sys.stderr.flush()
+    out, err = capfd.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("code, argv", ENTRY_CALLS.values(), ids=ENTRY_CALLS)
+def test_entry_writes_the_bytes_of_main(code, argv, tmp_path, capfdbinary,
+                                        monkeypatch):
+    argv = [str(tmp_path / "F") if a == "OUT" else a for a in argv]
+    proc = spawn_python(["-m", "ramcorr.cli", *argv])
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    for p in tmp_path.iterdir():
+        p.unlink()
+    monkeypatch.delenv(BLAS_VAR, raising=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == main_in_process(
+        argv, capfdbinary)
+    assert files == {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert proc.returncode == code
+    assert bool(files) == ("--out" in argv)
+
+
+def test_entry_exits_through_atexit_with_the_frozen_objects():
+    # a handler registered before the module runs as __main__ still runs
+    # (shutdown is the interpreter's own, not os._exit), after the
+    # entry froze the collector's objects, and the exit code is main's
+    proc = spawn_python(["-c", (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('atexit', gc.get_freeze_count() > 0,"
+        " gc.isenabled()))\n"
+        "sys.argv = ['ramcorr', 'hl', '--N-list', '100', '--a-list', '2',"
+        " '--Q', '1']\n"
+        "runpy.run_module('ramcorr.cli', run_name='__main__')\n")])
+    assert proc.returncode == 2
+    assert proc.stdout == b"atexit True True\n"
+    assert proc.stderr == b"ramcorr: error: --Q must be >= 2\n"
+
+
+def test_console_script_is_the_entry():
+    # the installed ``ramcorr`` exits as ``python -m ramcorr.cli`` does
+    scripts = (ROOT / "pyproject.toml").read_text().split(
+        "[project.scripts]\n")[1].split("\n\n")[0]
+    assert scripts.strip() == 'ramcorr = "ramcorr.cli:entry"'
 
 
 def test_every_public_name_resolves_to_its_module():
