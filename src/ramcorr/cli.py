@@ -184,12 +184,18 @@ def _text(write, *args) -> str:
     return buf.getvalue()
 
 
-def _write_out(text: str, path: str | None) -> None:
+def _stream_out(write, path: str | None) -> None:
+    """``write(fh)`` on standard output, or on the file at ``path``,
+    opened (and so emptied) only now."""
     if path is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+            write(fh)
+
+
+def _write_out(text: str, path: str | None) -> None:
+    _stream_out(lambda fh: fh.write(text), path)
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +225,13 @@ def _cmd_transform(args) -> int:
     else:
         _check_limit(args, N)  # read_tds would refuse the file written
         g = retruncate(_read_table(args.infile, args, read_tds, "TDS"), N)
-    _write_out(_text(write_tds, g), args.out)
+    if g._data.dtype == object:
+        # str() may refuse a value of it (past the int-to-str digit
+        # limit): formatted whole first, it leaves --out untouched then
+        _write_out(_text(write_tds, g), args.out)
+    else:
+        # a fixed-width table has no value to refuse: streamed in blocks
+        _stream_out(lambda fh: write_tds(g, fh), args.out)
     return EXIT_OK
 
 

@@ -50,7 +50,6 @@ truncation tail is the direct route on the tail of g'.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 
@@ -389,6 +388,7 @@ def profile_to_csv(profile: CorrelationProfile, fh) -> None:
 
 
 def profile_to_json(profile: CorrelationProfile) -> str:
+    import json  # here alone: the CSV route need not load it
     records = {
         "length": profile.length,
         "f": profile.f_id,

@@ -20,9 +20,10 @@ ExactInt coefficient tables hold ``fractions.Fraction`` values so that
     g(a) = sum over q <= D of ghat(q) c_q(a)          (expansion)
     g'(d) = d * sum over K <= D/d of mu(K) ghat(dK)   (inversion)
 
-round-trip with no error at all.  The coefficients and the inversion are
-both sums over multiples, so both run on one kernel,
-``transforms._multiple_sum``: ghat(q) sums g'(d)/d over the multiples d
+round-trip with no error at all; ``fractions`` is imported only where an
+exact table needs it, so a Real call does not load it.  The
+coefficients and the inversion are both sums over multiples, so both
+run on one kernel, ``transforms._multiple_sum``: ghat(q) sums g'(d)/d over the multiples d
 of q, and g'(d)/d sums mu(K) ghat(dK) over the multiples dK of d.
 Real-valued tables use float64 and the support threshold
 ``SUPPORT_EPS``.  Coefficient tables are the same table type as the
@@ -40,7 +41,6 @@ from a sieve too, so trial division serves single integers only.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -173,8 +173,11 @@ def wintner_coefficients(g: TruncatedDivisorSum) -> RamanujanCoefficients:
     """
     d = g.support()
     h = zeros(g.limit + 1, g.kind)
-    h[d] = (list(map(Fraction, g[d].tolist(), d.tolist())) if g.is_exact
-            else g[d] / d)
+    if g.is_exact:
+        from fractions import Fraction
+        h[d] = list(map(Fraction, g[d].tolist(), d.tolist()))
+    else:
+        h[d] = g[d] / d
     return RamanujanCoefficients(g.limit, g.kind,
                                  _multiple_sum(None, h, g.limit),
                                  name=f"{g.name}^hat" if g.name else "")
@@ -220,6 +223,7 @@ def ramanujan_expand_range(coeffs: RamanujanCoefficients, a_max: int):
     if not exact:
         acc[0] = 0.0
         return acc
+    from fractions import Fraction
     return [0] + [collapse(Fraction(x, L), coeffs) for x in acc[1:].tolist()]
 
 
@@ -317,4 +321,5 @@ def universal_period(N: int, table: PrimeTable | None = None) -> int:
 # ----------------------------------------------------------------------
 
 def read_coefficients(fh, max_cutoff: int = SIEVE_CAP) -> RamanujanCoefficients:
+    from fractions import Fraction
     return read_table(fh, RamanujanCoefficients, Fraction, max_cutoff)

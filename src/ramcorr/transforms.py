@@ -6,10 +6,11 @@ F = F' * 1 (Mobius inversion).  Both directions run on one
 divisor-lattice sweep, ``_convolve``, of (a * b)(n) for n <= M,
 split at r = isqrt(M) as in Dirichlet's hyperbola method: each support
 point d <= r of a adds one slice out[d::d] += a(d) b(1..M/d), and the
-points d > r enter by one scatter per cofactor k = n/d <= r, in
-descending k.  For a fixed slot n, descending k is ascending d, so each
-slot adds its terms in the order of the plain per-d loop and Real
-products and divisor sums are unchanged to the last bit.  The transform
+points d > r enter by one strided add per cofactor k = n/d <= r, in
+descending k (one scatter of a's support on the object lane).  For a
+fixed slot n, descending k is ascending d, so each slot adds its terms
+in the order of the plain per-d loop and Real products and divisor sums
+are unchanged to the last bit.  The transform
 runs the kernel on (mu, F), the divisor sum ``evaluate_tds_range`` on
 (g', 1).  Its transpose, ``_multiple_sum``, sums over multiples instead
 of divisors, out(q) = sum over k <= M/q of w(k) h(qk), with the same
@@ -33,10 +34,11 @@ each is a signed-integer array (a table's int64 store,
 max|a| max|b| 2 isqrt(M) < 2**63 (no slot has more than
 tau(n) <= 2 isqrt(M) terms, so no product or partial sum can overflow);
 the sums go into an int64 array, which becomes the store of the table
-returned, and a narrow ``a`` is widened one gather at a time, never as a
+returned, and a narrow ``a`` is widened inside each product, never as a
 whole.  Every other exact input, object arrays of Python ints, big ints
 and Fractions alike, runs on Python ints.  So an exact ``transform --fn``
-stays on fixed-width integers from the sieve to the written text.
+stays on fixed-width integers from the sieve to the written text, whose
+digits ``write_tds`` forms in numpy and streams out a block at a time.
 The text format written and read here serves TDS and coefficient files
 alike.
 """
@@ -87,21 +89,36 @@ def _int64_lane(a: np.ndarray, b, M: int) -> bool:
 
 def _convolve(a, b, M: int, kind: str) -> np.ndarray:
     """out[n] = sum over d | n of a[d] b[n/d] for n in [1..M], index 0
-    unused; ``b`` None is the constant 1, added with no product.  Zero
-    terms are skipped: a Real slot never holds -0.0, so no bit changes.
+    unused; ``b`` None is the constant 1, added with no product.  ``a``
+    may stop short of M (its own limit); ``b`` reaches M.
 
     Real inputs are float64.  ExactInt integer inputs that
-    ``_int64_lane`` admits run the same loops into an int64 ``out``,
-    for a table to keep as its store; other exact inputs run on Python
-    ints and Fractions, both cast to object.
+    ``_int64_lane`` admits run in an int64 ``out``, for a table to keep
+    as its store; other exact inputs run on Python ints and Fractions,
+    both cast to object.
 
-    ``a`` may be narrower than int64 (the sieve's int8 mu); ``b`` is
-    widened as a whole, which copies nothing for the int64 store every
-    caller passes.  Each gather ``a[ds]`` is widened to out's dtype
-    before its product: NumPy 1.x keeps an int8 gather times an int64
-    scalar in a narrow type, which wraps, and the sums must not depend
-    on the NumPy version.  A scalar a[d] times an int64 slice is int64
-    under both casting rules.
+    Each d <= r = isqrt(M) with a[d] != 0 adds one slice
+    out[d::d] += a[d] b(1..M/d).  On the fixed-width lanes (int64 and
+    float64) the d > r enter by one strided add per cofactor k <= M/(r+1),
+    in descending k: out[k d] += a[d] b[k] for every d in (r, M/k] at
+    once, read as a view of ``a``, so no index array or gather is built.
+    For a fixed slot, descending k is ascending d, so each slot adds its
+    terms in the order of the plain per-d loop.  The zeros of ``a`` among
+    them add nothing: an int64 slot is unchanged, and a float64 slot
+    starts at +0.0 and so never holds -0.0, on which adding a zero (or
+    -0.0, as ``lambda_tds`` holds) could flip the sign; a Real sum is
+    that loop's to the last bit for finite ``b``, as every table is.
+    On the object lane each term is a Python operation, so the d > r
+    come from a's support, one scatter per cofactor (``_sqrt_split``).
+
+    ``a`` may be narrower than int64 (the sieve's int8 mu) and is never
+    widened as a whole; ``b`` is, which copies nothing for the int64
+    store every caller passes.  A view of ``a`` is multiplied by
+    b[k: k + 1], a one-element array, not by the scalar b[k]: NumPy 1.x
+    keeps an int8 array times an int64 scalar in a narrow type, which
+    wraps, while an array's dtype promotes under both casting rules, so
+    the sums do not depend on the NumPy version.  A scalar a[d] times an
+    int64 slice is int64 under both rules too.
     """
     a = a[: M + 1]
     if b is not None:
@@ -112,14 +129,21 @@ def _convolve(a, b, M: int, kind: str) -> np.ndarray:
     elif b is not None and b.dtype.kind == "i":
         b = b.astype(np.int64, copy=False)
     out = np.zeros(M + 1, dtype=np.int64 if a.dtype.kind == "i" else a.dtype)
-    small, blocks = _sqrt_split(np.flatnonzero(a[1:]) + 1, M)
-    for d in small.tolist():
+    r = math.isqrt(M)
+    for d in (np.flatnonzero(a[1: r + 1]) + 1).tolist():
         out[d::d] += a[d] if b is None else a[d] * b[1: M // d + 1]
-    for k, ds in reversed(blocks):
+    if out.dtype == object:
+        for k, ds in reversed(_sqrt_split(np.flatnonzero(a[1:]) + 1, M)[1]):
+            if b is None or b[k]:
+                out[k * ds] += a[ds] if b is None else a[ds] * b[k]
+        return out
+    lo = r + 1
+    ks = np.arange(M // lo, 0, -1)
+    for k, top in zip(ks.tolist(), np.minimum(M // ks, a.size - 1).tolist()):
         if b is None:
-            out[k * ds] += a[ds]
+            out[k * lo: k * top + 1: k] += a[lo: top + 1]
         elif b[k]:
-            out[k * ds] += a[ds].astype(out.dtype, copy=False) * b[k]
+            out[k * lo: k * top + 1: k] += a[lo: top + 1] * b[k: k + 1]
     return out
 
 
@@ -249,34 +273,76 @@ def lambda_tds(N: int, table: PrimeTable | None = None) -> TruncatedDivisorSum:
 # header line "cutoff=D kind=K", then one "d <TAB> value" per nonzero d
 # ----------------------------------------------------------------------
 
-# lines per ``%`` in write_tds: few enough that one block's temporary
-# lists stay small, many enough that the per-block cost vanishes
+# index points per window of write_tds, so at most that many lines per
+# block: few enough that one block's temporaries stay small, many enough
+# that the per-block cost vanishes
 _WRITE_BLOCK = 1 << 14
+
+
+def _int64_lines(idx: np.ndarray, vals: np.ndarray) -> str:
+    """The lines "d\tv\n" of the positive int64 points ``idx`` and the
+    nonzero int64 values ``vals``, as str() writes them, built in numpy.
+
+    One uint8 row per line holds the index's digits, a tab, the sign,
+    the value's digits and a newline, each digit field right-aligned to
+    the block's widest.  The places above a number's leading digit hold
+    0, as does the sign of a positive value, and the rows read off in
+    order without their 0 bytes are the lines.  A magnitude is read as
+    uint64, so -2**63, whose abs wraps to itself, reads 2**63.
+    """
+    ten = np.uint64(10)
+    fields = idx.view(np.uint64), np.abs(vals).view(np.uint64)
+    widths = [len(str(int(x.max()))) for x in fields]
+    wi, wv = widths
+    rows = np.empty((idx.size, wi + wv + 3), dtype=np.uint8)
+    rows[:, wi] = ord("\t")
+    rows[:, wi + 1] = (vals < 0) * ord("-")
+    rows[:, -1] = ord("\n")
+    for x, width, stop in zip(fields, widths, (wi, wi + 2 + wv)):
+        for j in range(stop - 1, stop - width - 1, -1):
+            q = x // ten
+            rows[:, j] = np.where(x > 0, x - q * ten + ord("0"), 0)
+            x = q
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _str_lines(idx: np.ndarray, vals: np.ndarray) -> str:
+    """The lines "d\tv\n" by str() of Python scalars (``tolist``): exact
+    text for ints and Fractions, the shortest round-trip text for
+    floats; one ``%`` over the block's index/value pairs."""
+    pairs = [None] * (2 * idx.size)
+    pairs[0::2] = idx.tolist()
+    pairs[1::2] = vals.tolist()
+    return "%s\t%s\n" * idx.size % tuple(pairs)
 
 
 def write_tds(g: TabulatedFunction, fh) -> None:
     """Write a table in the text format.
 
-    The lines are the points of ``support()``, with their values read
-    straight from the table's int64 store, or else its value array.
-    They are formatted a block at a time, with one ``%`` of
-    ``"%s\t%s\n"`` repeated over a flat tuple of the block's index/value
-    pairs.  The values are Python scalars (``tolist``), so ``%s`` is
-    str(): exact text for ints and Fractions, the shortest round-trip
-    text for floats.  The whole text is formatted before anything is
-    written, so a value str() refuses (an int past Python's int-to-str
-    digit limit) leaves ``fh`` untouched, not holding a bare header that
-    would read back as the zero table.
+    The lines are the points of ``support()``, found and formatted one
+    window of ``_WRITE_BLOCK`` points at a time, with their values read
+    straight from the table's int64 store, or else its value array.  An
+    int64 store's lines are formatted in numpy (``_int64_lines``), a
+    value array's by str() (``_str_lines``), to the same text.
+    A fixed-width table (an int64 store or float64 values) is written to
+    ``fh`` block by block, since no value of it can be refused.  An
+    object table is formatted whole before anything is written, so a
+    value str() refuses (an int past Python's int-to-str digit limit)
+    leaves ``fh`` untouched, not holding a bare header that would read
+    back as the zero table.
     """
-    data, idx = g._data, g.support()
-    blocks = [f"cutoff={g.limit} kind={g.kind}\n"]
-    for start in range(0, idx.size, _WRITE_BLOCK):
-        block = idx[start: start + _WRITE_BLOCK]
-        pairs = [None] * (2 * block.size)
-        pairs[0::2] = block.tolist()
-        pairs[1::2] = data[block].tolist()
-        blocks.append("%s\t%s\n" * block.size % tuple(pairs))
-    fh.write("".join(blocks))
+    data = g._data
+    lines = _int64_lines if data.dtype == np.int64 else _str_lines
+    windows = (np.flatnonzero(data[lo: lo + _WRITE_BLOCK]) + lo
+               for lo in range(1, g.limit + 1, _WRITE_BLOCK))
+    blocks = (lines(idx, data[idx]) for idx in windows if idx.size)
+    header = f"cutoff={g.limit} kind={g.kind}\n"
+    if data.dtype == object:
+        fh.write(header + "".join(blocks))
+    else:
+        fh.write(header)
+        for block in blocks:
+            fh.write(block)
 
 
 # the only exact value texts write_tds emits: an int, and in a table read

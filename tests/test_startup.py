@@ -65,6 +65,22 @@ def test_import_loads_no_numpy_and_sets_nothing():
     assert out == "False False False False (True, 0) (True, 0)\n"
 
 
+@pytest.mark.parametrize("argv", [
+    "correlate --f odd_primes_log --g lambdaN --N 60 --shifts 1,U+1",
+    "correlate --f odd_primes_log --g lambdaN --N 60 --shifts 1,U+1 "
+    "--mode expansion",
+    "hl --N-list 100 --a-list 2,3 --Q 200",
+], ids=["correlate direct", "correlate expansion", "hl"])
+def test_real_commands_load_no_fractions_or_json(argv):
+    # only an exact table needs Fraction, and only the JSON writer json
+    out = run_python(["-c", (
+        "import sys\n"
+        "from ramcorr.cli import main\n"
+        f"assert main({argv.split()!r}) == 0\n"
+        "print(*(m in sys.modules for m in ('fractions', 'json')))\n")])
+    assert out.splitlines()[-1] == "False False"
+
+
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
                     reason="thread count read from /proc")
 def test_console_entry_starts_no_blas_worker():

@@ -4,7 +4,6 @@ Eratosthenes transform and the divisor sums) against
 trial-division oracles and the plain per-point loops they replace, and a
 guard on the number of Python-level steps they take."""
 
-import io
 import math
 import random
 import sys
@@ -15,6 +14,8 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramcorr import arith_core, transforms
 from ramcorr.arith_core import (EXACT, REAL, SIEVE_CAP, PrimeTable,
@@ -218,6 +219,66 @@ def test_dirichlet_convolve_is_bitwise_the_per_d_loop_real(M, table_20k):
         got = convolve(F, G).values
         assert got.dtype == np.float64
         assert got.tobytes() == per_d_convolve(F, G, M).tobytes()
+
+
+def per_d_fixed_width(a, b, M):
+    """The plain per-d loop on the fixed-width lanes: in ascending d, one
+    slice per d <= min(M, a's limit) with a[d] != 0, into an int64 out
+    for integer ``a`` and a float64 one for float ``a``; a[d] is read as
+    a Python scalar, whose product with an int64 or float64 slice keeps
+    the slice's dtype under either NumPy casting rule."""
+    out = np.zeros(M + 1, dtype=np.int64 if a.dtype.kind == "i"
+                   else np.float64)
+    for d in range(1, min(M, a.size - 1) + 1):
+        v = a[d].item()
+        if v:
+            out[d::d] += v if b is None else v * b[1: M // d + 1]
+    return out
+
+
+@st.composite
+def kernel_operands(draw):
+    """(a, b, M): ``a`` on [0..L] and ``b`` on [0..M] (or None), with
+    L = M or L < M, as ``evaluate_tds_range`` passes past a table's
+    cutoff.  Integer: an int8 ``a`` of mu-like and wide entries against
+    int64 ``b`` values past int8, int16 and int32, whose products wrap
+    if taken in a's narrow type; float: entries with zeros and -0.0,
+    or ``lambda_tds``'s table, whose -0.0 entries sit at d = 1 and the
+    non-squarefree d."""
+    M = draw(st.integers(1, 400))
+    L = draw(st.sampled_from([M, draw(st.integers(1, M))]))
+    density = draw(st.sampled_from([1.0, 0.5, 0.05]))
+
+    def entries(size, values):
+        return [0] + [draw(values) if draw(st.floats(0, 1)) < density
+                      else 0 for _ in range(size)]
+    if draw(st.booleans()):
+        a = np.array(entries(L, st.sampled_from([1, -1, 127, -128, 100])),
+                     dtype=np.int8)
+        b = np.array(entries(M, st.sampled_from(
+            [1, -1, 128, -129, 300, -30_000, 2 ** 31, -(2 ** 40)])),
+            dtype=np.int64)
+    else:
+        if draw(st.booleans()):
+            a = lambda_tds(max(L, 2))._data[: L + 1]
+        else:
+            a = np.array(entries(L, st.sampled_from([-0.0, 0.5, -3.25])
+                                 | st.floats(-1e6, 1e6)), dtype=np.float64)
+        b = np.array(entries(M, st.floats(-1e6, 1e6)), dtype=np.float64)
+    return a, None if draw(st.booleans()) else b, M
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_operands())
+def test_fixed_width_kernel_is_bitwise_the_per_d_loop(operands):
+    # every term, in ascending d per slot: int64 sums equal, float64
+    # sums equal to the bit, whatever the NumPy version's casting rule
+    a, b, M = operands
+    kind = EXACT if a.dtype.kind == "i" else REAL
+    got = transforms._convolve(a, b, M, kind)
+    want = per_d_fixed_width(a, b, M)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["phi", "kappa", "mobius", "mu_squared"])
@@ -490,20 +551,38 @@ def test_stored_tables_go_through_the_kernels_on_their_store(table_2k,
     assert outs[6].values.tolist() == odd
 
 
-def test_exact_transform_and_write_stay_small_at_two_hundred_thousand(
-        table_200k):
-    # the int64 store from the sieve to the text: 24.1 MB traced at the
-    # object-array tables, about 7 MB on the store
+def test_exact_truncate_stays_small_at_two_hundred_thousand(table_200k):
+    # the int64 store from the sieve to g': the d > isqrt(M) half adds
+    # strided views of mu, with no index array, gather or support of mu.
+    # Traced peak 4.64 MiB (phi's int64 table, the output and one
+    # product); 6.93 MiB with one index array and gather per cofactor
     table_200k.mobius_values, table_200k.phi_values  # built beforehand
     tracemalloc.start()
     try:
-        g = truncate(tabulate("phi", 200_000, table_200k), 200_000,
-                     table_200k)
-        transforms.write_tds(g, io.StringIO())
+        truncate(tabulate("phi", 200_000, table_200k), 200_000, table_200k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 << 20
+    assert peak <= 5.5 * 2 ** 20
+
+
+def test_streamed_write_stays_small_at_two_hundred_thousand(table_200k,
+                                                            tmp_path):
+    # an int64 store is written a window of points at a time, each
+    # formatted in numpy and written before the next: 1.07 MiB traced
+    # above the live table (traced from the write's start); 6.66 MiB when
+    # the whole text was built first
+    g = truncate(tabulate("phi", 200_000, table_200k), 200_000, table_200k)
+    with open(tmp_path / "phi.tds", "w", encoding="ascii") as fh:
+        tracemalloc.start()
+        try:
+            transforms.write_tds(g, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2 << 20
+    text = (tmp_path / "phi.tds").read_text()
+    assert text.count("\n") == g.support().size + 1
 
 
 def test_real_tables_never_ask_for_the_lane(table_2k, lanes):

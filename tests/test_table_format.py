@@ -129,6 +129,47 @@ def test_block_writer_bytes_equal_the_per_line_writer(form, lines):
     assert got.getvalue().count("\n") == lines + 1
 
 
+# every digit count of an int64 magnitude, at both ends of it, both signs
+EDGE_VALUES = [s * v for k in range(1, 19) for v in (10 ** k - 1, 10 ** k)
+               for s in (1, -1)] + [-2 ** 63, 2 ** 63 - 1]
+
+
+@pytest.mark.parametrize("at_top", [False, True])
+def test_int64_store_lines_at_every_digit_count(at_top):
+    # one entry per value at a point past 10**6, the cap's last point
+    # among them, or at the first points, as one block or spread out
+    limit = 2_000_000
+    vals = np.zeros(limit + 1, dtype=np.int64)
+    n = len(EDGE_VALUES)
+    points = (limit - 997 * np.arange(n) if at_top
+              else 1 + 7 * np.arange(n))
+    vals[points] = EDGE_VALUES
+    table = TruncatedDivisorSum(limit, EXACT, vals)
+    got = io.StringIO()
+    write_tds(table, got)
+    assert table._data.dtype == np.int64
+    want = io.StringIO()
+    support_writer(table, want)
+    assert got.getvalue() == want.getvalue()
+    assert (f"{limit}\t{EDGE_VALUES[0]}\n" in got.getvalue()) == at_top
+
+
+@pytest.mark.parametrize("lines", [0, 1, BLOCK, BLOCK + 1])
+def test_int64_store_lines_filling_a_block_and_one_past(lines):
+    # every point of [1, lines] holds a value, so the lines fill whole
+    # windows of write_tds, and BLOCK + 1 spills one line into the next
+    rng = np.random.default_rng(lines)
+    limit = max(lines, 1)
+    vals = np.zeros(limit + 1, dtype=np.int64)
+    vals[1: lines + 1] = rng.choice(EDGE_VALUES, size=lines)
+    table = TruncatedDivisorSum(limit, EXACT, vals)
+    got, want = io.StringIO(), io.StringIO()
+    write_tds(table, got)
+    per_line_writer(table, want)
+    assert got.getvalue() == want.getvalue()
+    assert got.getvalue().count("\n") == lines + 1
+
+
 def _read_with_line(reader, kind, line):
     """Read a file whose line 3 is ``line``, after a valid entry for d=3."""
     text = f"cutoff=20 kind={kind}\n3\t1\n{line}\n"
@@ -398,6 +439,24 @@ class TestDigitLimit:
         err = capsys.readouterr().err
         assert ("cannot load TDS file: line 2: a 5000-digit number exceeds "
                 "Python's int-to-str limit") in err
+
+
+@pytest.mark.parametrize("source", ["--fn phi", "--fn lambda", "--in big"])
+def test_transform_to_stdout_writes_the_bytes_of_out(source, tmp_path,
+                                                     capfdbinary):
+    # an int64 store and a Real table are streamed in blocks, an object
+    # table (a value past int64) formatted whole: the same bytes to
+    # standard output as to --out
+    big = tmp_path / "big.tds"
+    big.write_text(f"cutoff=9 kind=ExactInt\n2\t{2 ** 70}\n5\t-3\n")
+    argv = ["transform", *source.replace("big", str(big)).split(),
+            "--N", "2000"]
+    assert main(argv) == 0
+    sys.stdout.flush()
+    out = capfdbinary.readouterr().out
+    assert main([*argv, "--out", str(tmp_path / "g.tds")]) == 0
+    assert out == (tmp_path / "g.tds").read_bytes()
+    assert out.count(b"\n") > (1 if source == "--in big" else 1000)
 
 
 class TestCli:
